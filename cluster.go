@@ -100,12 +100,18 @@ func (n *clusterNode) Durable() bool      { return true }
 // here is what makes the whole response automatic without widening the
 // Node interface: a quarantined leader accumulates missed probes and
 // is failed over; a quarantined follower is never elected successor
-// (failover's candidate filter probes each candidate). (Partitions are
-// modeled by the cluster.probe fault site, which the coordinator
-// checks before calling Probe at all.)
+// (failover's candidate filter probes each candidate). A fenced node is
+// down too: a failover that fenced the leader but then failed to
+// promote leaves it routed yet refusing writes, and only missed probes
+// get the coordinator to try again. (Partitions are modeled by the
+// cluster.probe fault site, which the coordinator checks before calling
+// Probe at all.)
 func (n *clusterNode) Probe() error {
 	if n.db.isClosed() {
 		return fmt.Errorf("cluster: node %s is closed", n.id)
+	}
+	if n.db.Fenced() {
+		return fmt.Errorf("cluster: node %s: %w", n.id, everr.ErrFenced)
 	}
 	if err := n.db.inner.CheckQuarantined(); err != nil {
 		return fmt.Errorf("cluster: node %s: %w", n.id, err)
@@ -469,33 +475,18 @@ func (c *Cluster) QueryCtx(ctx context.Context, q string, options ...Option) (*R
 // Generation returns the current leader's generation.
 func (c *Cluster) Generation() uint64 { return c.Leader().Generation() }
 
-// WaitReplicated blocks until at least n of the current followers have
-// applied generation gen (n <= 0 or n beyond the follower count means
-// all of them), or until d elapses; it reports whether replication got
-// there. Callers use it for read-your-writes against routed reads and
-// for durable acknowledgement beyond the leader's own log.
+// WaitReplicated blocks until at least n of the followers routed when
+// the wait starts have applied generation gen (n <= 0 or n beyond the
+// follower count means all of them), and reports whether they got
+// there. It returns false if d elapses first, or if a failover begins
+// deposing the leader of that moment first: gen is taken to be a
+// generation that leader wrote, and after a failover a follower's
+// generation may come from the new leader's branch instead. Callers use
+// it for read-your-writes against routed reads and for durable
+// acknowledgement beyond the leader's own log (docs/cluster.md states
+// the rule).
 func (c *Cluster) WaitReplicated(gen uint64, n int, d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for {
-		fs := c.coord.Followers()
-		want := n
-		if want <= 0 || want > len(fs) {
-			want = len(fs)
-		}
-		caught := 0
-		for _, f := range fs {
-			if f.Generation() >= gen {
-				caught++
-			}
-		}
-		if caught >= want {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return c.coord.WaitReplicated(c.coord.View(), gen, n, d)
 }
 
 // Epoch returns the current leader's epoch.

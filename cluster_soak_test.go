@@ -7,11 +7,12 @@ package chainsplit
 // readers hammer the routed read path. The invariants:
 //
 //   - no acknowledged durable generation is ever lost: a write counts
-//     as acknowledged only once EVERY current follower has applied it
-//     (the successor is the most-caught-up follower, so whatever all
-//     followers hold, the next leader holds too), and after every
-//     failover the new leader's generation covers every acknowledged
-//     one;
+//     as acknowledged only once EVERY follower of the leader that
+//     accepted it has applied it, before any failover began deposing
+//     that leader (failover fences first and then promotes the
+//     most-caught-up follower, so whatever all followers hold, the next
+//     leader holds too), and after every failover the new leader's
+//     generation covers every acknowledged one;
 //   - no two nodes ever accept a write in the same epoch: each
 //     accepted write is recorded against the accepting node's epoch,
 //     and each epoch must map to exactly one node ID;
@@ -112,7 +113,10 @@ func TestClusterChaosSoak(t *testing.T) {
 				return
 			default:
 			}
-			n := cl.leaderNode()
+			// The view pins the leader this write goes to, so the ack
+			// below is judged against that leader's followers.
+			v := cl.coord.View()
+			n := v.Leader.(*clusterNode)
 			k := n.db.Generation()
 			err := n.db.LoadFacts("m", [][]Term{{Int(int64(k))}})
 			if err != nil {
@@ -134,12 +138,13 @@ func TestClusterChaosSoak(t *testing.T) {
 				epochWriters[ep] = n.ID()
 			}
 			epochMu.Unlock()
-			// Acknowledge only once every current follower holds the
-			// write: the successor is always the most-caught-up
+			// Acknowledge only once every follower of the accepting
+			// leader holds the write before any failover began deposing
+			// it: failover fences, then promotes the most-caught-up
 			// follower, so an acknowledged generation is on whichever
-			// node the next failover promotes.
+			// node it promotes.
 			g := k + 1
-			if cl.WaitReplicated(g, 0, 2*time.Second) {
+			if cl.coord.WaitReplicated(v, g, 0, 2*time.Second) {
 				for {
 					cur := ackedGen.Load()
 					if g <= cur || ackedGen.CompareAndSwap(cur, g) {

@@ -112,7 +112,8 @@ func TestCorruptionChaosSoak(t *testing.T) {
 				return
 			default:
 			}
-			n := cl.leaderNode()
+			v := cl.coord.View()
+			n := v.Leader.(*clusterNode)
 			k := n.db.Generation()
 			err := n.db.LoadFacts("m", [][]Term{{Int(int64(k))}})
 			if err != nil {
@@ -125,7 +126,7 @@ func TestCorruptionChaosSoak(t *testing.T) {
 			}
 			writes.Add(1)
 			g := k + 1
-			if cl.WaitReplicated(g, replicas-2, 2*time.Second) {
+			if cl.coord.WaitReplicated(v, g, replicas-2, 2*time.Second) {
 				for {
 					cur := ackedGen.Load()
 					if g <= cur || ackedGen.CompareAndSwap(cur, g) {

@@ -49,7 +49,8 @@ type Node interface {
 	// write is acknowledged durably only once a durable node holds it,
 	// so only durable nodes are eligible successors.
 	Durable() bool
-	// Probe checks liveness: nil if the node is up and serving.
+	// Probe checks liveness: nil if the node is up and serving. A
+	// fenced node is not serving writes, so it reports an error.
 	Probe() error
 	// Promote makes the node a writable leader under a bumped epoch
 	// (core.DB.Promote semantics: exact last durable generation or a
@@ -64,6 +65,7 @@ type Node interface {
 	Retarget(addr string) error
 	// Fence tells the node a higher epoch exists (core.DB.Fence): a
 	// no-op below the node's own epoch, durable deposition above it.
+	// Once it returns nil the node accepts no further write.
 	Fence(epoch uint64) error
 	// Staleness is the node's bounded-staleness measure (the session's
 	// time-since-sync, or 0 for a leader).
@@ -82,8 +84,8 @@ type Config struct {
 
 // Coordinator runs failure detection and failover for one cluster. It
 // probes the leader every Heartbeat; after SuspectAfter consecutive
-// failures it promotes the most-caught-up durable follower, fences
-// the old leader, re-points the survivors, and drops the deposed node
+// failures it fences the old leader, promotes the most-caught-up
+// durable follower, re-points the survivors, and drops the deposed node
 // from the routing set.
 type Coordinator struct {
 	cfg Config
@@ -92,6 +94,9 @@ type Coordinator struct {
 	leader    Node
 	followers []Node
 	deposed   []Node
+	// deposals counts failover attempts that went on to fence their
+	// leader; a View is current only while it is unchanged.
+	deposals uint64
 
 	failovers atomic.Int64
 
@@ -144,6 +149,70 @@ func (c *Coordinator) Deposed() []Node {
 
 // Failovers returns how many failovers this coordinator has committed.
 func (c *Coordinator) Failovers() int64 { return c.failovers.Load() }
+
+// View is a snapshot of the routing state: the leader writes go to and
+// the followers replicating it. A view stays current until a failover
+// begins deposing its leader.
+type View struct {
+	Leader    Node
+	Followers []Node
+	deposals  uint64
+}
+
+// View returns the current routing state.
+func (c *Coordinator) View() View {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return View{Leader: c.leader, Followers: append([]Node(nil), c.followers...), deposals: c.deposals}
+}
+
+// current reports whether no failover has begun deposing v.Leader
+// since v was taken.
+func (c *Coordinator) current(v View) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.deposals == v.deposals
+}
+
+// WaitReplicated is the acknowledgement rule (docs/cluster.md): a write
+// v.Leader accepted at generation gen is acknowledged once at least n of
+// v.Followers (n <= 0 or beyond their count: all of them) have applied
+// gen while v is still current. It returns false if d elapses first, or
+// if a failover begins deposing v.Leader first — whatever the followers
+// hold then may be the old leader's branch or the new one's, and a
+// generation number alone cannot tell them apart.
+//
+// The check is sound because failover fences before it samples: if v is
+// still current after every follower was seen at gen, any later
+// failover fences the leader after that and then samples those
+// followers at gen or beyond, so its successor holds gen.
+func (c *Coordinator) WaitReplicated(v View, gen uint64, n int, d time.Duration) bool {
+	want := n
+	if want <= 0 || want > len(v.Followers) {
+		want = len(v.Followers)
+	}
+	deadline := time.Now().Add(d)
+	for {
+		caught := 0
+		for _, f := range v.Followers {
+			if f.Generation() >= gen {
+				caught++
+			}
+		}
+		// Currency is checked after sampling, never before: that order
+		// is what the soundness argument above needs.
+		if !c.current(v) {
+			return false
+		}
+		if caught >= want {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // Rejoin re-admits a repaired node to the routing set as a follower:
 // off the deposed list, into the follower rotation. The serving layer
@@ -230,11 +299,20 @@ func (c *Coordinator) run() {
 	}
 }
 
-// failover deposes the current leader: pick the most-caught-up live
-// durable follower (ties by smallest ID), promote it, fence the old
-// leader with the successor's new epoch, re-point the surviving
-// followers, and commit the new routing state. Returns false — with
-// no state changed — if no follower is eligible or promotion fails.
+// failover deposes the current leader: fence it under the epoch its
+// successor is about to mint, then pick the most-caught-up live durable
+// follower (ties by smallest ID) from generations sampled after the
+// fence, promote it, re-point the surviving followers, and commit the
+// new routing state. Returns false — with the routing state unchanged —
+// if no follower is eligible, a reachable leader refuses the fence, or
+// promotion fails; the next beat retries. (A leader fenced by an
+// attempt whose promotion then failed stays fenced; a Node reports a
+// fenced leader down to Probe, so suspicion keeps building.)
+//
+// Fencing comes first because a leader that is merely partitioned from
+// the coordinator is still writable: sampled before the fence, follower
+// generations can miss writes it accepts afterwards, and a successor
+// chosen from them would drop writes already acknowledged.
 //
 // The probe/promote/fence/retarget calls are network-ish I/O, so they
 // run with c.mu RELEASED — holding it would block Leader()/Followers()
@@ -250,27 +328,39 @@ func (c *Coordinator) failover() bool {
 	followers := append([]Node(nil), c.followers...)
 	c.mu.Unlock()
 
-	var succ Node
+	var live []Node
 	for _, f := range followers {
-		if !f.Durable() || f.Probe() != nil {
-			continue
-		}
-		if succ == nil || f.Generation() > succ.Generation() ||
-			(f.Generation() == succ.Generation() && f.ID() < succ.ID()) {
-			succ = f
+		if f.Durable() && f.Probe() == nil {
+			live = append(live, f)
 		}
 	}
-	if succ == nil {
+	if len(live) == 0 {
+		return false // nobody to hand over to: leave the leader writable
+	}
+
+	c.mu.Lock()
+	c.deposals++
+	c.mu.Unlock()
+	// Followers adopt their leader's epoch, so the successor mints
+	// old.Epoch()+1. A leader that does not answer probes cannot be
+	// fenced directly — the epoch on the wire fences it the moment it
+	// comes back and meets any survivor — but one that answers and
+	// still refuses may go on accepting writes: abort.
+	if err := old.Fence(old.Epoch() + 1); err != nil && old.Probe() == nil {
 		return false
+	}
+	var succ Node
+	var succGen uint64
+	for _, f := range live {
+		g := f.Generation()
+		if succ == nil || g > succGen || (g == succGen && f.ID() < succ.ID()) {
+			succ, succGen = f, g
+		}
 	}
 	if err := succ.Promote(); err != nil {
 		return false
 	}
 	addr, leadErr := succ.Lead()
-	// Fence the deposed leader under the successor's epoch. Best
-	// effort: it may be dead, in which case the epoch on the wire
-	// fences it the moment it comes back and meets any survivor.
-	old.Fence(succ.Epoch())
 	rest := make([]Node, 0, len(followers))
 	for _, f := range followers {
 		if f == succ {

@@ -27,10 +27,36 @@ type fakeNode struct {
 	fencedAt  uint64
 	retargets []string
 	leadErr   error
+	fenceErr  error
+
+	// Scripted interleavings for the step-by-step failover tests: each
+	// hook runs once, outside n.mu, when the call first reaches it, and
+	// log (when set) records fences and promotions in call order.
+	onFence      func()
+	onGeneration func()
+	log          *[]string
+}
+
+// fire runs and clears a one-shot hook.
+func (n *fakeNode) fire(hook *func()) {
+	n.mu.Lock()
+	h := *hook
+	*hook = nil
+	n.mu.Unlock()
+	if h != nil {
+		h()
+	}
+}
+
+func (n *fakeNode) record(event string) {
+	if n.log != nil {
+		*n.log = append(*n.log, event)
+	}
 }
 
 func (n *fakeNode) ID() string { return n.id }
 func (n *fakeNode) Generation() uint64 {
+	n.fire(&n.onGeneration)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.gen
@@ -52,6 +78,7 @@ func (n *fakeNode) Probe() error {
 func (n *fakeNode) Promote() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.record("promote " + n.id)
 	n.promoted = true
 	n.epoch++
 	return nil
@@ -68,8 +95,13 @@ func (n *fakeNode) Retarget(addr string) error {
 	return nil
 }
 func (n *fakeNode) Fence(epoch uint64) error {
+	n.fire(&n.onFence)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.record(fmt.Sprintf("fence %s@%d", n.id, epoch))
+	if n.fenceErr != nil {
+		return n.fenceErr
+	}
 	if epoch > n.epoch {
 		n.fencedAt = epoch
 	}
@@ -424,5 +456,109 @@ func TestRejoinReadmitsRepairedNode(t *testing.T) {
 		if f == cur {
 			t.Fatal("rejoining the leader demoted it to a follower")
 		}
+	}
+}
+
+// manualCoordinator coordinates leader and followers with a probe loop
+// that never fires, so a test drives failover() itself, step by step.
+func manualCoordinator(t *testing.T, leader *fakeNode, followers ...*fakeNode) *Coordinator {
+	t.Helper()
+	nodes := make([]Node, len(followers))
+	for i, f := range followers {
+		nodes[i] = f
+	}
+	c := NewCoordinator(leader, nodes, Config{Heartbeat: time.Hour})
+	t.Cleanup(c.Close)
+	return c
+}
+
+func (n *fakeNode) setGen(g uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.gen = g
+}
+
+// A leader partitioned from the coordinator keeps accepting writes
+// until it is fenced, and its last ones reach followers unevenly: here
+// n1 leads before the fence, but n2 alone holds the old branch's final
+// generation once the fence has drained it. The successor must be
+// chosen from the post-fence generations — choosing n1 would drop a
+// generation every follower but n1 may already have acknowledged.
+func TestFailoverFencesBeforeChoosingSuccessor(t *testing.T) {
+	var log []string
+	leader := &fakeNode{id: "n0", durable: true, epoch: 3, log: &log}
+	n1 := &fakeNode{id: "n1", durable: true, gen: 10, epoch: 3, log: &log}
+	n2 := &fakeNode{id: "n2", durable: true, gen: 9, epoch: 3, log: &log}
+	leader.onFence = func() { n2.setGen(11) }
+	c := manualCoordinator(t, leader, n1, n2)
+
+	if !c.failover() {
+		t.Fatal("failover did not commit")
+	}
+	if got := c.Leader().ID(); got != "n2" {
+		t.Fatalf("promoted %s, want n2 (generation 11 after the fence)", got)
+	}
+	want := []string{"fence n0@4", "promote n2"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v (fence before promote, at the epoch the successor mints)", log, want)
+	}
+	if got := n2.Epoch(); got != 4 {
+		t.Fatalf("successor epoch %d, want 4", got)
+	}
+}
+
+// A fence error from a leader that still answers probes means it may
+// still be writable: the attempt must abort with nothing promoted. The
+// same error from a leader that is down does not block the failover.
+func TestFailoverAbortsWhenReachableLeaderRefusesFence(t *testing.T) {
+	leader := &fakeNode{id: "n0", durable: true, fenceErr: errors.New("epoch file: disk full")}
+	n1 := &fakeNode{id: "n1", durable: true, gen: 5}
+	c := manualCoordinator(t, leader, n1)
+
+	if c.failover() {
+		t.Fatal("failover committed past a reachable leader's fence error")
+	}
+	if c.Leader() != Node(leader) || n1.promoted || c.Failovers() != 0 {
+		t.Fatalf("aborted attempt changed state: leader %s, n1 promoted %v, failovers %d",
+			c.Leader().ID(), n1.promoted, c.Failovers())
+	}
+
+	leader.setDown(true)
+	if !c.failover() {
+		t.Fatal("an unreachable leader's fence error blocked the failover")
+	}
+	if got := c.Leader().ID(); got != "n1" {
+		t.Fatalf("promoted %s, want n1", got)
+	}
+}
+
+// The acknowledgement rule holds against the follower set of the
+// leader the write went to. Here n2 applied generation 10 and then
+// crashed; a failover that begins mid-wait promotes n1 at 9 and leaves
+// no follower at all, so "every current follower holds 10" would be
+// vacuously true — and generation 10 lost on the new leader.
+func TestWaitReplicatedRefusesAckAcrossFailover(t *testing.T) {
+	leader := &fakeNode{id: "n0", durable: true, gen: 10}
+	n1 := &fakeNode{id: "n1", durable: true, gen: 9}
+	n2 := &fakeNode{id: "n2", durable: true, gen: 10, down: true}
+	c := manualCoordinator(t, leader, n1, n2)
+
+	if !c.WaitReplicated(c.View(), 9, 0, time.Minute) {
+		t.Fatal("generation 9, held by every follower, was not acknowledged")
+	}
+
+	v := c.View()
+	n1.onGeneration = func() {
+		if !c.failover() {
+			t.Error("failover did not commit")
+		}
+	}
+	if c.WaitReplicated(v, 10, 0, time.Minute) {
+		t.Fatalf("generation 10 acknowledged across a failover to %s at generation %d",
+			c.Leader().ID(), c.Leader().Generation())
+	}
+	// A view taken before a failover never acknowledges anything.
+	if c.WaitReplicated(v, 0, 0, time.Minute) {
+		t.Fatal("a stale view acknowledged a write")
 	}
 }
