@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet staticcheck govulncheck race bench bench-smoke fuzz-smoke soak replica-soak cluster-soak scrub-soak
+.PHONY: build test check vet staticcheck govulncheck race bench bench-smoke fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,15 @@ replica-soak:
 # reads/writes under leader crashes and coordinator partitions).
 cluster-soak:
 	CHAINSPLIT_SOAK_DURATION=$(SOAK_DURATION) $(GO) test -race -count=1 -run 'ClusterChaosSoak' -v .
+
+# The cluster soak replayed under every seed that has failed it before
+# (lost acknowledged generations, a deposed leader accepting a write).
+CLUSTER_SOAK_SEEDS ?= 1790318980105104337 1790467812519676064 1790467825646275315 1790437619866070027 1790437626643470570
+
+cluster-seeds:
+	for s in $(CLUSTER_SOAK_SEEDS); do \
+		CHAINSPLIT_SOAK_SEED=$$s $(GO) test -race -count=1 -run 'ClusterChaosSoak' . || exit 1; \
+	done
 
 # Just the corruption soak (background scrubbing + anti-entropy
 # digests detecting injected bit-flips, quarantine-and-reseed repair
