@@ -1260,15 +1260,18 @@ func (g *generation) runSeminaive(res *Result, goal program.Atom, cons []program
 }
 
 func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, error) {
-	cfg := magic.Config{Thresholds: opts.Thresholds, Supplementary: true, Ctx: opts.Ctx}
+	cfg := magic.Config{
+		Policy:        magic.PolicyCost,
+		Model:         &cost.Model{Cat: g.cat, Depth: opts.CostDepth},
+		Thresholds:    opts.Thresholds,
+		Supplementary: true,
+		Ctx:           opts.Ctx,
+	}
 	switch pd.strategy {
 	case StrategyMagicFollow:
 		cfg.Policy = magic.PolicyFollow
 	case StrategyMagicSplit:
 		cfg.Policy = magic.PolicySplit
-	default:
-		cfg.Policy = magic.PolicyCost
-		cfg.Model = &cost.Model{Cat: g.cat, Depth: opts.CostDepth}
 	}
 	var rw *magic.Rewritten
 	var err error

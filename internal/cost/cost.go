@@ -54,8 +54,17 @@ func (c Choice) String() string {
 }
 
 // Model estimates expansion ratios from catalog statistics.
+//
+// Against a frozen (published) catalog its cost does not depend on the
+// number of base facts once the statistics are warm: cardinalities are
+// Len, and the distinct count of a literal's bound columns is scanned
+// once per relation and column list, then memoized by the relation
+// (Relation.DistinctOn). Against an unfrozen catalog every Expansion
+// with bound columns rescans.
 type Model struct {
-	// Cat provides relation cardinalities and distinct counts.
+	// Cat provides relation cardinalities and distinct counts. The
+	// magic rewrite also reads it to learn which IDB predicates have
+	// stored tuples.
 	Cat *relation.Catalog
 	// Depth is the estimated recursion depth used by the quantitative
 	// plan comparison (0 = 6).
@@ -116,11 +125,8 @@ func (m *Model) Expansion(lit program.Atom, bound map[string]bool) float64 {
 			boundCols = append(boundCols, i)
 		}
 	}
-	allCols := make([]int, rel.Arity())
-	for i := range allCols {
-		allCols[i] = i
-	}
-	total := float64(rel.DistinctOn(allCols))
+	// |π_{bound ∪ free}(r)| is |r|: a relation is a set.
+	total := float64(rel.Len())
 	if len(boundCols) == 0 {
 		return total
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chainsplit/internal/core"
+	"chainsplit/internal/cost"
 	"chainsplit/internal/lang"
 	"chainsplit/internal/magic"
 	"chainsplit/internal/program"
@@ -62,7 +63,7 @@ func runA1(cfg Config) error {
 			for _, f := range p.Facts {
 				cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
 			}
-			rw, err := magic.Rewrite(p, goalQ.Goals[0], magic.Config{Policy: magic.PolicyFollow, Supplementary: sup})
+			rw, err := magic.Rewrite(p, goalQ.Goals[0], magic.Config{Policy: magic.PolicyFollow, Model: &cost.Model{Cat: cat}, Supplementary: sup})
 			if err != nil {
 				return err
 			}

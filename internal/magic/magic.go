@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"chainsplit/internal/adorn"
@@ -36,7 +37,7 @@ type Policy int
 
 const (
 	// PolicyCost is Algorithm 3.1: thresholds plus quantitative
-	// analysis (requires a cost.Model).
+	// analysis over the cost model's statistics.
 	PolicyCost Policy = iota
 	// PolicyFollow is classic magic sets: always propagate (the
 	// baseline the paper argues against).
@@ -61,8 +62,15 @@ func (p Policy) String() string {
 
 // Config configures the rewrite.
 type Config struct {
-	Policy     Policy
-	Model      *cost.Model     // required for PolicyCost
+	Policy Policy
+	// Model is required under every policy. Its catalog — the one the
+	// rewritten program will be evaluated against — tells the rewrite
+	// which reached IDB predicates also have stored tuples (those get a
+	// bridge rule reading the stored relation), and under PolicyCost
+	// its statistics make the propagation decisions. Nothing in the
+	// rewrite scans base facts, so with a frozen catalog its cost is
+	// O(rules) once the statistics are warm.
+	Model      *cost.Model
 	Thresholds cost.Thresholds // zero value → cost.DefaultThresholds
 	// Supplementary factors shared join prefixes into supplementary
 	// predicates (sup$…), so rules with several IDB body literals do
@@ -201,8 +209,8 @@ func rewriteWithIDB(p *program.Program, goal program.Atom, cfg Config, idb map[s
 	if !idb[goal.Key()] {
 		return nil, fmt.Errorf("magic: %s is not an IDB predicate", goal.Key())
 	}
-	if cfg.Policy == PolicyCost && cfg.Model == nil {
-		return nil, fmt.Errorf("magic: PolicyCost requires a cost model")
+	if cfg.Model == nil {
+		return nil, fmt.Errorf("magic: %s rewrite requires a cost model", cfg.Policy)
 	}
 	th := cfg.thresholds()
 
@@ -219,18 +227,16 @@ func rewriteWithIDB(p *program.Program, goal program.Atom, cfg Config, idb map[s
 	queue := []pa{{key: goal.Key(), ad: goalAd}}
 	seen[queue[0]] = true
 
-	// Predicates that have ground facts in the program: their adorned
-	// versions need a bridge rule reading the fact relation.
-	factPreds := make(map[string]bool)
-	for _, f := range p.Facts {
-		factPreds[f.Key()] = true
-	}
-
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if factPreds[cur.key] {
-			pred, arity := keyParts(cur.key)
+		pred, arity, err := keyParts(cur.key)
+		if err != nil {
+			return nil, err
+		}
+		// An IDB predicate with stored tuples: its adorned version needs
+		// a bridge rule reading the stored relation.
+		if rel := cfg.Model.Cat.Get(pred); rel != nil && rel.Arity() == arity && rel.Len() > 0 {
 			args := make([]term.Term, arity)
 			for i := range args {
 				args[i] = term.NewVar(fmt.Sprintf("_M%d", i))
@@ -290,11 +296,14 @@ type callSite struct {
 	ad  string
 }
 
-func keyParts(key string) (string, int) {
+// keyParts splits a pred/arity key.
+func keyParts(key string) (string, int, error) {
 	i := strings.LastIndexByte(key, '/')
-	var ar int
-	fmt.Sscanf(key[i+1:], "%d", &ar)
-	return key[:i], ar
+	ar, err := strconv.Atoi(key[i+1:])
+	if i < 0 || err != nil || ar < 0 {
+		return "", 0, fmt.Errorf("magic: malformed predicate key %q", key)
+	}
+	return key[:i], ar, nil
 }
 
 // Answers extracts the query answers from an evaluated catalog: the
@@ -659,4 +668,3 @@ func assembleSupplementary(r program.Rule, ad string, ruleIdx int, sipOrder []in
 	}
 	return append(rules, adorned)
 }
-

@@ -28,14 +28,8 @@ func evalMagic(t *testing.T, src, goalSrc string, cfg Config) (*relation.Relatio
 
 	// Load EDB facts into the catalog first (the rewritten program
 	// contains only rules plus the magic seed).
-	cat := relation.NewCatalog()
-	for _, f := range p.Facts {
-		cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
-	}
-	if cfg.Policy == PolicyCost && cfg.Model == nil {
-		cfg.Model = &cost.Model{Cat: cat}
-	}
-	rw, err := Rewrite(p, goal, cfg)
+	cat := catalogOf(p)
+	rw, err := Rewrite(p, goal, withModel(cfg, cat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +38,24 @@ func evalMagic(t *testing.T, src, goalSrc string, cfg Config) (*relation.Relatio
 		t.Fatalf("seminaive: %v\nprogram:\n%s", err, rw.Program)
 	}
 	return Answers(cat, rw, goal), stats, rw
+}
+
+// catalogOf loads p's facts into a fresh catalog: the one a test both
+// rewrites against (through the model) and evaluates against.
+func catalogOf(p *program.Program) *relation.Catalog {
+	cat := relation.NewCatalog()
+	for _, f := range p.Facts {
+		cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
+	}
+	return cat
+}
+
+// withModel gives cfg a model over cat unless it already has one.
+func withModel(cfg Config, cat *relation.Catalog) Config {
+	if cfg.Model == nil {
+		cfg.Model = &cost.Model{Cat: cat}
+	}
+	return cfg
 }
 
 const ancSrc = `
@@ -72,13 +84,10 @@ func TestMagicSetContents(t *testing.T) {
 	res, _ := lang.Parse(ancSrc)
 	p := program.Rectify(res.Program)
 	goal, _ := lang.ParseQuery("?- anc(a, Y).")
-	rw, err := Rewrite(p, goal.Goals[0], Config{Policy: PolicyFollow})
+	cat := catalogOf(p)
+	rw, err := Rewrite(p, goal.Goals[0], withModel(Config{Policy: PolicyFollow}, cat))
 	if err != nil {
 		t.Fatal(err)
-	}
-	cat := relation.NewCatalog()
-	for _, f := range p.Facts {
-		cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
 	}
 	if _, err := seminaive.Eval(rw.Program, cat, seminaive.Options{}); err != nil {
 		t.Fatal(err)
@@ -165,11 +174,12 @@ func TestSCSGSplitAvoidsCrossProductMagic(t *testing.T) {
 	p := program.Rectify(res.Program)
 	goal, _ := lang.ParseQuery("?- scsg(ann, Y).")
 
-	rwF, err := Rewrite(p, goal.Goals[0], Config{Policy: PolicyFollow})
+	cat := catalogOf(p)
+	rwF, err := Rewrite(p, goal.Goals[0], withModel(Config{Policy: PolicyFollow}, cat))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rwS, err := Rewrite(p, goal.Goals[0], Config{Policy: PolicySplit})
+	rwS, err := Rewrite(p, goal.Goals[0], withModel(Config{Policy: PolicySplit}, cat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +229,17 @@ func TestRewriteNonIDBGoal(t *testing.T) {
 	}
 }
 
+// Every policy needs the model: its catalog says which IDB predicates
+// have stored tuples, even where its statistics decide nothing.
 func TestRewriteCostRequiresModel(t *testing.T) {
 	res, _ := lang.Parse(ancSrc)
 	p := program.Rectify(res.Program)
 	goal, _ := lang.ParseQuery("?- anc(a, Y).")
-	if _, err := Rewrite(p, goal.Goals[0], Config{Policy: PolicyCost}); err == nil {
-		t.Error("expected error when PolicyCost has no model")
+	for _, pol := range []Policy{PolicyCost, PolicyFollow, PolicySplit} {
+		_, err := Rewrite(p, goal.Goals[0], Config{Policy: pol})
+		if err == nil || !strings.Contains(err.Error(), "requires a cost model") {
+			t.Errorf("%v without a model: err = %v, want the missing-model error", pol, err)
+		}
 	}
 }
 

@@ -3,10 +3,8 @@ package magic
 import (
 	"testing"
 
-	"chainsplit/internal/cost"
 	"chainsplit/internal/lang"
 	"chainsplit/internal/program"
-	"chainsplit/internal/relation"
 	"chainsplit/internal/seminaive"
 )
 
@@ -37,15 +35,8 @@ p(Y, X) :- e2(Y, X).
 	want := map[string]bool{"(c0, c0)": true, "(c0, c3)": true}
 	for _, sup := range []bool{false, true} {
 		for _, pol := range []Policy{PolicyFollow, PolicySplit, PolicyCost} {
-			cat := relation.NewCatalog()
-			for _, f := range p.Facts {
-				cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
-			}
-			cfg := Config{Policy: pol, Supplementary: sup}
-			if pol == PolicyCost {
-				cfg.Model = &cost.Model{Cat: cat}
-			}
-			rw, err := Rewrite(p, goal, cfg)
+			cat := catalogOf(p)
+			rw, err := Rewrite(p, goal, withModel(Config{Policy: pol, Supplementary: sup}, cat))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,11 +28,8 @@ func stratifiedEval(t *testing.T, src, goalSrc string, cfg Config) *relation.Rel
 	p := program.Rectify(res.Program)
 	goalQ, _ := lang.ParseQuery(goalSrc)
 	goal := goalQ.Goals[0]
-	cat := relation.NewCatalog()
-	for _, f := range p.Facts {
-		cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
-	}
-	rw, phase1, err := RewriteStratified(p, goal, cfg)
+	cat := catalogOf(p)
+	rw, phase1, err := RewriteStratified(p, goal, withModel(cfg, cat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +61,7 @@ func TestRewriteStratifiedMaterializationProgram(t *testing.T) {
 	res, _ := lang.Parse(negSrc)
 	p := program.Rectify(res.Program)
 	goalQ, _ := lang.ParseQuery("?- unreachable(a, Y).")
-	_, phase1, err := RewriteStratified(p, goalQ.Goals[0], Config{Policy: PolicyFollow})
+	_, phase1, err := RewriteStratified(p, goalQ.Goals[0], withModel(Config{Policy: PolicyFollow}, catalogOf(p)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +130,13 @@ func TestConfigThresholds(t *testing.T) {
 }
 
 func TestKeyParts(t *testing.T) {
-	pred, ar := keyParts("same_country/2")
-	if pred != "same_country" || ar != 2 {
-		t.Errorf("keyParts = %q %d", pred, ar)
+	pred, ar, err := keyParts("same_country/2")
+	if err != nil || pred != "same_country" || ar != 2 {
+		t.Errorf("keyParts = %q %d %v", pred, ar, err)
+	}
+	for _, bad := range []string{"p", "p/", "p/x", "p/-1"} {
+		if _, _, err := keyParts(bad); err == nil {
+			t.Errorf("keyParts(%q) accepted a malformed key", bad)
+		}
 	}
 }

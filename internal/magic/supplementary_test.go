@@ -24,11 +24,8 @@ func evalWith(t *testing.T, src, goalSrc string, cfg Config) (*relation.Relation
 		t.Fatal(err)
 	}
 	goal := goalQ.Goals[0]
-	cat := relation.NewCatalog()
-	for _, f := range p.Facts {
-		cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
-	}
-	rw, err := Rewrite(p, goal, cfg)
+	cat := catalogOf(p)
+	rw, err := Rewrite(p, goal, withModel(cfg, cat))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,8 +166,8 @@ func colsKey(cols []int) string {
 // single goroutine (a loader or an evaluation engine) and may be
 // mutated freely. Freeze marks it immutable: from then on any number
 // of goroutines may read it concurrently — the only remaining internal
-// mutation is lazy index construction, which idxMu serializes — and
-// Insert panics. Catalog.Snapshot freezes every relation it shares,
+// mutations are lazy index construction and memoized distinct counts,
+// which idxMu serializes — and Insert panics. Catalog.Snapshot freezes every relation it shares,
 // which is what makes copy-on-write database generations safe.
 //
 // Concurrent reads are also safe on an unfrozen relation during any
@@ -182,10 +182,14 @@ type Relation struct {
 
 	// frozen marks the relation immutable (shared between snapshots).
 	frozen atomic.Bool
-	// idxMu guards indexes: frozen relations still build indexes
-	// lazily on first lookup, possibly from several readers at once.
+	// idxMu guards indexes and distinct: frozen relations still build
+	// indexes lazily on first lookup, possibly from several readers at
+	// once, and memoize distinct counts.
 	idxMu   sync.RWMutex
 	indexes map[string]*colIndex
+	// distinct memoizes DistinctOn per column list, on frozen relations
+	// only (nil until the first count).
+	distinct map[string]int
 }
 
 // New returns an empty relation with the given name and arity.
@@ -343,17 +347,36 @@ func (r *Relation) LookupOn(cols []int, values Tuple) []Tuple {
 	return out
 }
 
-// DistinctOn returns the number of distinct projections onto cols. It
-// reuses an existing index when one is already built; otherwise it
-// counts through a transient set instead of building (and permanently
-// retaining) a full hash index for a one-shot aggregate.
+// DistinctOn returns the number of distinct projections onto cols —
+// the statistic the cost model derives join expansion ratios from.
+//
+// Projecting onto every column, in any order, is the relation itself
+// (a relation is a set), so that count is Len. Any other count comes
+// from an index already built on cols, or else from one scan through a
+// transient set; the scan builds no index, since retaining a full hash
+// index for a one-shot aggregate would cost more than the count. On a
+// frozen relation the scanned count is memoized per column list: the
+// relation can no longer change, so the count cannot go stale, and a
+// generation pays at most one scan per (relation, column list). An
+// unfrozen relation recounts on every call.
 func (r *Relation) DistinctOn(cols []int) int {
-	r.idxMu.RLock()
-	idx, ok := r.indexes[colsKey(cols)]
-	r.idxMu.RUnlock()
-	if ok {
-		return len(idx.buckets)
+	if r.allColumns(cols) {
+		return len(r.tuples)
 	}
+	ck := colsKey(cols)
+	r.idxMu.RLock()
+	idx, indexed := r.indexes[ck]
+	n, memo := r.distinct[ck]
+	r.idxMu.RUnlock()
+	switch {
+	case indexed:
+		return len(idx.buckets)
+	case memo:
+		return n
+	}
+	// Read before the scan: only a count of an immutable relation may be
+	// memoized.
+	frozen := r.frozen.Load()
 	seen := make(map[string]struct{}, len(r.tuples))
 	var pb [keyBufSize]byte
 	for _, t := range r.tuples {
@@ -362,7 +385,30 @@ func (r *Relation) DistinctOn(cols []int) int {
 			seen[string(pk)] = struct{}{}
 		}
 	}
+	if frozen {
+		r.idxMu.Lock()
+		if r.distinct == nil {
+			r.distinct = make(map[string]int)
+		}
+		r.distinct[ck] = len(seen)
+		r.idxMu.Unlock()
+	}
 	return len(seen)
+}
+
+// allColumns reports whether cols lists every column exactly once.
+func (r *Relation) allColumns(cols []int) bool {
+	if len(cols) != r.arity || r.arity > 64 {
+		return false // wider relations just count
+	}
+	var mask uint64
+	for _, c := range cols {
+		if c < 0 || c >= r.arity || mask&(1<<c) != 0 {
+			return false
+		}
+		mask |= 1 << c
+	}
+	return true
 }
 
 // Clone returns an independent, unfrozen copy of the relation that the

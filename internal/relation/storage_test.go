@@ -1,9 +1,11 @@
 package relation
 
 // Regression tests for the dictionary-encoded storage layer: the
-// Tuples() aliasing footgun and DistinctOn's one-shot index retention.
+// Tuples() aliasing footgun, DistinctOn's one-shot index retention and
+// its memoization on frozen relations.
 
 import (
+	"sync"
 	"testing"
 
 	"chainsplit/internal/term"
@@ -106,4 +108,87 @@ func TestContainsNeverInterned(t *testing.T) {
 	if after := term.DictStats(); after != before {
 		t.Fatalf("probing grew the dictionary: %+v -> %+v", before, after)
 	}
+}
+
+// TestDistinctOnAllColumnsIsLen: projecting onto every column, in any
+// order, is the relation itself — a set — so the count is Len, with no
+// scan and nothing memoized.
+func TestDistinctOnAllColumnsIsLen(t *testing.T) {
+	r := New("p", 3)
+	for i, s := range []string{"a", "b", "c", "d"} {
+		r.Insert(Tuple{term.NewSym(s), term.NewSym("x"), term.NewInt(int64(i % 2))})
+	}
+	for _, cols := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
+		if n := r.DistinctOn(cols); n != r.Len() {
+			t.Errorf("DistinctOn(%v) = %d, want Len %d", cols, n, r.Len())
+		}
+	}
+	// Not every column: a repeated or missing column is a real count.
+	if n := r.DistinctOn([]int{1, 1, 2}); n != 2 {
+		t.Errorf("DistinctOn(1,1,2) = %d, want 2", n)
+	}
+	r.Freeze()
+	r.DistinctOn([]int{2, 1, 0})
+	if len(r.distinct) != 0 || len(r.indexes) != 0 {
+		t.Fatalf("all-columns count memoized %d / indexed %d, want neither", len(r.distinct), len(r.indexes))
+	}
+}
+
+// TestDistinctOnUnfrozenNotMemoized: a live relation may still grow, so
+// a count taken before an insert must not answer after it.
+func TestDistinctOnUnfrozenNotMemoized(t *testing.T) {
+	r := New("p", 2)
+	r.Insert(tup2("a", "b"))
+	if n := r.DistinctOn([]int{0}); n != 1 {
+		t.Fatalf("DistinctOn(0) = %d, want 1", n)
+	}
+	r.Insert(tup2("c", "b"))
+	if n := r.DistinctOn([]int{0}); n != 2 {
+		t.Fatalf("DistinctOn(0) after insert = %d, want 2 (stale count)", n)
+	}
+	if r.distinct != nil {
+		t.Fatalf("unfrozen relation memoized %v", r.distinct)
+	}
+
+	// Frozen, the count is memoized; the clone a writer makes of it
+	// starts without the memo.
+	r.Freeze()
+	if n := r.DistinctOn([]int{1}); n != 1 || r.distinct["1"] != 1 {
+		t.Fatalf("frozen DistinctOn(1) = %d, memo %v", n, r.distinct)
+	}
+	c := r.Clone()
+	c.Insert(tup2("e", "f"))
+	if n := c.DistinctOn([]int{1}); n != 2 {
+		t.Fatalf("clone DistinctOn(1) = %d, want 2", n)
+	}
+}
+
+// TestDistinctOnFrozenConcurrent: readers of a published (frozen)
+// relation count concurrently — the memo is written under idxMu while
+// other readers probe it and build indexes. Run under -race.
+func TestDistinctOnFrozenConcurrent(t *testing.T) {
+	r := New("p", 3)
+	for i := 0; i < 200; i++ {
+		r.Insert(Tuple{term.NewInt(int64(i % 7)), term.NewInt(int64(i % 11)), term.NewInt(int64(i))})
+	}
+	r.Freeze()
+	want := map[int]int{0: 7, 1: 11, 2: 200}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				col := (g + i) % 3
+				if n := r.DistinctOn([]int{col}); n != want[col] {
+					t.Errorf("DistinctOn(%d) = %d, want %d", col, n, want[col])
+					return
+				}
+				if i%10 == 0 {
+					r.LookupOn([]int{(col + 1) % 3}, Tuple{term.NewInt(1)})
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
