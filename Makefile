@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet staticcheck govulncheck race bench bench-smoke fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak
+.PHONY: build test check vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak
 
 build:
 	$(GO) build ./...
@@ -81,14 +81,6 @@ check: build vet staticcheck govulncheck race
 
 bench:
 	$(GO) test -bench=. -benchmem
-
-# Fast benchmark smoke: compiles and executes every join-path and term
-# micro-benchmark a handful of iterations (catching bit-rot, not
-# measuring), then exercises the BENCH_*.json recording path end to
-# end via benchtab -quick.
-bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=10x ./internal/relation/ ./internal/term/
-	$(GO) run ./cmd/benchtab -exp C2 -quick -json /tmp/chainsplit-bench
 
 # Short continuous-fuzz pass over the parser entry points (the seed
 # corpora under internal/lang/testdata/fuzz run in every ordinary

@@ -1,19 +1,18 @@
 // Command benchtab regenerates the reproduction's evaluation tables
 // and figures (see DESIGN.md and EXPERIMENTS.md for the mapping to the
-// paper).
+// paper) and checks each paper claim against them.
 //
 // Usage:
 //
 //	benchtab              # run every experiment
 //	benchtab -exp T2      # run one experiment
 //	benchtab -list        # list experiments
-//	benchtab -quick       # smaller workloads (sanity pass)
 //	benchtab -timeout 2m  # bound the whole run (typed error on expiry)
 //	benchtab -parallel 8  # client concurrency for C1 (default GOMAXPROCS)
 //	benchtab -exp C5      # durability: WAL cost, compaction, recovery fidelity
-//	benchtab -json .      # record perf experiments as BENCH_<ID>.json files
-//	benchtab -workers 4   # per-query fixpoint parallelism (results unchanged)
 //	benchtab -metrics     # print the process metrics snapshot after the run
+//
+// It exits 1 when an experiment cannot run or a claim does not hold.
 package main
 
 import (
@@ -21,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"chainsplit"
 	"chainsplit/internal/experiments"
@@ -28,19 +28,11 @@ import (
 
 func main() {
 	exp := flag.String("exp", "", "experiment ID to run (default: all)")
-	quick := flag.Bool("quick", false, "run with reduced workload sizes")
 	list := flag.Bool("list", false, "list experiments and exit")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
 	parallel := flag.Int("parallel", 0, "client concurrency for the concurrent-serving experiment (0 = GOMAXPROCS, min 4)")
-	workers := flag.Int("workers", 0, "per-query fixpoint parallelism (0 or 1 = serial; results are identical either way)")
-	jsonDir := flag.String("json", "", "directory to write BENCH_<ID>.json perf records into (empty = don't)")
 	metrics := flag.Bool("metrics", false, "print the process metrics snapshot (queries, retries, sheds, parallel work, interned terms) after the run")
 	flag.Parse()
-	defer func() {
-		if *metrics {
-			fmt.Print("\nprocess metrics:\n" + chainsplit.MetricsSnapshot())
-		}
-	}()
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -48,34 +40,41 @@ func main() {
 		}
 		return
 	}
+	code := run(*exp, *timeout, *parallel)
+	if *metrics {
+		fmt.Print("\nprocess metrics:\n" + chainsplit.MetricsSnapshot())
+	}
+	os.Exit(code)
+}
 
+// run executes the selected experiments and returns the exit code.
+func run(id string, timeout time.Duration, parallel int) int {
 	ctx := context.Background()
-	if *timeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "benchtab: negative -workers %d (use 0 or 1 for serial)\n", *workers)
-		os.Exit(1)
-	}
-	cfg := experiments.Config{Out: os.Stdout, Quick: *quick, Ctx: ctx, Parallel: *parallel, Workers: *workers, JSONDir: *jsonDir}
-	if *exp != "" {
-		e, ok := experiments.Lookup(*exp)
+	exps := experiments.All()
+	if id != "" {
+		e, ok := experiments.Lookup(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(1)
+			fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q (use -list)\n", id)
+			return 1
 		}
-		if err := e.Run(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		return
+		exps = []experiments.Experiment{e}
 	}
-	for _, e := range experiments.All() {
-		if err := e.Run(cfg); err != nil {
+	code := 0
+	for _, e := range exps {
+		r, err := e.Run(experiments.Config{Ctx: ctx, Parallel: parallel})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
+		}
+		e.Print(os.Stdout, r)
+		if len(r.Failed) > 0 {
+			code = 1
 		}
 	}
+	return code
 }

@@ -23,26 +23,23 @@ func init() {
 		ID:       "C1",
 		Title:    "concurrent serving: parallel clients vs serialized baseline",
 		PaperRef: "serving-layer validation (no paper counterpart)",
-		Run:      runC1,
+		Claim: "both runs finish with nothing shed; the parallel run speeds up with\n" +
+			"available cores (on a single core it only shows that queries don't\n" +
+			"serialize behind a lock).",
+		Run: runC1,
 	})
 }
 
-func runC1(cfg Config) error {
-	e, _ := Lookup("C1")
-	header(cfg.Out, e)
-
-	nodes, queries := 160, 200
-	if cfg.Quick {
-		nodes, queries = 32, 20
-	}
+func runC1(cfg Config) (*Report, error) {
+	const nodes, queries = 32, 40
 	clients := cfg.parallel()
 
-	db, oerr := chainsplit.OpenWith(chainsplit.Config{MaxConcurrent: clients})
-	if oerr != nil {
-		return oerr
+	db, err := chainsplit.OpenWith(chainsplit.Config{MaxConcurrent: clients})
+	if err != nil {
+		return nil, err
 	}
 	if err := db.Exec("tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y)."); err != nil {
-		return err
+		return nil, err
 	}
 	var facts [][]chainsplit.Term
 	for i := 0; i < nodes; i++ {
@@ -52,21 +49,21 @@ func runC1(cfg Config) error {
 		})
 	}
 	if err := db.LoadFacts("e", facts); err != nil {
-		return err
+		return nil, err
 	}
 	const query = "?- tc(n0, Y)."
 	// Warm the analysis/plan caches so both runs measure evaluation.
 	if _, err := db.Query(query); err != nil {
-		return err
+		return nil, err
 	}
 
 	serialStart := time.Now()
 	for i := 0; i < queries; i++ {
 		if err := ctxErr(cfg); err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := db.Query(query); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	serial := time.Since(serialStart)
@@ -94,22 +91,18 @@ func runC1(cfg Config) error {
 	wg.Wait()
 	parallel := time.Since(parallelStart)
 	if err, _ := firstErr.Load().(error); err != nil {
-		return err
+		return nil, err
 	}
 
-	t := newTable(cfg.Out, "clients", "queries", "serial", "parallel", "speedup")
-	t.row(1, queries, ms(serial), "-", "-")
-	t.row(clients, queries, "-", ms(parallel),
-		fmt.Sprintf("%.2fx", float64(serial)/float64(parallel)))
-	t.flush()
+	r := &Report{}
+	t := r.table("", "clients", "queries", "serial", "parallel", "speedup")
+	t.add(1, queries, ms(serial), "-", "-")
+	t.add(clients, queries, "-", ms(parallel), fmt.Sprintf("%.2fx", float64(serial)/float64(parallel)))
 	s := db.Stats()
-	fmt.Fprintf(cfg.Out,
-		"\nadmission: admitted=%d queued=%d shed=%d max-queue-wait=%s\n",
-		s.Admitted, s.Queued, s.Rejected, s.MaxQueueWait)
-	fmt.Fprintln(cfg.Out, "\nexpected shape: both runs finish with nothing shed; the parallel run\n"+
-		"speeds up with available cores (on a single core it only shows that\n"+
-		"queries don't serialize behind a lock).")
-	return nil
+	r.table(fmt.Sprintf("admission: admitted=%d queued=%d shed=%d max-queue-wait=%s",
+		s.Admitted, s.Queued, s.Rejected, s.MaxQueueWait))
+	r.check(s.Rejected == 0, "%d queries were shed", s.Rejected)
+	return r, nil
 }
 
 // ctxErr reports the run context's state as a typed error.

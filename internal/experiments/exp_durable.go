@@ -18,7 +18,9 @@ func init() {
 		ID:       "C5",
 		Title:    "durability: WAL append cost, snapshot compaction, recovery fidelity",
 		PaperRef: "durability-layer validation (no paper counterpart)",
-		Run:      runC5,
+		Claim: "identical answers and generation after reopen on both cadences;\n" +
+			"snapshots trade write amplification for shorter replay.",
+		Run: runC5,
 	})
 }
 
@@ -28,18 +30,16 @@ func init() {
 // and the recovered database must give the same answers. Two cadences
 // are compared: log-only (snapshots disabled, recovery replays every
 // record) and compacted (periodic snapshots bound replay length).
-func runC5(cfg Config) error {
-	e, _ := Lookup("C5")
-	header(cfg.Out, e)
-
-	gens, batch := 7, 16
-	if cfg.Quick {
-		gens, batch = 4, 8
-	}
+func runC5(cfg Config) (*Report, error) {
+	const gens, batch = 6, 16
 	fam := workload.Family(workload.FamilyConfig{Generations: gens, Fanout: 2, Roots: 1, Countries: 1, Seed: 1})
-	goal := fmt.Sprintf("?- sg(%s, Y).", workload.PersonName(gens, 0))
+	goal, err := lang.ParseQuery(fmt.Sprintf("?- sg(%s, Y).", workload.PersonName(gens, 0)))
+	if err != nil {
+		return nil, err
+	}
 
-	t := newTable(cfg.Out, "cadence", "mutations", "walbytes", "snapshots", "load", "reopen", "answers", "recovered=original")
+	r := &Report{}
+	t := r.table("", "cadence", "mutations", "walbytes", "snapshots", "load", "reopen", "answers", "recovered=original")
 	for _, cad := range []struct {
 		name  string
 		every int
@@ -49,7 +49,7 @@ func runC5(cfg Config) error {
 	} {
 		dir, err := os.MkdirTemp("", "chainsplit-c5-")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
 
@@ -58,68 +58,51 @@ func runC5(cfg Config) error {
 		loadStart := time.Now()
 		db, err := core.OpenDir(dir, wal.Options{SnapshotEvery: cad.every})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := loadParsed(db, workload.SGRules()); err != nil {
-			return err
+			return nil, err
 		}
 		mutations := 1
 		for lo := 0; lo < len(fam.Facts); lo += batch {
-			hi := lo + batch
-			if hi > len(fam.Facts) {
-				hi = len(fam.Facts)
-			}
+			hi := min(lo+batch, len(fam.Facts))
 			if err := db.Load(&program.Program{Facts: fam.Facts[lo:hi]}); err != nil {
-				return err
+				return nil, err
 			}
 			mutations++
 		}
 		loadDur := time.Since(loadStart)
 
-		res, err := run(cfg, db, goal, coreOptions())
+		res, err := queryDB(cfg, db, goal.Goals, core.Options{})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		wantGen := db.Generation()
 		if err := db.Close(); err != nil {
-			return err
+			return nil, err
 		}
 
 		reopenStart := time.Now()
 		db2, err := core.OpenDir(dir, wal.Options{SnapshotEvery: cad.every})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		reopenDur := time.Since(reopenStart)
-		res2, err := run(cfg, db2, goal, coreOptions())
+		res2, err := queryDB(cfg, db2, goal.Goals, core.Options{})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		same := db2.Generation() == wantGen && len(res2.Answers) == len(res.Answers)
-		for i := range res.Answers {
-			if !same {
-				break
-			}
-			if fmt.Sprint(res.Answers[i]) != fmt.Sprint(res2.Answers[i]) {
-				same = false
-			}
-		}
+		same := db2.Generation() == wantGen && sameAnswers(res, res2)
 		if err := db2.Close(); err != nil {
-			return err
+			return nil, err
 		}
-		t.row(cad.name, mutations,
+		t.add(cad.name, mutations,
 			obsv.WALBytes.Value()-bytesBefore,
 			obsv.WALSnapshots.Value()-snapsBefore,
 			ms(loadDur), ms(reopenDur), len(res2.Answers), same)
-		if !same {
-			t.flush()
-			return fmt.Errorf("C5: recovered database diverged from the original (%s)", cad.name)
-		}
+		r.check(same, "%s: the recovered database diverged from the original", cad.name)
 	}
-	t.flush()
-	fmt.Fprintln(cfg.Out, "\nexpected shape: identical answers and generation after reopen on both\n"+
-		"cadences; snapshots trade write amplification for shorter replay.")
-	return nil
+	return r, nil
 }
 
 // loadParsed parses rule text and loads it as one mutation.

@@ -13,117 +13,108 @@ func init() {
 		ID:       "T3",
 		Title:    "threshold decision quality across the join expansion ratio sweep",
 		PaperRef: "Algorithm 3.1, §2.1 (chain-split vs chain-following thresholds)",
-		Run:      runT3,
+		Claim: "the threshold rule (split above θ, follow below θ, quantitative between) picks the cheaper plan; " +
+			"crossover at expansion ratio ≈ 1",
+		Run: runT3,
 	})
 	register(Experiment{
 		ID:       "F2",
 		Title:    "split-over-follow improvement vs join expansion ratio (crossover)",
 		PaperRef: "§2.1 heuristic: split when the connection expands the binding set",
+		Claim:    "improvement of split over follow grows with the join expansion ratio; plans coincide at ratio 1",
 		Run:      runF2,
 	})
 }
 
-// bridgeRun evaluates the Bridge workload under one strategy.
-func bridgeRun(cfg Config, r, depth int, strat core.Strategy) (*core.Result, error) {
-	facts := workload.Bridge(workload.BridgeConfig{Depth: depth, Expansion: r})
-	db, err := buildDB(workload.BridgeRules(), facts)
-	if err != nil {
-		return nil, err
-	}
-	return run(cfg, db, "?- r2(a0, Y).", core.Options{Strategy: strat})
+// bridge evaluates ?- r2(a0, Y). on the Bridge workload, once per
+// strategy, and reports the number of base facts.
+func bridge(cfg Config, depth, expansion int, strats ...core.Strategy) ([]*core.Result, int, error) {
+	facts := workload.Bridge(workload.BridgeConfig{Depth: depth, Expansion: expansion})
+	res, err := runEach(cfg, workload.BridgeRules(), facts, "?- r2(a0, Y).", core.Options{}, strats...)
+	return res, len(facts.Facts), err
 }
 
-func runT3(cfg Config) error {
-	e, _ := Lookup("T3")
-	header(cfg.Out, e)
+func runT3(cfg Config) (*Report, error) {
+	r := &Report{}
+	t := r.table("", "expansion", "magic(follow)", "magic(split)", "derived(follow)", "derived(split)",
+		"cost-policy-chose", "cheaper", "chosen/cheaper")
 	ratios := []int{1, 2, 3, 4, 6, 8, 12}
-	depth := 64
-	if cfg.Quick {
-		ratios = []int{1, 4}
-		depth = 16
-	}
-	t := newTable(cfg.Out, "expansion", "magic(follow)", "magic(split)", "derived(follow)", "derived(split)", "cost-policy-chose", "optimal", "agree")
 	agree := 0
-	for _, r := range ratios {
-		follow, err := bridgeRun(cfg, r, depth, core.StrategyMagicFollow)
+	for _, x := range ratios {
+		res, _, err := bridge(cfg, 32, x, core.StrategyMagicFollow, core.StrategyMagicSplit, core.StrategyMagic)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		split, err := bridgeRun(cfg, r, depth, core.StrategyMagicSplit)
-		if err != nil {
-			return err
+		follow, split := res[0].Metrics, res[1].Metrics
+		chose := choice(res[2].Plan, "bridge")
+		cheaper, best := "tie", follow.DerivedTuples
+		switch {
+		case split.DerivedTuples < follow.DerivedTuples:
+			cheaper, best = "split", split.DerivedTuples
+		case follow.DerivedTuples < split.DerivedTuples:
+			cheaper = "follow"
 		}
-		costRes, err := bridgeRun(cfg, r, depth, core.StrategyMagic)
-		if err != nil {
-			return err
+		got := follow.DerivedTuples
+		if chose == "split" {
+			got = split.DerivedTuples
 		}
-		chose := "follow"
-		for _, d := range costRes.Plan.Decisions {
-			if strings.HasPrefix(d.Literal, "bridge") && d.Choice.String() == "split" {
-				chose = "split"
-			}
-		}
-		optimal := "follow"
-		if split.Metrics.DerivedTuples < follow.Metrics.DerivedTuples {
-			optimal = "split"
-		} else if split.Metrics.DerivedTuples == follow.Metrics.DerivedTuples {
-			optimal = "tie"
-		}
-		ok := chose == optimal || optimal == "tie"
-		if ok {
+		// Plan quality as a paired percentage on one executor: the
+		// chosen plan's derived tuples over the cheaper plan's.
+		t.add(x, follow.MagicTuples, split.MagicTuples, follow.DerivedTuples, split.DerivedTuples,
+			chose, cheaper, fmt.Sprintf("%d%%", 100*got/max(best, 1)))
+		if got == best {
 			agree++
 		}
-		t.row(r, follow.Metrics.MagicTuples, split.Metrics.MagicTuples,
-			follow.Metrics.DerivedTuples, split.Metrics.DerivedTuples, chose, optimal, ok)
+		r.check(got == best, "expansion %d: Algorithm 3.1 chose %s, deriving %d tuples where the cheaper plan derives %d", x, chose, got, best)
+		r.check(sameAnswers(res[0], res[1]) && sameAnswers(res[0], res[2]), "expansion %d: the policies' answers differ", x)
+		r.check(x != 1 || cheaper == "tie", "expansion 1: the plans do not coincide (%d vs %d derived)", follow.DerivedTuples, split.DerivedTuples)
 	}
-	t.flush()
-	fmt.Fprintf(cfg.Out, "\ndecision agreement: %d/%d\n", agree, len(ratios))
-	fmt.Fprintln(cfg.Out, "expected shape: follow's magic set grows ~expansion× per level while\n"+
-		"split's stays flat; the threshold decision matches the cheaper plan\n"+
-		"across the sweep, with the crossover at expansion ≈ 1.")
-	return nil
+	r.Measured = fmt.Sprintf("the chosen plan derives 100%% of the cheaper plan's tuples at %d/%d expansion ratios %s; the plans tie exactly at ratio 1",
+		agree, len(ratios), series(ratios...))
+	return r, nil
 }
 
-func runF2(cfg Config) error {
-	e, _ := Lookup("F2")
-	header(cfg.Out, e)
-	ratios := []int{1, 2, 3, 4, 6, 8, 12, 16}
-	depth := 64
-	if cfg.Quick {
-		ratios = []int{1, 4, 8}
-		depth = 16
-	}
-	t := newTable(cfg.Out, "expansion", "magic-ratio (follow/split)", "derived-ratio", "time-ratio")
-	for _, r := range ratios {
-		follow, err := bridgeRun(cfg, r, depth, core.StrategyMagicFollow)
-		if err != nil {
-			return err
+// runF2 sweeps the expansion ratio from 1 to 2048 at two chain depths,
+// so the base facts grow from a dozen to the repository benchmark's
+// scale (≈35,000).
+func runF2(cfg Config) (*Report, error) {
+	r := &Report{}
+	t := r.table("", "depth", "facts", "expansion", "magic(follow)", "magic(split)", "derived(follow)", "derived(split)",
+		"magic-ratio", "derived-ratio")
+	depths := []int{4, 8}
+	expansions := []int{1, 2, 8, 32, 128, 512, 2048}
+	var last []string
+	var lastMagic float64
+	facts := 0
+	for _, d := range depths {
+		var prevMagic, prevDerived float64
+		last = last[:0]
+		for _, x := range expansions {
+			res, n, err := bridge(cfg, d, x, core.StrategyMagicFollow, core.StrategyMagicSplit)
+			if err != nil {
+				return nil, err
+			}
+			facts = n
+			f, s := res[0].Metrics, res[1].Metrics
+			mr := float64(f.MagicTuples) / float64(max(s.MagicTuples, 1))
+			dr := float64(f.DerivedTuples) / float64(max(s.DerivedTuples, 1))
+			t.add(d, n, x, f.MagicTuples, s.MagicTuples, f.DerivedTuples, s.DerivedTuples,
+				fmt.Sprintf("%.2f", mr), fmt.Sprintf("%.2f", dr))
+			r.check(sameAnswers(res[0], res[1]), "depth %d, expansion %d: the policies' answers differ", d, x)
+			if x == 1 {
+				r.check(f.MagicTuples == s.MagicTuples && f.DerivedTuples == s.DerivedTuples,
+					"depth %d: the plans do not coincide at expansion 1", d)
+			} else {
+				r.check(mr > prevMagic && dr > prevDerived,
+					"depth %d: split's gain did not grow at expansion %d (magic ratio %.3f after %.3f, derived ratio %.3f after %.3f)",
+					d, x, mr, prevMagic, dr, prevDerived)
+			}
+			prevMagic, prevDerived = mr, dr
+			last = append(last, fmt.Sprintf("%.2f", dr))
 		}
-		split, err := bridgeRun(cfg, r, depth, core.StrategyMagicSplit)
-		if err != nil {
-			return err
-		}
-		mr := float64(follow.Metrics.MagicTuples) / float64(max(1, split.Metrics.MagicTuples))
-		dr := float64(follow.Metrics.DerivedTuples) / float64(max(1, split.Metrics.DerivedTuples))
-		tr := float64(follow.Metrics.Duration) / float64(max64(1, int64(split.Metrics.Duration)))
-		t.row(r, fmt.Sprintf("%.2f", mr), fmt.Sprintf("%.2f", dr), fmt.Sprintf("%.2f", tr))
+		lastMagic = prevMagic
 	}
-	t.flush()
-	fmt.Fprintln(cfg.Out, "\nexpected shape: ratios grow roughly linearly in the expansion ratio;\n"+
-		"at expansion 1 the plans coincide (ratio ≈ 1).")
-	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	r.Measured = fmt.Sprintf("at every depth %s the follow/split ratios rise with expansion %s; at depth %d (%d facts) the derived ratio is %s and the magic-set ratio reaches %.2f",
+		series(depths...), series(expansions...), depths[len(depths)-1], facts, strings.Join(last, "/"), lastMagic)
+	return r, nil
 }
