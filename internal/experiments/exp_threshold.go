@@ -99,7 +99,7 @@ func runF2(cfg Config) (*Report, error) {
 			mr := float64(f.MagicTuples) / float64(max(s.MagicTuples, 1))
 			dr := float64(f.DerivedTuples) / float64(max(s.DerivedTuples, 1))
 			t.add(d, n, x, f.MagicTuples, s.MagicTuples, f.DerivedTuples, s.DerivedTuples,
-				fmt.Sprintf("%.2f", mr), fmt.Sprintf("%.2f", dr))
+				fmt.Sprintf("%.2f", mr), fmt.Sprintf("%.3f", dr))
 			r.check(sameAnswers(res[0], res[1]), "depth %d, expansion %d: the policies' answers differ", d, x)
 			if x == 1 {
 				r.check(f.MagicTuples == s.MagicTuples && f.DerivedTuples == s.DerivedTuples,
@@ -110,7 +110,7 @@ func runF2(cfg Config) (*Report, error) {
 					d, x, mr, prevMagic, dr, prevDerived)
 			}
 			prevMagic, prevDerived = mr, dr
-			last = append(last, fmt.Sprintf("%.2f", dr))
+			last = append(last, fmt.Sprintf("%.3f", dr))
 		}
 		lastMagic = prevMagic
 	}
