@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak
+.PHONY: build test check vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,15 @@ check: build vet staticcheck govulncheck race
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The three line counts ROADMAP.md tracks: non-test Go outside bench/,
+# tests outside bench/, and everything in bench/.
+GO_FILES = find . -path ./.bench_build -prune -o -path ./bench -prune -o -name '*.go'
+
+loc:
+	@printf 'non-test Go LOC outside bench/: %s\n' "$$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'test Go LOC outside bench/:     %s\n' "$$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'bench/ Go LOC:                  %s\n' "$$(find bench -name '*.go' | xargs cat | wc -l)"
 
 # Short continuous-fuzz pass over the parser entry points (the seed
 # corpora under internal/lang/testdata/fuzz run in every ordinary

@@ -862,8 +862,9 @@ type Subst = term.Subst
 // predicate has finitely many solutions — the finiteness analysis uses
 // them to schedule (and, where necessary, chain-split around) calls.
 // eval receives the call's argument terms and the current bindings and
-// returns one extended binding per solution. Core builtins cannot be
-// overridden.
+// returns one extended binding per solution, cloned from the bindings
+// it received: those belong to the engine, which may reuse them once
+// eval returns. Core builtins cannot be overridden.
 //
 //	chainsplit.RegisterBuiltin("upper", 2, []string{"bf"},
 //	    func(s chainsplit.Subst, args []chainsplit.Term) ([]chainsplit.Subst, error) { … })

@@ -173,11 +173,17 @@ func (an *Analysis) Finite(pred string, arity int, ad string) bool {
 	}
 }
 
+// parseKey inverts Key. The table only ever holds keys Key built, so a
+// malformed one is an analysis bug.
 func parseKey(k string) (pred string, arity int, ad string) {
 	caret := strings.LastIndexByte(k, '^')
-	slash := strings.LastIndexByte(k[:caret], '/')
-	pred = k[:slash]
-	fmt.Sscanf(k[slash+1:caret], "%d", &arity)
+	if caret < 0 {
+		panic(fmt.Sprintf("adorn: malformed pair key %q", k))
+	}
+	pred, arity, err := program.SplitKey(k[:caret])
+	if err != nil {
+		panic(fmt.Sprintf("adorn: malformed pair key %q: %v", k, err))
+	}
 	return pred, arity, k[caret+1:]
 }
 

@@ -42,8 +42,9 @@ type Builtin struct {
 	// the call (extra bound positions are always fine).
 	FiniteModes []string
 	// Eval evaluates the builtin. args are the call arguments (not yet
-	// resolved); s is the current substitution. Eval returns one
-	// extended substitution per solution (cloning s), or
+	// resolved); s is the current substitution, which the caller may
+	// reuse once Eval returns. Eval returns one extended substitution
+	// per solution (cloning s), or
 	// ErrInsufficient if the runtime binding pattern is not finitely
 	// evaluable, or ErrType on ill-typed arguments.
 	Eval func(s term.Subst, args []term.Term) ([]term.Subst, error)

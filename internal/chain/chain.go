@@ -119,10 +119,10 @@ func CompileCtx(ctx context.Context, p *program.Program, g *program.DepGraph, ke
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("chain: no rules for %s", key)
 	}
-	slash := strings.LastIndexByte(key, '/')
-	pred := key[:slash]
-	var arity int
-	fmt.Sscanf(key[slash+1:], "%d", &arity)
+	pred, arity, err := program.SplitKey(key)
+	if err != nil {
+		return nil, fmt.Errorf("chain: %w", err)
+	}
 
 	c := &Compiled{
 		Pred:  pred,

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"chainsplit/internal/adorn"
@@ -230,7 +229,7 @@ func rewriteWithIDB(p *program.Program, goal program.Atom, cfg Config, idb map[s
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		pred, arity, err := keyParts(cur.key)
+		pred, arity, err := program.SplitKey(cur.key)
 		if err != nil {
 			return nil, err
 		}
@@ -294,16 +293,6 @@ func rewriteWithIDB(p *program.Program, goal program.Atom, cfg Config, idb map[s
 type callSite struct {
 	key string
 	ad  string
-}
-
-// keyParts splits a pred/arity key.
-func keyParts(key string) (string, int, error) {
-	i := strings.LastIndexByte(key, '/')
-	ar, err := strconv.Atoi(key[i+1:])
-	if i < 0 || err != nil || ar < 0 {
-		return "", 0, fmt.Errorf("magic: malformed predicate key %q", key)
-	}
-	return key[:i], ar, nil
 }
 
 // Answers extracts the query answers from an evaluated catalog: the

@@ -128,15 +128,3 @@ func TestConfigThresholds(t *testing.T) {
 		t.Error("explicit thresholds ignored")
 	}
 }
-
-func TestKeyParts(t *testing.T) {
-	pred, ar, err := keyParts("same_country/2")
-	if err != nil || pred != "same_country" || ar != 2 {
-		t.Errorf("keyParts = %q %d %v", pred, ar, err)
-	}
-	for _, bad := range []string{"p", "p/", "p/x", "p/-1"} {
-		if _, _, err := keyParts(bad); err == nil {
-			t.Errorf("keyParts(%q) accepted a malformed key", bad)
-		}
-	}
-}

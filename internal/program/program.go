@@ -10,6 +10,7 @@ package program
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"chainsplit/internal/builtin"
@@ -47,6 +48,22 @@ func (a Atom) Arity() int { return len(a.Args) }
 
 // Key returns the predicate key "name/arity".
 func (a Atom) Key() string { return fmt.Sprintf("%s/%d", a.Pred, a.Arity()) }
+
+// SplitKey parses a predicate key "name/arity" (the form Atom.Key
+// renders) back into its name and arity. The name is everything before
+// the last '/', so names containing '/' round-trip; a key with no '/',
+// an empty name, or an arity that is not a non-negative decimal integer
+// is an error.
+func SplitKey(key string) (pred string, arity int, err error) {
+	i := strings.LastIndexByte(key, '/')
+	digits := key[i+1:]
+	if i > 0 && digits != "" && strings.Trim(digits, "0123456789") == "" {
+		if arity, err = strconv.Atoi(digits); err == nil {
+			return key[:i], arity, nil
+		}
+	}
+	return "", 0, fmt.Errorf("program: malformed predicate key %q", key)
+}
 
 // IsBuiltin reports whether the atom calls an evaluable predicate.
 func (a Atom) IsBuiltin() bool { return builtin.IsBuiltin(a.Pred, a.Arity()) }

@@ -150,3 +150,27 @@ func TestClassifyStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestSplitKey(t *testing.T) {
+	for _, c := range []struct {
+		key   string
+		pred  string
+		arity int
+	}{
+		{"same_country/2", "same_country", 2},
+		{"p/0", "p", 0},
+		{"m$sg@bf/1", "m$sg@bf", 1},
+		{"a/b/3", "a/b", 3},
+		{NewAtom("parent", v("X"), sym("ann")).Key(), "parent", 2},
+	} {
+		pred, arity, err := SplitKey(c.key)
+		if err != nil || pred != c.pred || arity != c.arity {
+			t.Errorf("SplitKey(%q) = %q, %d, %v; want %q, %d", c.key, pred, arity, err, c.pred, c.arity)
+		}
+	}
+	for _, bad := range []string{"", "p", "p/", "/2", "p/x", "p/-1", "p/+2", "p/-0", "p/2 ", "p/1x", "p/0x10", "p/99999999999999999999"} {
+		if pred, arity, err := SplitKey(bad); err == nil {
+			t.Errorf("SplitKey(%q) = %q, %d; want an error for a malformed key", bad, pred, arity)
+		}
+	}
+}

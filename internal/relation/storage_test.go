@@ -192,3 +192,59 @@ func TestDistinctOnFrozenConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestProbeViewAllocationFree: once the index exists, Probe allocates
+// nothing, sees the matches LookupOn copies out, and is a view as of
+// the probe — later inserts do not leak into it.
+func TestProbeViewAllocationFree(t *testing.T) {
+	r := New("e", 3)
+	for i := 0; i < 50; i++ {
+		r.Insert(tup(i%5, i, "x"))
+	}
+	cols, key := []int{0, 2}, tup(3, "x")
+	m := r.Index(cols).Probe(key)
+	want := r.LookupOn(cols, key)
+	if m.Len() != 10 || len(want) != 10 {
+		t.Fatalf("Probe found %d, LookupOn %d, want 10", m.Len(), len(want))
+	}
+	for i := range want {
+		if !m.At(i).Equal(want[i]) {
+			t.Fatalf("match %d: Probe %v, LookupOn %v", i, m.At(i), want[i])
+		}
+	}
+	r.Insert(tup(3, 100, "x"))
+	if m.Len() != 10 || r.Index(cols).Probe(key).Len() != 11 {
+		t.Fatalf("view saw a later insert or the index missed it")
+	}
+	if r.Index(cols).Probe(tup(3, "never-interned-symbol")).Len() != 0 {
+		t.Fatal("a never-interned constant matched")
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Index(cols).Probe(key) }); n != 0 {
+		t.Fatalf("Probe allocates %.1f objects per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.DistinctOn(cols) }); n != 0 {
+		t.Fatalf("DistinctOn on an indexed column list allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestInsertCopy: the tuple is copied only when inserted, so the caller
+// may reuse its buffer, and a tuple held by other is not inserted.
+func TestInsertCopy(t *testing.T) {
+	full, dst := New("p", 2), New("p", 2)
+	full.Insert(tup("a", "b"))
+	buf := tup("a", "b")
+	if dst.InsertCopy(buf, full) || dst.Len() != 0 {
+		t.Fatal("inserted a tuple the other relation holds")
+	}
+	buf[1] = term.NewSym("c")
+	if !dst.InsertCopy(buf, full) || dst.InsertCopy(buf, nil) {
+		t.Fatal("new tuple not inserted exactly once")
+	}
+	buf[1] = term.NewSym("d")
+	if got := dst.At(0); !got.Equal(tup("a", "c")) {
+		t.Fatalf("stored tuple aliases the caller's buffer: %v", got)
+	}
+	if !dst.Contains(tup("a", "c")) || dst.Contains(buf) {
+		t.Fatal("presence set out of step with the stored tuple")
+	}
+}

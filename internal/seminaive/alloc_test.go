@@ -1,0 +1,100 @@
+package seminaive
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"chainsplit/internal/builtin"
+	"chainsplit/internal/cost"
+	"chainsplit/internal/everr"
+	"chainsplit/internal/lang"
+	"chainsplit/internal/magic"
+	"chainsplit/internal/program"
+	"chainsplit/internal/relation"
+	"chainsplit/internal/term"
+	"chainsplit/internal/workload"
+)
+
+// maxAllocsPerDerived bounds the allocations of one magic-rewritten sg
+// evaluation per derived tuple. What still allocates per derived tuple
+// is the tuple itself and its presence-set key (in the staging relation
+// and again in the full one), plus amortized slice and map growth; a
+// substitution map or a builtin lookup per match would blow the bound.
+const maxAllocsPerDerived = 6
+
+// TestEvalAllocsPerDerivedTuple measures the executor's allocation rate
+// on the deep sg query of the family-recursion benchmark: magic-rewritten
+// sg over 10 generations, evaluated against a frozen catalog snapshot.
+func TestEvalAllocsPerDerivedTuple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	fam := workload.Family(workload.FamilyConfig{Generations: 10, Fanout: 2, Roots: 1, Countries: 1 << 20, Seed: 1})
+	cat := relation.NewCatalog()
+	for _, f := range fam.Facts {
+		cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
+	}
+	cat.Freeze()
+	res, err := lang.Parse(workload.SGRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := lang.ParseQuery("?- sg(" + workload.PersonName(10, 700) + ", Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := magic.Rewrite(program.Rectify(res.Program), q.Goals[0], magic.Config{Policy: magic.PolicyCost, Model: &cost.Model{Cat: cat}, Supplementary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats *Stats
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if stats, err = Eval(rw.Program, cat.Snapshot(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perTuple := allocs / float64(stats.DerivedTuples)
+	t.Logf("%.0f allocations for %d derived tuples (%d matches): %.2f per tuple", allocs, stats.DerivedTuples, stats.Matches, perTuple)
+	if perTuple > maxAllocsPerDerived {
+		t.Fatalf("%.2f allocations per derived tuple, want <= %d", perTuple, maxAllocsPerDerived)
+	}
+}
+
+// TestSerialCancellationMidRound cancels the context from inside the
+// exit round's join and checks the serial executor notices within one
+// cancellation-check period (8192 matches).
+func TestSerialCancellationMidRound(t *testing.T) {
+	const cancelAt = 1000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	if err := builtin.Register(&builtin.Builtin{
+		Name: "sn_cancel_tick", Arity: 1, FiniteModes: []string{"b"},
+		Eval: func(s term.Subst, args []term.Term) ([]term.Subst, error) {
+			if calls++; calls == cancelAt {
+				cancel()
+			}
+			return []term.Subst{s.Clone()}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cat := relation.NewCatalog()
+	e := cat.Ensure("e", 2)
+	for i := int64(0); i < 4*8192; i++ {
+		e.Insert(relation.Tuple{term.NewInt(i), term.NewInt(i + 1)})
+	}
+	res, err := lang.Parse("p(X, Y) :- e(X, Y), sn_cancel_tick(X).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := Eval(program.Rectify(res.Program), cat, Options{Ctx: ctx})
+	if !errors.Is(err, everr.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if stats.Matches < cancelAt || stats.Matches > cancelAt+8192 {
+		t.Fatalf("evaluation stopped after %d matches, want within 8192 of the cancellation at %d", stats.Matches, cancelAt)
+	}
+}

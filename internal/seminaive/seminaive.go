@@ -12,7 +12,6 @@ package seminaive
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -126,17 +125,12 @@ type RuleProfile struct {
 
 // Stats aggregates evaluation metrics.
 type Stats struct {
-	Iterations    int         // total fixpoint rounds across SCCs
-	DerivedTuples int         // tuples inserted into IDB relations
-	Matches       int64       // tuple matches enumerated (join work proxy)
-	Deltas        []IterStats // present when Options.TraceDeltas
+	Iterations    int           // total fixpoint rounds across SCCs
+	DerivedTuples int           // tuples inserted into IDB relations
+	Matches       int64         // tuple matches enumerated (join work proxy)
+	Deltas        []IterStats   // present when Options.TraceDeltas
 	Rules         []RuleProfile // present when Options.LitStats
 }
-
-// relName converts a predicate key (p/2) into a relation name. Derived
-// relations are stored under the bare predicate name with arity checked
-// by the catalog.
-func relName(pred string) string { return pred }
 
 // Engine evaluates one program against one working catalog.
 type Engine struct {
@@ -165,8 +159,11 @@ func newLitCounters(r program.Rule) *litCounters {
 	return &litCounters{rule: r, in: make([]int64, len(r.Body)), out: make([]int64, len(r.Body))}
 }
 
-// add merges o into lc field-wise.
+// add merges o (nil: nothing) into lc field-wise.
 func (lc *litCounters) add(o *litCounters) {
+	if o == nil {
+		return
+	}
 	lc.fires += o.fires
 	lc.derived += o.derived
 	for i := range o.in {
@@ -175,27 +172,21 @@ func (lc *litCounters) add(o *litCounters) {
 	}
 }
 
-// litsFor returns the engine-wide aggregate counter for r, or nil when
-// literal statistics are disabled.
-func (e *Engine) litsFor(r program.Rule) *litCounters {
+// litsFor returns the engine-wide aggregate counter for c's rule,
+// creating it on the rule's first work item, or nil when literal
+// statistics are disabled.
+func (e *Engine) litsFor(c *compiledRule) *litCounters {
 	if !e.opts.LitStats {
 		return nil
 	}
-	key := r.String()
-	lc := e.lits[key]
-	if lc == nil {
-		lc = newLitCounters(r)
-		e.lits[key] = lc
+	if c.agg == nil {
+		key := c.rule.String()
+		if c.agg = e.lits[key]; c.agg == nil {
+			c.agg = newLitCounters(c.rule)
+			e.lits[key] = c.agg
+		}
 	}
-	return lc
-}
-
-// mergeLits folds a work item's private counters into the aggregate.
-func (e *Engine) mergeLits(o *litCounters) {
-	if o == nil {
-		return
-	}
-	e.litsFor(o.rule).add(o)
+	return c.agg
 }
 
 // finishLits materializes Stats.Rules from the aggregates, sorted by
@@ -234,10 +225,10 @@ func New(p *program.Program, cat *relation.Catalog, opts Options) *Engine {
 		// Skip facts already present: on a copy-on-write snapshot of a
 		// live database the EDB is pre-loaded, and going through Ensure
 		// would pointlessly clone every shared fact relation.
-		if rel := cat.Get(relName(f.Pred)); rel != nil && rel.Arity() == f.Arity() && rel.Contains(tup) {
+		if rel := cat.Get(f.Pred); rel != nil && rel.Arity() == f.Arity() && rel.Contains(tup) {
 			continue
 		}
-		cat.Ensure(relName(f.Pred), f.Arity()).Insert(tup)
+		cat.Ensure(f.Pred, f.Arity()).Insert(tup)
 	}
 	return e
 }
@@ -264,10 +255,10 @@ func (e *Engine) Run() error {
 		e.cat.Ensure(pred, arity)
 	}
 	for _, r := range e.prog.Rules {
-		ensure(relName(r.Head.Pred), r.Head.Arity())
+		ensure(r.Head.Pred, r.Head.Arity())
 		for _, b := range r.Body {
 			if !b.IsBuiltin() {
-				ensure(relName(b.Pred), b.Arity())
+				ensure(b.Pred, b.Arity())
 			}
 		}
 	}
@@ -319,33 +310,57 @@ func (e *Engine) sccRules(scc []string) []program.Rule {
 	return out
 }
 
+// sccPred is one predicate of the SCC being evaluated, its key parsed
+// once.
+type sccPred struct {
+	key   string
+	pred  string
+	arity int
+}
+
 func (e *Engine) runSCC(scc []string) error {
 	rules := e.sccRules(scc)
 	if len(rules) == 0 {
 		return nil
 	}
 	inSCC := make(map[string]bool, len(scc))
-	for _, k := range scc {
+	preds := make([]sccPred, len(scc))
+	for i, k := range scc {
 		inSCC[k] = true
+		pred, arity, err := program.SplitKey(k)
+		if err != nil {
+			return err
+		}
+		preds[i] = sccPred{key: k, pred: pred, arity: arity}
 	}
-	// Schedule each rule body once (builtin-safe ordering).
-	scheds := make([][]int, len(rules))
+	sort.Slice(preds, func(i, j int) bool { return preds[i].key < preds[j].key })
+
+	// Resolve every head relation once, before any round runs. This is
+	// where copy-on-write happens for snapshot-shared relations, so
+	// that workers never touch the catalog concurrently mid-round and
+	// the `full` pointer each work item reads stays stable.
+	headRels := make(map[string]*relation.Relation, len(scc))
+	deltas := make(map[string]*relation.Relation, len(scc))
+	for _, p := range preds {
+		headRels[p.key] = e.cat.Ensure(p.pred, p.arity)
+		deltas[p.key] = relation.New(p.pred, p.arity)
+	}
+
+	// Schedule (builtin-safe ordering) and compile each rule once, and
+	// split the rules into exit rules (no same-SCC body literal) and
+	// recursive ones.
+	compiled := make([]*compiledRule, len(rules))
+	var exitIdx, recIdx []int
 	for i, r := range rules {
 		order, err := scheduleBody(r)
 		if err != nil {
 			return err
 		}
-		scheds[i] = order
-	}
-	// Split into exit rules (no same-SCC body literal) and recursive.
-	var exitIdx, recIdx []int
-	for i, r := range rules {
+		c := compileRule(r, order, e.cat, inSCC)
+		compiled[i] = c
 		rec := false
-		for _, b := range r.Body {
-			if !b.IsBuiltin() && inSCC[b.Key()] {
-				rec = true
-				break
-			}
+		for _, k := range c.deltaKeys {
+			rec = rec || k != ""
 		}
 		if rec {
 			recIdx = append(recIdx, i)
@@ -353,39 +368,22 @@ func (e *Engine) runSCC(scc []string) error {
 			exitIdx = append(exitIdx, i)
 		}
 	}
-
-	// Delta relations per SCC predicate.
-	deltas := make(map[string]*relation.Relation)
-	newDelta := func(key string) {
-		pred, ar := splitKey(key)
-		deltas[key] = relation.New(pred, ar)
-	}
-	for _, k := range scc {
-		newDelta(k)
-	}
-
-	// Resolve every head relation once, before any round runs. This is
-	// where copy-on-write happens for snapshot-shared relations, so
-	// that workers never touch the catalog concurrently mid-round and
-	// the `full` pointer each work item reads stays stable.
-	headRels := make(map[string]*relation.Relation, len(scc))
-	for _, k := range scc {
-		pred, ar := splitKey(k)
-		headRels[k] = e.cat.Ensure(relName(pred), ar)
+	newStaging := func() map[string]*relation.Relation {
+		next := make(map[string]*relation.Relation, len(preds))
+		for _, p := range preds {
+			next[p.key] = relation.New(p.pred, p.arity)
+		}
+		return next
 	}
 
 	// Round 0: exit rules against full relations.
-	next := make(map[string]*relation.Relation)
-	for _, k := range scc {
-		pred, ar := splitKey(k)
-		next[k] = relation.New(pred, ar)
-	}
 	items := make([]workItem, 0, len(exitIdx))
 	for _, i := range exitIdx {
 		items = append(items, workItem{rule: i, deltaLit: -1})
 	}
 	e.opts.Tracer.Point(obsv.PhaseRound, scc[0], 0, int64(len(items)))
-	if err := e.runItems(rules, scheds, items, nil, headRels, next); err != nil {
+	next := newStaging()
+	if err := e.runItems(compiled, items, nil, headRels, next); err != nil {
 		return err
 	}
 	merge := func(next map[string]*relation.Relation, iter int) (int, error) {
@@ -394,17 +392,12 @@ func (e *Engine) runSCC(scc []string) error {
 		if e.opts.TraceDeltas {
 			ds = make(map[string]int)
 		}
-		keys := make([]string, 0, len(next))
-		for k := range next {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			d := next[k]
-			n := headRels[k].InsertAll(d)
+		for _, p := range preds {
+			d := next[p.key]
+			n := headRels[p.key].InsertAll(d)
 			total += n
 			e.stats.DerivedTuples += n
-			deltas[k] = d
+			deltas[p.key] = d
 			if ds != nil {
 				ds[d.Name()] = n
 			}
@@ -428,8 +421,8 @@ func (e *Engine) runSCC(scc []string) error {
 	}
 	// The initial delta is everything known for the SCC predicates so
 	// far: pre-existing facts plus the exit-round derivations.
-	for _, k := range scc {
-		deltas[k].InsertAll(headRels[k])
+	for _, p := range preds {
+		deltas[p.key].InsertAll(headRels[p.key])
 	}
 
 	// Semi-naive rounds.
@@ -444,27 +437,19 @@ func (e *Engine) runSCC(scc []string) error {
 			return fmt.Errorf("%w: more than %d iterations in SCC %v", ErrBudget, e.opts.maxIterations(), scc)
 		}
 		e.stats.Iterations++
-		next := make(map[string]*relation.Relation)
-		for _, k := range scc {
-			pred, ar := splitKey(k)
-			next[k] = relation.New(pred, ar)
-		}
 		// One work item per (recursive rule × same-SCC body occurrence),
 		// with that occurrence reading the delta relation.
 		items = items[:0]
 		for _, i := range recIdx {
-			for li, b := range rules[i].Body {
-				if b.IsBuiltin() || !inSCC[b.Key()] {
-					continue
+			for li, k := range compiled[i].deltaKeys {
+				if k != "" && deltas[k].Len() > 0 {
+					items = append(items, workItem{rule: i, deltaLit: li})
 				}
-				if deltas[b.Key()].Len() == 0 {
-					continue
-				}
-				items = append(items, workItem{rule: i, deltaLit: li})
 			}
 		}
 		e.opts.Tracer.Point(obsv.PhaseRound, scc[0], int64(iter), int64(len(items)))
-		if err := e.runItems(rules, scheds, items, deltas, headRels, next); err != nil {
+		next := newStaging()
+		if err := e.runItems(compiled, items, deltas, headRels, next); err != nil {
 			return err
 		}
 		n, err := merge(next, iter)
@@ -485,19 +470,24 @@ type workItem struct {
 	deltaLit int
 }
 
-// derive resolves the rule head under s and stages the tuple into dst
-// unless the full relation already holds it. It reports whether the
-// tuple was staged (new this round so far).
-func derive(head program.Atom, s term.Subst, full, dst *relation.Relation) (bool, error) {
-	args := s.ResolveAll(head.Args)
-	tup := relation.Tuple(args)
-	if !tup.Ground() {
-		return false, fmt.Errorf("%w: head %s not ground in %s", ErrUnsafe, head.Resolve(s), head)
+// newExecutor prepares the executor of one work item; the caller sets
+// where it stages and counts.
+func (e *Engine) newExecutor(c *compiledRule, it workItem, deltas, headRels map[string]*relation.Relation) *executor {
+	x := &executor{
+		c:        c,
+		ctx:      e.opts.Ctx,
+		slots:    make([]term.Term, len(c.vars)),
+		deltaLit: it.deltaLit,
+		full:     headRels[c.headKey],
+		key:      make(relation.Tuple, c.keyWidth),
+		head:     make(relation.Tuple, len(c.head)),
+		substs:   make([]term.Subst, len(c.steps)),
+		indexes:  make([]*relation.Index, len(c.steps)),
 	}
-	if full.Contains(tup) {
-		return false, nil
+	if it.deltaLit >= 0 {
+		x.delta = deltas[c.deltaKeys[it.deltaLit]]
 	}
-	return dst.Insert(tup), nil
+	return x
 }
 
 // runItems evaluates one round's work items into the staging map next,
@@ -525,25 +515,19 @@ func derive(head program.Atom, s term.Subst, full, dst *relation.Relation) (bool
 // Worker panics are contained as *everr.EvalError wrapping
 // everr.ErrPanic rather than crashing the process from a goroutine the
 // public API's recover can't see.
-func (e *Engine) runItems(rules []program.Rule, scheds [][]int, items []workItem, deltas map[string]*relation.Relation, headRels, next map[string]*relation.Relation) error {
+func (e *Engine) runItems(compiled []*compiledRule, items []workItem, deltas, headRels, next map[string]*relation.Relation) error {
 	workers := e.opts.Workers
 	if workers > len(items) {
 		workers = len(items)
 	}
 	if workers <= 1 {
 		for _, it := range items {
-			r := rules[it.rule]
-			full := headRels[r.Head.Key()]
-			dst := next[r.Head.Key()]
-			lc := e.litsFor(r)
-			err := e.eval(r, scheds[it.rule], deltas, it.deltaLit, &e.stats.Matches, lc, func(s term.Subst) error {
-				ins, err := derive(r.Head, s, full, dst)
-				if ins && lc != nil {
-					lc.derived++
-				}
-				return err
-			})
-			if err != nil {
+			c := compiled[it.rule]
+			x := e.newExecutor(c, it, deltas, headRels)
+			x.dst = next[c.headKey]
+			x.matches = &e.stats.Matches
+			x.lc, x.countDerived = e.litsFor(c), true
+			if err := x.run(0); err != nil {
 				return err
 			}
 		}
@@ -568,7 +552,7 @@ func (e *Engine) runItems(rules []program.Rule, scheds [][]int, items []workItem
 			defer wg.Done()
 			busy := time.Now()
 			for k := range idxCh {
-				e.runItem(rules, scheds, items, deltas, headRels, k, staging, matches, lits, errs)
+				e.runItem(compiled, items, deltas, headRels, k, staging, matches, lits, errs)
 			}
 			obsv.WorkerBusyNanos.Add(time.Since(busy).Nanoseconds())
 		}()
@@ -579,16 +563,19 @@ func (e *Engine) runItems(rules []program.Rule, scheds [][]int, items []workItem
 	// wins. Only work serial evaluation would also have performed is
 	// accounted (later items did run, but their matches and stagings
 	// are discarded), so Stats and contents agree with Workers=1.
-	for k := range items {
+	for k, it := range items {
+		c := compiled[it.rule]
 		e.stats.Matches += matches[k]
-		e.mergeLits(lits[k])
+		agg := e.litsFor(c)
+		if agg != nil {
+			agg.add(lits[k])
+		}
 		if errs[k] != nil {
 			return errs[k]
 		}
-		r := rules[items[k].rule]
-		n := next[r.Head.Key()].InsertAll(staging[k])
-		if lc := e.litsFor(r); lc != nil {
-			lc.derived += int64(n)
+		n := next[c.headKey].InsertAll(staging[k])
+		if agg != nil {
+			agg.derived += int64(n)
 		}
 	}
 	return nil
@@ -598,13 +585,13 @@ func (e *Engine) runItems(rules []program.Rule, scheds [][]int, items []workItem
 // containing panics from rule bodies (user-registered builtins may
 // misbehave) so they surface as typed errors instead of killing the
 // process.
-func (e *Engine) runItem(rules []program.Rule, scheds [][]int, items []workItem, deltas map[string]*relation.Relation, headRels map[string]*relation.Relation, k int, staging []*relation.Relation, matches []int64, lits []*litCounters, errs []error) {
-	r := rules[items[k].rule]
+func (e *Engine) runItem(compiled []*compiledRule, items []workItem, deltas, headRels map[string]*relation.Relation, k int, staging []*relation.Relation, matches []int64, lits []*litCounters, errs []error) {
+	c := compiled[items[k].rule]
 	defer func() {
 		if v := recover(); v != nil {
 			errs[k] = &everr.EvalError{
 				Strategy:  "seminaive",
-				Pred:      r.Head.Key(),
+				Pred:      c.headKey,
 				Iteration: e.stats.Iterations,
 				PanicVal:  v,
 				Stack:     string(debug.Stack()),
@@ -612,35 +599,19 @@ func (e *Engine) runItem(rules []program.Rule, scheds [][]int, items []workItem,
 			}
 		}
 	}()
-	full := headRels[r.Head.Key()]
-	dst := relation.New(full.Name(), full.Arity())
-	staging[k] = dst
-	var lc *litCounters
+	x := e.newExecutor(c, items[k], deltas, headRels)
+	x.dst = relation.New(x.full.Name(), x.full.Arity())
+	staging[k] = x.dst
+	x.matches = &matches[k]
 	if e.opts.LitStats {
-		lc = newLitCounters(r)
-		lits[k] = lc
+		x.lc = newLitCounters(c.rule)
+		lits[k] = x.lc
 	}
 	// Derived counts are attributed at merge time (InsertAll into next
 	// in item order), not here: a private staging relation can't see
 	// what earlier items already staged, and counting its inserts would
 	// double-count tuples two items derive in the same round.
-	errs[k] = e.eval(r, scheds[items[k].rule], deltas, items[k].deltaLit, &matches[k], lc, func(s term.Subst) error {
-		_, err := derive(r.Head, s, full, dst)
-		return err
-	})
-}
-
-func splitKey(key string) (string, int) {
-	var pred string
-	var ar int
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '/' {
-			pred = key[:i]
-			fmt.Sscanf(key[i+1:], "%d", &ar)
-			break
-		}
-	}
-	return pred, ar
+	errs[k] = x.run(0)
 }
 
 // scheduleBody orders the body so every builtin is invoked only when
@@ -710,163 +681,6 @@ func allB(n int) string {
 		buf[i] = 'b'
 	}
 	return string(buf)
-}
-
-// eval enumerates all substitutions satisfying the body (in the given
-// order) and calls emit for each; body occurrence deltaLit (if >= 0)
-// reads from the delta relation instead of the full one. Match counts
-// go through the caller-supplied counter so concurrent work items
-// never share one — the serial path passes &e.stats.Matches directly.
-// When lc is non-nil, per-literal in/out counts and rule firings are
-// recorded into it under the same no-sharing discipline.
-func (e *Engine) eval(r program.Rule, order []int, deltas map[string]*relation.Relation, deltaLit int, matches *int64, lc *litCounters, emit func(term.Subst) error) error {
-	// No renaming needed: every evaluation starts from an empty
-	// substitution and variables are scoped to this one rule.
-	rr := r
-	var rec func(step int, s term.Subst) error
-	rec = func(step int, s term.Subst) error {
-		if step == len(order) {
-			if lc != nil {
-				lc.fires++
-			}
-			return emit(s)
-		}
-		li := order[step]
-		lit := rr.Body[li]
-		if lc != nil {
-			lc.in[li]++
-		}
-		if lit.Negated {
-			ok, err := e.negationHolds(lit, s, r)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if lc != nil {
-				lc.out[li]++
-			}
-			return rec(step+1, s)
-		}
-		if b := builtin.Lookup(lit.Pred, lit.Arity()); b != nil {
-			sols, err := b.Eval(s, lit.Args)
-			if err != nil {
-				if errors.Is(err, builtin.ErrInsufficient) {
-					return fmt.Errorf("%w: %s in %s", ErrUnsafe, lit.Resolve(s), r)
-				}
-				return err
-			}
-			if lc != nil {
-				lc.out[li] += int64(len(sols))
-			}
-			for _, sol := range sols {
-				if err := rec(step+1, sol); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		var rel *relation.Relation
-		if deltas != nil && li == deltaLit {
-			rel = deltas[lit.Key()]
-		} else {
-			rel = e.cat.Get(relName(lit.Pred))
-		}
-		if rel == nil || rel.Len() == 0 {
-			return nil
-		}
-		// Index on the ground argument positions.
-		var cols []int
-		var vals relation.Tuple
-		resolved := make([]term.Term, len(lit.Args))
-		for i, a := range lit.Args {
-			ra := s.Resolve(a)
-			resolved[i] = ra
-			if ra.Ground() {
-				cols = append(cols, i)
-				vals = append(vals, ra)
-			}
-		}
-		match := func(tup relation.Tuple) error {
-			*matches++
-			// A single fixpoint round can enumerate a huge join; keep
-			// cancellation latency bounded inside the round too.
-			if *matches&8191 == 0 {
-				if err := everr.Check(e.opts.Ctx); err != nil {
-					return err
-				}
-			}
-			sol := s.Clone()
-			ok := true
-			for i, a := range resolved {
-				if a.Ground() {
-					// Already matched by the index lookup when indexed;
-					// re-check for the full-scan path.
-					if len(cols) == 0 && !term.Equal(a, tup[i]) {
-						ok = false
-						break
-					}
-					continue
-				}
-				if !term.Unify(sol, a, tup[i]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				return nil
-			}
-			if lc != nil {
-				lc.out[li]++
-			}
-			return rec(step+1, sol)
-		}
-		if len(cols) > 0 {
-			for _, tup := range rel.LookupOn(cols, vals) {
-				if err := match(tup); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Full scan: iterate in place instead of copying the tuple
-		// slice out of a live relation.
-		var scanErr error
-		rel.Each(func(tup relation.Tuple) bool {
-			scanErr = match(tup)
-			return scanErr == nil
-		})
-		return scanErr
-	}
-	return rec(0, term.NewSubst())
-}
-
-// negationHolds evaluates a negated literal under s: every argument
-// must be ground (guaranteed by the scheduler for safe rules), and the
-// positive form must have no solution. Stratification (checked in Run)
-// guarantees the consulted relation is complete.
-func (e *Engine) negationHolds(lit program.Atom, s term.Subst, r program.Rule) (bool, error) {
-	resolved := make([]term.Term, len(lit.Args))
-	for i, a := range lit.Args {
-		ra := s.Resolve(a)
-		if !ra.Ground() {
-			return false, fmt.Errorf("%w: negated literal %s not ground in %s", ErrUnsafe, lit.Resolve(s), r)
-		}
-		resolved[i] = ra
-	}
-	if b := builtin.Lookup(lit.Pred, lit.Arity()); b != nil {
-		sols, err := b.Eval(s, lit.Args)
-		if err != nil {
-			return false, fmt.Errorf("%w: %s in %s", ErrUnsafe, lit.Resolve(s), r)
-		}
-		return len(sols) == 0, nil
-	}
-	rel := e.cat.Get(relName(lit.Pred))
-	if rel == nil || rel.Arity() != lit.Arity() {
-		return true, nil // empty relation: negation holds
-	}
-	return !rel.Contains(relation.Tuple(resolved)), nil
 }
 
 // Eval is the convenience entry point: evaluate prog against cat (which
