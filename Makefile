@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc
+.PHONY: build test check vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,15 @@ check: build vet staticcheck govulncheck race
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Regenerate every golden file from the current code: the executor
+# outcome table, the experiments' generated EXPERIMENTS.md sections and
+# the fact-state golden. Review the diff before committing it — a
+# golden that moves is a behaviour change.
+golden:
+	$(GO) test -count=1 -run '^TestExecutorGolden$$' ./internal/seminaive -update
+	$(GO) test -count=1 -run '^TestAllExperimentsRunQuick$$' ./internal/experiments -update
+	$(GO) test -count=1 -run '^TestFactStateGolden$$' . -update
 
 # The three line counts ROADMAP.md tracks: non-test Go outside bench/,
 # tests outside bench/, and everything in bench/.

@@ -806,9 +806,11 @@ func (db *DB) prepare(q string, options []Option) ([]program.Atom, queryConfig, 
 	return parsed.Goals, qc, nil
 }
 
-// Dump renders the loaded program (as written, before rectification).
+// Dump renders the loaded database in the surface syntax: pragmas and
+// rules as written, before rectification, then every base fact in the
+// order it was loaded.
 func (db *DB) Dump() string {
-	return db.inner.Source().String()
+	return db.inner.Dump()
 }
 
 // SaveFile writes the loaded program (rules, facts and pragmas, as

@@ -263,14 +263,16 @@ type Result struct {
 	Metrics  Metrics
 }
 
-// DB is a deductive database instance: a rectified program plus an EDB
-// catalog, organized as a sequence of immutable generations.
+// DB is a deductive database instance: rectified rules plus an EDB
+// catalog holding the base facts, organized as a sequence of immutable
+// generations.
 //
 // Writers (Load, LoadTuples) are serialized by writeMu: each build a
-// new generation copy-on-write from the current one — program slices
-// are copied with capped capacity so appends never alias, and the
-// catalog is Snapshot-shared with only the touched relations cloned —
-// and publish it with one atomic pointer swap. Readers (Query,
+// new generation copy-on-write from the current one — rule slices are
+// copied with capped capacity so appends never alias, the catalog is
+// Snapshot-shared with only the touched relations cloned, and the
+// fact-order record is appended past the parent's prefix — and publish
+// it with one atomic pointer swap. Readers (Query,
 // Explain, …) pin the current generation with one atomic load and then
 // run entirely against that immutable state, so any number of queries
 // evaluate in parallel, concurrently with writers, without locks and
@@ -333,20 +335,32 @@ type DB struct {
 	quarantined atomic.Bool
 }
 
-// generation is one immutable database state: the programs, the EDB
-// catalog (frozen on publish), and a lazily built finiteness analysis.
-// Everything reachable from a generation is safe for concurrent reads;
-// the analysis carries its own internal lock for memoization.
+// generation is one immutable database state: the rules and pragmas
+// (as written and rectified), the EDB catalog (frozen on publish), the
+// fact-order record, the digest and a lazily built finiteness
+// analysis. Base facts live only in the catalog. Everything reachable
+// from a generation is safe for concurrent reads; the analysis carries
+// its own internal lock for memoization.
 type generation struct {
 	seq    uint64
-	source *program.Program // as written
-	prog   *program.Program // rectified
+	source *program.Program // rules and pragmas as written; no facts
+	prog   *program.Program // rules rectified; no facts
 	cat    *relation.Catalog
 
+	// order is the global insertion order of the base facts as
+	// (predicate, count) runs; eachFact replays it against each
+	// relation's own insertion order. A generation shares its parent's
+	// backing array and appends past the parent's length: writers are
+	// serialized by writeMu and a generation reads only its own prefix.
+	// Runs below orderBase belong to ancestors and are never extended
+	// in place.
+	order     []factRun
+	orderBase int
+
 	// digest is the chained anti-entropy checksum over the fact stream
-	// up to this generation: each appended fact folds into the parent's
+	// up to this generation: each new fact folds into the parent's
 	// digest via the canonical term encoding, so the value is a pure
-	// function of the ordered fact list — identical on a leader and on
+	// function of the ordered fact stream — identical on a leader and on
 	// any replica that applied the same mutations, whatever snapshot or
 	// replay path built it. See digest.go.
 	digest uint64
@@ -358,15 +372,28 @@ type generation struct {
 	analysis *adorn.Analysis
 }
 
-// NewDB returns an empty database.
-func NewDB() *DB {
-	db := &DB{}
-	db.gen.Store(&generation{
+// factRun is n consecutive base facts of one predicate in the global
+// fact order.
+type factRun struct {
+	pred string
+	n    int
+}
+
+// newGeneration returns an empty generation with sequence number seq.
+func newGeneration(seq uint64) *generation {
+	return &generation{
+		seq:    seq,
 		source: &program.Program{},
 		prog:   &program.Program{},
 		cat:    relation.NewCatalog(),
 		digest: digestSeed,
-	})
+	}
+}
+
+// NewDB returns an empty database.
+func NewDB() *DB {
+	db := &DB{}
+	db.gen.Store(newGeneration(0))
 	return db
 }
 
@@ -377,28 +404,81 @@ func (db *DB) current() *generation { return db.gen.Load() }
 // increases by one per completed Load/LoadTuples.
 func (db *DB) Generation() uint64 { return db.current().seq }
 
-// evolve starts the next generation from g: program slices are copied
-// with capped capacity (appends allocate fresh arrays, so g's slices
-// are never aliased by the new generation's writes) and the catalog is
-// snapshot-shared copy-on-write.
+// evolve starts the next generation from g: rule and pragma slices are
+// copied with capped capacity (appends allocate fresh arrays, so g's
+// slices are never aliased by the new generation's writes), the
+// catalog is snapshot-shared copy-on-write, and the order record is
+// shared up to g's length.
 func (g *generation) evolve() *generation {
 	return &generation{
-		seq:    g.seq + 1,
-		source: cappedProgram(g.source),
-		prog:   cappedProgram(g.prog),
-		cat:    g.cat.Snapshot(),
-		digest: g.digest,
+		seq:       g.seq + 1,
+		source:    cappedProgram(g.source),
+		prog:      cappedProgram(g.prog),
+		cat:       g.cat.Snapshot(),
+		order:     g.order,
+		orderBase: len(g.order),
+		digest:    g.digest,
 	}
 }
 
-// cappedProgram copies a program with full-capacity slices, so that
-// appending to the copy can never write into the original's backing
-// arrays.
+// cappedProgram copies a program's rules and pragmas with
+// full-capacity slices, so that appending to the copy can never write
+// into the original's backing arrays.
 func cappedProgram(p *program.Program) *program.Program {
 	return &program.Program{
 		Rules:   p.Rules[:len(p.Rules):len(p.Rules)],
-		Facts:   p.Facts[:len(p.Facts):len(p.Facts)],
 		Pragmas: p.Pragmas[:len(p.Pragmas):len(p.Pragmas)],
+	}
+}
+
+// addRules appends p's rules, as written and rectified, and its
+// pragmas to a generation under construction.
+func (g *generation) addRules(p *program.Program) {
+	for _, r := range p.Rules {
+		g.source.Rules = append(g.source.Rules, r)
+		g.prog.Rules = append(g.prog.Rules, program.RectifyRule(r))
+	}
+	g.source.Pragmas = append(g.source.Pragmas, p.Pragmas...)
+	g.prog.Pragmas = append(g.prog.Pragmas, p.Pragmas...)
+}
+
+// addFact is the one way a base fact enters a generation under
+// construction: it checks the fact's arity against its relation and
+// its groundness, inserts it, records it in the order record and folds
+// it into the digest. A duplicate changes nothing. scratch is the
+// digest fold's reusable encode buffer.
+func (g *generation) addFact(pred string, args []term.Term, scratch *[]byte) error {
+	if rel := g.cat.Get(pred); rel != nil && rel.Arity() != len(args) {
+		return fmt.Errorf("core: relation %s exists with arity %d, fact %s has arity %d",
+			pred, rel.Arity(), program.Atom{Pred: pred, Args: args}, len(args))
+	}
+	for _, v := range args {
+		if !v.Ground() {
+			return fmt.Errorf("core: fact %s is not ground", program.Atom{Pred: pred, Args: args})
+		}
+	}
+	if !g.cat.Ensure(pred, len(args)).Insert(relation.Tuple(args)) {
+		return nil
+	}
+	if n := len(g.order); n > g.orderBase && g.order[n-1].pred == pred {
+		g.order[n-1].n++
+	} else {
+		g.order = append(g.order, factRun{pred: pred, n: 1})
+	}
+	g.digest, *scratch = digestFact(g.digest, pred, args, *scratch)
+	return nil
+}
+
+// eachFact calls fn on every base fact of g in global insertion order,
+// the order the fact stream was written in.
+func (g *generation) eachFact(fn func(pred string, tup relation.Tuple)) {
+	next := make(map[string]int)
+	for _, run := range g.order {
+		rel, from := g.cat.Get(run.pred), next[run.pred]
+		for i := from; i < from+run.n; i++ {
+			fn(run.pred, rel.At(i))
+		}
+		next[run.pred] = from + run.n
 	}
 }
 
@@ -409,33 +489,30 @@ func (db *DB) publish(next *generation) {
 	obsv.Generations.Inc()
 }
 
-// Load adds rules, facts and pragmas from a parsed program by
-// publishing a new generation. It may be called repeatedly and
-// concurrently with queries; in-flight queries keep evaluating against
-// the generation they pinned. Analyses are recomputed on the next
-// query after a rule change.
-//
-// On a durable database the rendered program is logged to the
-// write-ahead log before the generation is published; a logging
-// failure returns an error and leaves the database unchanged. The
-// in-memory default never fails.
-func (db *DB) Load(p *program.Program) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if db.follower.Load() {
+// writable refuses a mutation on a node that may not accept one, in
+// this order: a follower is not the leader; a fenced ex-leader has
+// been deposed (and counts the refused write); a quarantined node
+// holds suspect state. Callers hold writeMu.
+func (db *DB) writable() error {
+	switch {
+	case db.follower.Load():
 		return everr.ErrNotLeader
-	}
-	if db.fenced.Load() {
+	case db.fenced.Load():
 		obsv.FencedWrites.Inc()
 		return everr.ErrFenced
-	}
-	if db.quarantined.Load() {
+	case db.quarantined.Load():
 		return everr.ErrQuarantined
 	}
-	next := db.buildProgramGen(p)
+	return nil
+}
+
+// commit logs rec to the durable store (if any) and then publishes
+// next: durable before visible. A logging failure publishes nothing.
+// Callers hold writeMu.
+func (db *DB) commit(next *generation, rec wal.Record) error {
 	if db.store != nil {
-		if err := db.store.Append(wal.Record{Seq: next.seq, Type: wal.RecExec, Src: p.String()}); err != nil {
-			return fmt.Errorf("core: durable log append failed, load not applied: %w", err)
+		if err := db.store.Append(rec); err != nil {
+			return fmt.Errorf("core: durable log append failed, generation %d not applied: %w", next.seq, err)
 		}
 	}
 	db.publish(next)
@@ -443,32 +520,49 @@ func (db *DB) Load(p *program.Program) error {
 	return nil
 }
 
+// Load adds rules, facts and pragmas from a parsed program by
+// publishing a new generation. It may be called repeatedly and
+// concurrently with queries; in-flight queries keep evaluating against
+// the generation they pinned. Analyses are recomputed on the next
+// query after a rule change. A fact whose arity disagrees with its
+// relation, or that is not ground, fails the whole load and leaves the
+// database unchanged.
+//
+// On a durable database the rendered program is logged to the
+// write-ahead log before the generation is published; a logging
+// failure returns an error and leaves the database unchanged.
+func (db *DB) Load(p *program.Program) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	if err := db.writable(); err != nil {
+		return err
+	}
+	next, err := db.buildProgramGen(p)
+	if err != nil {
+		return err
+	}
+	rec := wal.Record{Seq: next.seq, Type: wal.RecExec}
+	if db.store != nil {
+		rec.Src = p.String()
+	}
+	return db.commit(next, rec)
+}
+
 // buildProgramGen builds (but does not publish) the generation that
 // applies program p on top of the current one. Callers hold writeMu.
-func (db *DB) buildProgramGen(p *program.Program) *generation {
+func (db *DB) buildProgramGen(p *program.Program) (*generation, error) {
 	cur := db.current()
 	next := cur.evolve()
-	for _, r := range p.Rules {
-		next.source.Rules = append(next.source.Rules, r)
-		next.prog.Rules = append(next.prog.Rules, program.RectifyRule(r))
-	}
+	next.addRules(p)
 	for _, f := range p.Facts {
-		// Insert reports whether the tuple is new; a duplicate fact
-		// must not accumulate another Facts entry, or re-loading the
-		// same program would grow the fact lists (and every semi-naive
-		// seed built from them) without bound.
-		if next.cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args)) {
-			next.source.Facts = append(next.source.Facts, f)
-			next.prog.Facts = append(next.prog.Facts, f)
-			next.digest, db.digestScratch = digestFact(next.digest, f.Pred, f.Args, db.digestScratch)
+		if err := next.addFact(f.Pred, f.Args, &db.digestScratch); err != nil {
+			return nil, err
 		}
 	}
-	next.source.Pragmas = append(next.source.Pragmas, p.Pragmas...)
-	next.prog.Pragmas = append(next.prog.Pragmas, p.Pragmas...)
 	if len(p.Rules) == 0 {
 		next.analysis = cur.peekAnalysis()
 	}
-	return next
+	return next, nil
 }
 
 // analysisFor returns the generation's adornment analysis, building it
@@ -491,12 +585,28 @@ func (g *generation) peekAnalysis() *adorn.Analysis {
 	return g.analysis
 }
 
-// Program returns the current rectified program (read-only).
+// Program returns the current rectified rules and pragmas
+// (read-only). Its Facts are empty: base facts live only in the
+// catalog (see Catalog).
 func (db *DB) Program() *program.Program { return db.current().prog }
 
-// Source returns the current program as written, before rectification
-// (read-only).
+// Source returns the current rules and pragmas as written, before
+// rectification (read-only). Its Facts are empty: base facts live only
+// in the catalog, and Dump renders them in load order.
 func (db *DB) Source() *program.Program { return db.current().source }
+
+// Dump renders the database in the surface syntax: pragmas and rules
+// as written, then every base fact in the order it was loaded.
+func (db *DB) Dump() string {
+	g := db.current()
+	var b strings.Builder
+	b.WriteString(g.source.String())
+	g.eachFact(func(pred string, tup relation.Tuple) {
+		b.WriteString(program.Atom{Pred: pred, Args: tup}.String())
+		b.WriteString(".\n")
+	})
+	return b.String()
+}
 
 // CompileInfo renders the chain form of a predicate ("pred/arity"):
 // its recursion class, chain generating paths and exit rules — the
@@ -695,70 +805,40 @@ func (g *generation) queryContained(goals []program.Atom, opts Options) (res *Re
 // LoadTuples bulk-loads ground tuples into an extensional relation,
 // bypassing the parser, as one atomic generation: concurrent queries
 // see either none or all of the batch, never a torn prefix. Every
-// tuple must be ground and of the same arity; validation failures
-// leave the database unchanged.
+// tuple must be ground and of the relation's arity; validation
+// failures leave the database unchanged.
 func (db *DB) LoadTuples(pred string, tuples [][]term.Term) error {
 	if len(tuples) == 0 {
 		return nil
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if db.follower.Load() {
-		return everr.ErrNotLeader
-	}
-	if db.fenced.Load() {
-		obsv.FencedWrites.Inc()
-		return everr.ErrFenced
-	}
-	if db.quarantined.Load() {
-		return everr.ErrQuarantined
+	if err := db.writable(); err != nil {
+		return err
 	}
 	next, err := db.buildTuplesGen(pred, tuples)
 	if err != nil {
 		return err
 	}
+	rec := wal.Record{Seq: next.seq, Type: wal.RecFacts, Pred: pred}
 	if db.store != nil {
-		wt := make([]relation.Tuple, len(tuples))
+		rec.Tuples = make([]relation.Tuple, len(tuples))
 		for i, tup := range tuples {
-			wt[i] = relation.Tuple(tup)
-		}
-		if err := db.store.Append(wal.Record{Seq: next.seq, Type: wal.RecFacts, Pred: pred, Tuples: wt}); err != nil {
-			return fmt.Errorf("core: durable log append failed, batch not applied: %w", err)
+			rec.Tuples[i] = relation.Tuple(tup)
 		}
 	}
-	db.publish(next)
-	db.maybeSnapshotLocked(next)
-	return nil
+	return db.commit(next, rec)
 }
 
-// buildTuplesGen validates a bulk batch and builds (but does not
-// publish) the generation that applies it. Callers hold writeMu.
+// buildTuplesGen builds (but does not publish) the generation that
+// applies a bulk batch. Callers hold writeMu.
 func (db *DB) buildTuplesGen(pred string, tuples [][]term.Term) (*generation, error) {
 	cur := db.current()
-	arity := len(tuples[0])
-	if existing := cur.cat.Get(pred); existing != nil && existing.Arity() != arity {
-		return nil, fmt.Errorf("core: relation %s exists with arity %d, tuples have arity %d", pred, existing.Arity(), arity)
-	}
-	for i, tup := range tuples {
-		if len(tup) != arity {
-			return nil, fmt.Errorf("core: tuple %d has arity %d, want %d", i, len(tup), arity)
-		}
-		for _, v := range tup {
-			if !v.Ground() {
-				return nil, fmt.Errorf("core: tuple %d is not ground: %v", i, tup)
-			}
-		}
-	}
 	next := cur.evolve()
 	next.analysis = cur.peekAnalysis() // fact-only: finiteness unchanged
-	rel := next.cat.Ensure(pred, arity)
 	for _, tup := range tuples {
-		// Only fresh inserts earn a Facts entry: re-loading a batch
-		// must be idempotent, not accumulate duplicate fact atoms.
-		if rel.Insert(relation.Tuple(tup)) {
-			next.prog.Facts = append(next.prog.Facts, program.Atom{Pred: pred, Args: tup})
-			next.source.Facts = append(next.source.Facts, program.Atom{Pred: pred, Args: tup})
-			next.digest, db.digestScratch = digestFact(next.digest, pred, tup, db.digestScratch)
+		if err := next.addFact(pred, tup, &db.digestScratch); err != nil {
+			return nil, err
 		}
 	}
 	return next, nil

@@ -7,18 +7,18 @@ package core
 // framed, checksummed and fsynced before the generation carrying it is
 // installed, so the durable log is always at or ahead of the published
 // state and recovery can only ever land on a generation some caller
-// was told exists. Replay goes back through the very same Load /
-// LoadTuples code paths (with logging disabled), which is what makes
-// recovered databases bit-identical to the originals: rectification,
-// duplicate-fact suppression, relation insertion order and fact-list
-// order are all reproduced by construction rather than re-implemented.
+// was told exists. Replay goes back through the very same generation
+// builders Load and LoadTuples use (with logging disabled), which is
+// what makes recovered databases bit-identical to the originals:
+// rectification, duplicate-fact suppression, relation insertion order
+// and the fact-order record are all reproduced by construction rather
+// than re-implemented.
 
 import (
 	"fmt"
 	"strings"
 
 	"chainsplit/internal/lang"
-	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
 	"chainsplit/internal/term"
 	"chainsplit/internal/wal"
@@ -69,10 +69,7 @@ func OpenDir(dir string, opts wal.Options) (*DB, error) {
 }
 
 // applySnapshot installs a compacted snapshot as one generation with
-// the snapshot's sequence number. Rules and pragmas come back through
-// the parser; the fact stream is applied in its original global order,
-// which reproduces both the fact lists and every relation's insertion
-// order exactly.
+// the snapshot's sequence number (see genFromSnapshot).
 func (db *DB) applySnapshot(snap *wal.Snapshot) error {
 	next, err := genFromSnapshot(snap)
 	if err != nil {
@@ -90,89 +87,87 @@ func (db *DB) applySnapshot(snap *wal.Snapshot) error {
 // genFromSnapshot builds a from-scratch generation holding exactly the
 // snapshot's state, at the snapshot's sequence number. Rules and
 // pragmas come back through the parser; the fact stream is applied in
-// its original global order.
+// its original global order, which reproduces every relation's
+// insertion order, the order record and — re-folded in the original
+// accumulation order — the digest.
 func genFromSnapshot(snap *wal.Snapshot) (*generation, error) {
-	p := &program.Program{}
+	next := newGeneration(snap.Seq)
 	if strings.TrimSpace(snap.Rules) != "" {
 		res, err := lang.Parse(snap.Rules)
 		if err != nil {
 			return nil, fmt.Errorf("%w: snapshot rules do not parse: %v", wal.ErrCorrupt, err)
 		}
-		p = res.Program
+		next.addRules(res.Program)
 	}
-	next := &generation{
-		seq:    snap.Seq,
-		source: &program.Program{},
-		prog:   &program.Program{},
-		cat:    relation.NewCatalog(),
-		digest: digestSeed,
-	}
-	for _, r := range p.Rules {
-		next.source.Rules = append(next.source.Rules, r)
-		next.prog.Rules = append(next.prog.Rules, program.RectifyRule(r))
-	}
-	next.source.Pragmas = append(next.source.Pragmas, p.Pragmas...)
-	next.prog.Pragmas = append(next.prog.Pragmas, p.Pragmas...)
 	var scratch []byte
 	for _, fr := range snap.Facts {
-		rel := next.cat.Get(fr.Pred)
-		if rel != nil && rel.Arity() != len(fr.Tuple) {
-			return nil, fmt.Errorf("%w: snapshot fact %s has arity %d, relation has %d", wal.ErrCorrupt, fr.Pred, len(fr.Tuple), rel.Arity())
-		}
-		f := program.Atom{Pred: fr.Pred, Args: fr.Tuple}
-		if next.cat.Ensure(fr.Pred, len(fr.Tuple)).Insert(relation.Tuple(fr.Tuple)) {
-			next.source.Facts = append(next.source.Facts, f)
-			next.prog.Facts = append(next.prog.Facts, f)
-			// The digest re-folds in snapshot order — the original
-			// accumulation order — so a bootstrapped replica lands on
-			// the same chained value the leader reached incrementally.
-			next.digest, scratch = digestFact(next.digest, fr.Pred, fr.Tuple, scratch)
+		if err := next.addFact(fr.Pred, fr.Tuple, &scratch); err != nil {
+			return nil, fmt.Errorf("%w: snapshot fact rejected: %v", wal.ErrCorrupt, err)
 		}
 	}
 	return next, nil
 }
 
-// applyRecord replays one WAL record through the ordinary mutation
-// paths (db.store is still nil during replay, so nothing is re-logged)
-// and verifies the generation advanced to exactly the record's
-// sequence number.
-func (db *DB) applyRecord(r wal.Record) error {
+// buildRecordGen builds (but does not publish) the generation that
+// applies one logged or shipped record through the ordinary build
+// paths. A record whose sequence is not the next generation's, that
+// does not parse, or that the build rejects is corrupt. Callers hold
+// writeMu.
+func (db *DB) buildRecordGen(r wal.Record) (*generation, error) {
+	if cur := db.current().seq; r.Seq != cur+1 {
+		return nil, fmt.Errorf("%w: record %d does not follow generation %d", wal.ErrCorrupt, r.Seq, cur)
+	}
+	var next *generation
+	var err error
 	switch r.Type {
 	case wal.RecExec:
-		res, err := lang.Parse(r.Src)
-		if err != nil {
-			return fmt.Errorf("%w: logged program does not parse: %v", wal.ErrCorrupt, err)
+		res, perr := lang.Parse(r.Src)
+		if perr != nil {
+			return nil, fmt.Errorf("%w: record %d program does not parse: %v", wal.ErrCorrupt, r.Seq, perr)
 		}
-		if err := db.Load(res.Program); err != nil {
-			return err
-		}
+		next, err = db.buildProgramGen(res.Program)
 	case wal.RecFacts:
 		tuples := make([][]term.Term, len(r.Tuples))
 		for i, t := range r.Tuples {
 			tuples[i] = []term.Term(t)
 		}
-		if err := db.LoadTuples(r.Pred, tuples); err != nil {
-			return fmt.Errorf("%w: logged fact batch rejected: %v", wal.ErrCorrupt, err)
-		}
+		next, err = db.buildTuplesGen(r.Pred, tuples)
 	default:
-		return fmt.Errorf("%w: unknown record type %d", wal.ErrCorrupt, r.Type)
+		return nil, fmt.Errorf("%w: record %d has unknown type %d", wal.ErrCorrupt, r.Seq, r.Type)
 	}
-	if got := db.Generation(); got != r.Seq {
-		return fmt.Errorf("%w: replaying record %d left the database at generation %d", wal.ErrCorrupt, r.Seq, got)
+	if err != nil {
+		return nil, fmt.Errorf("%w: record %d rejected: %v", wal.ErrCorrupt, r.Seq, err)
 	}
+	return next, nil
+}
+
+// applyRecord replays one WAL record during recovery. db.store is
+// still nil, so nothing is re-logged.
+func (db *DB) applyRecord(r wal.Record) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	next, err := db.buildRecordGen(r)
+	if err != nil {
+		return err
+	}
+	db.publish(next)
 	return nil
 }
 
 // snapshotOf renders a generation as a compacted snapshot: the
-// accumulated rules and pragmas as parseable source (facts excluded —
-// they travel in the fact stream, preserving global order).
+// accumulated rules and pragmas as parseable source, and the fact
+// stream walked from the catalog along the order record, preserving
+// global order.
 func snapshotOf(g *generation) *wal.Snapshot {
-	rp := &program.Program{Rules: g.source.Rules, Pragmas: g.source.Pragmas}
-	facts := make([]wal.FactRow, len(g.source.Facts))
-	for i, f := range g.source.Facts {
-		facts[i] = wal.FactRow{Pred: f.Pred, Tuple: relation.Tuple(f.Args)}
+	n := 0
+	for _, run := range g.order {
+		n += run.n
 	}
-	return &wal.Snapshot{Seq: g.seq, Rules: rp.String(), Facts: facts}
+	facts := make([]wal.FactRow, 0, n)
+	g.eachFact(func(pred string, tup relation.Tuple) {
+		facts = append(facts, wal.FactRow{Pred: pred, Tuple: tup})
+	})
+	return &wal.Snapshot{Seq: g.seq, Rules: g.source.String(), Facts: facts}
 }
 
 // maybeSnapshotLocked compacts if the store's cadence says one is due.

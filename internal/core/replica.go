@@ -17,11 +17,7 @@ import (
 	"fmt"
 
 	"chainsplit/internal/everr"
-	"chainsplit/internal/lang"
 	"chainsplit/internal/obsv"
-	"chainsplit/internal/program"
-	"chainsplit/internal/relation"
-	"chainsplit/internal/term"
 	"chainsplit/internal/wal"
 )
 
@@ -63,45 +59,16 @@ func (db *DB) ApplyReplica(r wal.Record) error {
 	if !db.follower.Load() {
 		return errors.New("core: ApplyReplica on a database that is not a follower")
 	}
-	cur := db.current()
-	if r.Seq != cur.seq+1 {
-		return fmt.Errorf("%w: shipped record seq %d, follower at generation %d", wal.ErrCorrupt, r.Seq, cur.seq)
+	next, err := db.buildRecordGen(r)
+	if err != nil {
+		return err
 	}
-	var next *generation
-	switch r.Type {
-	case wal.RecExec:
-		res, err := lang.Parse(r.Src)
-		if err != nil {
-			return fmt.Errorf("%w: shipped program does not parse: %v", wal.ErrCorrupt, err)
-		}
-		next = db.buildProgramGen(res.Program)
-	case wal.RecFacts:
-		tuples := make([][]term.Term, len(r.Tuples))
-		for i, t := range r.Tuples {
-			tuples[i] = []term.Term(t)
-		}
-		var err error
-		next, err = db.buildTuplesGen(r.Pred, tuples)
-		if err != nil {
-			return fmt.Errorf("%w: shipped fact batch rejected: %v", wal.ErrCorrupt, err)
-		}
-	default:
-		return fmt.Errorf("%w: unknown shipped record type %d", wal.ErrCorrupt, r.Type)
+	// The shipped record is re-logged verbatim, not re-rendered: the
+	// follower's log must replay to the same state the leader's does.
+	if err := db.commit(next, r); err != nil {
+		return err
 	}
-	if next.seq != r.Seq {
-		return fmt.Errorf("%w: applying record %d built generation %d", wal.ErrCorrupt, r.Seq, next.seq)
-	}
-	if db.store != nil {
-		// The shipped record is re-logged verbatim, not re-rendered:
-		// the follower's log must replay to the same state the
-		// leader's does.
-		if err := db.store.Append(r); err != nil {
-			return fmt.Errorf("core: follower log append failed, record not applied: %w", err)
-		}
-	}
-	db.publish(next)
 	obsv.ReplicaRecordsApplied.Inc()
-	db.maybeSnapshotLocked(next)
 	return nil
 }
 
@@ -167,12 +134,7 @@ func (db *DB) ResetReplica() error {
 	}
 	db.follower.Store(true)
 	db.fenced.Store(false)
-	db.publish(&generation{
-		source: &program.Program{},
-		prog:   &program.Program{},
-		cat:    relation.NewCatalog(),
-		digest: digestSeed,
-	})
+	db.publish(newGeneration(0))
 	return nil
 }
 

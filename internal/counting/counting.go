@@ -731,52 +731,9 @@ func (ev *Evaluator) solveLit(lit program.Atom, s term.Subst) ([]term.Subst, err
 		return sols, nil
 	}
 	if rel := ev.cat.Get(lit.Pred); rel != nil && rel.Arity() == lit.Arity() && !ev.idb[lit.Key()] {
-		return matchRelation(rel, lit, s)
+		return relation.Match(rel, lit.Args, s), nil
 	}
 	return ev.inner.SolveUnder(lit, s)
-}
-
-func matchRelation(rel *relation.Relation, g program.Atom, s term.Subst) ([]term.Subst, error) {
-	var cols []int
-	var vals relation.Tuple
-	resolved := make([]term.Term, len(g.Args))
-	for i, a := range g.Args {
-		ra := s.Resolve(a)
-		resolved[i] = ra
-		if ra.Ground() {
-			cols = append(cols, i)
-			vals = append(vals, ra)
-		}
-	}
-	var candidates []relation.Tuple
-	if len(cols) > 0 {
-		candidates = rel.LookupOn(cols, vals)
-	} else {
-		// Full scan without copying the tuple slice out of the relation.
-		candidates = make([]relation.Tuple, 0, rel.Len())
-		rel.Each(func(tup relation.Tuple) bool {
-			candidates = append(candidates, tup)
-			return true
-		})
-	}
-	var out []term.Subst
-	for _, tup := range candidates {
-		sol := s.Clone()
-		ok := true
-		for i, a := range resolved {
-			if a.Ground() {
-				continue
-			}
-			if !term.Unify(sol, a, tup[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, sol)
-		}
-	}
-	return out, nil
 }
 
 // termsString renders a term vector compactly for the event log.

@@ -205,26 +205,6 @@ func (p *Program) IDB() map[string]bool {
 	return idb
 }
 
-// EDB returns the set of extensional predicate keys: predicates that
-// occur in facts or rule bodies but are neither IDB nor builtin.
-func (p *Program) EDB() map[string]bool {
-	idb := p.IDB()
-	edb := make(map[string]bool)
-	for _, f := range p.Facts {
-		if !idb[f.Key()] && !f.IsBuiltin() {
-			edb[f.Key()] = true
-		}
-	}
-	for _, r := range p.Rules {
-		for _, b := range r.Body {
-			if !idb[b.Key()] && !b.IsBuiltin() {
-				edb[b.Key()] = true
-			}
-		}
-	}
-	return edb
-}
-
 // RulesFor returns the rules whose head predicate key equals key, in
 // program order.
 func (p *Program) RulesFor(key string) []Rule {

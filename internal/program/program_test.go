@@ -66,10 +66,6 @@ func TestProgramEDBIDB(t *testing.T) {
 	if !idb["sg/2"] || len(idb) != 1 {
 		t.Errorf("IDB = %v", idb)
 	}
-	edb := p.EDB()
-	if !edb["parent/2"] || !edb["sibling/2"] || len(edb) != 2 {
-		t.Errorf("EDB = %v", edb)
-	}
 	if len(p.Facts) != 1 {
 		t.Errorf("Facts = %v", p.Facts)
 	}

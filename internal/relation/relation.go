@@ -1,7 +1,7 @@
 // Package relation implements the set-oriented storage layer of the
 // deductive database: relations of ground tuples with hash indexes,
-// and the algebra (selection, projection, hash join, semijoin, union,
-// difference) the bottom-up engines are written against.
+// and the operations (selection, hash join, union, matching a literal)
+// the engines are written against.
 //
 // Relations preserve insertion order, so every evaluation in this
 // repository is deterministic; indexes are maintained incrementally on
@@ -12,7 +12,7 @@
 // every hash index key on the packed 8-byte-per-column dictionary
 // codes of the ground terms (see term.IDOf), not on allocated
 // canonical strings. Membership probes (Contains, Index.Probe,
-// LookupOn, Select, Semijoin, Diff) are allocation-free: they pack
+// LookupOn, Select) are allocation-free: they pack
 // codes into a stack-side buffer and use Go's no-copy string
 // conversion for the map read, and a constant that was never interned
 // short-circuits to "no match" without touching the dictionary.
@@ -39,16 +39,6 @@ func (t Tuple) Key() string {
 	var buf []byte
 	for _, v := range t {
 		buf = term.AppendKey(buf, v)
-	}
-	return string(buf)
-}
-
-// KeyOn returns the canonical string encoding of the projection onto
-// cols. Like Key, it is off the hot path.
-func (t Tuple) KeyOn(cols []int) string {
-	var buf []byte
-	for _, c := range cols {
-		buf = term.AppendKey(buf, t[c])
 	}
 	return string(buf)
 }
@@ -508,15 +498,41 @@ func (r *Relation) Select(constraints map[int]term.Term) *Relation {
 	return out
 }
 
-// Project returns the projection of r onto cols (duplicates removed).
-func (r *Relation) Project(name string, cols []int) *Relation {
-	out := New(name, len(cols))
-	for _, t := range r.tuples {
-		pt := make(Tuple, len(cols))
-		for i, c := range cols {
-			pt[i] = t[c]
+// Match returns one extension of s per tuple of r that unifies with
+// args under s, in insertion order. The ground (under s) arguments
+// select candidates through an index; only the rest are unified.
+func Match(r *Relation, args []term.Term, s term.Subst) []term.Subst {
+	var cols []int
+	var vals Tuple
+	resolved := make([]term.Term, len(args))
+	for i, a := range args {
+		ra := s.Resolve(a)
+		resolved[i] = ra
+		if ra.Ground() {
+			cols = append(cols, i)
+			vals = append(vals, ra)
 		}
-		out.Insert(pt)
+	}
+	candidates := r.tuples
+	if len(cols) > 0 {
+		candidates = r.LookupOn(cols, vals)
+	}
+	var out []term.Subst
+	for _, tup := range candidates {
+		sol := s.Clone()
+		ok := true
+		for i, a := range resolved {
+			if a.Ground() {
+				continue
+			}
+			if !term.Unify(sol, a, tup[i]) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, sol)
+		}
 	}
 	return out
 }
@@ -539,35 +555,6 @@ func (r *Relation) Join(name string, o *Relation, leftCols, rightCols []int) *Re
 			joined = append(joined, lt...)
 			joined = append(joined, rt...)
 			out.Insert(joined)
-		}
-	}
-	return out
-}
-
-// Semijoin returns the tuples of r having at least one match in o on
-// the given columns.
-func (r *Relation) Semijoin(o *Relation, leftCols, rightCols []int) *Relation {
-	out := New(r.name, r.arity)
-	idx := o.Index(rightCols)
-	var kb [keyBufSize]byte
-	for _, lt := range r.tuples {
-		k, ok := appendIDKeyOn(kb[:0], lt, leftCols)
-		if !ok {
-			continue
-		}
-		if len(idx.buckets[string(k)]) > 0 {
-			out.Insert(lt)
-		}
-	}
-	return out
-}
-
-// Diff returns the tuples of r not present in o (same arity).
-func (r *Relation) Diff(o *Relation) *Relation {
-	out := New(r.name, r.arity)
-	for _, t := range r.tuples {
-		if !o.Contains(t) {
-			out.Insert(t)
 		}
 	}
 	return out

@@ -47,15 +47,3 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSemijoin(b *testing.B) {
-	r := buildChainRel(2000)
-	probe := r.Project("p", []int{0})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r.Semijoin(probe, []int{1}, []int{0}).Len() == 0 {
-			b.Fatal("empty semijoin")
-		}
-	}
-}

@@ -340,11 +340,7 @@ func (e *Engine) solveLiteral(g program.Atom, s term.Subst, depth int) ([]term.S
 	var out []term.Subst
 	// EDB tuples (also covers ground facts of IDB predicates).
 	if rel := e.cat.Get(g.Pred); rel != nil && rel.Arity() == g.Arity() {
-		sols, err := e.matchRelation(rel, g, s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sols...)
+		out = append(out, relation.Match(rel, g.Args, s)...)
 	}
 	if e.idb[g.Key()] {
 		sols, err := e.call(g, s, depth)
@@ -352,49 +348,6 @@ func (e *Engine) solveLiteral(g program.Atom, s term.Subst, depth int) ([]term.S
 			return nil, err
 		}
 		out = append(out, sols...)
-	}
-	return out, nil
-}
-
-func (e *Engine) matchRelation(rel *relation.Relation, g program.Atom, s term.Subst) ([]term.Subst, error) {
-	var cols []int
-	var vals relation.Tuple
-	resolved := make([]term.Term, len(g.Args))
-	for i, a := range g.Args {
-		ra := s.Resolve(a)
-		resolved[i] = ra
-		if ra.Ground() {
-			cols = append(cols, i)
-			vals = append(vals, ra)
-		}
-	}
-	var candidates []relation.Tuple
-	if len(cols) > 0 {
-		candidates = rel.LookupOn(cols, vals)
-	} else {
-		// Full scan without copying the tuple slice out of the relation.
-		candidates = make([]relation.Tuple, 0, rel.Len())
-		rel.Each(func(tup relation.Tuple) bool {
-			candidates = append(candidates, tup)
-			return true
-		})
-	}
-	var out []term.Subst
-	for _, tup := range candidates {
-		sol := s.Clone()
-		ok := true
-		for i, a := range resolved {
-			if a.Ground() {
-				continue
-			}
-			if !term.Unify(sol, a, tup[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, sol)
-		}
 	}
 	return out, nil
 }
