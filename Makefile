@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden
+.PHONY: build test check fmt vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; \
+	if [ -n "$$out" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; \
+	fi
 
 # staticcheck runs when the binary is on PATH and is skipped (with a
 # note) otherwise, so `make check` works in offline sandboxes; CI
@@ -77,7 +84,7 @@ cluster-seeds:
 scrub-soak:
 	CHAINSPLIT_SOAK_DURATION=$(SOAK_DURATION) $(GO) test -race -count=1 -run 'CorruptionChaosSoak' -v .
 
-check: build vet staticcheck govulncheck race
+check: build fmt vet staticcheck govulncheck race
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -45,8 +45,8 @@ func TestAppendFiniteness(t *testing.T) {
 	p := mustParse(t, appendSrc)
 	an := NewAnalysis(p)
 	cases := map[string]bool{
-		"bbf": true,  // forward append
-		"ffb": true,  // split a bound list all ways
+		"bbf": true, // forward append
+		"ffb": true, // split a bound list all ways
 		"bbb": true,
 		"bff": false, // V free: infinitely many (V, [X…|V]) answers
 		"fbf": false, // first and third free: infinitely many lists

@@ -16,6 +16,7 @@ package builtin
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"chainsplit/internal/term"
@@ -58,7 +59,7 @@ var (
 	core       = map[string]bool{}
 )
 
-func key(name string, arity int) string { return fmt.Sprintf("%s/%d", name, arity) }
+func key(name string, arity int) string { return name + "/" + strconv.Itoa(arity) }
 
 func register(b *Builtin) {
 	k := key(b.Name, b.Arity)

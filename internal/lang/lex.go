@@ -19,12 +19,12 @@ import (
 type tokKind int
 
 const (
-	tokEOF tokKind = iota
-	tokAtom        // lowercase identifier: parent, ottawa
-	tokVar         // Uppercase or _ identifier: X, _G1
-	tokInt         // integer literal, possibly negative
-	tokStr         // "double quoted"
-	tokPunct       // punctuation and operators
+	tokEOF   tokKind = iota
+	tokAtom          // lowercase identifier: parent, ottawa
+	tokVar           // Uppercase or _ identifier: X, _G1
+	tokInt           // integer literal, possibly negative
+	tokStr           // "double quoted"
+	tokPunct         // punctuation and operators
 )
 
 func (k tokKind) String() string {

@@ -157,15 +157,15 @@ func TestParseQueryForm(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"p(",               // unterminated
-		"p(a) :- .",        // missing body
-		"p(a)",             // missing period
-		"[1,2] :- q.",      // list as head
-		`p("unterminated`,  // bad string
-		"p(a) q(b).",       // missing separator
-		"?- .",             // empty query
-		"@.",               // pragma missing name
-		"p(a,).",           // trailing comma
+		"p(",                // unterminated
+		"p(a) :- .",         // missing body
+		"p(a)",              // missing period
+		"[1,2] :- q.",       // list as head
+		`p("unterminated`,   // bad string
+		"p(a) q(b).",        // missing separator
+		"?- .",              // empty query
+		"@.",                // pragma missing name
+		"p(a,).",            // trailing comma
 		"p(a) :- q(a), X -", // stray '-'
 	}
 	for _, src := range cases {

@@ -26,11 +26,11 @@ func TestUpperBoundFormVariants(t *testing.T) {
 		{program.NewAtom(">=", k, v), true, 600, false},
 		{program.NewAtom(">", k, v), true, 600, true},
 		// Not upper bounds on a variable:
-		{program.NewAtom("=<", k, v), false, 0, false},  // K =< V is a lower bound
-		{program.NewAtom(">=", v, k), false, 0, false},  // V >= K is a lower bound
-		{program.NewAtom("=", v, k), false, 0, false},   // equality is not pushed
-		{program.NewAtom("=<", v, v), false, 0, false},  // var-var
-		{program.NewAtom("=<", k, k), false, 0, false},  // const-const
+		{program.NewAtom("=<", k, v), false, 0, false}, // K =< V is a lower bound
+		{program.NewAtom(">=", v, k), false, 0, false}, // V >= K is a lower bound
+		{program.NewAtom("=", v, k), false, 0, false},  // equality is not pushed
+		{program.NewAtom("=<", v, v), false, 0, false}, // var-var
+		{program.NewAtom("=<", k, k), false, 0, false}, // const-const
 		{program.NewAtom("<", term.NewStr("s"), k), false, 0, false},
 	}
 	for _, c := range cases {

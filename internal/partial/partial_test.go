@@ -255,12 +255,19 @@ flight(4, a, 100, d, 50, 500).
 	if len(got) != len(want) {
 		t.Fatalf("buffered+prune %d answers, topdown %d\n%v\nvs\n%v", len(got), len(want), got, want)
 	}
+	key := func(row []term.Term) string {
+		var kb []byte
+		for _, a := range row {
+			kb = term.AppendKey(kb, a)
+		}
+		return string(kb)
+	}
 	wantSet := make(map[string]bool)
 	for _, w := range want {
-		wantSet[relation.Tuple(w).Key()] = true
+		wantSet[key(w)] = true
 	}
 	for _, g := range got {
-		if !wantSet[relation.Tuple(g).Key()] {
+		if !wantSet[key(g)] {
 			t.Errorf("extra answer %v", g)
 		}
 	}

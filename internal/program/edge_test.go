@@ -58,7 +58,7 @@ func TestProgramCloneIndependence(t *testing.T) {
 
 func TestHasPragmaEdgeCases(t *testing.T) {
 	p := &Program{Pragmas: []Pragma{
-		{Name: "acyclic"},                                      // no args
+		{Name: "acyclic"}, // no args
 		{Name: "acyclic", Args: []term.Term{term.NewInt(3)}},   // non-symbol arg
 		{Name: "acyclic", Args: []term.Term{term.NewSym("e")}}, // match
 	}}

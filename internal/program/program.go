@@ -47,7 +47,7 @@ func (a Atom) Positive() Atom {
 func (a Atom) Arity() int { return len(a.Args) }
 
 // Key returns the predicate key "name/arity".
-func (a Atom) Key() string { return fmt.Sprintf("%s/%d", a.Pred, a.Arity()) }
+func (a Atom) Key() string { return a.Pred + "/" + strconv.Itoa(len(a.Args)) }
 
 // SplitKey parses a predicate key "name/arity" (the form Atom.Key
 // renders) back into its name and arity. The name is everything before

@@ -6,7 +6,7 @@ import (
 	"chainsplit/internal/term"
 )
 
-func v(n string) term.Term  { return term.NewVar(n) }
+func v(n string) term.Term   { return term.NewVar(n) }
 func sym(n string) term.Term { return term.NewSym(n) }
 
 func TestAtomBasics(t *testing.T) {

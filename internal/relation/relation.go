@@ -32,17 +32,6 @@ import (
 // Tuple is an ordered list of ground terms.
 type Tuple []term.Term
 
-// Key returns the canonical string encoding of the whole tuple. It is
-// kept for diagnostics and cross-process stability; the storage hot
-// paths key on packed dictionary codes instead (see appendIDKey).
-func (t Tuple) Key() string {
-	var buf []byte
-	for _, v := range t {
-		buf = term.AppendKey(buf, v)
-	}
-	return string(buf)
-}
-
 // appendIDKey appends the packed dictionary codes of every column,
 // interning terms on first sight. ok is false if any column is not
 // ground (such a tuple can never be stored).

@@ -198,11 +198,25 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
+// tupleKey concatenates the term keys of t's columns.
+func tupleKey(t Tuple) string {
+	var buf []byte
+	for _, v := range t {
+		buf = term.AppendKey(buf, v)
+	}
+	return string(buf)
+}
+
 func TestTupleKeyCollisionFree(t *testing.T) {
 	a := tup("ab", "c")
 	b := tup("a", "bc")
-	if a.Key() == b.Key() {
-		t.Error("tuple keys collide across component boundaries")
+	if tupleKey(a) == tupleKey(b) {
+		t.Error("term keys collide across component boundaries")
+	}
+	ka, _ := AppendIDKey(nil, a)
+	kb, _ := AppendIDKey(nil, b)
+	if string(ka) == string(kb) {
+		t.Error("packed ID keys collide across component boundaries")
 	}
 }
 
@@ -232,10 +246,10 @@ func TestQuickInsertIdempotent(t *testing.T) {
 		seen := make(map[string]bool)
 		for _, tv := range ts {
 			grew := r.Insert(tv.T)
-			if grew == seen[tv.T.Key()] {
+			if grew == seen[tupleKey(tv.T)] {
 				return false
 			}
-			seen[tv.T.Key()] = true
+			seen[tupleKey(tv.T)] = true
 		}
 		return r.Len() == len(seen)
 	}

@@ -3,6 +3,7 @@ package term
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -101,6 +102,9 @@ func (s Subst) String() string {
 // to backtrack. The occurs check is performed, so unification is sound
 // (X never unifies with f(X)); this matters because the rectifier turns
 // list constructors into cons literals whose evaluation must terminate.
+// The check skips ground compounds (they contain no variable), and two
+// ground compounds unify iff their dictionary IDs are equal, so binding
+// or matching a ground list costs O(1) in its length.
 func Unify(s Subst, a, b Term) bool {
 	a, b = s.Walk(a), s.Walk(b)
 	if av, ok := a.(Var); ok {
@@ -132,6 +136,9 @@ func Unify(s Subst, a, b Term) bool {
 		return at == b.(Str)
 	case Comp:
 		bt := b.(Comp)
+		if at.id != 0 && bt.id != 0 {
+			return at.id == bt.id
+		}
 		if at.Functor != bt.Functor || len(at.Args) != len(bt.Args) {
 			return false
 		}
@@ -152,6 +159,9 @@ func occurs(s Subst, v Var, t Term) bool {
 	case Var:
 		return tt == v
 	case Comp:
+		if tt.ground {
+			return false
+		}
 		for _, a := range tt.Args {
 			if occurs(s, v, a) {
 				return true
@@ -178,7 +188,7 @@ func NewRenamer(prefix string) *Renamer {
 // Fresh returns a brand-new variable.
 func (r *Renamer) Fresh() Var {
 	r.n++
-	return Var{Name: fmt.Sprintf("%s%d", r.prefix, r.n)}
+	return Var{Name: r.prefix + strconv.Itoa(r.n)}
 }
 
 // Reset forgets the per-term renaming table (but not the counter), so
@@ -196,7 +206,8 @@ func (r *Renamer) Renamed(orig string) (Var, bool) {
 
 // Rename returns t with every variable consistently replaced by a fresh
 // one. Consecutive calls share the renaming table until Reset, so the
-// head and body of one rule stay consistent.
+// head and body of one rule stay consistent. Ground terms, compounds
+// included, come back unchanged.
 func (r *Renamer) Rename(t Term) Term {
 	switch tt := t.(type) {
 	case Var:
@@ -207,6 +218,9 @@ func (r *Renamer) Rename(t Term) Term {
 		r.seen[tt.Name] = nv
 		return nv
 	case Comp:
+		if tt.ground {
+			return t
+		}
 		args := make([]Term, len(tt.Args))
 		for i, a := range tt.Args {
 			args[i] = r.Rename(a)

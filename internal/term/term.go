@@ -11,7 +11,6 @@ package term
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,8 +56,7 @@ type Term interface {
 	Ground() bool
 	// String renders the term in the surface syntax of the language.
 	String() string
-	// appendKey appends a canonical binary encoding used for hashing
-	// and map keys. Distinct terms have distinct encodings.
+	// appendKey appends the encoding behind Key and AppendKey.
 	appendKey(dst []byte) []byte
 }
 
@@ -174,7 +172,7 @@ type Comp struct {
 	Args    []Term
 	ground  bool
 	// id caches the dictionary code of a ground compound, computed at
-	// construction (see intern.go). 0 = non-ground / not computed.
+	// construction (see intern.go); 0 iff the compound is non-ground.
 	id ID
 }
 
@@ -203,8 +201,12 @@ func NewComp(functor string, args ...Term) Comp {
 	if g {
 		// Hash-cons ground compounds: interning here makes every later
 		// identity operation (tuple keys, index probes, Contains) a
-		// field read instead of a canonical-string build.
-		c.id = internComp(&c)
+		// field read instead of a canonical-string build. NewComp is
+		// the only constructor of Comp, so id != 0 iff the compound is
+		// ground; Equal, Unify, occurs, Rename and Key rely on it.
+		if c.id = internComp(&c); c.id == 0 {
+			panic("term: ground compound interned to ID 0")
+		}
 	}
 	return c
 }
@@ -290,6 +292,9 @@ func listString(c Comp) string {
 }
 
 func (c Comp) appendKey(dst []byte) []byte {
+	if c.id != 0 {
+		return appendUint64(append(dst, 'G'), uint64(c.id))
+	}
 	dst = append(dst, 'C')
 	dst = append(dst, c.Functor...)
 	dst = append(dst, 0)
@@ -301,23 +306,20 @@ func (c Comp) appendKey(dst []byte) []byte {
 	return dst
 }
 
-// Key returns the canonical encoding of t, suitable for use as a map
-// key. Distinct terms have distinct keys.
+// Key returns an encoding of t for use as a map key: Key(a) == Key(b)
+// iff Equal(a, b). A ground compound encodes as a tag byte plus its
+// dictionary ID, so the key costs O(1) however deep the term is. IDs
+// are assigned per process, so a key is process-local: never persist
+// it, send it to another process or order by it (durable formats use
+// relation.AppendIDKey plus a dictionary section).
 func Key(t Term) string { return string(t.appendKey(nil)) }
 
-// AppendKey appends the canonical encoding of t to dst and returns the
-// extended slice.
+// AppendKey appends Key(t) to dst and returns the extended slice.
 func AppendKey(dst []byte, t Term) []byte { return t.appendKey(dst) }
 
-// Hash returns a 64-bit structural hash of t.
-func Hash(t Term) uint64 {
-	h := fnv.New64a()
-	h.Write(t.appendKey(nil))
-	return h.Sum64()
-}
-
 // Equal reports whether a and b are structurally identical terms
-// (variables compare by name).
+// (variables compare by name). Two ground compounds compare by
+// dictionary ID in O(1).
 func Equal(a, b Term) bool {
 	if a.Kind() != b.Kind() {
 		return false
@@ -333,6 +335,9 @@ func Equal(a, b Term) bool {
 		return at == b.(Str)
 	case Comp:
 		bt := b.(Comp)
+		if at.id != 0 && bt.id != 0 {
+			return at.id == bt.id
+		}
 		if at.Functor != bt.Functor || len(at.Args) != len(bt.Args) {
 			return false
 		}

@@ -275,18 +275,6 @@ func TestQuickUnifyProducesCommonInstance(t *testing.T) {
 	}
 }
 
-func TestQuickHashEqualConsistent(t *testing.T) {
-	f := func(a, b termValue) bool {
-		if Equal(a.T, b.T) {
-			return Hash(a.T) == Hash(b.T)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickRenamePreservesStructure(t *testing.T) {
 	f := func(a termValue) bool {
 		r := NewRenamer("_Q")

@@ -16,6 +16,7 @@ package topdown
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"chainsplit/internal/adorn"
@@ -100,10 +101,11 @@ type entry struct {
 
 // Engine evaluates goals against one program and catalog.
 type Engine struct {
-	prog  *program.Program
-	an    *adorn.Analysis
-	cat   *relation.Catalog
-	idb   map[string]bool
+	an  *adorn.Analysis
+	cat *relation.Catalog
+	// rules indexes the program's rules by head key, in program
+	// order; its key set is the IDB.
+	rules map[string][]program.Rule
 	opts  Options
 	stats Stats
 
@@ -121,14 +123,17 @@ type Engine struct {
 // Ground program facts are loaded into the catalog.
 func New(prog *program.Program, cat *relation.Catalog, opts Options) *Engine {
 	e := &Engine{
-		prog:       prog,
 		an:         adorn.NewAnalysis(prog),
 		cat:        cat,
-		idb:        prog.IDB(),
+		rules:      make(map[string][]program.Rule),
 		opts:       opts,
 		table:      make(map[string]*entry),
 		inProgress: make(map[string]bool),
 		renamer:    term.NewRenamer("_T"),
+	}
+	for _, r := range prog.Rules {
+		k := r.Head.Key()
+		e.rules[k] = append(e.rules[k], r)
 	}
 	for _, f := range prog.Facts {
 		tup := relation.Tuple(f.Args)
@@ -300,7 +305,7 @@ func (e *Engine) evaluable(g program.Atom, s term.Subst) bool {
 	if b := builtin.Lookup(g.Pred, g.Arity()); b != nil {
 		return b.FiniteUnder(builtin.Adornment(s, g.Args))
 	}
-	if !e.idb[g.Key()] {
+	if _, idb := e.rules[g.Key()]; !idb {
 		return true // EDB relations are finite under any adornment
 	}
 	return e.an.Finite(g.Pred, g.Arity(), builtin.Adornment(s, g.Args))
@@ -342,7 +347,7 @@ func (e *Engine) solveLiteral(g program.Atom, s term.Subst, depth int) ([]term.S
 	if rel := e.cat.Get(g.Pred); rel != nil && rel.Arity() == g.Arity() {
 		out = append(out, relation.Match(rel, g.Args, s)...)
 	}
-	if e.idb[g.Key()] {
+	if _, idb := e.rules[g.Key()]; idb {
 		sols, err := e.call(g, s, depth)
 		if err != nil {
 			return nil, err
@@ -379,7 +384,7 @@ func (e *Engine) call(g program.Atom, s term.Subst, depth int) ([]term.Subst, er
 	e.inProgress[key] = true
 	defer delete(e.inProgress, key)
 
-	for _, r := range e.prog.RulesFor(g.Key()) {
+	for _, r := range e.rules[g.Key()] {
 		rr := r.Rename(e.renamer)
 		hs := term.NewSubst()
 		ok := true
@@ -425,16 +430,23 @@ func (e *Engine) unifyAnswers(ent *entry, g program.Atom, s term.Subst) ([]term.
 	for _, ans := range ent.answers {
 		sol := s.Clone()
 		ok := true
+		renamed := false
 		for i, a := range ans {
 			// Answers may contain free variables (rare); rename them
-			// apart before unifying.
-			ra := e.renamer.Rename(a)
-			if !term.Unify(sol, g.Args[i], ra) {
+			// apart before unifying. Ground answers need neither the
+			// rename nor the Reset.
+			if !a.Ground() {
+				a = e.renamer.Rename(a)
+				renamed = true
+			}
+			if !term.Unify(sol, g.Args[i], a) {
 				ok = false
 				break
 			}
 		}
-		e.renamer.Reset()
+		if renamed {
+			e.renamer.Reset()
+		}
 		if ok {
 			out = append(out, sol)
 		}
@@ -458,11 +470,15 @@ func (e *Engine) canonical(g program.Atom, s term.Subst) (string, []term.Term) {
 		case term.Var:
 			nn, ok := names[tt.Name]
 			if !ok {
-				nn = fmt.Sprintf("$%d", len(names))
+				nn = "$" + strconv.Itoa(len(names))
 				names[tt.Name] = nn
 			}
 			kb = term.AppendKey(kb, term.NewVar(nn))
 		case term.Comp:
+			if tt.Ground() {
+				kb = term.AppendKey(kb, tt)
+				return
+			}
 			kb = append(kb, 'C')
 			kb = append(kb, tt.Functor...)
 			kb = append(kb, 0)

@@ -72,8 +72,8 @@ const (
 	tmpSuffix  = ".tmp"
 )
 
-func segName(start uint64) string  { return fmt.Sprintf("%s%016x%s", segPrefix, start, segSuffix) }
-func snapName(seq uint64) string   { return fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix) }
+func segName(start uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, start, segSuffix) }
+func snapName(seq uint64) string  { return fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix) }
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
