@@ -445,7 +445,7 @@ func (db *DB) followerConfig() replica.FollowerConfig {
 // mutations proceed unchanged while connected followers tail the log.
 // The listener runs until Close.
 func (db *DB) ServeReplication(addr string) (string, error) {
-	l, err := replica.Serve(db.inner, addr, replica.LeaderConfig{})
+	l, err := replica.Serve(db.inner, addr)
 	if err != nil {
 		return "", err
 	}

@@ -46,13 +46,6 @@ type ClusterConfig struct {
 	// SuspectAfter is how many consecutive missed probes trigger
 	// failover (default 4).
 	SuspectAfter int
-	// FailureThreshold is how many consecutive node-attributable read
-	// failures open a follower's circuit breaker (default 3).
-	FailureThreshold int
-	// HedgeAfter, when positive, hedges a slow first read attempt
-	// against the next healthy replica after this delay. Zero
-	// disables hedging.
-	HedgeAfter time.Duration
 }
 
 // Cluster is a self-healing replica group behind one handle: writes
@@ -366,10 +359,7 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 		Heartbeat:    cc.Heartbeat,
 		SuspectAfter: cc.SuspectAfter,
 	})
-	c.router = cluster.NewRouter(c.coord, cluster.RouterConfig{
-		FailureThreshold: cc.FailureThreshold,
-		HedgeAfter:       cc.HedgeAfter,
-	})
+	c.router = cluster.NewRouter(c.coord)
 	c.mu.Unlock()
 	return c, nil
 }

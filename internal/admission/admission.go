@@ -1,5 +1,5 @@
 // Package admission implements admission control and load shedding for
-// the concurrent serving layer: a weighted semaphore bounding how many
+// the concurrent serving layer: a counting semaphore bounding how many
 // query evaluations run at once, with a bounded FIFO wait queue in
 // front of it.
 //
@@ -15,7 +15,6 @@ package admission
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -26,8 +25,8 @@ import (
 
 // Config sizes a Controller.
 type Config struct {
-	// MaxConcurrent is the evaluation capacity in weight units
-	// (0 = limits.DefaultMaxConcurrent). An ordinary query has weight 1.
+	// MaxConcurrent is how many acquisitions may hold capacity at once
+	// (0 = limits.DefaultMaxConcurrent; negative admits nothing).
 	MaxConcurrent int
 	// MaxQueue bounds how many acquisitions may wait for capacity
 	// (0 = limits.DefaultMaxQueue; negative = no queue, shed
@@ -51,7 +50,7 @@ type Stats struct {
 	InFlight, Waiting int
 }
 
-// Controller is a weighted semaphore with a bounded FIFO wait queue.
+// Controller is a counting semaphore with a bounded FIFO wait queue.
 // The zero value is not usable; call New.
 type Controller struct {
 	mu       sync.Mutex
@@ -63,7 +62,6 @@ type Controller struct {
 }
 
 type waiter struct {
-	weight  int
 	ready   chan struct{}
 	granted bool
 	since   time.Time
@@ -91,45 +89,27 @@ func New(cfg Config) *Controller {
 // ErrOverloaded (queue full), ErrCanceled or ErrDeadline (ctx ended
 // while waiting).
 func (c *Controller) Acquire(ctx context.Context) (wait time.Duration, release func(), err error) {
-	return c.AcquireN(ctx, 1)
-}
-
-// AcquireN is Acquire for weight units of capacity; heavier queries
-// may reserve more than one unit. A weight above the total capacity
-// can never be granted and is rejected immediately.
-func (c *Controller) AcquireN(ctx context.Context, weight int) (wait time.Duration, release func(), err error) {
-	if weight <= 0 {
-		weight = 1
-	}
-	if weight > c.capacity {
-		c.mu.Lock()
-		c.stats.Rejected++
-		c.mu.Unlock()
-		obsv.Shed.Inc()
-		return 0, nil, everr.Tag(
-			fmt.Sprintf("admission: weight %d exceeds capacity %d", weight, c.capacity),
-			everr.ErrOverloaded)
-	}
 	if err := everr.Check(ctx); err != nil {
 		return 0, nil, err
 	}
 	c.mu.Lock()
 	// Fast path: capacity free and nobody queued ahead of us.
-	if len(c.queue) == 0 && c.inflight+weight <= c.capacity {
-		c.inflight += weight
+	if len(c.queue) == 0 && c.inflight < c.capacity {
+		c.inflight++
 		c.stats.Admitted++
 		c.mu.Unlock()
 		obsv.Admitted.Inc()
-		return 0, c.releaseFunc(weight), nil
+		return 0, c.release(), nil
 	}
-	// Saturated: queue if there is room, shed otherwise.
-	if len(c.queue) >= c.maxQueue {
+	// Saturated: queue if there is room, shed otherwise. A controller
+	// without capacity sheds at once rather than queue forever.
+	if len(c.queue) >= c.maxQueue || c.capacity < 1 {
 		c.stats.Rejected++
 		c.mu.Unlock()
 		obsv.Shed.Inc()
 		return 0, nil, everr.ErrOverloaded
 	}
-	w := &waiter{weight: weight, ready: make(chan struct{}), since: time.Now()}
+	w := &waiter{ready: make(chan struct{}), since: time.Now()}
 	c.queue = append(c.queue, w)
 	c.stats.Queued++
 	c.mu.Unlock()
@@ -140,7 +120,7 @@ func (c *Controller) AcquireN(ctx context.Context, weight int) (wait time.Durati
 	}
 	select {
 	case <-w.ready:
-		return c.granted(w, weight)
+		return c.granted(w)
 	case <-done:
 		c.mu.Lock()
 		if w.granted {
@@ -148,7 +128,7 @@ func (c *Controller) AcquireN(ctx context.Context, weight int) (wait time.Durati
 			// caller decide (its context error surfaces on the next
 			// engine check anyway).
 			c.mu.Unlock()
-			return c.granted(w, weight)
+			return c.granted(w)
 		}
 		for i, q := range c.queue {
 			if q == w {
@@ -164,7 +144,7 @@ func (c *Controller) AcquireN(ctx context.Context, weight int) (wait time.Durati
 
 // granted finalizes a queued acquisition: records wait statistics and
 // hands out the release.
-func (c *Controller) granted(w *waiter, weight int) (time.Duration, func(), error) {
+func (c *Controller) granted(w *waiter) (time.Duration, func(), error) {
 	wait := time.Since(w.since)
 	c.mu.Lock()
 	c.stats.Admitted++
@@ -174,34 +154,29 @@ func (c *Controller) granted(w *waiter, weight int) (time.Duration, func(), erro
 	}
 	c.mu.Unlock()
 	obsv.Admitted.Inc()
-	return wait, c.releaseFunc(weight), nil
+	return wait, c.release(), nil
 }
 
-// releaseFunc returns the (idempotent) release for weight units.
-func (c *Controller) releaseFunc(weight int) func() {
+// release returns the (idempotent) release of one unit.
+func (c *Controller) release() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			c.mu.Lock()
-			c.inflight -= weight
+			c.inflight--
 			c.grantLocked()
 			c.mu.Unlock()
 		})
 	}
 }
 
-// grantLocked admits queued waiters, strictly in FIFO order, while the
-// head fits the free capacity. Granting only the head (never skipping
-// ahead to a lighter waiter) keeps admission fair: a heavy query
-// cannot be starved by a stream of light ones.
+// grantLocked admits queued waiters, strictly in FIFO order, while
+// capacity is free.
 func (c *Controller) grantLocked() {
-	for len(c.queue) > 0 {
+	for len(c.queue) > 0 && c.inflight < c.capacity {
 		head := c.queue[0]
-		if c.inflight+head.weight > c.capacity {
-			return
-		}
 		c.queue = c.queue[1:]
-		c.inflight += head.weight
+		c.inflight++
 		head.granted = true
 		close(head.ready)
 	}

@@ -47,6 +47,11 @@ func TestOverflowShedsWithOverloaded(t *testing.T) {
 	if s := c.Stats(); s.Rejected != 1 {
 		t.Errorf("rejected = %d", s.Rejected)
 	}
+	// A controller without capacity sheds at once rather than queue a
+	// caller it can never admit.
+	if _, _, err := New(Config{MaxConcurrent: -1}).Acquire(context.Background()); !errors.Is(err, everr.ErrOverloaded) {
+		t.Fatalf("capacity-less acquire err = %v, want ErrOverloaded", err)
+	}
 }
 
 func TestQueueFIFOOrdering(t *testing.T) {
@@ -125,37 +130,6 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	_, _, err = c.Acquire(ctx)
 	if !errors.Is(err, everr.ErrDeadline) {
 		t.Fatalf("timed-out waiter err = %v, want ErrDeadline", err)
-	}
-}
-
-func TestWeightedAcquire(t *testing.T) {
-	c := New(Config{MaxConcurrent: 4, MaxQueue: 8})
-	// Over-capacity weight is rejected outright, not queued forever.
-	_, _, err := c.AcquireN(context.Background(), 5)
-	if !errors.Is(err, everr.ErrOverloaded) {
-		t.Fatalf("oversized weight err = %v, want ErrOverloaded", err)
-	}
-	_, rel, err := c.AcquireN(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A weight-2 acquire must queue (3+2 > 4) even though a weight-1
-	// would fit; FIFO means it is granted first after release.
-	done := make(chan struct{})
-	go func() {
-		_, r, err := c.AcquireN(context.Background(), 2)
-		if err != nil {
-			t.Errorf("queued heavy acquire: %v", err)
-		} else {
-			r()
-		}
-		close(done)
-	}()
-	waitFor(t, func() bool { return c.Stats().Waiting == 1 })
-	rel()
-	<-done
-	if s := c.Stats(); s.InFlight != 0 {
-		t.Errorf("inflight = %d", s.InFlight)
 	}
 }
 

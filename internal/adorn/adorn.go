@@ -401,20 +401,6 @@ func (an *Analysis) ScheduleChain(r program.Rule, ad string, veto Veto) Schedule
 	return an.scheduleCore(r, ad, an.verified, true, veto)
 }
 
-// RecursiveCallAdornment returns the adornment the recursive literal
-// receives in the chain schedule of rule r under head adornment ad,
-// along with whether the schedule succeeded. This is the adornment of
-// the compiled chain's next level — e.g. append^bbf recurses as
-// append^bbf, which is what makes the buffered evaluation's down phase
-// well-defined.
-func (an *Analysis) RecursiveCallAdornment(r program.Rule, ad string) (string, bool) {
-	sched := an.ScheduleChain(r, ad, nil)
-	if !sched.OK || sched.RecAd == "" {
-		return "", false
-	}
-	return sched.RecAd, true
-}
-
 // Explain reports why pred/arity is (or is not) finitely evaluable
 // under ad: for an infinite pair it names, per failing rule, the
 // literals no schedule can reach and the head variables left unbound.
@@ -451,6 +437,3 @@ func (an *Analysis) Explain(pred string, arity int, ad string) string {
 
 // AllB returns an all-bound adornment of length n.
 func AllB(n int) string { return strings.Repeat("b", n) }
-
-// AllF returns an all-free adornment of length n.
-func AllF(n int) string { return strings.Repeat("f", n) }

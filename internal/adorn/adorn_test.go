@@ -89,9 +89,8 @@ func TestAppendDelayedPortion(t *testing.T) {
 		t.Errorf("delayed literal = %v, want a cons", delayedLit)
 	}
 	// The recursive call must be adorned bbf again (stable down phase).
-	recAd, ok := an.RecursiveCallAdornment(rec, "bbf")
-	if !ok || recAd != "bbf" {
-		t.Errorf("recursive adornment = %q ok=%v, want bbf", recAd, ok)
+	if cs := an.ScheduleChain(rec, "bbf", nil); !cs.OK || cs.RecAd != "bbf" {
+		t.Errorf("recursive adornment = %q ok=%v, want bbf", cs.RecAd, cs.OK)
 	}
 }
 
@@ -257,7 +256,7 @@ func TestStuckReported(t *testing.T) {
 }
 
 func TestAllBF(t *testing.T) {
-	if AllB(3) != "bbb" || AllF(2) != "ff" {
-		t.Errorf("AllB/AllF wrong: %q %q", AllB(3), AllF(2))
+	if AllB(3) != "bbb" {
+		t.Errorf("AllB(3) = %q, want bbb", AllB(3))
 	}
 }

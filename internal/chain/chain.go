@@ -76,11 +76,6 @@ func (c *Compiled) NChains() int {
 	return n
 }
 
-// SingleChain reports whether the recursion is single-chain linear.
-func (c *Compiled) SingleChain() bool {
-	return c.Class == program.ClassLinear && c.NChains() <= 1
-}
-
 func (c *Compiled) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "compiled %s (%s, %d-chain)\n", c.Key(), c.Class, c.NChains())

@@ -45,20 +45,17 @@ func TestSGTwoChains(t *testing.T) {
 	if got := c.NChains(); got != 2 {
 		t.Errorf("sg NChains = %d, want 2 (parent-X chain and parent-Y chain)", got)
 	}
-	if c.SingleChain() {
-		t.Error("sg reported single-chain")
-	}
 }
 
 func TestSCSGOneChain(t *testing.T) {
 	// The paper's point: same_country CONNECTS the two parent
 	// literals, merging them into one chain generating path.
 	c, _ := compile(t, scsgSrc, "scsg/2")
+	if c.Class != program.ClassLinear {
+		t.Errorf("scsg class = %v, want linear", c.Class)
+	}
 	if got := c.NChains(); got != 1 {
 		t.Errorf("scsg NChains = %d, want 1", got)
-	}
-	if !c.SingleChain() {
-		t.Error("scsg should be single-chain")
 	}
 	path := c.RecRules[0].Paths[0]
 	if len(path.Literals) != 3 {

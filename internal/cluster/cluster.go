@@ -93,7 +93,6 @@ type Coordinator struct {
 	mu        sync.Mutex
 	leader    Node
 	followers []Node
-	deposed   []Node
 	// deposals counts failover attempts that went on to fence their
 	// leader; a View is current only while it is unchanged.
 	deposals uint64
@@ -137,14 +136,6 @@ func (c *Coordinator) Followers() []Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Node(nil), c.followers...)
-}
-
-// Deposed returns the ex-leaders dropped from routing (a copy); they
-// are kept so callers can close or inspect them.
-func (c *Coordinator) Deposed() []Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Node(nil), c.deposed...)
 }
 
 // Failovers returns how many failovers this coordinator has committed.
@@ -214,21 +205,15 @@ func (c *Coordinator) WaitReplicated(v View, gen uint64, n int, d time.Duration)
 	}
 }
 
-// Rejoin re-admits a repaired node to the routing set as a follower:
-// off the deposed list, into the follower rotation. The serving layer
-// calls it after quarantine-and-reseed completes — the node has wiped
-// its state, re-seeded from the current leader and caught up, so it is
-// as good a read replica (and failover candidate) as any. A node that
-// is currently the leader, or already a follower, is left alone.
+// Rejoin re-admits a repaired node to the follower rotation. The
+// serving layer calls it after quarantine-and-reseed completes — the
+// node has wiped its state, re-seeded from the current leader and
+// caught up, so it is as good a read replica (and failover candidate)
+// as any. A node that is currently the leader, or already a follower,
+// is left alone.
 func (c *Coordinator) Rejoin(n Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, d := range c.deposed {
-		if d == n {
-			c.deposed = append(c.deposed[:i], c.deposed[i+1:]...)
-			break
-		}
-	}
 	if n == c.leader {
 		return
 	}
@@ -380,7 +365,6 @@ func (c *Coordinator) failover() bool {
 	}
 	c.leader = succ
 	c.followers = rest
-	c.deposed = append(c.deposed, old)
 	c.failovers.Add(1)
 	obsv.ClusterFailovers.Inc()
 	return true

@@ -164,14 +164,15 @@ func TestFailoverPicksMostCaughtUpDurable(t *testing.T) {
 			t.Fatalf("follower %s retargets = %v, want [addr:n2]", f.id, rt)
 		}
 	}
-	// The deposed node left the routing set.
+	// The deposed node left the routing set: it neither leads nor
+	// follows.
+	if c.Leader().ID() == "n0" {
+		t.Fatal("deposed leader still leads")
+	}
 	for _, f := range c.Followers() {
 		if f.ID() == "n0" {
 			t.Fatal("deposed leader still in the follower set")
 		}
-	}
-	if d := c.Deposed(); len(d) != 1 || d[0].ID() != "n0" {
-		t.Fatalf("deposed set = %v", d)
 	}
 }
 
@@ -228,7 +229,7 @@ func TestProbeFaultSiteDrivesFailover(t *testing.T) {
 
 func TestRouterRoundRobinAndLeaderFallback(t *testing.T) {
 	c, _, followers := newCluster(t, 1, 1)
-	r := NewRouter(c, RouterConfig{})
+	r := NewRouter(c)
 	seen := map[string]int{}
 	for i := 0; i < 10; i++ {
 		v, err := r.Read(context.Background(), func(_ context.Context, n Node) (any, error) {
@@ -260,10 +261,7 @@ func TestRouterRoundRobinAndLeaderFallback(t *testing.T) {
 
 func TestRouterBreakerOpensAndRecovers(t *testing.T) {
 	c, _, _ := newCluster(t, 1)
-	r := NewRouter(c, RouterConfig{
-		FailureThreshold: 3,
-		Backoff:          retryPolicy(20 * time.Millisecond),
-	})
+	r := NewRouter(c)
 	var attempts atomic.Int64
 	failing := func(_ context.Context, n Node) (any, error) {
 		if n.ID() == "n1" {
@@ -290,8 +288,9 @@ func TestRouterBreakerOpensAndRecovers(t *testing.T) {
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("open breaker still admitted attempts: %d, want 3", got)
 	}
-	// After the open interval, the half-open probe admits exactly one
-	// attempt; a success closes the breaker and n1 serves again.
+	// After the open interval (25ms, jittered), the half-open probe
+	// admits exactly one attempt; a success closes the breaker and n1
+	// serves again.
 	time.Sleep(25 * time.Millisecond)
 	healed := func(_ context.Context, n Node) (any, error) { return n.ID(), nil }
 	deadline := time.Now().Add(2 * time.Second)
@@ -311,8 +310,7 @@ func TestRouterBreakerOpensAndRecovers(t *testing.T) {
 }
 
 // retryPolicy builds a jitter-free backoff with a fixed base for
-// deterministic breaker timing in tests (Jitter -1 is non-zero, so
-// the router's 0.2 default is not applied, and delay() ignores it).
+// deterministic breaker timing in tests (delay() ignores Jitter -1).
 func retryPolicy(base time.Duration) retry.Policy {
 	return retry.Policy{BaseDelay: base, MaxDelay: base, Jitter: -1}
 }
@@ -347,42 +345,38 @@ func TestBreakerHalfOpenProbeSlotExpires(t *testing.T) {
 	}
 }
 
+// A query-attributable failure — an unsafe query, a canceled or
+// expired read — settles the read with its typed error at once and
+// counts as a breaker success: the follower stays routed.
 func TestRouterQueryErrorsDoNotTripBreaker(t *testing.T) {
-	c, _, _ := newCluster(t, 1)
-	r := NewRouter(c, RouterConfig{FailureThreshold: 2})
-	unsafe := func(_ context.Context, n Node) (any, error) { return nil, everr.ErrUnsafe }
-	for i := 0; i < 5; i++ {
-		if _, err := r.Read(context.Background(), unsafe); !errors.Is(err, everr.ErrUnsafe) {
-			t.Fatalf("read %d: %v, want ErrUnsafe", i, err)
-		}
-	}
-	// The follower must still be routed: deterministic query failures
-	// returned immediately, breaker untouched.
-	v, err := r.Read(context.Background(), func(_ context.Context, n Node) (any, error) {
-		return n.ID(), nil
-	})
-	if err != nil || v.(string) != "n1" {
-		t.Fatalf("follower skipped after query errors: v=%v err=%v", v, err)
-	}
-}
-
-func TestRouterHedgedRead(t *testing.T) {
-	c, _, _ := newCluster(t, 1, 1)
-	r := NewRouter(c, RouterConfig{HedgeAfter: 5 * time.Millisecond})
-	var first atomic.Bool
-	v, err := r.Read(context.Background(), func(_ context.Context, n Node) (any, error) {
-		if first.CompareAndSwap(false, true) {
-			// The first attempt stalls well past the hedge delay.
-			time.Sleep(200 * time.Millisecond)
-			return nil, errors.New("slow node finally failed")
-		}
-		return "hedged:" + n.ID(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := v.(string); s != "hedged:n2" && s != "hedged:n1" && s != "hedged:n0" {
-		t.Fatalf("unexpected hedge winner %q", s)
+	for name, queryErr := range map[string]error{
+		"unsafe":   everr.ErrUnsafe,
+		"canceled": everr.ErrCanceled,
+		"deadline": everr.ErrDeadline,
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, _, _ := newCluster(t, 1)
+			r := NewRouter(c)
+			var attempts atomic.Int64
+			failing := func(_ context.Context, n Node) (any, error) {
+				attempts.Add(1)
+				return nil, queryErr
+			}
+			for i := 0; i < 2*breakerThreshold; i++ {
+				if _, err := r.Read(context.Background(), failing); !errors.Is(err, queryErr) {
+					t.Fatalf("read %d: %v, want %v", i, err, queryErr)
+				}
+			}
+			if got := attempts.Load(); got != 2*breakerThreshold {
+				t.Fatalf("%d attempts for %d reads: a query failure was rerouted", got, 2*breakerThreshold)
+			}
+			v, err := r.Read(context.Background(), func(_ context.Context, n Node) (any, error) {
+				return n.ID(), nil
+			})
+			if err != nil || v.(string) != "n1" {
+				t.Fatalf("follower skipped after query errors: v=%v err=%v", v, err)
+			}
+		})
 	}
 }
 
@@ -412,20 +406,22 @@ func TestNodeFaultClassification(t *testing.T) {
 
 func TestRejoinReadmitsRepairedNode(t *testing.T) {
 	c, leader, _ := newCluster(t, 5, 3)
-	// Depose the leader so there is a node on the deposed list.
+	// Depose the leader so it drops out of the routing set.
 	leader.setDown(true)
 	waitFailovers(t, c, 1)
-	if got := len(c.Deposed()); got != 1 {
-		t.Fatalf("%d deposed nodes after failover, want 1", got)
+	if c.Leader() == Node(leader) {
+		t.Fatal("deposed leader still leads")
+	}
+	for _, f := range c.Followers() {
+		if f == Node(leader) {
+			t.Fatal("deposed leader still in the follower set")
+		}
 	}
 
-	// Rejoin the repaired ex-leader: off the deposed list, into the
-	// follower rotation, sorted by ID.
+	// Rejoin the repaired ex-leader: into the follower rotation, sorted
+	// by ID.
 	leader.setDown(false)
 	c.Rejoin(leader)
-	if got := len(c.Deposed()); got != 0 {
-		t.Fatalf("%d deposed nodes after rejoin, want 0", got)
-	}
 	fs := c.Followers()
 	found := false
 	for i, f := range fs {

@@ -2,9 +2,8 @@ package cluster
 
 // Health-aware read routing: round-robin over the followers the
 // per-node circuit breakers consider healthy, shed-and-advance on
-// node-attributable failures, fall back to the leader when every
-// follower is dark, and optionally hedge a slow first attempt against
-// the next candidate. Query-attributable failures (an unsafe query
+// node-attributable failures, and fall back to the leader when every
+// follower is dark. Query-attributable failures (an unsafe query
 // stays unsafe on every replica) return to the caller immediately —
 // re-running a deterministic failure N times would multiply its cost
 // and prove nothing about node health.
@@ -21,23 +20,15 @@ import (
 	"chainsplit/internal/retry"
 )
 
-// RouterConfig tunes a Router; the zero value means defaults.
-type RouterConfig struct {
-	// FailureThreshold is how many consecutive node-attributable
-	// failures open a node's breaker (default 3).
-	FailureThreshold int
-	// Backoff shapes the breaker's open intervals: the Nth consecutive
-	// open stays open for Backoff.Delay(N). The zero value becomes
-	// 25ms base, 1s cap, 0.2 jitter — jitter matters here for the same
-	// reason it does in retry: synchronized re-probes of a struggling
-	// node are a thundering herd.
-	Backoff retry.Policy
-	// HedgeAfter, when positive, launches a second attempt on the next
-	// healthy candidate if the first has not answered within it. The
-	// first answer wins; the straggler still reports to its breaker.
-	// Zero disables hedging.
-	HedgeAfter time.Duration
-}
+// breakerThreshold is how many consecutive node-attributable failures
+// open a node's breaker.
+const breakerThreshold = 3
+
+// breakerBackoff shapes a breaker's open intervals: the Nth
+// consecutive open stays open for breakerBackoff.Delay(N). Jitter
+// matters here for the same reason it does in retry: synchronized
+// re-probes of a struggling node are a thundering herd.
+var breakerBackoff = retry.Policy{BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second, Jitter: 0.2}
 
 // ReadFunc runs one read attempt against one node.
 type ReadFunc func(ctx context.Context, n Node) (any, error)
@@ -46,7 +37,6 @@ type ReadFunc func(ctx context.Context, n Node) (any, error)
 // followers.
 type Router struct {
 	coord *Coordinator
-	cfg   RouterConfig
 
 	rr atomic.Uint64
 
@@ -55,45 +45,21 @@ type Router struct {
 }
 
 // NewRouter returns a router over coord's routing set.
-func NewRouter(coord *Coordinator, cfg RouterConfig) *Router {
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.Backoff.BaseDelay <= 0 {
-		cfg.Backoff.BaseDelay = 25 * time.Millisecond
-	}
-	if cfg.Backoff.MaxDelay <= 0 {
-		cfg.Backoff.MaxDelay = time.Second
-	}
-	if cfg.Backoff.Jitter == 0 {
-		cfg.Backoff.Jitter = 0.2
-	}
-	return &Router{coord: coord, cfg: cfg, breakers: make(map[string]*breaker)}
+func NewRouter(coord *Coordinator) *Router {
+	return &Router{coord: coord, breakers: make(map[string]*breaker)}
 }
 
-// Read routes one read: try the healthy followers round-robin
-// (hedging the first attempt if configured), then the leader. The
-// first non-node-attributable outcome — success or a deterministic
-// query failure — returns immediately; node-attributable failures
-// feed the failing node's breaker and advance to the next candidate.
+// Read routes one read: try the healthy followers round-robin, then
+// the leader. The first non-node-attributable outcome — success or a
+// deterministic query failure — returns immediately; node-attributable
+// failures feed the failing node's breaker and advance to the next
+// candidate.
 func (r *Router) Read(ctx context.Context, f ReadFunc) (any, error) {
 	cands := r.healthy(r.coord.Followers())
 	leader := r.coord.Leader()
-	if len(cands) == 0 {
-		v, err, _ := r.attempt(ctx, leader, nil, f)
-		return v, err
-	}
 	var firstErr error
-	for i, n := range cands {
-		var hedge Node
-		if i == 0 && r.cfg.HedgeAfter > 0 {
-			if len(cands) > 1 {
-				hedge = cands[1]
-			} else {
-				hedge = leader
-			}
-		}
-		v, err, settled := r.attempt(ctx, n, hedge, f)
+	for _, n := range cands {
+		v, err, settled := r.attempt(ctx, n, f)
 		if settled {
 			return v, err
 		}
@@ -101,7 +67,7 @@ func (r *Router) Read(ctx context.Context, f ReadFunc) (any, error) {
 			firstErr = err
 		}
 	}
-	v, err, settled := r.attempt(ctx, leader, nil, f)
+	v, err, settled := r.attempt(ctx, leader, f)
 	if settled || firstErr == nil {
 		return v, err
 	}
@@ -129,48 +95,17 @@ func (r *Router) healthy(nodes []Node) []Node {
 	return out
 }
 
-// attempt runs f against n, optionally hedging against hedge after
-// HedgeAfter. It reports (value, error, settled): settled is true for
-// success and for query-attributable errors — outcomes further
-// candidates cannot improve.
-func (r *Router) attempt(ctx context.Context, n, hedge Node, f ReadFunc) (v any, err error, settled bool) {
-	type outcome struct {
-		v   any
-		err error
-	}
-	ch := make(chan outcome, 2)
-	run := func(n Node) {
-		v, err := f(ctx, n)
-		r.record(n, err)
-		ch <- outcome{v, err}
-	}
-	go run(n)
-	if hedge == nil {
-		o := <-ch
-		return o.v, o.err, o.err == nil || !nodeFault(o.err)
-	}
-	t := time.NewTimer(r.cfg.HedgeAfter)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.v, o.err, o.err == nil || !nodeFault(o.err)
-	case <-t.C:
-	}
-	obsv.HedgedReads.Inc()
-	go run(hedge)
-	o := <-ch
-	if o.err == nil || !nodeFault(o.err) {
-		return o.v, o.err, true
-	}
-	o = <-ch
-	return o.v, o.err, o.err == nil || !nodeFault(o.err)
-}
-
-// record feeds an attempt's outcome to n's breaker. A deterministic
-// query failure counts as a SUCCESS for breaker purposes: the node
-// answered, the query was the problem.
-func (r *Router) record(n Node, err error) {
-	r.breakerFor(n.ID()).record(err == nil || !nodeFault(err), time.Now())
+// attempt runs f against n and feeds the outcome to n's breaker. A
+// deterministic query failure counts as a SUCCESS for breaker
+// purposes: the node answered, the query was the problem. It reports
+// (value, error, settled): settled is true for success and for
+// query-attributable errors — outcomes further candidates cannot
+// improve.
+func (r *Router) attempt(ctx context.Context, n Node, f ReadFunc) (v any, err error, settled bool) {
+	v, err = f(ctx, n)
+	settled = err == nil || !nodeFault(err)
+	r.breakerFor(n.ID()).record(settled, time.Now())
+	return v, err, settled
 }
 
 // breakerFor returns (creating if needed) the breaker for node id.
@@ -179,7 +114,7 @@ func (r *Router) breakerFor(id string) *breaker {
 	defer r.mu.Unlock()
 	b := r.breakers[id]
 	if b == nil {
-		b = &breaker{pol: r.cfg.Backoff, threshold: r.cfg.FailureThreshold}
+		b = &breaker{pol: breakerBackoff, threshold: breakerThreshold}
 		r.breakers[id] = b
 	}
 	return b
@@ -215,9 +150,9 @@ const (
 )
 
 // breaker is a per-node circuit breaker. Open intervals follow the
-// router's retry.Policy backoff curve keyed by consecutive opens, so
-// a node that keeps failing its half-open probes is re-probed at
-// capped exponential intervals rather than hammered.
+// breakerBackoff curve keyed by consecutive opens, so a node that
+// keeps failing its half-open probes is re-probed at capped
+// exponential intervals rather than hammered.
 type breaker struct {
 	pol       retry.Policy
 	threshold int

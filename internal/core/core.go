@@ -590,11 +590,6 @@ func (g *generation) peekAnalysis() *adorn.Analysis {
 // catalog (see Catalog).
 func (db *DB) Program() *program.Program { return db.current().prog }
 
-// Source returns the current rules and pragmas as written, before
-// rectification (read-only). Its Facts are empty: base facts live only
-// in the catalog, and Dump renders them in load order.
-func (db *DB) Source() *program.Program { return db.current().source }
-
 // Dump renders the database in the surface syntax: pragmas and rules
 // as written, then every base fact in the order it was loaded.
 func (db *DB) Dump() string {

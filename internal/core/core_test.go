@@ -12,13 +12,18 @@ import (
 
 func load(t *testing.T, src string) *DB {
 	t.Helper()
+	db := NewDB()
+	db.Load(parse(t, src))
+	return db
+}
+
+func parse(t *testing.T, src string) *program.Program {
+	t.Helper()
 	res, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := NewDB()
-	db.Load(res.Program)
-	return db
+	return res.Program
 }
 
 func ask(t *testing.T, db *DB, q string, opts Options) *Result {

@@ -80,17 +80,11 @@ type Options struct {
 	// point per answer derived — the typed counterpart of the Events
 	// strings. A nil tracer costs nothing.
 	Tracer *obsv.Tracer
-	// Accumulate, when set, maintains a monotone accumulator per
-	// context: the child's value is Accumulate(parent value, edge
-	// bindings). Used by the constraint-pushing partial evaluator
-	// (Algorithm 3.3).
-	Accumulate func(parent int64, edge term.Subst, ruleIdx int) int64
-	// Prune, when set with Accumulate or Acc, stops down-phase
-	// expansion of any context whose accumulator value it rejects.
-	Prune func(acc int64) bool
-	// Acc declaratively installs an accumulator: per recursive rule,
-	// the (source-program) variable whose per-level value is added.
-	// Ignored when Accumulate is set.
+	// Acc installs a monotone accumulator per context: per recursive
+	// rule, the (source-program) variable whose per-level value is
+	// added. Down-phase expansion stops at any context whose value
+	// the spec's bound rejects. The constraint-pushing partial
+	// evaluator (Algorithm 3.3) produces it.
 	Acc *AccumSpec
 }
 
@@ -162,7 +156,7 @@ type Stats struct {
 	Contexts  int
 	Edges     int // buffered derivations (the buffer population)
 	Answers   int // total answers across contexts
-	Pruned    int // contexts cut by the Prune hook
+	Pruned    int // contexts cut by the Acc bound
 	UpJoins   int // delayed-portion evaluations
 	ExitFires int
 	Profile   []LevelStats
@@ -469,7 +463,7 @@ func (ev *Evaluator) drain() error {
 // ensureCtx returns the context for (key, ad, input), creating it (and
 // firing its exit rules) if new. The second result reports creation.
 func (ev *Evaluator) ensureCtx(key, ad string, input []term.Term, level int, acc int64) (*ctx, bool, error) {
-	ck := ctxKey(key, ad, input, ev.opts.Accumulate != nil || ev.opts.Acc != nil, acc)
+	ck := ctxKey(key, ad, input, ev.opts.Acc != nil, acc)
 	if c, ok := ev.ctxs[ck]; ok {
 		return c, false, nil
 	}
@@ -486,11 +480,7 @@ func (ev *Evaluator) ensureCtx(key, ad string, input []term.Term, level int, acc
 		ev.stats.Events = append(ev.stats.Events,
 			fmt.Sprintf("down L%d %s^%s %s", level, key, ad, termsString(input)))
 	}
-	prune := ev.opts.Prune
-	if prune == nil && ev.opts.Acc != nil {
-		prune = ev.opts.Acc.RejectsAcc
-	}
-	if prune != nil && prune(acc) {
+	if ev.opts.Acc != nil && ev.opts.Acc.RejectsAcc(acc) {
 		c.pruned = true
 		ev.stats.Pruned++
 		return c, true, nil
@@ -542,10 +532,7 @@ func (ev *Evaluator) expand(c *ctx, level int) ([]*ctx, error) {
 				return nil, fmt.Errorf("counting: recursive call %s not ground at bound positions under %s", recLit.Resolve(sol), rs.split.RecAd)
 			}
 			acc := c.acc
-			switch {
-			case ev.opts.Accumulate != nil:
-				acc = ev.opts.Accumulate(c.acc, sol, ri)
-			case rs.incVar != "":
+			if rs.incVar != "" {
 				if iv, ok := sol.Resolve(term.NewVar(rs.incVar)).(term.Int); ok {
 					acc = c.acc + iv.V
 				}

@@ -192,20 +192,12 @@ func TestCyclicTravelWithPrune(t *testing.T) {
 	// Constraint pushing (Algorithm 3.3): accumulate eval-portion fares
 	// down the chain and prune when they exceed the fare bound. The
 	// cyclic graph then terminates.
-	res, _ := lang.Parse(cyclicTravelSrc)
-	p := program.Rectify(res.Program)
-	g := program.NewDepGraph(p)
-	comp, err := chain.Compile(p, g, "travel/6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the fare variable of the eval portion: the rectified rec
-	// rule's flight literal has the fare at position 5.
-	an := setupAccumulator(t, comp)
-	ev := New(p, relation.NewCatalog(), comp, Options{
-		MaxLevels:  1000,
-		Accumulate: an,
-		Prune:      func(acc int64) bool { return acc > 200 },
+	ev, _ := setup(t, cyclicTravelSrc, "travel/6", Options{
+		MaxLevels: 1000,
+		Acc: &AccumSpec{
+			IncrementVar: map[int]string{0: findFareVar(t, cyclicTravelSrc)},
+			Bound:        200,
+		},
 	})
 	q, _ := lang.ParseQuery("?- travel(L, a, DT, A, AT, F).")
 	ans, err := ev.Query(q.Goals[0])
@@ -215,8 +207,6 @@ func TestCyclicTravelWithPrune(t *testing.T) {
 	if ev.Stats().Pruned == 0 {
 		t.Error("nothing pruned")
 	}
-	// All returned itineraries exist and have total fare ≤ 200 + one
-	// exit fare… just require nonempty and finite.
 	if len(ans) == 0 {
 		t.Error("no itineraries survived pruning")
 	}
@@ -225,29 +215,6 @@ func TestCyclicTravelWithPrune(t *testing.T) {
 		if f > 300 { // 200 accumulated + max exit fare 70 < 300
 			t.Errorf("itinerary fare %d too large: %v", f, a)
 		}
-	}
-}
-
-// setupAccumulator builds an Accumulate hook summing the flight fare
-// bound by the eval portion of each down step.
-func setupAccumulator(t *testing.T, comp *chain.Compiled) func(int64, term.Subst, int) int64 {
-	t.Helper()
-	return func(parent int64, edge term.Subst, ruleIdx int) int64 {
-		// The fare is the 6th argument of the flight literal in the
-		// renamed rule instance; find it by resolving every variable
-		// bound to an int… simpler: scan the substitution for the
-		// fare variable name is fragile, so recover it structurally:
-		// the eval portion binds exactly one flight tuple; its fare is
-		// at index 5.
-		// For the test we exploit that the snapshot contains the fare
-		// as the only binding in range [50, 70].
-		var fare int64
-		for _, v := range edge {
-			if iv, ok := v.(term.Int); ok && iv.V >= 50 && iv.V <= 70 {
-				fare = iv.V
-			}
-		}
-		return parent + fare
 	}
 }
 

@@ -99,11 +99,8 @@ p(a).`
 	if len(res.Program.Pragmas) != 2 {
 		t.Fatalf("pragmas = %v", res.Program.Pragmas)
 	}
-	if !res.Program.HasPragma("acyclic", "parent") {
-		t.Error("HasPragma(acyclic, parent) = false")
-	}
-	if res.Program.HasPragma("acyclic", "sibling") {
-		t.Error("HasPragma(acyclic, sibling) = true")
+	if pr := res.Program.Pragmas[0]; pr.Name != "acyclic" || len(pr.Args) != 1 || pr.Args[0] != term.NewSym("parent") {
+		t.Errorf("pragma = %v, want @acyclic parent", pr)
 	}
 	pr := res.Program.Pragmas[1]
 	if pr.Name != "threshold" || len(pr.Args) != 2 {

@@ -163,9 +163,6 @@ var (
 	// (closed→open, open→half-open, half-open→closed/open) in cluster
 	// read routers.
 	BreakerTransitions = NewCounter("chainsplit_cluster_breaker_transitions_total", "circuit-breaker state transitions in cluster routers")
-	// HedgedReads counts second (hedge) attempts launched by cluster
-	// routers for reads whose first replica was slow.
-	HedgedReads = NewCounter("chainsplit_cluster_hedged_reads_total", "hedge attempts launched for slow routed reads")
 
 	// ScrubPasses counts completed online scrub passes over live
 	// durable stores.

@@ -244,9 +244,13 @@ flight(4, a, 100, d, 50, 500).
 	}
 
 	td := topdown.New(fx.prog, fx.cat.Clone(), topdown.Options{})
-	rawTD, err := td.Solve(goal)
+	sols, err := td.SolveConjunction([]program.Atom{goal})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var rawTD [][]term.Term
+	for _, s := range sols {
+		rawTD = append(rawTD, s.ResolveAll(goal.Args))
 	}
 	want, err := FilterAnswers(goal, res.Residual, rawTD)
 	if err != nil {

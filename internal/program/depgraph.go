@@ -226,10 +226,6 @@ func (g *DepGraph) Recursive(key string) bool {
 	return false
 }
 
-// Stratum returns the SCC index, which is a valid stratification level
-// because SCCs come out of Tarjan in reverse topological order.
-func (g *DepGraph) Stratum(key string) int { return g.SCCOf(key) }
-
 // RecursionClass classifies how a predicate recurses, following the
 // taxonomy of the paper (§1, §4).
 type RecursionClass int

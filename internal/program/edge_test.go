@@ -56,27 +56,6 @@ func TestProgramCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestHasPragmaEdgeCases(t *testing.T) {
-	p := &Program{Pragmas: []Pragma{
-		{Name: "acyclic"}, // no args
-		{Name: "acyclic", Args: []term.Term{term.NewInt(3)}},   // non-symbol arg
-		{Name: "acyclic", Args: []term.Term{term.NewSym("e")}}, // match
-	}}
-	if !p.HasPragma("acyclic", "e") {
-		t.Error("HasPragma missed the match")
-	}
-	if p.HasPragma("acyclic", "f") || p.HasPragma("other", "e") {
-		t.Error("HasPragma false positive")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]bool{"b": true, "a": true, "c": true})
-	if strings.Join(got, "") != "abc" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}
-
 func TestRuleRenameConsistency(t *testing.T) {
 	r := Rule{
 		Head: NewAtom("p", v("X"), v("Y")),

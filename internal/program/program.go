@@ -9,7 +9,6 @@ package program
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -217,20 +216,6 @@ func (p *Program) RulesFor(key string) []Rule {
 	return out
 }
 
-// HasPragma reports whether a pragma with the given name and first
-// symbolic argument is present (e.g. HasPragma("acyclic", "parent")).
-func (p *Program) HasPragma(name, arg0 string) bool {
-	for _, pr := range p.Pragmas {
-		if pr.Name != name || len(pr.Args) == 0 {
-			continue
-		}
-		if s, ok := pr.Args[0].(term.Sym); ok && s.Name == arg0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (p *Program) String() string {
 	var b strings.Builder
 	for _, pr := range p.Pragmas {
@@ -246,14 +231,4 @@ func (p *Program) String() string {
 		b.WriteString(".\n")
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order (deterministic walks).
-func SortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -95,9 +95,10 @@ func TestDepGraphSCC(t *testing.T) {
 	if g.Recursive("top/1") || g.Recursive("e/2") {
 		t.Error("nonrecursive predicate reported recursive")
 	}
-	// Strata: callee SCCs come first.
-	if g.Stratum("tc/2") >= g.Stratum("top/1") {
-		t.Errorf("stratum(tc)=%d should precede stratum(top)=%d", g.Stratum("tc/2"), g.Stratum("top/1"))
+	// Strata: callee SCCs come first (Tarjan emits SCCs in reverse
+	// topological order, so the SCC index is a stratification level).
+	if g.SCCOf("tc/2") >= g.SCCOf("top/1") {
+		t.Errorf("SCC(tc)=%d should precede SCC(top)=%d", g.SCCOf("tc/2"), g.SCCOf("top/1"))
 	}
 	if g.SCCOf("nosuch/9") != -1 {
 		t.Error("unknown predicate should have SCC -1")

@@ -114,15 +114,22 @@ var ErrDivergence = fmt.Errorf("%w: follower state diverged from leader (anti-en
 // it. The trailing digits version the protocol.
 var handshakeMagic = []byte("CSREPL03")
 
-// Tunables. Zero values in LeaderConfig/FollowerConfig take these.
+// Stream timing.
 const (
-	defaultHeartbeat   = 25 * time.Millisecond
-	defaultPoll        = 2 * time.Millisecond
-	defaultReadTimeout = 250 * time.Millisecond
-	dialTimeout        = time.Second
-	// defaultDigestEvery is the anti-entropy cadence: how often an idle
+	// heartbeat is the interval between heartbeat frames on an idle
+	// connection.
+	heartbeat = 25 * time.Millisecond
+	// pollEvery is the interval at which an idle connection re-polls
+	// the log tail for new records.
+	pollEvery = 2 * time.Millisecond
+	// readTimeout is how long a follower waits for any frame (a record
+	// or a heartbeat) before declaring the leader lost and
+	// reconnecting: ten heartbeat intervals.
+	readTimeout = 250 * time.Millisecond
+	dialTimeout = time.Second
+	// digestEvery is the anti-entropy cadence: how often an idle
 	// connection ships a state digest for the follower to verify.
-	defaultDigestEvery = 100 * time.Millisecond
+	digestEvery = 100 * time.Millisecond
 	// reconnectEventWindow gates reconnect-failure *event* emission: a
 	// follower stuck behind a partition retries every few milliseconds,
 	// and per-attempt events would be pure noise. The per-attempt
@@ -174,25 +181,10 @@ func (r recvReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// LeaderConfig tunes a leader; the zero value means defaults.
-type LeaderConfig struct {
-	// Heartbeat is the interval between heartbeat frames on an idle
-	// connection (default 25ms).
-	Heartbeat time.Duration
-	// Poll is the interval at which an idle connection re-polls the
-	// log tail for new records (default 2ms).
-	Poll time.Duration
-	// DigestEvery is the anti-entropy cadence: how often the leader
-	// ships a MsgDigest frame for the follower to verify its state
-	// against (default 100ms; negative disables digests).
-	DigestEvery time.Duration
-}
-
 // Leader serves a durable database's WAL to followers.
 type Leader struct {
 	db  *core.DB
 	dir string
-	cfg LeaderConfig
 	ln  net.Listener
 
 	mu     sync.Mutex
@@ -208,26 +200,17 @@ type Leader struct {
 // the on-disk log. Serving is read-only with respect to db: the
 // leader tails the log files without touching the store's writer
 // state, so queries and mutations proceed untouched.
-func Serve(db *core.DB, addr string, cfg LeaderConfig) (*Leader, error) {
+func Serve(db *core.DB, addr string) (*Leader, error) {
 	dir := db.DurableDir()
 	if dir == "" {
 		return nil, errors.New("replica: only a durable database can lead (no store directory)")
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = defaultHeartbeat
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = defaultPoll
-	}
-	if cfg.DigestEvery == 0 {
-		cfg.DigestEvery = defaultDigestEvery
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	l := &Leader{
-		db: db, dir: dir, cfg: cfg, ln: ln,
+		db: db, dir: dir, ln: ln,
 		conns: make(map[net.Conn]struct{}),
 		stop:  make(chan struct{}),
 	}
@@ -413,14 +396,14 @@ func (l *Leader) serveConn(conn net.Conn) {
 			// meaningful against a generation the follower can reach, so
 			// it is sent between records, never racing a batch. Digest
 			// frames carry a generation too, so they double as a beat.
-			if l.cfg.DigestEvery > 0 && time.Since(lastDigest) >= l.cfg.DigestEvery {
+			if time.Since(lastDigest) >= digestEvery {
 				if err := send(conn, l.digestFrame()); err != nil {
 					return
 				}
 				lastDigest = time.Now()
 				lastBeat = lastDigest
 			}
-			if time.Since(lastBeat) >= l.cfg.Heartbeat {
+			if time.Since(lastBeat) >= heartbeat {
 				if err := send(conn, l.frame(MsgHeartbeat, nil)); err != nil {
 					return
 				}
@@ -429,7 +412,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 			select {
 			case <-l.stop:
 				return
-			case <-time.After(l.cfg.Poll):
+			case <-time.After(pollEvery):
 			}
 		}
 	}
@@ -503,10 +486,6 @@ func isMissingSegment(err error) bool {
 // FollowerConfig tunes a follower session; the zero value means
 // defaults.
 type FollowerConfig struct {
-	// ReadTimeout is how long the follower waits for any frame (a
-	// record or a heartbeat) before declaring the leader lost and
-	// reconnecting (default 250ms — ten heartbeat intervals).
-	ReadTimeout time.Duration
 	// Retry is the reconnect backoff policy. The zero value becomes
 	// effectively-unbounded attempts with 5ms..250ms jittered backoff
 	// and every error retryable (connection failures are not in the
@@ -536,7 +515,6 @@ type Session struct {
 	// follower knew it was caught up with the leader's published
 	// generation; Staleness measures from it.
 	lastSync  atomic.Int64
-	leaderGen atomic.Uint64
 	connected atomic.Bool
 	diverged  atomic.Bool
 
@@ -555,9 +533,6 @@ type Session struct {
 func StartFollower(db *core.DB, addr string, cfg FollowerConfig) (*Session, error) {
 	if !db.Follower() {
 		return nil, errors.New("replica: StartFollower needs a follower database")
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = defaultReadTimeout
 	}
 	pol := cfg.Retry
 	if pol.MaxAttempts == 0 {
@@ -713,7 +688,7 @@ func (s *Session) streamOnce(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		conn.SetReadDeadline(time.Now().Add(readTimeout))
 		payload, err := wal.ReadFrame(r)
 		if err != nil {
 			// Timeout = leader loss; corrupt frame = poisoned stream.
@@ -741,7 +716,6 @@ func (s *Session) streamOnce(ctx context.Context) error {
 		// gen riding on its own frame, so catch-up after a partition
 		// stays visibly stale until the follower actually draws level.
 		gen := binary.BigEndian.Uint64(payload[9:17])
-		s.leaderGen.Store(gen)
 		body := payload[17:]
 		switch payload[0] {
 		case MsgRecord:
@@ -810,10 +784,6 @@ func (s *Session) Staleness() time.Duration {
 	}
 	return time.Since(time.Unix(0, last))
 }
-
-// LeaderGen returns the leader's last heard published generation —
-// every frame carries one — or 0 before the first frame.
-func (s *Session) LeaderGen() uint64 { return s.leaderGen.Load() }
 
 // Connected reports whether a replication stream is currently up.
 func (s *Session) Connected() bool { return s.connected.Load() }

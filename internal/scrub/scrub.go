@@ -32,15 +32,15 @@ import (
 	"chainsplit/internal/wal"
 )
 
+// maxBytesPerSec throttles a pass's file reads.
+const maxBytesPerSec = 8 << 20
+
 // Config configures a Scrubber.
 type Config struct {
 	// Dir is the durable store directory to verify.
 	Dir string
 	// Every is the idle interval between passes (default 30s).
 	Every time.Duration
-	// MaxBytesPerSec throttles file reads (default 8 MiB/s; negative
-	// disables throttling).
-	MaxBytesPerSec int64
 	// Published, when set, is sampled before each pass; a clean,
 	// complete pass whose durable image does not reach that generation
 	// is reported as corruption (durable state lost behind the
@@ -68,9 +68,6 @@ type Scrubber struct {
 func New(cfg Config) *Scrubber {
 	if cfg.Every <= 0 {
 		cfg.Every = 30 * time.Second
-	}
-	if cfg.MaxBytesPerSec == 0 {
-		cfg.MaxBytesPerSec = 8 << 20
 	}
 	return &Scrubber{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
 }
@@ -173,16 +170,12 @@ func (s *Scrubber) readFile(path string) ([]byte, error) {
 	return data, nil
 }
 
-// throttle sleeps long enough that reads average MaxBytesPerSec,
+// throttle sleeps long enough that reads average maxBytesPerSec,
 // charged per file after the read (segments are bounded by the
 // snapshot cadence, so per-file granularity bounds the burst). A
 // stop-requested scrubber skips the sleep and lets the pass drain.
 func (s *Scrubber) throttle(n int) {
-	rate := s.cfg.MaxBytesPerSec
-	if rate <= 0 || n == 0 {
-		return
-	}
-	d := time.Duration(int64(n) * int64(time.Second) / rate)
+	d := time.Duration(int64(n) * int64(time.Second) / maxBytesPerSec)
 	if d <= 0 {
 		return
 	}

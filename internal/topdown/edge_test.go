@@ -17,7 +17,7 @@ down(0).
 down(N) :- N > 0, minus(N, 1, M), down(M).
 `, Options{MaxDepth: 5})
 	q, _ := lang.ParseQuery("?- down(100).")
-	_, err := e.Solve(q.Goals[0])
+	_, err := solveGoal(e, q.Goals[0])
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget (depth)", err)
 	}
@@ -26,7 +26,7 @@ down(N) :- N > 0, minus(N, 1, M), down(M).
 func TestFlounderMessageNamesGoals(t *testing.T) {
 	e := engine(t, `p(X, Y) :- plus(X, 1, Y).`, Options{})
 	q, _ := lang.ParseQuery("?- p(X, Y).")
-	_, err := e.Solve(q.Goals[0])
+	_, err := solveGoal(e, q.Goals[0])
 	if !errors.Is(err, ErrFlounder) {
 		t.Fatalf("err = %v", err)
 	}
@@ -43,7 +43,7 @@ p(X) :- \+ q(X), n(X).
 n(1). n(2). q(2).
 `, Options{})
 	q, _ := lang.ParseQuery("?- p(X).")
-	ans, err := e.Solve(q.Goals[0])
+	ans, err := solveGoal(e, q.Goals[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ p(X) :- \+ q(X).
 q(1).
 `, Options{})
 	q, _ := lang.ParseQuery("?- p(X).")
-	_, err := e.Solve(q.Goals[0])
+	_, err := solveGoal(e, q.Goals[0])
 	if !errors.Is(err, ErrFlounder) {
 		t.Errorf("err = %v, want ErrFlounder (X never bound)", err)
 	}
@@ -70,7 +70,7 @@ w(X) :- m(X, Y), \+ w(Y).
 m(a, b).
 `, Options{})
 	q, _ := lang.ParseQuery("?- w(a).")
-	_, err := e.Solve(q.Goals[0])
+	_, err := solveGoal(e, q.Goals[0])
 	if err == nil || !strings.Contains(err.Error(), "not stratified") {
 		t.Errorf("err = %v", err)
 	}
@@ -107,7 +107,7 @@ tc(X, Y) :- tc(X, Z), e(Z, Y).
 e(a, b). e(b, c). e(c, d).
 `, Options{MaxPasses: 1})
 	q, _ := lang.ParseQuery("?- tc(a, Y).")
-	_, err := e.Solve(q.Goals[0])
+	_, err := solveGoal(e, q.Goals[0])
 	// Left recursion needs multiple passes; one pass must trip the
 	// budget rather than return silently-incomplete answers.
 	if !errors.Is(err, ErrBudget) {

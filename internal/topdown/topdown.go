@@ -151,31 +151,6 @@ func New(prog *program.Program, cat *relation.Catalog, opts Options) *Engine {
 // Stats returns accumulated statistics.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// Solve computes all answers to the goal: each answer is the goal's
-// argument vector fully instantiated. Answers are deterministic in
-// derivation order.
-func (e *Engine) Solve(goal program.Atom) ([][]term.Term, error) {
-	sols, err := e.SolveConjunction([]program.Atom{goal})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]term.Term, 0, len(sols))
-	seen := make(map[string]bool)
-	for _, s := range sols {
-		args := s.ResolveAll(goal.Args)
-		var key []byte
-		for _, a := range args {
-			key = term.AppendKey(key, a)
-		}
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
-		out = append(out, args)
-	}
-	return out, nil
-}
-
 // SolveConjunction evaluates a conjunctive query with chain-split
 // scheduling across the whole conjunction, returning all solution
 // substitutions. Goal arguments are flattened first, so ground
@@ -238,16 +213,6 @@ func (e *Engine) SolveUnder(g program.Atom, s term.Subst) ([]term.Subst, error) 
 			return sols, nil
 		}
 	}
-}
-
-// SolveOne is Solve but stops after verifying at least one answer
-// exists; it still runs to table fixpoint for correctness.
-func (e *Engine) SolveOne(goal program.Atom) ([]term.Term, bool, error) {
-	all, err := e.Solve(goal)
-	if err != nil || len(all) == 0 {
-		return nil, false, err
-	}
-	return all[0], true, nil
 }
 
 // solveBody evaluates the conjunction of goals under s with chain-split

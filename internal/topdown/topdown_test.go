@@ -30,11 +30,35 @@ func solve(t *testing.T, e *Engine, goalSrc string) [][]term.Term {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Solve(q.Goals[0])
+	ans, err := solveGoal(e, q.Goals[0])
 	if err != nil {
-		t.Fatalf("Solve(%s): %v", goalSrc, err)
+		t.Fatalf("solve(%s): %v", goalSrc, err)
 	}
 	return ans
+}
+
+// solveGoal answers one goal the way core projects a top-down query:
+// the goal's argument vector under each solution, deduplicated, in
+// derivation order.
+func solveGoal(e *Engine, goal program.Atom) ([][]term.Term, error) {
+	sols, err := e.SolveConjunction([]program.Atom{goal})
+	if err != nil {
+		return nil, err
+	}
+	var out [][]term.Term
+	seen := make(map[string]bool)
+	for _, s := range sols {
+		args := s.ResolveAll(goal.Args)
+		var key []byte
+		for _, a := range args {
+			key = term.AppendKey(key, a)
+		}
+		if !seen[string(key)] {
+			seen[string(key)] = true
+			out = append(out, args)
+		}
+	}
+	return out, nil
 }
 
 const sortSrc = `
@@ -67,7 +91,7 @@ func TestIsortRandomLists(t *testing.T) {
 		}
 		e := engine(t, sortSrc, Options{})
 		goal := program.NewAtom("isort", term.IntList(vals...), term.NewVar("Ys"))
-		ans, err := e.Solve(goal)
+		ans, err := solveGoal(e, goal)
 		if err != nil {
 			t.Fatalf("n=%d vals=%v: %v", n, vals, err)
 		}
@@ -118,7 +142,7 @@ func TestQsortRandomListsWithDuplicates(t *testing.T) {
 		}
 		e := engine(t, qsortSrc, Options{})
 		goal := program.NewAtom("qsort", term.IntList(vals...), term.NewVar("Ys"))
-		ans, err := e.Solve(goal)
+		ans, err := solveGoal(e, goal)
 		if err != nil {
 			t.Fatalf("vals=%v: %v", vals, err)
 		}
@@ -168,7 +192,7 @@ func TestAppendAllSplits(t *testing.T) {
 func TestAppendInfiniteModeFlounders(t *testing.T) {
 	e := engine(t, appendSrc, Options{})
 	q, _ := lang.ParseQuery("?- append(U, [3], W).")
-	_, err := e.Solve(q.Goals[0])
+	_, err := solveGoal(e, q.Goals[0])
 	if !errors.Is(err, ErrFlounder) {
 		t.Errorf("err = %v, want ErrFlounder", err)
 	}
@@ -240,7 +264,7 @@ func TestSGDifferentialWithSeminaive(t *testing.T) {
 	e := New(p, relation.NewCatalog(), Options{})
 	for _, start := range []string{"c1", "c2", "p1", "g1"} {
 		goal := program.NewAtom("sg", term.NewSym(start), term.NewVar("Y"))
-		ans, err := e.Solve(goal)
+		ans, err := solveGoal(e, goal)
 		if err != nil {
 			t.Fatalf("sg(%s, Y): %v", start, err)
 		}
@@ -284,7 +308,7 @@ e(a, b). e(b, c).
 func TestStepBudget(t *testing.T) {
 	e := engine(t, sortSrc, Options{MaxSteps: 10})
 	q, _ := lang.ParseQuery("?- isort([5,7,1,2,9,4], Ys).")
-	_, err := e.Solve(q.Goals[0])
+	_, err := solveGoal(e, q.Goals[0])
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -299,23 +323,6 @@ func TestGroundQuerySucceedsOrFails(t *testing.T) {
 	ans = solve(t, e, "?- isort([2,1], [2,1]).")
 	if len(ans) != 0 {
 		t.Errorf("ground false query: %v", ans)
-	}
-}
-
-func TestSolveOne(t *testing.T) {
-	e := engine(t, sortSrc, Options{})
-	q, _ := lang.ParseQuery("?- isort([3,1,2], Ys).")
-	first, ok, err := e.SolveOne(q.Goals[0])
-	if err != nil || !ok {
-		t.Fatalf("SolveOne: ok=%v err=%v", ok, err)
-	}
-	if !term.Equal(first[1], term.IntList(1, 2, 3)) {
-		t.Errorf("first = %v", first)
-	}
-	q2, _ := lang.ParseQuery("?- isort([], [1]).")
-	_, ok, err = e.SolveOne(q2.Goals[0])
-	if err != nil || ok {
-		t.Errorf("SolveOne on false goal: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -352,7 +359,7 @@ func TestNestedListsSortStability(t *testing.T) {
 			vals[i] = int64(i)
 		}
 		goal := program.NewAtom("isort", term.IntList(vals...), term.NewVar("Ys"))
-		ans, err := e.Solve(goal)
+		ans, err := solveGoal(e, goal)
 		if err != nil || len(ans) != 1 {
 			t.Fatalf("n=%d: ans=%v err=%v", n, ans, err)
 		}

@@ -201,9 +201,6 @@ func (t *Tail) readAvailable() (out []Record, settled bool, err error) {
 	}
 }
 
-// Pos returns the last generation handed to the caller.
-func (t *Tail) Pos() uint64 { return t.pos }
-
 // Close releases the tail's file descriptor.
 func (t *Tail) Close() error {
 	t.closed = true
