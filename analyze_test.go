@@ -136,17 +136,6 @@ func TestWithTracePopulatesTypedEvents(t *testing.T) {
 			t.Errorf("trace lacks a %q phase event; phases: %s", want, joined)
 		}
 	}
-	// String forms are appended to the legacy Events list.
-	var found bool
-	for _, s := range res.Metrics.Events {
-		if strings.Contains(s, "query") && strings.Contains(s, "begin") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("trace string form not appended to Metrics.Events")
-	}
-
 	// Without WithTrace the typed trace stays empty.
 	res2, err := db.Query(fmt.Sprintf("?- scsg(%s, Y).", workload.PersonName(4, 0)))
 	if err != nil {

@@ -150,7 +150,7 @@ func WithTimeout(d time.Duration) Option {
 // WithTrace records per-iteration (bottom-up) or per-level (buffered)
 // profiles in the result metrics, and enables the structured trace:
 // typed phase events (plan/compile/round/merge/level) in
-// Metrics.TraceEvents, with their string form appended to
+// Metrics.TraceEvents; the buffered evaluator's worked trace is in
 // Metrics.Events. Queries without WithTrace pay nothing for tracing.
 func WithTrace() Option {
 	return func(q *queryConfig) {
@@ -196,7 +196,8 @@ type Row map[string]Term
 
 // Result is a completed query.
 type Result struct {
-	// Vars lists the query's variable names in order of appearance.
+	// Vars lists the query's variable names in order of first
+	// appearance, including those nested in compound arguments.
 	Vars []string
 	// Rows holds one map per answer.
 	Rows []Row
@@ -260,12 +261,11 @@ type DB struct {
 // The zero value means defaults.
 type Config struct {
 	// MaxConcurrent bounds how many query evaluations run at once
-	// (0 = limits.DefaultMaxConcurrent, currently 128).
+	// (0 = 128).
 	MaxConcurrent int
 	// MaxQueue bounds how many queries may wait for an evaluation
 	// slot before further queries are shed with ErrOverloaded
-	// (0 = limits.DefaultMaxQueue, currently 1024; negative = no
-	// queue).
+	// (0 = 1024; negative = no queue).
 	MaxQueue int
 	// Workers is the default per-query fixpoint parallelism (0 or 1 =
 	// serial); WithWorkers overrides it per query. Results are

@@ -483,6 +483,9 @@ func printResult(q string, res *chainsplit.Result, metrics, trace bool) {
 		for _, ev := range res.Metrics.Events {
 			fmt.Println("  " + ev)
 		}
+		for _, ev := range res.Metrics.TraceEvents {
+			fmt.Println("  " + ev.String())
+		}
 	}
 }
 

@@ -19,20 +19,25 @@ import (
 	"time"
 
 	"chainsplit/internal/everr"
-	"chainsplit/internal/limits"
 	"chainsplit/internal/obsv"
 )
 
 // Config sizes a Controller.
 type Config struct {
 	// MaxConcurrent is how many acquisitions may hold capacity at once
-	// (0 = limits.DefaultMaxConcurrent; negative admits nothing).
+	// (0 = defaultMaxConcurrent, 128; negative admits nothing).
 	MaxConcurrent int
 	// MaxQueue bounds how many acquisitions may wait for capacity
-	// (0 = limits.DefaultMaxQueue; negative = no queue, shed
+	// (0 = defaultMaxQueue, 1024; negative = no queue, shed
 	// immediately when saturated).
 	MaxQueue int
 }
+
+// The sizes a zero Config field stands for.
+const (
+	defaultMaxConcurrent = 128
+	defaultMaxQueue      = 1024
+)
 
 // Stats is a point-in-time snapshot of controller counters.
 type Stats struct {
@@ -71,10 +76,10 @@ type waiter struct {
 func New(cfg Config) *Controller {
 	c := &Controller{capacity: cfg.MaxConcurrent, maxQueue: cfg.MaxQueue}
 	if c.capacity == 0 {
-		c.capacity = limits.DefaultMaxConcurrent
+		c.capacity = defaultMaxConcurrent
 	}
 	if c.maxQueue == 0 {
-		c.maxQueue = limits.DefaultMaxQueue
+		c.maxQueue = defaultMaxQueue
 	}
 	if c.maxQueue < 0 {
 		c.maxQueue = 0

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"chainsplit/internal/everr"
-	"chainsplit/internal/limits"
 )
 
 func TestAcquireFastPath(t *testing.T) {
@@ -169,7 +168,7 @@ func TestQueuedGrantRecordsWait(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
-	if c.capacity != limits.DefaultMaxConcurrent || c.maxQueue != limits.DefaultMaxQueue {
+	if c.capacity != defaultMaxConcurrent || c.maxQueue != defaultMaxQueue {
 		t.Errorf("defaults = %d/%d", c.capacity, c.maxQueue)
 	}
 }

@@ -288,7 +288,7 @@ func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connecte
 					if isB || recursive {
 						continue
 					}
-					if connected && !recursiveSeen && !connectedTo(lit, bound) {
+					if connected && !recursiveSeen && !ConnectedTo(lit, bound) {
 						continue
 					}
 				case 2:
@@ -354,9 +354,9 @@ func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connecte
 	return sched
 }
 
-// connectedTo reports whether the literal touches the current binding:
+// ConnectedTo reports whether the literal touches the current binding:
 // it shares a bound variable or has a ground argument.
-func connectedTo(lit program.Atom, bound map[string]bool) bool {
+func ConnectedTo(lit program.Atom, bound map[string]bool) bool {
 	vars := lit.Vars()
 	if len(vars) == 0 {
 		return true

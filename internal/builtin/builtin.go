@@ -106,17 +106,6 @@ func Lookup(name string, arity int) *Builtin {
 // IsBuiltin reports whether name/arity names a builtin predicate.
 func IsBuiltin(name string, arity int) bool { return Lookup(name, arity) != nil }
 
-// Names returns the set of registered builtin keys (for diagnostics).
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	return out
-}
-
 // FiniteUnder reports whether the builtin is finitely evaluable when
 // exactly the argument positions with adornment[i] == 'b' are bound.
 // adornment must have length Arity.

@@ -111,8 +111,10 @@ type Options struct {
 	// CostDepth is the recursion-depth estimate for the quantitative
 	// comparison (0 = model default).
 	CostDepth int
-	// Budgets (0 = the package limits defaults, e.g.
-	// limits.DefaultMaxIterations / limits.DefaultMaxTuples).
+	// Budgets (0 = the engine's default): MaxIterations 1,000,000
+	// fixpoint rounds per SCC and MaxTuples 5,000,000 derived tuples
+	// (bottom-up), MaxSteps 10,000,000 resolution steps (top-down),
+	// MaxLevels 100,000 and MaxAnswers 1,000,000 (buffered).
 	MaxIterations int
 	MaxTuples     int
 	MaxSteps      int
@@ -133,8 +135,7 @@ type Options struct {
 	Workers int
 	// Trace enables the structured trace: each evaluation attempt
 	// records typed phase events (plan/compile/round/merge/level) into
-	// a fresh obsv.Tracer, reported as Metrics.TraceEvents (typed) and
-	// appended to Metrics.Events (string form, for compatibility).
+	// a fresh obsv.Tracer, reported as Metrics.TraceEvents.
 	// Disabled tracing costs nothing on the evaluation hot paths.
 	Trace bool
 	// LitStats records observed per-rule, per-body-literal join
@@ -177,8 +178,7 @@ type Metrics struct {
 	Profile  []counting.LevelStats
 	// Events is the chronological buffered-evaluation log (with
 	// TraceDeltas): the observable form of the paper's worked traces.
-	// With Options.Trace, the structured trace's string form is
-	// appended (the typed events are in TraceEvents).
+	// The structured trace is in TraceEvents.
 	Events []string
 	// TraceEvents is the structured per-attempt trace (with
 	// Options.Trace): typed phase events in emission order. If the
@@ -253,7 +253,8 @@ func (p *Plan) String() string {
 
 // Result is a completed query.
 type Result struct {
-	// Vars lists the goal's variable names in order of appearance.
+	// Vars lists the goal's variable names in order of first
+	// appearance, including those nested in compound arguments.
 	Vars []string
 	// Answers holds one row per answer: the goal's argument vector.
 	Answers [][]term.Term
@@ -1191,7 +1192,6 @@ func (g *generation) query(goals []program.Atom, opts Options, track **Plan) (*R
 	if res != nil {
 		tr.End(obsv.PhaseQuery, goalName, int64(len(res.Answers)))
 		res.Metrics.TraceEvents = tr.Events()
-		res.Metrics.Events = append(res.Metrics.Events, tr.Strings()...)
 	}
 	return res, err
 }
@@ -1224,7 +1224,7 @@ func (g *generation) dispatch(goals []program.Atom, opts Options, track **Plan) 
 		if g.prog.IDB()[goal.Key()] || builtin.IsBuiltin(goal.Pred, goal.Arity()) {
 			return g.runSeminaive(res, goal, cons, opts)
 		}
-		return g.runEDBLookup(res, goal, cons)
+		return answersOf(res, g.cat.Get(goal.Pred), goal, cons)
 	case StrategyMagic, StrategyMagicFollow, StrategyMagicSplit:
 		return g.runMagic(res, pd, opts)
 	case StrategyBuffered:
@@ -1247,91 +1247,18 @@ func (g *generation) dispatch(goals []program.Atom, opts Options, track **Plan) 
 	}
 }
 
-func (g *generation) runEDBLookup(res *Result, goal program.Atom, cons []program.Atom) (*Result, error) {
-	rel := g.cat.Get(goal.Pred)
-	if rel == nil || rel.Arity() != goal.Arity() {
-		res.Answers = nil
-		return res, nil
-	}
-	constraints := make(map[int]term.Term)
-	for i, a := range goal.Args {
-		if a.Ground() {
-			constraints[i] = a
-		}
-	}
-	sel := rel.Select(constraints)
-	raw := make([][]term.Term, 0, sel.Len())
-	sel.Each(func(tup relation.Tuple) bool {
-		// Non-ground non-var patterns (e.g. p([X|T])) still need a
-		// unification filter.
-		s := term.NewSubst()
-		ok := true
-		for i, a := range goal.Args {
-			if !term.Unify(s, a, tup[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			raw = append(raw, []term.Term(tup))
-		}
-		return true
-	})
-	ans, err := partial.FilterAnswers(goal, cons, raw)
-	if err != nil {
-		return res, err
-	}
-	res.Answers = ans
-	return res, nil
-}
-
 func (g *generation) runSeminaive(res *Result, goal program.Atom, cons []program.Atom, opts Options) (*Result, error) {
 	// Snapshot, not Clone: the engine's writes copy-on-write only the
 	// relations it actually derives into, and the generation's frozen
 	// relations are shared untouched.
 	cat := g.cat.Snapshot()
-	stats, err := seminaive.Eval(g.prog, cat, seminaive.Options{
-		Ctx:           opts.Ctx,
-		MaxIterations: opts.MaxIterations,
-		MaxTuples:     opts.MaxTuples,
-		TraceDeltas:   opts.TraceDeltas,
-		Workers:       opts.Workers,
-		LitStats:      opts.LitStats,
-		Tracer:        opts.tracer,
-		// Evaluate only the goal's dependency cone: an unrelated
-		// divergent recursion elsewhere in the program must not hang
-		// (or even slow) this query.
-		Goal: goal.Key(),
-	})
-	res.Metrics.Iterations = stats.Iterations
-	res.Metrics.DerivedTuples = stats.DerivedTuples
-	res.Metrics.Matches = stats.Matches
-	res.Metrics.Deltas = stats.Deltas
-	res.Metrics.Rules = stats.Rules
-	if err != nil {
+	// Evaluate only the goal's dependency cone: an unrelated divergent
+	// recursion elsewhere in the program must not hang (or even slow)
+	// this query.
+	if err := evalBottomUp(res, g.prog, cat, opts, goal.Key()); err != nil {
 		return res, err
 	}
-	rel := cat.Get(goal.Pred)
-	if rel == nil {
-		return res, nil
-	}
-	constraints := make(map[int]term.Term)
-	for i, a := range goal.Args {
-		if a.Ground() {
-			constraints[i] = a
-		}
-	}
-	var raw [][]term.Term
-	rel.Select(constraints).Each(func(tup relation.Tuple) bool {
-		raw = append(raw, []term.Term(tup))
-		return true
-	})
-	ans, err := partial.FilterAnswers(goal, cons, raw)
-	if err != nil {
-		return res, err
-	}
-	res.Answers = ans
-	return res, nil
+	return answersOf(res, cat.Get(goal.Pred), goal, cons)
 }
 
 func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, error) {
@@ -1361,19 +1288,9 @@ func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, 
 			return res, err
 		}
 		if len(phase1.Rules) > 0 {
-			p1stats, err := seminaive.Eval(phase1, cat, seminaive.Options{
-				Ctx:           opts.Ctx,
-				MaxIterations: opts.MaxIterations,
-				MaxTuples:     opts.MaxTuples,
-				Workers:       opts.Workers,
-				LitStats:      opts.LitStats,
-				Tracer:        opts.tracer,
-			})
-			res.Metrics.Iterations += p1stats.Iterations
-			res.Metrics.DerivedTuples += p1stats.DerivedTuples
-			res.Metrics.Matches += p1stats.Matches
-			res.Metrics.Rules = append(res.Metrics.Rules, p1stats.Rules...)
-			if err != nil {
+			p1 := opts
+			p1.TraceDeltas = false
+			if err := evalBottomUp(res, phase1, cat, p1, ""); err != nil {
 				return res, err
 			}
 			res.Plan.Notes = append(res.Plan.Notes,
@@ -1386,20 +1303,7 @@ func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, 
 		}
 	}
 	res.Plan.Decisions = rw.Decisions
-	stats, err := seminaive.Eval(rw.Program, cat, seminaive.Options{
-		Ctx:           opts.Ctx,
-		MaxIterations: opts.MaxIterations,
-		MaxTuples:     opts.MaxTuples,
-		TraceDeltas:   opts.TraceDeltas,
-		Workers:       opts.Workers,
-		LitStats:      opts.LitStats,
-		Tracer:        opts.tracer,
-	})
-	res.Metrics.Iterations += stats.Iterations
-	res.Metrics.DerivedTuples += stats.DerivedTuples
-	res.Metrics.Matches += stats.Matches
-	res.Metrics.Deltas = stats.Deltas
-	res.Metrics.Rules = append(res.Metrics.Rules, stats.Rules...)
+	err = evalBottomUp(res, rw.Program, cat, opts, "")
 	for _, name := range cat.Names() {
 		if strings.HasPrefix(name, "m$") {
 			res.Metrics.MagicTuples += cat.Get(name).Len()
@@ -1408,12 +1312,63 @@ func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, 
 	if err != nil {
 		return res, err
 	}
-	var raw [][]term.Term
-	magic.Answers(cat, rw, pd.goal).Each(func(tup relation.Tuple) bool {
-		raw = append(raw, []term.Term(tup))
-		return true
+	return answersOf(res, cat.Get(rw.AnswerPred), pd.goal, pd.cons)
+}
+
+// evalBottomUp runs the semi-naive engine over p against cat (which it
+// mutates) under opts' budgets, and adds the engine's statistics into
+// res.Metrics. goal, when non-empty, restricts evaluation to that
+// predicate's dependency cone.
+func evalBottomUp(res *Result, p *program.Program, cat *relation.Catalog, opts Options, goal string) error {
+	stats, err := seminaive.Eval(p, cat, seminaive.Options{
+		Ctx:           opts.Ctx,
+		MaxIterations: opts.MaxIterations,
+		MaxTuples:     opts.MaxTuples,
+		TraceDeltas:   opts.TraceDeltas,
+		Workers:       opts.Workers,
+		LitStats:      opts.LitStats,
+		Tracer:        opts.tracer,
+		Goal:          goal,
 	})
-	ans, err := partial.FilterAnswers(pd.goal, pd.cons, raw)
+	res.Metrics.Iterations += stats.Iterations
+	res.Metrics.DerivedTuples += stats.DerivedTuples
+	res.Metrics.Matches += stats.Matches
+	res.Metrics.Deltas = append(res.Metrics.Deltas, stats.Deltas...)
+	res.Metrics.Rules = append(res.Metrics.Rules, stats.Rules...)
+	return err
+}
+
+// answersOf is the answer step of every relation-backed strategy: it
+// selects rel's tuples on the goal's ground arguments through rel's
+// index, then keeps those that match the goal's shape and satisfy the
+// residual constraints (partial.FilterAnswers).
+func answersOf(res *Result, rel *relation.Relation, goal program.Atom, cons []program.Atom) (*Result, error) {
+	if rel == nil || rel.Arity() != goal.Arity() {
+		return res, nil
+	}
+	var cols []int
+	var vals relation.Tuple
+	for i, a := range goal.Args {
+		if a.Ground() {
+			cols = append(cols, i)
+			vals = append(vals, a)
+		}
+	}
+	var raw [][]term.Term
+	if len(cols) == 0 {
+		raw = make([][]term.Term, 0, rel.Len())
+		rel.Each(func(tup relation.Tuple) bool {
+			raw = append(raw, tup)
+			return true
+		})
+	} else {
+		m := rel.Index(cols).Probe(vals)
+		raw = make([][]term.Term, m.Len())
+		for i := range raw {
+			raw[i] = m.At(i)
+		}
+	}
+	ans, err := partial.FilterAnswers(goal, cons, raw)
 	if err != nil {
 		return res, err
 	}
@@ -1496,7 +1451,9 @@ func (g *generation) runTopDownConjunction(goals []program.Atom, opts Options) (
 	return res, nil
 }
 
-// finish populates Vars and Bindings from the executed goals.
+// finish populates Vars and Bindings from the executed goals. Each
+// variable of the primary goal, nested or not, is read from every
+// answer along the argument path of its first occurrence.
 func (r *Result) finish(goals []program.Atom) {
 	var primary program.Atom
 	var rel []program.Atom
@@ -1510,21 +1467,35 @@ func (r *Result) finish(goals []program.Atom) {
 	} else if len(goals) > 0 {
 		primary = goals[0]
 	}
-	varOrder := []string{}
-	varPos := map[string][]int{}
-	for i, a := range primary.Args {
-		if v, ok := a.(term.Var); ok {
-			if _, dup := varPos[v.Name]; !dup {
-				varOrder = append(varOrder, v.Name)
+	r.Vars = []string{}
+	var paths [][]int
+	seen := map[string]bool{}
+	var walk func(t term.Term, path []int)
+	walk = func(t term.Term, path []int) {
+		switch t := t.(type) {
+		case term.Var:
+			if !seen[t.Name] {
+				seen[t.Name] = true
+				r.Vars = append(r.Vars, t.Name)
+				paths = append(paths, append([]int(nil), path...))
 			}
-			varPos[v.Name] = append(varPos[v.Name], i)
+		case term.Comp:
+			for i, a := range t.Args {
+				walk(a, append(path, i))
+			}
 		}
 	}
-	r.Vars = varOrder
+	for i, a := range primary.Args {
+		walk(a, []int{i})
+	}
 	for _, ans := range r.Answers {
-		m := make(map[string]term.Term, len(varOrder))
-		for _, v := range varOrder {
-			m[v] = ans[varPos[v][0]]
+		m := make(map[string]term.Term, len(r.Vars))
+		for j, v := range r.Vars {
+			t := ans[paths[j][0]]
+			for _, k := range paths[j][1:] {
+				t = t.(term.Comp).Args[k] // every answer has the goal's shape
+			}
+			m[v] = t
 		}
 		r.Bindings = append(r.Bindings, m)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -241,6 +243,24 @@ func TestExplain(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Explain missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestResultBindingsNested checks that a variable nested in a goal
+// argument is a query variable, bound in every row.
+func TestResultBindingsNested(t *testing.T) {
+	db := load(t, `e(c, [1, 2]). e(c, [3]). e(c, []). e(c, foo).`)
+	res := ask(t, db, "?- e(c, [H|T]).", Options{})
+	if got := strings.Join(res.Vars, ","); got != "H,T" {
+		t.Fatalf("Vars = %v, want [H T]", res.Vars)
+	}
+	var rows []string
+	for _, b := range res.Bindings {
+		rows = append(rows, fmt.Sprintf("H=%v T=%v", b["H"], b["T"]))
+	}
+	sort.Strings(rows)
+	if got, want := strings.Join(rows, "; "), "H=1 T=[2]; H=3 T=[]"; got != want {
+		t.Errorf("rows = %s, want %s", got, want)
 	}
 }
 

@@ -42,6 +42,15 @@ func randList(rng *rand.Rand, n int) term.Term {
 	return term.IntList(vals...)
 }
 
+// concat returns the proper list a followed by the proper list b.
+func concat(a, b term.Term) term.Term {
+	c, ok := a.(term.Comp)
+	if !ok {
+		return b
+	}
+	return term.Cons(c.Args[0], concat(c.Args[1], b))
+}
+
 func canonicalAnswers(ans [][]term.Term) string {
 	keys := make([]string, 0, len(ans))
 	for _, a := range ans {
@@ -69,7 +78,7 @@ func TestDifferentialFunctionalRecursions(t *testing.T) {
 		list2 := randList(rng, rng.Intn(4))
 
 		var goals []program.Atom
-		switch trial % 5 {
+		switch trial % 6 {
 		case 0: // forward append
 			goals = append(goals, program.NewAtom("append", list, list2, term.NewVar("W")))
 		case 1: // all splits of a list
@@ -80,6 +89,8 @@ func TestDifferentialFunctionalRecursions(t *testing.T) {
 			goals = append(goals, program.NewAtom("reverse", list, term.NewVar("Ys")))
 		case 4: // mutual parity check (ground)
 			goals = append(goals, program.NewAtom("evenlen", list))
+		case 5: // a doubled list split into equal halves (repeated variable)
+			goals = append(goals, program.NewAtom("append", term.NewVar("U"), term.NewVar("U"), concat(list, list)))
 		}
 
 		var results []string
@@ -96,7 +107,7 @@ func TestDifferentialFunctionalRecursions(t *testing.T) {
 				trial, goals[0], results[1], results[0])
 		}
 		// Semantic spot checks.
-		switch trial % 5 {
+		switch trial % 6 {
 		case 1:
 			wantSplits := fmt.Sprint(n + 1)
 			gotSplits := fmt.Sprint(strings.Count(results[0], ";") + 1)
@@ -105,6 +116,10 @@ func TestDifferentialFunctionalRecursions(t *testing.T) {
 			}
 			if n >= 0 && gotSplits != wantSplits {
 				t.Fatalf("trial %d: %s splits of a %d-list, want %s", trial, gotSplits, n, wantSplits)
+			}
+		case 5:
+			if want := canonicalAnswers([][]term.Term{{list, list, concat(list, list)}}); results[0] != want {
+				t.Fatalf("trial %d: %s gave %q, want the one answer %q", trial, goals[0], results[0], want)
 			}
 		}
 	}

@@ -119,7 +119,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		if len(res.Program.RulesFor("p/2")) == 0 {
 			continue
 		}
-		queries := []string{"?- p(c0, Y).", "?- p(X, Y).", "?- p(c1, c2)."}
+		queries := []string{"?- p(c0, Y).", "?- p(X, Y).", "?- p(c1, c2).", "?- p(X, X)."}
 		q := queries[trial%len(queries)]
 
 		strategies := []Strategy{
@@ -180,26 +180,67 @@ func TestDifferentialRandomProgramsWithNegation(t *testing.T) {
 		if err := g.CheckStratified(); err != nil {
 			t.Fatalf("generator produced unstratified program: %v\n%s", err, src)
 		}
-		q := "?- p(X, Y)."
-		var baseline string
-		strategies := []Strategy{StrategySeminaive, StrategyTopDown, StrategyMagicFollow, StrategyMagic}
-		for i, strat := range strategies {
-			db := NewDB()
-			db.Load(res.Program)
-			goals, _ := lang.ParseQuery(q)
-			out, err := db.Query(goals.Goals, Options{Strategy: strat, MaxTuples: 500000})
-			if err != nil {
-				t.Fatalf("trial %d %v: %v\nprogram:\n%s", trial, strat, err, src)
-			}
-			got := answerSet(out)
-			if i == 0 {
-				baseline = got
-			} else if got != baseline {
-				t.Fatalf("trial %d: %v disagrees with seminaive under negation\n%v\nvs\n%v\nprogram:\n%s",
-					trial, strat, got, baseline, src)
+		for _, q := range []string{"?- p(X, Y).", "?- p(X, X)."} {
+			var baseline string
+			strategies := []Strategy{StrategySeminaive, StrategyTopDown, StrategyMagicFollow, StrategyMagic}
+			for i, strat := range strategies {
+				db := NewDB()
+				db.Load(res.Program)
+				goals, _ := lang.ParseQuery(q)
+				out, err := db.Query(goals.Goals, Options{Strategy: strat, MaxTuples: 500000})
+				if err != nil {
+					t.Fatalf("trial %d %v on %s: %v\nprogram:\n%s", trial, strat, q, err, src)
+				}
+				got := answerSet(out)
+				if i == 0 {
+					baseline = got
+				} else if got != baseline {
+					t.Fatalf("trial %d: %v disagrees with seminaive under negation on %s\n%v\nvs\n%v\nprogram:\n%s",
+						trial, strat, q, got, baseline, src)
+				}
 			}
 		}
 		checked++
 	}
 	t.Logf("differential-checked %d random negation programs", checked)
+}
+
+// TestStrategiesAgreeOnGoalShape pins every strategy that accepts a
+// query to the top-down answers on goals whose shape the ground
+// arguments alone do not express: a repeated variable, and a partly
+// ground compound.
+func TestStrategiesAgreeOnGoalShape(t *testing.T) {
+	const src = `
+e(a, a). e(a, b). e(b, b). e(c, [1, 2]). e(d, foo).
+t(X, Y) :- e(X, Y).
+t(X, Y) :- e(X, Z), t(Z, Y).
+p(X, Y) :- e(X, Y).
+app([], L, L).
+app([X|L1], L2, [X|L3]) :- app(L1, L2, L3).
+`
+	cases := []struct {
+		query, want string
+		strategies  []Strategy // strategies that must accept the query
+	}{
+		{"?- t(X, X).", "a,a;b,b", []Strategy{StrategyAuto, StrategySeminaive, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
+		{"?- p(X, [H|T]).", "c,[1, 2]", []Strategy{StrategyAuto, StrategySeminaive, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
+		{"?- app(X, X, [1,2,1,2]).", "[1, 2],[1, 2],[1, 2, 1, 2]", []Strategy{StrategyAuto, StrategyBuffered, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
+	}
+	for _, c := range cases {
+		for _, strat := range c.strategies {
+			db := load(t, src)
+			q, err := lang.ParseQuery(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.Query(q.Goals, Options{Strategy: strat})
+			if err != nil {
+				t.Errorf("%v on %s: %v", strat, c.query, err)
+				continue
+			}
+			if got := answerSet(res); got != c.want {
+				t.Errorf("%v on %s: got %q, want %q", strat, c.query, got, c.want)
+			}
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"chainsplit/internal/lang"
 	"chainsplit/internal/magic"
 	"chainsplit/internal/program"
+	"chainsplit/internal/relation"
 	"chainsplit/internal/workload"
 )
 
@@ -54,7 +55,12 @@ func TestPlanStatisticsMatchFreshCatalog(t *testing.T) {
 				}
 				return rw
 			}
-			fresh := rewrite(&cost.Model{Cat: db.Catalog().Clone()})
+			cold := relation.NewCatalog()
+			for _, n := range db.Catalog().Names() {
+				r := db.Catalog().Get(n)
+				cold.Ensure(n, r.Arity()).InsertAll(r)
+			}
+			fresh := rewrite(&cost.Model{Cat: cold})
 			warm := rewrite(&cost.Model{Cat: db.Catalog()})
 			if !reflect.DeepEqual(res.Plan.Decisions, fresh.Decisions) {
 				t.Errorf("decisions differ from a fresh catalog's:\nwarm:  %+v\nfresh: %+v", res.Plan.Decisions, fresh.Decisions)

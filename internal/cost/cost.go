@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"chainsplit/internal/adorn"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
 	"chainsplit/internal/term"
@@ -224,7 +225,7 @@ func (m *Model) SplitPath(rule program.Rule, path []int, bound map[string]bool, 
 		candExp := math.Inf(1)
 		for _, li := range remaining {
 			lit := rule.Body[li]
-			if !sharesBound(lit, bound) {
+			if !adorn.ConnectedTo(lit, bound) {
 				continue
 			}
 			e := m.Expansion(lit, bound)
@@ -261,26 +262,6 @@ func (m *Model) SplitPath(rule program.Rule, path []int, bound map[string]bool, 
 		remaining = removeInt(remaining, cand)
 	}
 	return dec
-}
-
-func sharesBound(lit program.Atom, bound map[string]bool) bool {
-	vars := lit.Vars()
-	if len(vars) == 0 {
-		return true
-	}
-	for v := range vars {
-		if bound[v] {
-			return true
-		}
-	}
-	// A literal with only constants and free vars but at least one
-	// ground argument is still connected via selection.
-	for _, a := range lit.Args {
-		if a.Ground() {
-			return true
-		}
-	}
-	return false
 }
 
 func cloneSet(s map[string]bool) map[string]bool {

@@ -37,7 +37,6 @@ import (
 	"chainsplit/internal/chain"
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
-	"chainsplit/internal/limits"
 	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
@@ -59,16 +58,16 @@ type Options struct {
 	// everr.ErrDeadline.
 	Ctx context.Context
 	// MaxLevels bounds the down-phase BFS depth
-	// (0 = limits.DefaultMaxLevels).
+	// (0 = defaultMaxLevels, 100,000).
 	MaxLevels int
 	// MaxContexts bounds the number of distinct contexts
-	// (0 = limits.DefaultMaxContexts).
+	// (0 = defaultMaxContexts, 2,000,000).
 	MaxContexts int
 	// MaxEdges bounds the number of buffered edges
-	// (0 = limits.DefaultMaxEdges).
+	// (0 = defaultMaxEdges, 5,000,000).
 	MaxEdges int
 	// MaxAnswers bounds the total number of answers across contexts
-	// (0 = limits.DefaultMaxAnswers). A cyclic chain with ever-growing
+	// (0 = defaultMaxAnswers, 1,000,000). A cyclic chain with ever-growing
 	// answers (e.g. travel routes on a cyclic flight graph) trips this
 	// budget.
 	MaxAnswers int
@@ -114,32 +113,40 @@ func (a *AccumSpec) RejectsAcc(acc int64) bool {
 	return acc > a.Bound
 }
 
+// The budgets a zero Options field stands for.
+const (
+	defaultMaxLevels   = 100_000
+	defaultMaxContexts = 2_000_000
+	defaultMaxEdges    = 5_000_000
+	defaultMaxAnswers  = 1_000_000
+)
+
 func (o Options) maxLevels() int {
 	if o.MaxLevels > 0 {
 		return o.MaxLevels
 	}
-	return limits.DefaultMaxLevels
+	return defaultMaxLevels
 }
 
 func (o Options) maxContexts() int {
 	if o.MaxContexts > 0 {
 		return o.MaxContexts
 	}
-	return limits.DefaultMaxContexts
+	return defaultMaxContexts
 }
 
 func (o Options) maxEdges() int {
 	if o.MaxEdges > 0 {
 		return o.MaxEdges
 	}
-	return limits.DefaultMaxEdges
+	return defaultMaxEdges
 }
 
 func (o Options) maxAnswers() int {
 	if o.MaxAnswers > 0 {
 		return o.MaxAnswers
 	}
-	return limits.DefaultMaxAnswers
+	return defaultMaxAnswers
 }
 
 // LevelStats is one row of the trace profile.

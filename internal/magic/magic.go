@@ -346,24 +346,6 @@ func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad str
 
 	evalExpansion := 1.0
 
-	connected := func(lit program.Atom) bool {
-		vars := lit.Vars()
-		if len(vars) == 0 {
-			return true
-		}
-		for v := range vars {
-			if bound[v] {
-				return true
-			}
-		}
-		for _, a := range lit.Args {
-			if a.Ground() {
-				return true
-			}
-		}
-		return false
-	}
-
 	propagateDecision := func(lit program.Atom) (cost.Choice, float64, string) {
 		switch cfg.Policy {
 		case PolicyFollow:
@@ -404,7 +386,7 @@ func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad str
 						continue
 					}
 				case 1:
-					if isB || !connected(lit) {
+					if isB || !adorn.ConnectedTo(lit, bound) {
 						continue
 					}
 				case 2:

@@ -155,11 +155,12 @@ func TestSCSGBothPoliciesAgree(t *testing.T) {
 	if ansF.Len() != ansS.Len() {
 		t.Fatalf("policies disagree: follow=%v split=%v", ansF.Sorted(), ansS.Sorted())
 	}
-	for _, tup := range ansF.Tuples() {
+	ansF.Each(func(tup relation.Tuple) bool {
 		if !ansS.Contains(tup) {
 			t.Errorf("split missing %v", tup)
 		}
-	}
+		return true
+	})
 	// ann's same-country same-generation relative is bob.
 	if !ansF.Contains(relation.Tuple{term.NewSym("ann"), term.NewSym("bob")}) {
 		t.Errorf("scsg(ann, bob) missing: %v", ansF.Sorted())

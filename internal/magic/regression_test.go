@@ -48,7 +48,7 @@ p(Y, X) :- e2(Y, X).
 				t.Fatalf("%v sup=%v: answers %v, want exactly %v\nprogram:\n%s",
 					pol, sup, ans.Sorted(), want, rw.Program)
 			}
-			for _, tup := range ans.Tuples() {
+			for _, tup := range ans.Sorted() {
 				if !want[tup.String()] {
 					t.Errorf("%v sup=%v: spurious answer %v", pol, sup, tup)
 				}

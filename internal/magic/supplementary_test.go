@@ -58,7 +58,7 @@ func TestSupplementarySameAnswers(t *testing.T) {
 		if flat.Len() != sup.Len() {
 			t.Fatalf("%s: flat %d answers, sup %d", goal, flat.Len(), sup.Len())
 		}
-		for _, tup := range flat.Tuples() {
+		for _, tup := range flat.Sorted() {
 			if !sup.Contains(tup) {
 				t.Errorf("%s: sup missing %v", goal, tup)
 			}

@@ -110,8 +110,8 @@ type Event struct {
 	A, B int64
 }
 
-// String renders the event in the one-line form used by Metrics.Events
-// — the compatibility string format, stable enough to grep.
+// String renders the event on one line, stable enough to grep; it is
+// the form chainsplitctl -trace prints.
 func (e Event) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%8.3fms] %-8s %-5s", float64(e.At.Microseconds())/1000.0, e.Phase, e.Kind)
@@ -224,18 +224,4 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Strings renders the recorded events in the compatibility string
-// form, one line per event.
-func (t *Tracer) Strings() []string {
-	evs := t.Events()
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]string, len(evs))
-	for i, e := range evs {
-		out[i] = e.String()
-	}
-	return out
 }

@@ -45,9 +45,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
 // gauge is a sampled-at-snapshot metric.
 type gauge struct {
 	name string

@@ -299,11 +299,14 @@ func columnMin(cat *relation.Catalog, pred string, arity, col int) int64 {
 	return min
 }
 
-// FilterAnswers applies the residual constraints to answer tuples: for
-// each answer, the goal's variables are bound to the answer values and
-// every constraint is checked.
+// FilterAnswers keeps the answer tuples that unify with the goal and
+// satisfy the residual constraints: for each answer, the goal's
+// variables are bound to the answer values and every constraint is
+// checked. A goal whose arguments are distinct variables or ground
+// terms matches every tuple an engine answered it with, so without
+// constraints the answers come back unchanged.
 func FilterAnswers(goal program.Atom, constraints []program.Atom, answers [][]term.Term) ([][]term.Term, error) {
-	if len(constraints) == 0 {
+	if len(constraints) == 0 && !shaped(goal) {
 		return answers, nil
 	}
 	var out [][]term.Term
@@ -348,4 +351,25 @@ func FilterAnswers(goal program.Atom, constraints []program.Atom, answers [][]te
 		}
 	}
 	return out, nil
+}
+
+// shaped reports whether the goal constrains its answers beyond its
+// ground arguments: a variable occurs twice, or an argument is a
+// compound with a variable inside.
+func shaped(goal program.Atom) bool {
+	seen := make(map[string]bool, len(goal.Args))
+	for _, a := range goal.Args {
+		v, ok := a.(term.Var)
+		if !ok {
+			if !a.Ground() {
+				return true
+			}
+			continue
+		}
+		if seen[v.Name] {
+			return true
+		}
+		seen[v.Name] = true
+	}
+	return false
 }

@@ -233,7 +233,7 @@ flight(4, a, 100, d, 50, 500).
 	if err != nil || res.Acc == nil {
 		t.Fatalf("push failed: %+v err=%v", res, err)
 	}
-	ev := counting.New(fx.prog, fx.cat.Clone(), fx.comp, counting.Options{Acc: res.Acc})
+	ev := counting.New(fx.prog, fx.cat.Snapshot(), fx.comp, counting.Options{Acc: res.Acc})
 	raw, err := ev.Query(goal)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ flight(4, a, 100, d, 50, 500).
 		t.Fatal(err)
 	}
 
-	td := topdown.New(fx.prog, fx.cat.Clone(), topdown.Options{})
+	td := topdown.New(fx.prog, fx.cat.Snapshot(), topdown.Options{})
 	sols, err := td.SolveConjunction([]program.Atom{goal})
 	if err != nil {
 		t.Fatal(err)

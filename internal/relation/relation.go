@@ -93,29 +93,6 @@ func appendProbeKey(dst []byte, t Tuple) ([]byte, bool) {
 // covers arity ≤ 16 without spilling to the heap.
 const keyBufSize = 128
 
-// Ground reports whether every component is ground.
-func (t Tuple) Ground() bool {
-	for _, v := range t {
-		if !v.Ground() {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports component-wise term equality.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if !term.Equal(t[i], o[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func (t Tuple) String() string {
 	parts := make([]string, len(t))
 	for i, v := range t {
@@ -278,18 +255,6 @@ func (r *Relation) Contains(t Tuple) bool {
 	}
 	_, present := r.present[string(k)]
 	return present
-}
-
-// Tuples returns the tuples in insertion order. On a frozen relation
-// it returns the internal slice (immutable by contract); on a live
-// relation it returns a copy, so writes through the returned slice can
-// never desynchronize the presence set or the indexes. Use Each or
-// Len/At for allocation-free iteration.
-func (r *Relation) Tuples() []Tuple {
-	if r.frozen.Load() {
-		return r.tuples
-	}
-	return append([]Tuple(nil), r.tuples...)
 }
 
 // Each calls f on every tuple in insertion order without copying the
@@ -627,16 +592,6 @@ func (c *Catalog) Names() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Clone deep-copies the catalog (every relation is cloned eagerly).
-// Prefer Snapshot, which shares relations copy-on-write and is O(#relations).
-func (c *Catalog) Clone() *Catalog {
-	out := NewCatalog()
-	for n, r := range c.rels {
-		out.rels[n] = r.Clone()
-	}
 	return out
 }
 

@@ -67,7 +67,7 @@ func TestInsertionOrderPreserved(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Insert(tup(i))
 	}
-	for i, tu := range r.Tuples() {
+	for i, tu := range r.tuples {
 		if !term.Equal(tu[0], term.NewInt(int64(i))) {
 			t.Fatalf("order broken at %d: %v", i, tu)
 		}
@@ -188,10 +188,10 @@ func TestCatalog(t *testing.T) {
 		t.Error("Get(missing) != nil")
 	}
 	e.Insert(tup("a", "b"))
-	cl := c.Clone()
-	cl.Get("e").Insert(tup("b", "c"))
+	cl := c.Snapshot()
+	cl.Ensure("e", 2).Insert(tup("b", "c"))
 	if e.Len() != 1 {
-		t.Error("Clone shares storage")
+		t.Error("a write through a snapshot reached the original")
 	}
 	if c.TotalTuples() != 1 || cl.TotalTuples() != 2 {
 		t.Errorf("TotalTuples = %d / %d", c.TotalTuples(), cl.TotalTuples())
@@ -271,8 +271,8 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 		j := a.Join("j", b, []int{1}, []int{0})
 		// Reference: nested loop join.
 		want := 0
-		for _, at := range a.Tuples() {
-			for _, bt := range b.Tuples() {
+		for _, at := range a.tuples {
+			for _, bt := range b.tuples {
 				if term.Equal(at[1], bt[0]) {
 					want++
 					joined := append(append(Tuple{}, at...), bt...)

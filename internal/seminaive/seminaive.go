@@ -18,10 +18,10 @@ import (
 	"sync"
 	"time"
 
+	"chainsplit/internal/adorn"
 	"chainsplit/internal/builtin"
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
-	"chainsplit/internal/limits"
 	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
@@ -45,10 +45,10 @@ type Options struct {
 	// the evaluation with everr.ErrCanceled / everr.ErrDeadline.
 	Ctx context.Context
 	// MaxIterations bounds fixpoint rounds per SCC
-	// (0 = limits.DefaultMaxIterations).
+	// (0 = defaultMaxIterations, 1,000,000).
 	MaxIterations int
 	// MaxTuples bounds the total number of derived tuples
-	// (0 = limits.DefaultMaxTuples).
+	// (0 = defaultMaxTuples, 5,000,000).
 	MaxTuples int
 	// TraceDeltas records per-iteration delta cardinalities (used to
 	// regenerate the paper's iteration-profile figures).
@@ -77,18 +77,24 @@ type Options struct {
 	Tracer *obsv.Tracer
 }
 
+// The budgets a zero Options field stands for.
+const (
+	defaultMaxIterations = 1_000_000
+	defaultMaxTuples     = 5_000_000
+)
+
 func (o Options) maxIterations() int {
 	if o.MaxIterations > 0 {
 		return o.MaxIterations
 	}
-	return limits.DefaultMaxIterations
+	return defaultMaxIterations
 }
 
 func (o Options) maxTuples() int {
 	if o.MaxTuples > 0 {
 		return o.MaxTuples
 	}
-	return limits.DefaultMaxTuples
+	return defaultMaxTuples
 }
 
 // IterStats records one fixpoint round of one SCC.
@@ -232,9 +238,6 @@ func New(p *program.Program, cat *relation.Catalog, opts Options) *Engine {
 	}
 	return e
 }
-
-// Catalog returns the working catalog.
-func (e *Engine) Catalog() *relation.Catalog { return e.cat }
 
 // Stats returns the accumulated statistics.
 func (e *Engine) Stats() *Stats { return &e.stats }
@@ -631,11 +634,11 @@ func scheduleBody(r program.Rule) ([]int, error) {
 			lit := r.Body[i]
 			if lit.Negated {
 				// Negation-as-failure: every variable must be bound.
-				if adornOf(lit, bound) != allB(lit.Arity()) {
+				if adorn.AtomAdornment(lit, bound) != adorn.AllB(lit.Arity()) {
 					continue
 				}
 			} else if b := builtin.Lookup(lit.Pred, lit.Arity()); b != nil {
-				ad := adornOf(lit, bound)
+				ad := adorn.AtomAdornment(lit, bound)
 				if !b.FiniteUnder(ad) {
 					continue
 				}
@@ -659,28 +662,6 @@ func scheduleBody(r program.Rule) ([]int, error) {
 		}
 	}
 	return order, nil
-}
-
-func adornOf(a program.Atom, bound map[string]bool) string {
-	buf := make([]byte, len(a.Args))
-	for i, arg := range a.Args {
-		buf[i] = 'b'
-		for v := range term.VarSet(arg) {
-			if !bound[v] {
-				buf[i] = 'f'
-				break
-			}
-		}
-	}
-	return string(buf)
-}
-
-func allB(n int) string {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = 'b'
-	}
-	return string(buf)
 }
 
 // Eval is the convenience entry point: evaluate prog against cat (which

@@ -299,7 +299,7 @@ func TestQuickIDShortcutsMatchStructure(t *testing.T) {
 		return ok && rid == id && len(Vars(nil, got)) == 0 && r.Fresh().Name == "_P1"
 	})
 	check("Key", func(c shortcutCase) bool {
-		return (Key(c.A) == Key(c.B)) == refEqual(c.A, c.B)
+		return (key(c.A) == key(c.B)) == refEqual(c.A, c.B)
 	})
 	check("ground iff id", func(c shortcutCase) bool {
 		s := c.subst()

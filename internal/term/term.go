@@ -306,15 +306,13 @@ func (c Comp) appendKey(dst []byte) []byte {
 	return dst
 }
 
-// Key returns an encoding of t for use as a map key: Key(a) == Key(b)
-// iff Equal(a, b). A ground compound encodes as a tag byte plus its
-// dictionary ID, so the key costs O(1) however deep the term is. IDs
-// are assigned per process, so a key is process-local: never persist
-// it, send it to another process or order by it (durable formats use
+// AppendKey appends an encoding of t, for use as a map key, to dst and
+// returns the extended slice: two terms encode alike iff Equal(a, b).
+// A ground compound encodes as a tag byte plus its dictionary ID, so
+// the key costs O(1) however deep the term is. IDs are assigned per
+// process, so a key is process-local: never persist it, send it to
+// another process or order by it (durable formats use
 // relation.AppendIDKey plus a dictionary section).
-func Key(t Term) string { return string(t.appendKey(nil)) }
-
-// AppendKey appends Key(t) to dst and returns the extended slice.
 func AppendKey(dst []byte, t Term) []byte { return t.appendKey(dst) }
 
 // Equal reports whether a and b are structurally identical terms

@@ -30,7 +30,7 @@ func BenchmarkKeyLongList(b *testing.B) {
 	list := IntList(make([]int64, 256)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if Key(list) == "" {
+		if key(list) == "" {
 			b.Fatal("empty key")
 		}
 	}

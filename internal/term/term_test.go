@@ -84,7 +84,7 @@ func TestKeyDistinct(t *testing.T) {
 	}
 	seen := make(map[string]Term)
 	for _, a := range terms {
-		k := Key(a)
+		k := key(a)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("Key collision between %v and %v", prev, a)
 		}
@@ -227,7 +227,7 @@ func (termValue) Generate(r *rand.Rand, size int) reflect.Value {
 
 func TestQuickEqualConsistentWithKey(t *testing.T) {
 	f := func(a, b termValue) bool {
-		return Equal(a.T, b.T) == (Key(a.T) == Key(b.T))
+		return Equal(a.T, b.T) == (key(a.T) == key(b.T))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -304,3 +304,6 @@ func TestVarSet(t *testing.T) {
 		t.Errorf("SortedVarNames = %v", names)
 	}
 }
+
+// key is the map key AppendKey encodes for t.
+func key(t Term) string { return string(AppendKey(nil, t)) }

@@ -23,7 +23,6 @@ import (
 	"chainsplit/internal/builtin"
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
-	"chainsplit/internal/limits"
 	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
@@ -46,37 +45,44 @@ type Options struct {
 	// with everr.ErrCanceled / everr.ErrDeadline.
 	Ctx context.Context
 	// MaxSteps bounds total literal evaluations
-	// (0 = limits.DefaultMaxSteps).
+	// (0 = defaultMaxSteps, 10,000,000).
 	MaxSteps int
-	// MaxDepth bounds call nesting (0 = limits.DefaultMaxDepth).
+	// MaxDepth bounds call nesting (0 = defaultMaxDepth, 1,000,000).
 	MaxDepth int
 	// MaxPasses bounds QSQR fixpoint passes
-	// (0 = limits.DefaultMaxPasses).
+	// (0 = defaultMaxPasses, 10,000).
 	MaxPasses int
 	// Tracer, when non-nil, receives one structured event per QSQR
 	// fixpoint pass (obsv.PhaseRound). A nil tracer costs nothing.
 	Tracer *obsv.Tracer
 }
 
+// The budgets a zero Options field stands for.
+const (
+	defaultMaxSteps  = 10_000_000
+	defaultMaxDepth  = 1_000_000
+	defaultMaxPasses = 10_000
+)
+
 func (o Options) maxSteps() int {
 	if o.MaxSteps > 0 {
 		return o.MaxSteps
 	}
-	return limits.DefaultMaxSteps
+	return defaultMaxSteps
 }
 
 func (o Options) maxDepth() int {
 	if o.MaxDepth > 0 {
 		return o.MaxDepth
 	}
-	return limits.DefaultMaxDepth
+	return defaultMaxDepth
 }
 
 func (o Options) maxPasses() int {
 	if o.MaxPasses > 0 {
 		return o.MaxPasses
 	}
-	return limits.DefaultMaxPasses
+	return defaultMaxPasses
 }
 
 // Stats reports evaluation effort.
@@ -459,12 +465,4 @@ func (e *Engine) canonical(g program.Atom, s term.Subst) (string, []term.Term) {
 		walk(a)
 	}
 	return string(kb), resolved
-}
-
-// Reset clears tables and statistics (fresh evaluation state).
-func (e *Engine) Reset() {
-	e.table = make(map[string]*entry)
-	e.inProgress = make(map[string]bool)
-	e.stats = Stats{}
-	e.curPass = 0
 }

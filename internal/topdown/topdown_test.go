@@ -335,10 +335,6 @@ func TestTableReuse(t *testing.T) {
 	if after-before > before {
 		t.Errorf("second identical query did %d steps (first %d); table not reused", after-before, before)
 	}
-	e.Reset()
-	if e.Stats().Steps != 0 || len(e.table) != 0 {
-		t.Error("Reset did not clear state")
-	}
 }
 
 func TestStatsPopulated(t *testing.T) {

@@ -311,7 +311,6 @@ type BridgeConfig struct {
 	// Expansion is the bridge fanout r: each up-node connects to r
 	// flat-nodes — the join expansion ratio of the bridge connection.
 	Expansion int
-	Seed      int64
 }
 
 // Bridge generates the T3 workload: an scsg-shaped recursion whose
