@@ -8,6 +8,7 @@ package chainsplit
 // is ≤ 1 (follow regime).
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -143,5 +144,23 @@ func TestWithTracePopulatesTypedEvents(t *testing.T) {
 	}
 	if len(res2.Metrics.TraceEvents) != 0 {
 		t.Errorf("untraced query carries %d trace events", len(res2.Metrics.TraceEvents))
+	}
+}
+
+// TestExplainAnalyzePassesQueryGates checks that ExplainAnalyze sheds
+// where Query sheds: a quarantined node serves neither.
+func TestExplainAnalyzePassesQueryGates(t *testing.T) {
+	db := scsgDB(t, 1)
+	defer db.Close()
+	q := fmt.Sprintf("?- scsg(%s, Y).", workload.PersonName(4, 0))
+	if _, err := db.ExplainAnalyze(q); err != nil {
+		t.Fatal(err)
+	}
+	db.inner.Quarantine()
+	if _, err := db.Query(q); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("Query on a quarantined node: %v, want ErrQuarantined", err)
+	}
+	if _, err := db.ExplainAnalyze(q); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("ExplainAnalyze on a quarantined node: %v, want ErrQuarantined", err)
 	}
 }

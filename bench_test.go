@@ -178,7 +178,7 @@ func BenchmarkF1_SCSG_DeltaTrace(b *testing.B) {
 	fam := workload.Family(workload.FamilyConfig{Generations: 4, Fanout: 2, Roots: 1, Countries: 1, Seed: 11})
 	db := benchDB(b, workload.SCSGRules(), fam)
 	goal := fmt.Sprintf("?- scsg(%s, Y).", workload.PersonName(4, 0))
-	benchQuery(b, db, goal, core.Options{Strategy: core.StrategyMagicFollow, TraceDeltas: true}, -1)
+	benchQuery(b, db, goal, core.Options{Strategy: core.StrategyMagicFollow, Trace: true}, -1)
 }
 
 // --- A1: supplementary ablation (fixed point of the sweep) ---
@@ -223,5 +223,5 @@ func BenchmarkF3_Travel_LevelProfile(b *testing.B) {
 	fl := workload.Flights(workload.FlightsConfig{Cities: 5, OutDegree: 2, Layered: true, Layers: 6, Seed: 13})
 	db := benchDB(b, workload.TravelRules(), fl)
 	goal := fmt.Sprintf("?- travel(L, %s, DT, A, AT, F).", workload.CityName(0, 0))
-	benchQuery(b, db, goal, core.Options{Strategy: core.StrategyBuffered, TraceDeltas: true}, -1)
+	benchQuery(b, db, goal, core.Options{Strategy: core.StrategyBuffered, Trace: true}, -1)
 }

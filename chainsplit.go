@@ -148,15 +148,13 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithTrace records per-iteration (bottom-up) or per-level (buffered)
-// profiles in the result metrics, and enables the structured trace:
-// typed phase events (plan/compile/round/merge/level) in
-// Metrics.TraceEvents; the buffered evaluator's worked trace is in
+// profiles in the result metrics, the observed per-rule, per-literal
+// join profile in Metrics.Rules (bottom-up), and enables the
+// structured trace: typed phase events (plan/compile/round/merge/level)
+// in Metrics.TraceEvents; the buffered evaluator's worked trace is in
 // Metrics.Events. Queries without WithTrace pay nothing for tracing.
 func WithTrace() Option {
-	return func(q *queryConfig) {
-		q.opts.TraceDeltas = true
-		q.opts.Trace = true
-	}
+	return func(q *queryConfig) { q.opts.Trace = true }
 }
 
 // WithLimit truncates the answer set to the first n answers; n = 1
@@ -653,30 +651,10 @@ func (db *DB) QueryCtx(ctx context.Context, q string, options ...Option) (res *R
 }
 
 // queryOnce runs one admission-controlled evaluation attempt against
-// the generation current at admission time. On a follower the
-// staleness bound is checked first: a view older than MaxStaleness is
-// shed with ErrStale before any evaluation work, like an admission
-// rejection — the query never silently reads old state.
+// the generation current at admission time.
 func (db *DB) queryOnce(ctx context.Context, goals []program.Atom, opts core.Options) (*Result, error) {
-	// Quarantine sheds before anything else — staleness included: a
-	// node that cannot vouch for its own store must not serve answers
-	// from it, however fresh they look.
-	if err := db.inner.CheckQuarantined(); err != nil {
-		return nil, &core.EvalError{Strategy: "integrity", Err: err}
-	}
-	if db.maxStale > 0 && db.Staleness() > db.maxStale {
-		if err := core.CheckFollowerRead(true); err != nil {
-			return nil, &core.EvalError{Strategy: "replica", Err: err}
-		}
-	}
-	wait, release, err := db.adm.Acquire(ctx)
+	wait, release, err := db.admit(ctx)
 	if err != nil {
-		if errors.Is(err, everr.ErrOverloaded) {
-			// Shed queries report through the same structured type as
-			// evaluation failures, with the admission layer as the
-			// "strategy" that failed.
-			return nil, &core.EvalError{Strategy: "admission", Err: err}
-		}
 		return nil, err
 	}
 	defer release()
@@ -687,6 +665,33 @@ func (db *DB) queryOnce(ctx context.Context, goals []program.Atom, opts core.Opt
 	out := convertResult(inner)
 	out.Metrics.AdmissionWait = wait
 	return out, nil
+}
+
+// admit passes the gates every evaluation passes before it reads
+// state, and returns the admission wait and the slot's release.
+// Quarantine sheds first — staleness included: a node that cannot
+// vouch for its own store must not serve answers from it, however
+// fresh they look. On a follower the staleness bound comes next: a
+// view older than MaxStaleness is shed with ErrStale before any
+// evaluation work, like an admission rejection — a query never
+// silently reads old state. Admission control is last.
+func (db *DB) admit(ctx context.Context) (time.Duration, func(), error) {
+	if err := db.inner.CheckQuarantined(); err != nil {
+		return 0, nil, &core.EvalError{Strategy: "integrity", Err: err}
+	}
+	if db.maxStale > 0 && db.Staleness() > db.maxStale {
+		if err := core.CheckFollowerRead(true); err != nil {
+			return 0, nil, &core.EvalError{Strategy: "replica", Err: err}
+		}
+	}
+	wait, release, err := db.adm.Acquire(ctx)
+	if errors.Is(err, everr.ErrOverloaded) {
+		// Shed queries report through the same structured type as
+		// evaluation failures, with the admission layer as the
+		// "strategy" that failed.
+		err = &core.EvalError{Strategy: "admission", Err: err}
+	}
+	return wait, release, err
 }
 
 // convertResult projects a core result into the public shape. Duration
@@ -736,8 +741,9 @@ func (db *DB) ExplainAnalyze(q string, options ...Option) (*Analysis, error) {
 	return db.ExplainAnalyzeCtx(context.Background(), q, options...)
 }
 
-// ExplainAnalyzeCtx is ExplainAnalyze under a context; it passes
-// admission control like a query (no retry — analysis is interactive).
+// ExplainAnalyzeCtx is ExplainAnalyze under a context; it passes the
+// quarantine, staleness and admission gates like a query (no retry —
+// analysis is interactive).
 func (db *DB) ExplainAnalyzeCtx(ctx context.Context, q string, options ...Option) (an *Analysis, err error) {
 	defer apiRecover(&err)
 	goals, qc, err := db.prepare(q, options)
@@ -747,12 +753,9 @@ func (db *DB) ExplainAnalyzeCtx(ctx context.Context, q string, options ...Option
 	qc.opts.Ctx = ctx
 	obsv.Queries.Inc()
 	start := time.Now()
-	wait, release, err := db.adm.Acquire(ctx)
+	wait, release, err := db.admit(ctx)
 	if err != nil {
 		obsv.QueryErrors.Inc()
-		if errors.Is(err, everr.ErrOverloaded) {
-			return nil, &core.EvalError{Strategy: "admission", Err: err}
-		}
 		return nil, err
 	}
 	defer release()

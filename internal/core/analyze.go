@@ -93,8 +93,6 @@ func (db *DB) ExplainAnalyze(goals []program.Atom, opts Options) (*AnalyzeReport
 func (g *generation) ExplainAnalyze(goals []program.Atom, opts Options) (*AnalyzeReport, error) {
 	opts = g.applyPragmas(opts)
 	opts.Trace = true
-	opts.LitStats = true
-	opts.TraceDeltas = true
 	res, err := g.Query(goals, opts)
 	if err != nil {
 		return nil, err

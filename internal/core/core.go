@@ -120,8 +120,6 @@ type Options struct {
 	MaxSteps      int
 	MaxLevels     int
 	MaxAnswers    int
-	// TraceDeltas records per-iteration/per-level profiles.
-	TraceDeltas bool
 	// Limit truncates the answer set to the first n answers (0 = all).
 	// With Limit 1 a query becomes an existence check — the paper's
 	// conclusion calls for integrating chain-split evaluation with
@@ -133,15 +131,15 @@ type Options struct {
 	// same metrics — and respects Ctx cancellation and the tuple /
 	// iteration budgets; see seminaive.Options.Workers.
 	Workers int
-	// Trace enables the structured trace: each evaluation attempt
-	// records typed phase events (plan/compile/round/merge/level) into
-	// a fresh obsv.Tracer, reported as Metrics.TraceEvents.
-	// Disabled tracing costs nothing on the evaluation hot paths.
+	// Trace turns on everything an evaluation can record about itself:
+	// each attempt records typed phase events
+	// (plan/compile/round/merge/level) into a fresh obsv.Tracer,
+	// reported as Metrics.TraceEvents, and every engine given that
+	// tracer records its profile — per-round deltas (Deltas), per-rule,
+	// per-literal join statistics (Rules), per-level buffered profile
+	// (Profile) and the worked trace (Events). Disabled tracing costs
+	// nothing on the evaluation hot paths.
 	Trace bool
-	// LitStats records observed per-rule, per-body-literal join
-	// statistics (seminaive strategies only) in Metrics.Rules — the
-	// observed side of ExplainAnalyze's calibration report.
-	LitStats bool
 	// tracer is the per-attempt trace sink created when Trace is set;
 	// a fallback re-run gets its own, so events from a failed attempt
 	// never leak into the final result.
@@ -165,7 +163,7 @@ type Metrics struct {
 	Deltas        []seminaive.IterStats
 
 	// Rules is the observed per-rule, per-literal join profile (with
-	// Options.LitStats, seminaive strategies): firing counts and the
+	// Options.Trace, seminaive strategies): firing counts and the
 	// realized expansion ratio of every body literal — what
 	// ExplainAnalyze compares the cost model's estimates against.
 	Rules []seminaive.RuleProfile
@@ -177,7 +175,7 @@ type Metrics struct {
 	UpJoins  int
 	Profile  []counting.LevelStats
 	// Events is the chronological buffered-evaluation log (with
-	// TraceDeltas): the observable form of the paper's worked traces.
+	// Options.Trace): the observable form of the paper's worked traces.
 	// The structured trace is in TraceEvents.
 	Events []string
 	// TraceEvents is the structured per-attempt trace (with
@@ -1022,7 +1020,7 @@ func (g *generation) plan(goal program.Atom, cons []program.Atom, opts Options) 
 		// except when the goal itself is consumed under negation, in
 		// which case no goal-direction remains.
 		if negation && (chosen == StrategyMagic || chosen == StrategyMagicFollow || chosen == StrategyMagicSplit) {
-			if g.goalUnderNegation(goal, pd.graph) {
+			if pd.graph.NegClosure()[goal.Key()] {
 				chosen = StrategySeminaive
 				pl.Notes = append(pl.Notes, "goal is consumed under negation: evaluated by stratified semi-naive")
 			}
@@ -1101,33 +1099,6 @@ func (g *generation) linearMutualSCC(key string, dg *program.DepGraph) bool {
 	return true
 }
 
-// goalUnderNegation reports whether the goal's predicate is in the
-// materialization closure of the program's negated literals (directly
-// or transitively consumed under negation).
-func (g *generation) goalUnderNegation(goal program.Atom, dg *program.DepGraph) bool {
-	mat := make(map[string]bool)
-	var queue []string
-	for _, tos := range dg.NegEdges {
-		for _, to := range tos {
-			if !mat[to] {
-				mat[to] = true
-				queue = append(queue, to)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for _, succ := range dg.Edges[k] {
-			if !mat[succ] {
-				mat[succ] = true
-				queue = append(queue, succ)
-			}
-		}
-	}
-	return mat[goal.Key()]
-}
-
 // usesNegation reports whether any rule body contains a negated
 // literal.
 func (g *generation) usesNegation() bool {
@@ -1145,18 +1116,7 @@ func (g *generation) usesNegation() bool {
 // predicate uses a functional builtin (cons, plus, times) — the
 // paper's functional-recursion criterion.
 func (g *generation) reachesFunctional(key string, dg *program.DepGraph) bool {
-	reach := map[string]bool{key: true}
-	queue := []string{key}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for _, succ := range dg.Edges[k] {
-			if !reach[succ] {
-				reach[succ] = true
-				queue = append(queue, succ)
-			}
-		}
-	}
+	reach := dg.Reachable(key)
 	for _, r := range g.prog.Rules {
 		if !reach[r.Head.Key()] {
 			continue
@@ -1288,9 +1248,7 @@ func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, 
 			return res, err
 		}
 		if len(phase1.Rules) > 0 {
-			p1 := opts
-			p1.TraceDeltas = false
-			if err := evalBottomUp(res, phase1, cat, p1, ""); err != nil {
+			if err := evalBottomUp(res, phase1, cat, opts, ""); err != nil {
 				return res, err
 			}
 			res.Plan.Notes = append(res.Plan.Notes,
@@ -1324,9 +1282,7 @@ func evalBottomUp(res *Result, p *program.Program, cat *relation.Catalog, opts O
 		Ctx:           opts.Ctx,
 		MaxIterations: opts.MaxIterations,
 		MaxTuples:     opts.MaxTuples,
-		TraceDeltas:   opts.TraceDeltas,
 		Workers:       opts.Workers,
-		LitStats:      opts.LitStats,
 		Tracer:        opts.tracer,
 		Goal:          goal,
 	})
@@ -1381,7 +1337,6 @@ func (g *generation) runBuffered(res *Result, pd *planned, opts Options) (*Resul
 		Ctx:        opts.Ctx,
 		MaxLevels:  opts.MaxLevels,
 		MaxAnswers: opts.MaxAnswers,
-		Trace:      opts.TraceDeltas,
 		Tracer:     opts.tracer,
 	}
 	if pd.push != nil {

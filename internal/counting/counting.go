@@ -71,13 +71,12 @@ type Options struct {
 	// answers (e.g. travel routes on a cyclic flight graph) trips this
 	// budget.
 	MaxAnswers int
-	// Trace records the per-level profile (contexts opened and answers
-	// propagated per level) for the figure experiments.
-	Trace bool
-	// Tracer, when non-nil, receives structured events: one
+	// Tracer, when non-nil, receives structured events — one
 	// obsv.PhaseLevel point per context opened and one obsv.PhaseAnswer
-	// point per answer derived — the typed counterpart of the Events
-	// strings. A nil tracer costs nothing.
+	// point per answer derived — and turns on the per-level profile
+	// (contexts opened and answers propagated per level, for the figure
+	// experiments) and the Events strings, the worked trace. A nil
+	// tracer costs nothing.
 	Tracer *obsv.Tracer
 	// Acc installs a monotone accumulator per context: per recursive
 	// rule, the (source-program) variable whose per-level value is
@@ -167,7 +166,7 @@ type Stats struct {
 	UpJoins   int // delayed-portion evaluations
 	ExitFires int
 	Profile   []LevelStats
-	// Events is the chronological evaluation log (Trace only): one
+	// Events is the chronological evaluation log (with a Tracer): one
 	// line per context opened ("down …") and per answer derived
 	// ("answer …") — the observable form of the paper's worked traces.
 	Events []string
@@ -482,7 +481,7 @@ func (ev *Evaluator) ensureCtx(key, ad string, input []term.Term, level int, acc
 	ev.ordered = append(ev.ordered, c)
 	ev.stats.Contexts++
 	ev.opts.Tracer.Point(obsv.PhaseLevel, key, int64(level), int64(ev.stats.Contexts))
-	if ev.opts.Trace {
+	if ev.opts.Tracer.Enabled() {
 		ev.traceLevel(level).Contexts++
 		ev.stats.Events = append(ev.stats.Events,
 			fmt.Sprintf("down L%d %s^%s %s", level, key, ad, termsString(input)))
@@ -557,7 +556,7 @@ func (ev *Evaluator) expand(c *ctx, level int) ([]*ctx, error) {
 			e := edge{parent: c, ruleIdx: ri, snapshot: sol}
 			child.parents = append(child.parents, e)
 			ev.stats.Edges++
-			if ev.opts.Trace {
+			if ev.opts.Tracer.Enabled() {
 				ev.traceLevel(level).Edges++
 			}
 			// Replay existing answers of a shared child through the
@@ -638,14 +637,14 @@ func (ev *Evaluator) addAnswer(c *ctx, ans []term.Term) error {
 	c.answers = append(c.answers, ans)
 	ev.stats.Answers++
 	ev.opts.Tracer.Point(obsv.PhaseAnswer, c.key, int64(c.level), int64(ev.stats.Answers))
-	if ev.opts.Trace {
+	if ev.opts.Tracer.Enabled() {
 		ev.stats.Events = append(ev.stats.Events,
 			fmt.Sprintf("answer L%d %s %s", c.level, c.key, termsString(ans)))
 	}
 	if ev.stats.Answers > ev.opts.maxAnswers() {
 		return fmt.Errorf("%w: more than %d answers (non-terminating chain?)", ErrBudget, ev.opts.maxAnswers())
 	}
-	if ev.opts.Trace {
+	if ev.opts.Tracer.Enabled() {
 		ev.traceLevel(c.level).Answers++
 	}
 	for _, e := range c.parents {

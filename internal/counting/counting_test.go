@@ -7,6 +7,7 @@ import (
 
 	"chainsplit/internal/chain"
 	"chainsplit/internal/lang"
+	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
 	"chainsplit/internal/term"
@@ -120,7 +121,7 @@ flight(404, yyc, 1000, yow, 1500, 350).
 `
 
 func TestBufferedTravel(t *testing.T) {
-	ev, _ := setup(t, travelSrc, "travel/6", Options{Trace: true})
+	ev, _ := setup(t, travelSrc, "travel/6", Options{Tracer: obsv.NewTracer(0)})
 	ans := query(t, ev, "?- travel(L, yvr, DT, A, AT, F).")
 	if len(ans) != 3 {
 		t.Fatalf("itineraries = %v", ans)
@@ -318,7 +319,7 @@ e(r, a). e(r, b). e(a, x). e(b, x). e(x, y).
 }
 
 func TestStatsString(t *testing.T) {
-	ev, _ := setup(t, appendSrc, "append/3", Options{Trace: true})
+	ev, _ := setup(t, appendSrc, "append/3", Options{Tracer: obsv.NewTracer(0)})
 	query(t, ev, "?- append([1,2,3], [], W).")
 	st := ev.Stats()
 	if st.Levels == 0 || st.ExitFires == 0 || st.UpJoins == 0 {

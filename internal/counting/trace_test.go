@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chainsplit/internal/lang"
+	"chainsplit/internal/obsv"
 )
 
 // TestIsortGoldenTrace pins the evaluation of the paper's Example 4.1
@@ -22,7 +23,7 @@ isort([], []).
 insert(X, [], [X]).
 insert(X, [Y|Ys], [Y|Zs]) :- X > Y, insert(X, Ys, Zs).
 insert(X, [Y|Ys], [X,Y|Ys]) :- X =< Y.
-`, "isort/2", Options{Trace: true})
+`, "isort/2", Options{Tracer: obsv.NewTracer(0)})
 	q, _ := lang.ParseQuery("?- isort([5,7,1], Ys).")
 	if _, err := ev.Query(q.Goals[0]); err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ insert(X, [Y|Ys], [X,Y|Ys]) :- X =< Y.
 
 // TestAppendGoldenTrace pins the §1.2 append chain-split evaluation.
 func TestAppendGoldenTrace(t *testing.T) {
-	ev, _ := setup(t, appendSrc, "append/3", Options{Trace: true})
+	ev, _ := setup(t, appendSrc, "append/3", Options{Tracer: obsv.NewTracer(0)})
 	q, _ := lang.ParseQuery("?- append([1,2], [3], W).")
 	if _, err := ev.Query(q.Goals[0]); err != nil {
 		t.Fatal(err)
@@ -76,6 +77,6 @@ func TestNoEventsWithoutTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ev.Stats().Events) != 0 {
-		t.Errorf("events recorded without Trace: %v", ev.Stats().Events)
+		t.Errorf("events recorded without a Tracer: %v", ev.Stats().Events)
 	}
 }

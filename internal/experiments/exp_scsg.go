@@ -81,7 +81,7 @@ func runF1(cfg Config) (*Report, error) {
 	var parts []string
 	var ratios []float64
 	for _, c := range []int{1, 8} {
-		res, err := scsg(cfg, c, core.Options{TraceDeltas: true}, strats...)
+		res, err := scsg(cfg, c, core.Options{Trace: true}, strats...)
 		if err != nil {
 			return nil, err
 		}

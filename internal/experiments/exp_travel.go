@@ -118,7 +118,7 @@ func runT6(cfg Config) (*Report, error) {
 func runF3(cfg Config) (*Report, error) {
 	fl := workload.Flights(workload.FlightsConfig{Cities: 5, OutDegree: 2, Layered: true, Layers: 6, Seed: 13})
 	res, err := run(cfg, workload.TravelRules(), fl, travelQuery(workload.CityName(0, 0), 0),
-		core.Options{Strategy: core.StrategyBuffered, TraceDeltas: true})
+		core.Options{Strategy: core.StrategyBuffered, Trace: true})
 	if err != nil {
 		return nil, err
 	}

@@ -153,28 +153,7 @@ func RewriteStratified(p *program.Program, goal program.Atom, cfg Config) (*Rewr
 	if err := g.CheckStratified(); err != nil {
 		return nil, nil, fmt.Errorf("magic: %v", err)
 	}
-	// Closure of predicates needing full materialization: every pred
-	// negated anywhere, plus its (positive and negative) dependencies.
-	mat := make(map[string]bool)
-	var queue []string
-	for _, tos := range g.NegEdges {
-		for _, to := range tos {
-			if !mat[to] {
-				mat[to] = true
-				queue = append(queue, to)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for _, succ := range g.Edges[k] {
-			if !mat[succ] {
-				mat[succ] = true
-				queue = append(queue, succ)
-			}
-		}
-	}
+	mat := g.NegClosure()
 	if mat[goal.Key()] {
 		// The goal itself is below a negation: no goal-direction left.
 		return nil, nil, fmt.Errorf("magic: goal %s is consumed under negation; use seminaive", goal.Key())

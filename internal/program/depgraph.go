@@ -65,12 +65,18 @@ func NewDepGraph(p *Program) *DepGraph {
 }
 
 // Reachable returns the set of predicate keys transitively reachable
-// from start (including start itself) along dependency edges — the
-// goal's dependency cone. Negated dependencies are included: Edges
+// from starts (including the starts themselves) along dependency edges
+// — a goal's dependency cone. Negated dependencies are included: Edges
 // holds every body literal, negated or not.
-func (g *DepGraph) Reachable(start string) map[string]bool {
-	out := map[string]bool{start: true}
-	stack := []string{start}
+func (g *DepGraph) Reachable(starts ...string) map[string]bool {
+	out := make(map[string]bool)
+	var stack []string
+	for _, k := range starts {
+		if !out[k] {
+			out[k] = true
+			stack = append(stack, k)
+		}
+	}
 	for len(stack) > 0 {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -82,6 +88,18 @@ func (g *DepGraph) Reachable(start string) map[string]bool {
 		}
 	}
 	return out
+}
+
+// NegClosure returns the predicates a stratified evaluation must
+// materialize in full before anything goal-directed runs: every
+// predicate negated anywhere, plus everything it depends on, positively
+// or negatively. Their absence tests need complete relations.
+func (g *DepGraph) NegClosure() map[string]bool {
+	var negated []string
+	for _, tos := range g.NegEdges {
+		negated = append(negated, tos...)
+	}
+	return g.Reachable(negated...)
 }
 
 // CheckStratified verifies no predicate depends negatively on its own

@@ -4,7 +4,7 @@
 // snapshot integrity, dictionary referential integrity, generation
 // monotonicity and snapshot-to-log coverage — without blocking the
 // writer. The checks are exactly the offline Fsck's (both drive
-// wal.Checker); the scrubber adds the live-writer leniencies (an
+// wal.VerifyDir); the scrubber adds the live-writer leniencies (an
 // in-flight append on the final segment is "not yet", a file pruned by
 // a checkpoint mid-pass is skipped) and an end-to-end invariant the
 // offline path cannot state: the durable image must reach every

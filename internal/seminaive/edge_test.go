@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"chainsplit/internal/obsv"
 	"chainsplit/internal/term"
 )
 
@@ -93,7 +94,7 @@ func TestDeltaTraceNamesSCC(t *testing.T) {
 tc(X, Y) :- e(X, Y).
 tc(X, Y) :- e(X, Z), tc(Z, Y).
 e(a, b). e(b, c).
-`, Options{TraceDeltas: true})
+`, Options{Tracer: obsv.NewTracer(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

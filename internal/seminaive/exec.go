@@ -115,8 +115,8 @@ type compiledRule struct {
 	// deltaKeys maps a body literal index to its predicate key when the
 	// literal reads a same-SCC relation (a delta occurrence), else "".
 	deltaKeys []string
-	// agg is the engine-wide literal-statistics aggregate (nil when
-	// Options.LitStats is off).
+	// agg is the engine-wide literal-statistics aggregate (nil without
+	// Options.Tracer).
 	agg *litCounters
 }
 

@@ -23,6 +23,7 @@ import (
 	"chainsplit/internal/cost"
 	"chainsplit/internal/lang"
 	"chainsplit/internal/magic"
+	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
 	"chainsplit/internal/workload"
@@ -203,8 +204,7 @@ func goldenRun(t *testing.T, c goldenCase, workers int) string {
 	}
 	opts := c.opts
 	opts.Workers = workers
-	opts.LitStats = true
-	opts.TraceDeltas = true
+	opts.Tracer = obsv.NewTracer(0)
 	stats, evalErr := Eval(p, cat, opts)
 	if c.wantErr != nil && !errors.Is(evalErr, c.wantErr) {
 		t.Errorf("%s workers=%d: err = %v, want %v", c.name, workers, evalErr, c.wantErr)

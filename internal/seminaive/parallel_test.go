@@ -15,6 +15,7 @@ import (
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
 	"chainsplit/internal/lang"
+	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
 	"chainsplit/internal/term"
@@ -93,11 +94,11 @@ e(a, b). e(b, c). e(c, d). e(d, e).
 }
 
 func TestParallelTraceDeltasMatch(t *testing.T) {
-	serial, serialStats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, TraceDeltas: true})
+	serial, serialStats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, Tracer: obsv.NewTracer(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, stats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, TraceDeltas: true, Workers: 4})
+	cat, stats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, Tracer: obsv.NewTracer(0), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +198,12 @@ e(a, b). e(b, c). e(c, d).
 // determinism claim: per-rule firing, derivation, and per-literal
 // in/out counts must be identical for Workers 1 and 8.
 func TestLitStatsParallelMatchesSerial(t *testing.T) {
-	_, serialStats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, LitStats: true})
+	_, serialStats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, Tracer: obsv.NewTracer(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(serialStats.Rules) == 0 {
-		t.Fatal("LitStats produced no rule profiles")
+		t.Fatal("tracing produced no rule profiles")
 	}
 	for _, rp := range serialStats.Rules {
 		if rp.Fires > 0 && rp.Derived > rp.Fires {
@@ -214,7 +215,7 @@ func TestLitStatsParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	_, parStats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, LitStats: true, Workers: 8})
+	_, parStats, err := evalWorkers(t, mutualSrc, Options{MaxIterations: 100, Tracer: obsv.NewTracer(0), Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,6 @@ type Options struct {
 	// MaxTuples bounds the total number of derived tuples
 	// (0 = defaultMaxTuples, 5,000,000).
 	MaxTuples int
-	// TraceDeltas records per-iteration delta cardinalities (used to
-	// regenerate the paper's iteration-profile figures).
-	TraceDeltas bool
 	// Goal, when set to a predicate key ("pred/arity"), restricts
 	// evaluation to the SCCs in the goal's dependency cone. Unrelated
 	// recursions in the same program — including divergent ones — are
@@ -66,14 +63,14 @@ type Options struct {
 	// Workers=1 — see docs/performance.md for the argument. Registered
 	// builtins must be safe for concurrent calls when Workers > 1.
 	Workers int
-	// LitStats records per-rule, per-body-literal runtime join
-	// statistics (substitutions reaching each literal and matches it
-	// produced) in Stats.Rules — the observed side of EXPLAIN ANALYZE.
-	// Off by default: the counts touch the innermost join loop.
-	LitStats bool
 	// Tracer, when non-nil, receives structured round/merge events
 	// (obsv.PhaseRound / obsv.PhaseMerge), one per fixpoint round per
-	// SCC. A nil tracer costs nothing.
+	// SCC, and turns on the profiles in Stats: per-round delta
+	// cardinalities (Deltas, which regenerate the paper's
+	// iteration-profile figures) and per-rule, per-body-literal join
+	// statistics (Rules, the observed side of EXPLAIN ANALYZE; the
+	// counts touch the innermost join loop). A nil tracer costs
+	// nothing.
 	Tracer *obsv.Tracer
 }
 
@@ -134,8 +131,8 @@ type Stats struct {
 	Iterations    int           // total fixpoint rounds across SCCs
 	DerivedTuples int           // tuples inserted into IDB relations
 	Matches       int64         // tuple matches enumerated (join work proxy)
-	Deltas        []IterStats   // present when Options.TraceDeltas
-	Rules         []RuleProfile // present when Options.LitStats
+	Deltas        []IterStats   // present with Options.Tracer
+	Rules         []RuleProfile // present with Options.Tracer
 }
 
 // Engine evaluates one program against one working catalog.
@@ -146,8 +143,8 @@ type Engine struct {
 	opts  Options
 	stats Stats
 	idb   map[string]bool
-	// lits aggregates per-rule literal statistics (Options.LitStats),
-	// keyed by the rule's rendered form.
+	// lits aggregates per-rule literal statistics (with
+	// Options.Tracer), keyed by the rule's rendered form.
 	lits map[string]*litCounters
 }
 
@@ -182,7 +179,7 @@ func (lc *litCounters) add(o *litCounters) {
 // creating it on the rule's first work item, or nil when literal
 // statistics are disabled.
 func (e *Engine) litsFor(c *compiledRule) *litCounters {
-	if !e.opts.LitStats {
+	if !e.opts.Tracer.Enabled() {
 		return nil
 	}
 	if c.agg == nil {
@@ -223,7 +220,7 @@ func (e *Engine) finishLits() {
 // untouched.
 func New(p *program.Program, cat *relation.Catalog, opts Options) *Engine {
 	e := &Engine{prog: p, graph: program.NewDepGraph(p), cat: cat, opts: opts, idb: p.IDB()}
-	if opts.LitStats {
+	if opts.Tracer.Enabled() {
 		e.lits = make(map[string]*litCounters)
 	}
 	for _, f := range p.Facts {
@@ -269,7 +266,7 @@ func (e *Engine) Run() error {
 	if e.opts.Goal != "" {
 		cone = e.graph.Reachable(e.opts.Goal)
 	}
-	if e.opts.LitStats {
+	if e.opts.Tracer.Enabled() {
 		defer e.finishLits()
 	}
 	for _, scc := range e.graph.SCCs {
@@ -392,7 +389,7 @@ func (e *Engine) runSCC(scc []string) error {
 	merge := func(next map[string]*relation.Relation, iter int) (int, error) {
 		total := 0
 		var ds map[string]int
-		if e.opts.TraceDeltas {
+		if e.opts.Tracer.Enabled() {
 			ds = make(map[string]int)
 		}
 		for _, p := range preds {
@@ -405,7 +402,7 @@ func (e *Engine) runSCC(scc []string) error {
 				ds[d.Name()] = n
 			}
 		}
-		if e.opts.TraceDeltas {
+		if ds != nil {
 			e.stats.Deltas = append(e.stats.Deltas, IterStats{
 				SCC: scc[0], Iteration: iter, DeltaSizes: ds,
 			})
@@ -606,7 +603,7 @@ func (e *Engine) runItem(compiled []*compiledRule, items []workItem, deltas, hea
 	x.dst = relation.New(x.full.Name(), x.full.Arity())
 	staging[k] = x.dst
 	x.matches = &matches[k]
-	if e.opts.LitStats {
+	if e.opts.Tracer.Enabled() {
 		x.lc = newLitCounters(c.rule)
 		lits[k] = x.lc
 	}

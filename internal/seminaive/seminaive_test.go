@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chainsplit/internal/lang"
+	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
 	"chainsplit/internal/term"
@@ -232,7 +233,7 @@ func TestTraceDeltas(t *testing.T) {
 tc(X, Y) :- e(X, Y).
 tc(X, Y) :- e(X, Z), tc(Z, Y).
 e(a, b). e(b, c). e(c, d). e(d, e2).
-`, Options{TraceDeltas: true})
+`, Options{Tracer: obsv.NewTracer(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,15 +74,16 @@ func (r *Report) String() string {
 // dictionary), generation monotonicity and contiguity, and
 // snapshot-to-log coverage. The returned error is non-nil only for
 // I/O failures reading the directory itself; integrity violations go
-// in the report. The checks themselves live in the streaming Checker,
-// which the online scrubber (internal/scrub) drives against live
-// stores; Fsck is the strict offline walk over a quiescent one.
+// in the report. The checks themselves live in the streaming checker,
+// which the online scrubber (internal/scrub) runs against live stores
+// through VerifyDir; Fsck is the strict offline walk over a quiescent
+// one.
 func Fsck(dir string) (*Report, error) {
 	return VerifyDir(dir, false, nil)
 }
 
 // VerifyDir runs one full verification pass over dir: offline (strict,
-// Fsck semantics) or online (live-writer leniencies; see Checker).
+// Fsck semantics) or online (live-writer leniencies; see checker).
 // readFile overrides how file images are obtained — the online
 // scrubber uses it to rate-limit and to pass bytes through the
 // scrub.read fault site — and defaults to os.ReadFile. The listing is
@@ -99,17 +100,14 @@ func VerifyDir(dir string, online bool, readFile func(string) ([]byte, error)) (
 	if len(snaps) == 0 && len(segs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoStore, dir)
 	}
-	c := NewChecker(dir)
-	c.Online = online
+	c := &checker{rep: &Report{Dir: dir, Online: online}}
 	for _, seq := range snaps {
 		data, err := readFile(filepath.Join(dir, snapName(seq)))
-		c.Snapshot(seq, data, err)
+		c.snapshot(seq, data, err)
 	}
 	for i, start := range segs {
 		data, err := readFile(filepath.Join(dir, segName(start)))
-		c.Segment(start, data, i == len(segs)-1, err)
+		c.segment(start, data, i == len(segs)-1, err)
 	}
-	rep := c.Finish()
-	rep.Online = online
-	return rep, nil
+	return c.finish(), nil
 }

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -143,30 +141,38 @@ func readDurable(path string) ([]byte, error) {
 	return faultinject.FireData(faultinject.SiteWALRead, data)
 }
 
+// snapshotAt decodes the image of the snapshot file named for seq and
+// checks that the snapshot claims that generation.
+func snapshotAt(seq uint64, data []byte) (*Snapshot, error) {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	if snap.Seq != seq {
+		return nil, corruptf("claims generation %d", snap.Seq)
+	}
+	return snap, nil
+}
+
 // loadLatestSnapshot tries snapshots newest-first and returns the
 // first that validates. A corrupt newer snapshot is remembered: if the
 // log alone cannot reach a consistent state either, its error is what
 // the caller reports.
-func loadLatestSnapshot(dir string, snaps []uint64) (*Snapshot, error, error) {
+func loadLatestSnapshot(dir string, snaps []uint64) (*Snapshot, error) {
 	var firstErr error
 	for i := len(snaps) - 1; i >= 0; i-- {
 		data, err := readDurable(filepath.Join(dir, snapName(snaps[i])))
 		if err == nil {
 			var snap *Snapshot
-			snap, err = decodeSnapshot(data)
-			if err == nil {
-				if snap.Seq != snaps[i] {
-					err = corruptf("snapshot %s claims seq %d", snapName(snaps[i]), snap.Seq)
-				} else {
-					return snap, nil, firstErr
-				}
+			if snap, err = snapshotAt(snaps[i], data); err == nil {
+				return snap, firstErr
 			}
 		}
 		if firstErr == nil {
 			firstErr = fmt.Errorf("%s: %w", snapName(snaps[i]), err)
 		}
 	}
-	return nil, nil, firstErr
+	return nil, firstErr
 }
 
 // Open opens (or creates) the durable store in dir and recovers its
@@ -187,7 +193,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		return nil, nil, err
 	}
 
-	snap, _, snapErr := loadLatestSnapshot(dir, snaps)
+	snap, snapErr := loadLatestSnapshot(dir, snaps)
 	base := uint64(0)
 	if snap != nil {
 		base = snap.Seq
@@ -195,41 +201,37 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 
 	// Scan every segment in start order. Only the last may end torn.
 	rec := &Recovery{Snapshot: snap}
-	prevSeq := uint64(0) // last record seq seen across segments
-	seenAny := false
-	var lastScan *scanResult
+	var run seqRun
+	var lastDict *readDict
 	var lastPath string
+	var lastEnd int
 	for i, start := range segs {
 		path := filepath.Join(dir, segName(start))
 		data, err := readDurable(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := scanSegment(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", segName(start), err)
+		dict := &readDict{}
+		recs, end, tail, err := scanSegment(data, dict)
+		switch {
+		case err != nil: // the walk's own verdict
+		case tail == tailBadLastSum:
+			err = corruptf("checksum mismatch in frame at offset %d", end)
+		case tail != tailNone && i != len(segs)-1:
+			err = corruptf("torn tail in a non-final segment")
 		}
-		if res.torn && i != len(segs)-1 {
-			return nil, nil, corruptf("%s: torn tail in a non-final segment", segName(start))
-		}
-		for _, r := range res.records {
-			if r.Seq <= start {
-				return nil, nil, corruptf("%s: record seq %d not past segment start %d", segName(start), r.Seq, start)
-			}
-			if seenAny && r.Seq != prevSeq+1 {
-				if r.Seq <= prevSeq {
-					return nil, nil, corruptf("%s: duplicated or non-monotonic record seq %d after %d", segName(start), r.Seq, prevSeq)
-				}
-				return nil, nil, corruptf("%s: generation gap: record seq %d after %d", segName(start), r.Seq, prevSeq)
-			}
-			prevSeq, seenAny = r.Seq, true
-			if r.Seq > base {
+		for j := 0; err == nil && j < len(recs); j++ {
+			r := recs[j]
+			if err = run.next(start, r.Seq); err == nil && r.Seq > base {
 				rec.Records = append(rec.Records, r)
 			}
 		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", segName(start), err)
+		}
 		if i == len(segs)-1 {
-			lastScan, lastPath = res, path
-			rec.TornTail = res.torn
+			lastDict, lastPath, lastEnd = dict, path, end
+			rec.TornTail = tail != tailNone
 		}
 	}
 
@@ -252,13 +254,13 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	}
 
 	s := &Store{dir: dir, opts: opts, dict: newSegDict(), lastSeq: rec.LastSeq}
-	if lastScan != nil {
+	if lastDict != nil {
 		// Continue appending to the existing last segment: truncate
 		// the torn tail away, reopen for append, and rebuild the
 		// writer's segment-local dictionary from what the segment
 		// already stores (file-local IDs are dense, in scan order).
-		if lastScan.torn {
-			if err := os.Truncate(lastPath, lastScan.validEnd); err != nil {
+		if rec.TornTail {
+			if err := os.Truncate(lastPath, int64(lastEnd)); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -268,7 +270,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		}
 		s.f = f
 		s.segStart = segs[len(segs)-1]
-		for fid, t := range lastScan.dict.terms {
+		for fid, t := range lastDict.terms {
 			pid, ok := term.IDOf(t)
 			if !ok {
 				f.Close()
@@ -276,7 +278,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 			}
 			s.dict.ids[pid] = uint64(fid)
 		}
-		s.dict.next = uint64(len(lastScan.dict.terms))
+		s.dict.next = uint64(len(lastDict.terms))
 	} else {
 		f, err := os.OpenFile(filepath.Join(dir, segName(base)), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 		if err != nil {
@@ -519,34 +521,19 @@ func syncDir(dir string) error {
 	return closeErr
 }
 
-// RecordOffsets walks the frames of a log segment structurally and
-// returns the byte offset at which each frame starts, plus the offset
-// just past the last complete, checksum-valid frame. Corruption sweeps
-// use it to place truncations and bit flips exactly on and around
-// record boundaries. The walk stops at the first frame that fails
-// structurally; it does not decode record bodies.
+// RecordOffsets returns the byte offset at which each whole,
+// checksum-valid frame of a log segment starts, plus the offset just
+// past the last of them. Corruption sweeps use it to place truncations
+// and bit flips exactly on and around record boundaries. It does not
+// decode record bodies.
 func RecordOffsets(path string) (offsets []int64, end int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
-			return offsets, off, nil
-		}
-		length := binary.BigEndian.Uint32(rest[0:4])
-		crc := binary.BigEndian.Uint32(rest[4:8])
-		if (length == 0 && crc == 0) || length > maxRecordLen ||
-			uint64(len(rest)-frameHeaderLen) < uint64(length) {
-			return offsets, off, nil
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+int(length)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return offsets, off, nil
-		}
-		offsets = append(offsets, off)
-		off += int64(frameHeaderLen + int(length))
-	}
+	n, _, _ := walkFrames(data, func(off int, _ []byte) error {
+		offsets = append(offsets, int64(off))
+		return nil
+	})
+	return offsets, int64(n), nil
 }

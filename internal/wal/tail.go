@@ -10,10 +10,8 @@ package wal
 // keeps a pruned segment readable until the Tail is done with it).
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -35,6 +33,7 @@ type Tail struct {
 	segStart uint64
 	off      int64 // next unread byte in the segment
 	dict     *readDict
+	run      seqRun // the order rule over the current segment
 	closed   bool
 }
 
@@ -77,7 +76,7 @@ func (t *Tail) openSegment() error {
 	if err != nil {
 		return err
 	}
-	t.f, t.segStart, t.off, t.dict = f, best, 0, &readDict{}
+	t.attach(f, best)
 	return nil
 }
 
@@ -131,13 +130,25 @@ func (t *Tail) Poll() ([]Record, error) {
 			return out, err
 		}
 		t.f.Close()
-		t.f, t.segStart, t.off, t.dict = f, next, 0, &readDict{}
+		t.attach(f, next)
 	}
 }
 
-// readAvailable parses the complete frames currently readable past
-// t.off. settled reports that everything read so far ended exactly on
-// a frame boundary — the precondition for considering a rotation.
+// attach makes f, the segment starting at start, the one the tail
+// reads, from its first byte.
+func (t *Tail) attach(f *os.File, start uint64) {
+	t.f, t.segStart, t.off, t.dict, t.run = f, start, 0, &readDict{}, seqRun{}
+}
+
+// readAvailable decodes the whole frames currently readable past t.off
+// and delivers the records past t.pos. settled reports that the
+// segment ends on a frame boundary — the precondition for considering
+// a rotation. A partial final frame, or one whose checksum does not
+// match yet, is an append in flight: its bytes may not all be visible
+// (a concurrent write is not atomic against readers), so it is left
+// for the next Poll. A zero-filled tail can only be a crash artifact
+// the writer would have truncated on recovery, so it is reported
+// rather than waited on.
 func (t *Tail) readAvailable() (out []Record, settled bool, err error) {
 	fi, err := t.f.Stat()
 	if err != nil {
@@ -151,54 +162,30 @@ func (t *Tail) readAvailable() (out []Record, settled bool, err error) {
 	if _, err := t.f.ReadAt(data, t.off); err != nil {
 		return nil, false, err
 	}
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
-			t.off += int64(off)
-			return out, len(rest) == 0, nil
-		}
-		length := binary.BigEndian.Uint32(rest[0:4])
-		crc := binary.BigEndian.Uint32(rest[4:8])
-		if length == 0 && crc == 0 {
-			// A zero-filled region in a live segment can only be a
-			// crash artifact; the writer would have truncated it on
-			// recovery. Report it rather than spinning on it.
-			return out, false, corruptf("tail: zero-filled frame at offset %d of %s", t.off+int64(off), segName(t.segStart))
-		}
-		if length > maxRecordLen {
-			return out, false, corruptf("tail: frame at offset %d claims %d bytes (max %d)", t.off+int64(off), length, maxRecordLen)
-		}
-		if uint64(len(rest)-frameHeaderLen) < uint64(length) {
-			// Append in flight: the frame will finish on a later Poll.
-			t.off += int64(off)
-			return out, false, nil
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+int(length)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			if off+frameHeaderLen+int(length) == len(data) {
-				// The final frame's bytes may not all be visible yet —
-				// a concurrent write is not atomic against readers.
-				// Leave it for the next Poll; if it never settles the
-				// leader's own appends would have failed too.
-				t.off += int64(off)
-				return out, false, nil
-			}
-			return out, false, corruptf("tail: checksum mismatch at offset %d of %s", t.off+int64(off), segName(t.segStart))
-		}
-		rec, derr := decodeRecord(payload, t.dict)
-		if derr != nil {
-			return out, false, derr
-		}
-		if rec.Seq > t.pos {
-			if rec.Seq != t.pos+1 {
-				return out, false, corruptf("tail: generation gap: record seq %d after %d", rec.Seq, t.pos)
-			}
-			t.pos = rec.Seq
-			out = append(out, rec)
-		}
-		off += frameHeaderLen + int(length)
+	recs, end, tail, err := scanSegment(data, t.dict)
+	if err == nil && tail == tailZeros {
+		err = corruptf("zero-filled frame at offset %d", end)
 	}
+	for _, rec := range recs {
+		if oerr := t.run.next(t.segStart, rec.Seq); oerr != nil {
+			err = oerr
+			break
+		}
+		if rec.Seq <= t.pos {
+			continue // delivered before; read again for its dictionary deltas
+		}
+		if rec.Seq != t.pos+1 {
+			err = corruptf("generation gap: record seq %d after %d", rec.Seq, t.pos)
+			break
+		}
+		t.pos = rec.Seq
+		out = append(out, rec)
+	}
+	if err != nil {
+		return out, false, fmt.Errorf("tail: %s past offset %d: %w", segName(t.segStart), t.off, err)
+	}
+	t.off += int64(end)
+	return out, tail == tailNone, nil
 }
 
 // Close releases the tail's file descriptor.

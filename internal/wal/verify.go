@@ -1,43 +1,34 @@
 package wal
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-	"os"
-)
+import "os"
 
-// Checker is the streaming integrity verifier behind both integrity
+// checker is the streaming integrity verifier behind both integrity
 // paths: the offline Fsck (strict, whole-directory, exclusive) and the
-// online scrubber (internal/scrub), which feeds the same checks one
-// file at a time against a store a live writer is still appending to.
-// The caller owns the file walk — list, read, feed — so the scrubber
-// can rate-limit and re-check liveness between files; the Checker owns
-// every judgment: frame checksums, record decodability, dictionary
-// referential integrity, per-segment and cross-segment generation
-// monotonicity, and snapshot-to-log coverage.
+// online scrubber (internal/scrub), which runs the same checks against
+// a store a live writer is still appending to. VerifyDir owns the file
+// walk — list, read, feed — and the checker owns every judgment: frame
+// checksums, record decodability, dictionary referential integrity,
+// per-segment and cross-segment generation order, and snapshot-to-log
+// coverage.
 //
 // Online mode relaxes exactly the conditions a live writer makes
 // normal, nothing else:
 //
-//   - the final segment may end mid-append (a partial or not-yet-
-//     settled trailing frame is "not yet", the same leniency Tail
-//     applies), and
+//   - the final segment may end in an append in flight (a partial
+//     frame, a zero-filled tail, or a final frame whose checksum does
+//     not match yet), and
 //   - files may vanish between the directory listing and the read (a
 //     checkpoint pruned them); a vanished file suppresses the
 //     cross-file coverage verdict, since the walk no longer saw a
 //     consistent directory image.
 //
 // Feed order is fixed: every snapshot first (ascending), then every
-// segment (ascending), then Finish.
-type Checker struct {
-	// Online enables the live-writer leniencies above.
-	Online bool
-
-	rep      *Report
+// segment (ascending), then finish.
+type checker struct {
+	rep      *Report // rep.Online selects the live-writer leniencies
 	base     uint64
 	haveBase bool
-	prevSeq  uint64
-	seenAny  bool
+	run      seqRun
 	lastSeq  uint64
 	// firstPast is the first record generation past the snapshot base,
 	// tracked during the segment walk so the coverage check needs no
@@ -46,16 +37,11 @@ type Checker struct {
 	vanished  bool
 }
 
-// NewChecker starts a streaming check of dir.
-func NewChecker(dir string) *Checker {
-	return &Checker{rep: &Report{Dir: dir}}
-}
-
-// Snapshot feeds one snapshot file (named for seq) read as data;
+// snapshot feeds one snapshot file (named for seq) read as data;
 // readErr is the read failure, if any. Every snapshot on disk must
 // validate, even superseded leftovers — a snapshot that fails its
 // checksum is corruption whether or not recovery would pick it.
-func (c *Checker) Snapshot(seq uint64, data []byte, readErr error) {
+func (c *checker) snapshot(seq uint64, data []byte, readErr error) {
 	name := snapName(seq)
 	if readErr != nil {
 		if c.skipVanished(name, readErr) {
@@ -66,13 +52,8 @@ func (c *Checker) Snapshot(seq uint64, data []byte, readErr error) {
 		return
 	}
 	c.rep.Checked = append(c.rep.Checked, name)
-	snap, err := decodeSnapshot(data)
-	if err != nil {
+	if _, err := snapshotAt(seq, data); err != nil {
 		c.rep.problemf("%s: %v", name, err)
-		return
-	}
-	if snap.Seq != seq {
-		c.rep.problemf("%s: claims generation %d", name, snap.Seq)
 		return
 	}
 	if !c.haveBase || seq > c.base {
@@ -83,10 +64,10 @@ func (c *Checker) Snapshot(seq uint64, data []byte, readErr error) {
 	}
 }
 
-// Segment feeds one log segment (starting at generation start) read as
-// data; final marks the last segment of the listing, readErr the read
-// failure, if any.
-func (c *Checker) Segment(start uint64, data []byte, final bool, readErr error) {
+// segment feeds one log segment (starting at generation start) read
+// as data; final marks the last segment of the listing, readErr the
+// read failure, if any.
+func (c *checker) segment(start uint64, data []byte, final bool, readErr error) {
 	name := segName(start)
 	if readErr != nil {
 		if c.skipVanished(name, readErr) {
@@ -97,44 +78,24 @@ func (c *Checker) Segment(start uint64, data []byte, final bool, readErr error) 
 		return
 	}
 	c.rep.Checked = append(c.rep.Checked, name)
-	live := c.Online && final
-	if live {
-		// A live final segment may end in an in-flight append; judge
-		// only the settled prefix and classify the tail separately.
-		settled, ok := settledPrefix(data)
-		if !ok {
-			c.rep.problemf("%s: unsettled bytes at offset %d are not an in-flight append", name, settled)
-		}
-		data = data[:settled]
-	}
-	res, err := scanSegment(data)
-	if err != nil {
+	recs, end, tail, err := scanSegment(data, &readDict{})
+	switch {
+	case err != nil:
 		c.rep.problemf("%s: %v", name, err)
-		return
+	case tail == tailNone || c.rep.Online && final:
+		// A live final segment may end in an append in flight.
+	case tail == tailBadLastSum:
+		c.rep.problemf("%s: checksum mismatch in frame at offset %d", name, end)
+	case final:
+		c.rep.problemf("%s: truncated record (torn tail) at offset %d — recovery will drop it", name, end)
+	default:
+		c.rep.problemf("%s: truncated record at offset %d in a non-final segment", name, end)
 	}
-	if res.torn && !live {
-		if final {
-			c.rep.problemf("%s: truncated record (torn tail) at offset %d — recovery will drop it", name, res.validEnd)
-		} else {
-			c.rep.problemf("%s: truncated record at offset %d in a non-final segment", name, res.validEnd)
-		}
-	}
-	for _, r := range res.records {
+	for _, r := range recs {
 		c.rep.Records++
-		if r.Seq <= start {
-			c.rep.problemf("%s: record generation %d not past segment start %d", name, r.Seq, start)
-			continue
+		if err := c.run.next(start, r.Seq); err != nil {
+			c.rep.problemf("%s: %v", name, err)
 		}
-		if c.seenAny {
-			switch {
-			case r.Seq == c.prevSeq+1:
-			case r.Seq <= c.prevSeq:
-				c.rep.problemf("%s: duplicated or non-monotonic generation %d after %d", name, r.Seq, c.prevSeq)
-			default:
-				c.rep.problemf("%s: generation gap: %d follows %d", name, r.Seq, c.prevSeq)
-			}
-		}
-		c.prevSeq, c.seenAny = r.Seq, true
 		if c.firstPast == 0 && r.Seq > c.base {
 			c.firstPast = r.Seq
 		}
@@ -146,10 +107,10 @@ func (c *Checker) Segment(start uint64, data []byte, final bool, readErr error) 
 
 // skipVanished handles a file pruned between listing and read: in
 // online mode that is a checkpoint doing its job, not a problem, but
-// the walk no longer saw a consistent image, so Finish withholds the
+// the walk no longer saw a consistent image, so finish withholds the
 // cross-file coverage verdict.
-func (c *Checker) skipVanished(name string, readErr error) bool {
-	if !c.Online || !os.IsNotExist(readErr) {
+func (c *checker) skipVanished(name string, readErr error) bool {
+	if !c.rep.Online || !os.IsNotExist(readErr) {
 		return false
 	}
 	c.vanished = true
@@ -157,59 +118,16 @@ func (c *Checker) skipVanished(name string, readErr error) bool {
 	return true
 }
 
-// Finish applies the cross-file coverage check and returns the report:
+// finish applies the cross-file coverage check and returns the report:
 // the log suffix past the best snapshot must start at exactly the next
 // generation, or the state in between is lost.
-func (c *Checker) Finish() *Report {
+func (c *checker) finish() *Report {
 	c.rep.LastSeq = c.lastSeq
 	c.rep.Partial = c.vanished
-	if c.seenAny && c.prevSeq > c.base && !c.vanished {
+	if c.run.seen && c.run.prev > c.base && !c.vanished {
 		if c.firstPast != 0 && c.firstPast != c.base+1 {
 			c.rep.problemf("generation gap: best snapshot at %d, first log record past it at %d", c.base, c.firstPast)
 		}
 	}
 	return c.rep
-}
-
-// settledPrefix finds the byte offset where the settled frames of a
-// live segment end, walking lengths and checksums structurally. ok
-// reports whether the bytes past that offset are explicable as an
-// in-flight append — an incomplete header, a frame extending past the
-// end of the data, a zero-filled tail, or a checksum mismatch on the
-// final frame (its bytes may not all be visible yet; concurrent writes
-// are not atomic against readers). A checksum mismatch with further
-// data after the frame, or garbage after a zero frame, is corruption a
-// writer could not have produced mid-append.
-func settledPrefix(data []byte) (end int64, ok bool) {
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return int64(off), true
-		}
-		if len(rest) < frameHeaderLen {
-			return int64(off), true
-		}
-		length := binary.BigEndian.Uint32(rest[0:4])
-		crc := binary.BigEndian.Uint32(rest[4:8])
-		if length == 0 && crc == 0 {
-			for _, b := range rest {
-				if b != 0 {
-					return int64(off), false
-				}
-			}
-			return int64(off), true
-		}
-		if length > maxRecordLen {
-			return int64(off), false
-		}
-		if uint64(len(rest)-frameHeaderLen) < uint64(length) {
-			return int64(off), true
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+int(length)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return int64(off), off+frameHeaderLen+int(length) == len(data)
-		}
-		off += frameHeaderLen + int(length)
-	}
 }

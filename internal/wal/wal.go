@@ -332,66 +332,107 @@ func decodeRecord(payload []byte, rd *readDict) (Record, error) {
 	}
 }
 
-// scanResult is one segment's parse: the decoded records, the byte
-// offset where valid data ends, and whether the bytes past validEnd
-// are a torn tail (an unfinished final append — recoverable by
-// truncation) as opposed to mid-log corruption.
-type scanResult struct {
-	records  []Record
-	dict     *readDict
-	validEnd int64
-	torn     bool
-}
+// frameTail classifies what follows the last whole, checksum-valid
+// frame of a segment image. Each reader decides what a kind means to
+// it: recovery truncates a torn tail, fsck reports it, the online
+// scrub and the replication tail treat it as an append in flight.
+type frameTail int
 
-// scanSegment parses one segment image. A frame that extends past the
-// end of the data, or a zero-filled header followed only by zeros, is
-// a torn tail; a checksum mismatch or undecodable body anywhere is
-// corruption.
-func scanSegment(data []byte) (*scanResult, error) {
-	res := &scanResult{dict: &readDict{}}
-	off := int64(0)
+const (
+	// tailNone: the image ends on a frame boundary.
+	tailNone frameTail = iota
+	// tailPartial: a frame header or payload runs past the end.
+	tailPartial
+	// tailZeros: the rest of the image is zero bytes (some filesystems
+	// surface a crash as zeros past the last durable write).
+	tailZeros
+	// tailBadLastSum: the final frame fails its checksum; a concurrent
+	// write may not be wholly visible yet.
+	tailBadLastSum
+)
+
+// walkFrames is the only parser of a segment's frame layout. It calls
+// fn with the offset and payload of each whole, checksum-valid frame,
+// in order, and returns where those frames end and what follows them.
+// A zero header followed by non-zero bytes, a length claim over
+// maxRecordLen and a checksum mismatch with more data after the frame
+// are corruption no append could leave behind; they and any error
+// from fn stop the walk and are returned with end at the offending
+// frame.
+func walkFrames(data []byte, fn func(off int, payload []byte) error) (end int, tail frameTail, err error) {
 	for {
-		rest := data[off:]
+		rest := data[end:]
 		if len(rest) == 0 {
-			res.validEnd = off
-			return res, nil
+			return end, tailNone, nil
 		}
 		if len(rest) < frameHeaderLen {
-			res.validEnd, res.torn = off, true
-			return res, nil
+			return end, tailPartial, nil
 		}
 		length := binary.BigEndian.Uint32(rest[0:4])
 		crc := binary.BigEndian.Uint32(rest[4:8])
 		if length == 0 && crc == 0 {
-			// Zero-filled tail: some filesystems surface a crash as
-			// zeros past the last durable write. Anything non-zero in
-			// it is corruption, not a torn append.
 			for _, b := range rest {
 				if b != 0 {
-					return nil, corruptf("zero-length frame at offset %d followed by non-zero data", off)
+					return end, tailNone, corruptf("zero-length frame at offset %d followed by non-zero data", end)
 				}
 			}
-			res.validEnd, res.torn = off, true
-			return res, nil
+			return end, tailZeros, nil
 		}
 		if length > maxRecordLen {
-			return nil, corruptf("frame at offset %d claims %d bytes (max %d)", off, length, maxRecordLen)
+			return end, tailNone, corruptf("frame at offset %d claims %d bytes (max %d)", end, length, maxRecordLen)
 		}
 		if uint64(len(rest)-frameHeaderLen) < uint64(length) {
-			// The frame runs past the end of the file: the append was
-			// torn mid-write.
-			res.validEnd, res.torn = off, true
-			return res, nil
+			return end, tailPartial, nil
 		}
 		payload := rest[frameHeaderLen : frameHeaderLen+int(length)]
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return nil, corruptf("checksum mismatch in frame at offset %d", off)
+			if len(rest) == frameHeaderLen+int(length) {
+				return end, tailBadLastSum, nil
+			}
+			return end, tailNone, corruptf("checksum mismatch in frame at offset %d", end)
 		}
-		rec, err := decodeRecord(payload, res.dict)
-		if err != nil {
-			return nil, err
+		if err := fn(end, payload); err != nil {
+			return end, tailNone, err
 		}
-		res.records = append(res.records, rec)
-		off += int64(frameHeaderLen + int(length))
+		end += frameHeaderLen + int(length)
 	}
+}
+
+// scanSegment decodes the whole frames of a segment image through
+// dict, the segment's read dictionary. On error it still returns the
+// records decoded before the failing frame.
+func scanSegment(data []byte, dict *readDict) (recs []Record, end int, tail frameTail, err error) {
+	end, tail, err = walkFrames(data, func(_ int, payload []byte) error {
+		rec, err := decodeRecord(payload, dict)
+		if err == nil {
+			recs = append(recs, rec)
+		}
+		return err
+	})
+	return recs, end, tail, err
+}
+
+// seqRun is the record-order rule, stated once: a record lies past its
+// segment's start and follows the previous record by exactly one
+// generation.
+type seqRun struct {
+	prev uint64
+	seen bool
+}
+
+// next checks the record seq of the segment starting at start and, if
+// it lies past that start, makes it the previous record.
+func (r *seqRun) next(start, seq uint64) error {
+	if seq <= start {
+		return corruptf("record generation %d not past segment start %d", seq, start)
+	}
+	prev, seen := r.prev, r.seen
+	r.prev, r.seen = seq, true
+	switch {
+	case !seen || seq == prev+1:
+		return nil
+	case seq <= prev:
+		return corruptf("duplicated or non-monotonic generation %d after %d", seq, prev)
+	}
+	return corruptf("generation gap: %d follows %d", seq, prev)
 }
