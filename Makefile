@@ -107,11 +107,12 @@ loc:
 	@printf 'test Go LOC outside bench/:     %s\n' "$$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 	@printf 'bench/ Go LOC:                  %s\n' "$$(find bench -name '*.go' | xargs cat | wc -l)"
 
-# Short continuous-fuzz pass over the parser entry points and the WAL
-# frame walker (their seed corpora run in every ordinary `go test`;
+# Short continuous-fuzz pass over the parser entry points, the WAL
+# frame walker and the epoch-file parser (their seed corpora run in every ordinary `go test`;
 # this actually mutates for 30s each). New crashers land in
 # testdata/fuzz — commit them as regression seeds.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/lang/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTerm$$' -fuzztime=30s ./internal/lang/
 	$(GO) test -run='^$$' -fuzz='^FuzzScanSegment$$' -fuzztime=30s ./internal/wal/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEpochState$$' -fuzztime=30s ./internal/wal/

@@ -199,8 +199,10 @@ type Result struct {
 	Vars []string
 	// Rows holds one map per answer.
 	Rows []Row
-	// Tuples holds the raw answer vectors (the goal's argument
-	// values), parallel to Rows.
+	// Tuples holds the raw answer vectors, parallel to Rows: the
+	// argument values of the query's one relational goal, or, for a
+	// conjunction of several, the values of all its variables in Vars
+	// order.
 	Tuples [][]Term
 	// Plan describes the evaluation plan that ran.
 	Plan string
@@ -459,7 +461,7 @@ func (db *DB) ServeReplication(addr string) (string, error) {
 
 // IsFollower reports whether the database is a read-only replica
 // (mutations fail with ErrNotLeader).
-func (db *DB) IsFollower() bool { return db.inner.Follower() }
+func (db *DB) IsFollower() bool { return db.inner.State().Follower }
 
 // Staleness returns how long ago a follower last knew it was caught
 // up with its leader; 0 for a leader or an unreplicated database.
@@ -467,7 +469,7 @@ func (db *DB) Staleness() time.Duration {
 	db.replMu.Lock()
 	sess := db.repl
 	db.replMu.Unlock()
-	if sess == nil || !db.inner.Follower() {
+	if sess == nil || !db.inner.State().Follower {
 		return 0
 	}
 	return sess.Staleness()
@@ -676,13 +678,12 @@ func (db *DB) queryOnce(ctx context.Context, goals []program.Atom, opts core.Opt
 // evaluation work, like an admission rejection — a query never
 // silently reads old state. Admission control is last.
 func (db *DB) admit(ctx context.Context) (time.Duration, func(), error) {
-	if err := db.inner.CheckQuarantined(); err != nil {
+	if err := db.inner.State().ReadRefusal(); err != nil {
 		return 0, nil, &core.EvalError{Strategy: "integrity", Err: err}
 	}
 	if db.maxStale > 0 && db.Staleness() > db.maxStale {
-		if err := core.CheckFollowerRead(true); err != nil {
-			return 0, nil, &core.EvalError{Strategy: "replica", Err: err}
-		}
+		obsv.ReplicaStaleSheds.Inc()
+		return 0, nil, &core.EvalError{Strategy: "replica", Err: everr.ErrStale}
 	}
 	wait, release, err := db.adm.Acquire(ctx)
 	if errors.Is(err, everr.ErrOverloaded) {

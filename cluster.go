@@ -103,10 +103,7 @@ func (n *clusterNode) Probe() error {
 	if n.db.isClosed() {
 		return fmt.Errorf("cluster: node %s is closed", n.id)
 	}
-	if n.db.Fenced() {
-		return fmt.Errorf("cluster: node %s: %w", n.id, everr.ErrFenced)
-	}
-	if err := n.db.inner.CheckQuarantined(); err != nil {
+	if err := n.db.inner.State().LeadRefusal(); err != nil {
 		return fmt.Errorf("cluster: node %s: %w", n.id, err)
 	}
 	return nil
@@ -515,7 +512,7 @@ func (db *DB) Epoch() uint64 { return db.inner.Epoch() }
 // successor holds a higher epoch and mutations here fail with
 // ErrFenced. Fencing is durable — it survives reopening the same
 // directory — and is cleared only by Promote.
-func (db *DB) Fenced() bool { return db.inner.Fenced() }
+func (db *DB) Fenced() bool { return db.inner.State().Fenced }
 
 // isClosed reports whether Close has been called.
 func (db *DB) isClosed() bool {
@@ -541,7 +538,7 @@ func (db *DB) retarget(addr string) error {
 	if old != nil {
 		old.Stop()
 	}
-	if !db.inner.Follower() {
+	if !db.inner.State().Follower {
 		return nil
 	}
 	sess, err := replica.StartFollower(db.inner, addr, db.followerConfig())

@@ -275,7 +275,7 @@ func pickCorruptionVictim(cl *Cluster, rng *rand.Rand) *clusterNode {
 	start := rng.Intn(len(fs))
 	for i := range fs {
 		n := fs[(start+i)%len(fs)].(*clusterNode)
-		if n.db.inner.Quarantined() || n.db.Generation() < 2 {
+		if n.db.inner.State().Quarantined || n.db.Generation() < 2 {
 			continue
 		}
 		return n

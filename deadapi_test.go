@@ -23,7 +23,6 @@ var testSeams = map[string]string{
 	"faultinject.SetData":       "installs a byte-mangling fault at a named data site",
 	"faultinject.Reset":         "clears every injected fault between tests",
 	"wal.RecordOffsets":         "locates frames so corruption tests can flip their bytes",
-	"core.DB.Quarantined":       "lets tests observe the quarantine flag a detector set",
 	"obsv.Tracer.Dropped":       "lets tests check the tracer's bounded buffer overflowed",
 	"replica.Session.Connected": "lets tests wait for a stream to come up",
 	"replica.Session.Diverged":  "lets tests observe a session ended on a digest mismatch",

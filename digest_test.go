@@ -59,7 +59,7 @@ func TestStateDigestAgreesAcrossReplication(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if follower.inner.Quarantined() {
+	if follower.inner.State().Quarantined {
 		t.Fatal("matching states reported a divergence and quarantined the follower")
 	}
 	checkLeaks()

@@ -200,7 +200,7 @@ func (an *Analysis) check(pred string, arity int, ad string) bool {
 		// Inside the fixpoint, schedule against the hypothesis table
 		// (assumeFinite); the surrounding sweep verifies every
 		// optimistic assumption before Finite returns.
-		sched := an.scheduleCore(r, ad, an.assumeFinite, false, nil)
+		sched := an.scheduleCore(r, ad, an.assumeFinite, false)
 		if !sched.OK {
 			return false
 		}
@@ -233,13 +233,6 @@ func (an *Analysis) assumeFinite(pred string, arity int, ad string) bool {
 // oracle answers finiteness queries during scheduling.
 type oracle func(pred string, arity int, ad string) bool
 
-// Veto optionally blocks the scheduling of a (finitely evaluable)
-// non-recursive literal before the recursion — the hook through which
-// the cost model injects efficiency-based chain-splits (Algorithm 3.1
-// applied to buffered evaluation). It receives the literal and the
-// current bound-variable set.
-type Veto func(lit program.Atom, bound map[string]bool) bool
-
 // scheduleCore is the shared scheduling engine.
 //
 // Each round picks, in priority order: (0) an evaluable builtin, (1) a
@@ -250,7 +243,7 @@ type Veto func(lit program.Atom, bound map[string]bool) bool
 // literal (the unconnected fallback). All variables of a scheduled
 // literal become bound. Literals scheduled after the first recursive
 // literal form the Delayed set.
-func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connected bool, veto Veto) Schedule {
+func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connected bool) Schedule {
 	bound := BoundVarsOfHead(r.Head, ad)
 	headKey := r.Head.Key()
 	n := len(r.Body)
@@ -303,23 +296,11 @@ func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connecte
 				if !fin(lit.Pred, lit.Arity(), litAd) {
 					continue
 				}
-				if (pass == 1 || pass == 3) && veto != nil && !recursiveSeen && veto(lit, bound) {
-					continue
-				}
 				pick, pickRecursive = i, recursive
 				break
 			}
 		}
 		if pick < 0 {
-			// If vetoed literals are all that remain before the
-			// recursion, lift the veto rather than fail: a split that
-			// cannot be completed degenerates to following.
-			if veto != nil {
-				retry := an.scheduleCore(r, ad, fin, connected, nil)
-				if retry.OK {
-					return retry
-				}
-			}
 			for i := 0; i < n; i++ {
 				if !done[i] {
 					sched.Stuck = append(sched.Stuck, i)
@@ -388,17 +369,16 @@ func (an *Analysis) verified(pred string, arity int, ad string) bool {
 // (recursive) literal are reported as Delayed: they form the
 // delayed-evaluation portion of the chain.
 func (an *Analysis) ScheduleRule(r program.Rule, ad string) Schedule {
-	return an.scheduleCore(r, ad, an.verified, false, nil)
+	return an.scheduleCore(r, ad, an.verified, false)
 }
 
 // ScheduleChain is ScheduleRule with connectivity-aware ordering: an
 // unconnected non-recursive literal (e.g. sg's parent(Y,Y1), which
 // shares no variable with the binding until the recursion returns) is
 // delayed rather than evaluated as a cross-product scan. This is the
-// schedule the chain compiler and the buffered evaluator use. The
-// optional veto injects efficiency-based splits.
-func (an *Analysis) ScheduleChain(r program.Rule, ad string, veto Veto) Schedule {
-	return an.scheduleCore(r, ad, an.verified, true, veto)
+// schedule the chain compiler and the buffered evaluator use.
+func (an *Analysis) ScheduleChain(r program.Rule, ad string) Schedule {
+	return an.scheduleCore(r, ad, an.verified, true)
 }
 
 // Explain reports why pred/arity is (or is not) finitely evaluable
@@ -415,7 +395,7 @@ func (an *Analysis) Explain(pred string, arity int, ad string) string {
 	key := fmt.Sprintf("%s/%d", pred, arity)
 	var parts []string
 	for _, r := range an.prog.RulesFor(key) {
-		sched := an.scheduleCore(r, ad, an.verified, false, nil)
+		sched := an.scheduleCore(r, ad, an.verified, false)
 		if sched.OK {
 			continue
 		}

@@ -89,7 +89,7 @@ func TestAppendDelayedPortion(t *testing.T) {
 		t.Errorf("delayed literal = %v, want a cons", delayedLit)
 	}
 	// The recursive call must be adorned bbf again (stable down phase).
-	if cs := an.ScheduleChain(rec, "bbf", nil); !cs.OK || cs.RecAd != "bbf" {
+	if cs := an.ScheduleChain(rec, "bbf"); !cs.OK || cs.RecAd != "bbf" {
 		t.Errorf("recursive adornment = %q ok=%v, want bbf", cs.RecAd, cs.OK)
 	}
 }

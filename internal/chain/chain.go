@@ -268,15 +268,7 @@ type Split struct {
 // returns an error when the rule is not finitely evaluable under headAd
 // at all (no split rescues it).
 func ComputeSplit(an *adorn.Analysis, rr RecRule, headAd string) (Split, error) {
-	return ComputeSplitVeto(an, rr, headAd, nil)
-}
-
-// ComputeSplitVeto is ComputeSplit with an efficiency veto: the cost
-// model may block binding propagation through specific chain elements
-// (Algorithm 3.1 applied to the buffered evaluator), pushing them into
-// the delayed portion.
-func ComputeSplitVeto(an *adorn.Analysis, rr RecRule, headAd string, veto adorn.Veto) (Split, error) {
-	sched := an.ScheduleChain(rr.Rule, headAd, veto)
+	sched := an.ScheduleChain(rr.Rule, headAd)
 	if !sched.OK {
 		return Split{}, &NotFinitelyEvaluableError{
 			Rule: rr.Rule, Adornment: headAd, Stuck: sched.Stuck, UnboundHead: sched.UnboundHead,

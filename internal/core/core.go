@@ -254,7 +254,8 @@ type Result struct {
 	// Vars lists the goal's variable names in order of first
 	// appearance, including those nested in compound arguments.
 	Vars []string
-	// Answers holds one row per answer: the goal's argument vector.
+	// Answers holds one row per answer: the argument vector of the
+	// answer atom (see answerAtom).
 	Answers [][]term.Term
 	// Bindings projects each answer onto Vars.
 	Bindings []map[string]term.Term
@@ -294,44 +295,10 @@ type DB struct {
 	// error to the caller and publishes nothing.
 	store *wal.Store
 
-	// follower marks a read-only replica: Load and LoadTuples refuse
-	// with everr.ErrNotLeader, and generations advance only through
-	// ApplyReplica (shipped leader records) until Promote clears the
-	// flag. Atomic so the serving layer can read it without writeMu.
-	follower atomic.Bool
-
-	// epoch is the leader epoch this database serves under: bumped by
-	// Promote, adopted from the replication stream by followers, and —
-	// on durable databases — persisted beside the WAL so fencing
-	// decisions survive restarts. Atomic so the replication layer can
-	// stamp frames without writeMu; updated only under writeMu, after
-	// the persisted state.
-	epoch atomic.Uint64
-
-	// epochSeen is the highest epoch this database has ever heard of,
-	// its own included (so epochSeen >= epoch always). It diverges from
-	// epoch only on a fenced ex-leader, which keeps serving reads under
-	// its old epoch while remembering the successor's: Promote mints
-	// epochSeen+1, so a re-promoted ex-leader can never turn writable
-	// in an epoch a live successor is already writing under. Persisted
-	// alongside epoch on durable databases.
-	epochSeen atomic.Uint64
-
-	// fenced marks a deposed leader: the database has learned of a
-	// higher epoch (a promoted successor) and refuses mutations with
-	// everr.ErrFenced. Fencing is persisted before it is visible, so a
-	// fenced ex-leader reopened from its own dir comes back read-only —
-	// never silently writable.
-	fenced atomic.Bool
-
-	// quarantined marks a node that detected corruption or divergence
-	// in its own state (failed scrub pass, anti-entropy digest
-	// mismatch): mutations and bounded reads are shed with
-	// everr.ErrQuarantined until the repair layer clears it. Unlike
-	// follower/fenced it is never persisted — a restart re-verifies
-	// state through ordinary recovery, which is stricter than any
-	// quarantine.
-	quarantined atomic.Bool
+	// state is the node's role and fencing state (see NodeState),
+	// published as one immutable value so every gate reads one
+	// consistent snapshot. setState is its only writer.
+	state atomic.Pointer[NodeState]
 }
 
 // generation is one immutable database state: the rules and pragmas
@@ -393,6 +360,7 @@ func newGeneration(seq uint64) *generation {
 func NewDB() *DB {
 	db := &DB{}
 	db.gen.Store(newGeneration(0))
+	db.state.Store(&NodeState{})
 	return db
 }
 
@@ -488,21 +456,15 @@ func (db *DB) publish(next *generation) {
 	obsv.Generations.Inc()
 }
 
-// writable refuses a mutation on a node that may not accept one, in
-// this order: a follower is not the leader; a fenced ex-leader has
-// been deposed (and counts the refused write); a quarantined node
-// holds suspect state. Callers hold writeMu.
+// writable refuses a mutation the node state refuses (see
+// NodeState.WriteRefusal), counting refused writes on a fenced
+// ex-leader. Callers hold writeMu.
 func (db *DB) writable() error {
-	switch {
-	case db.follower.Load():
-		return everr.ErrNotLeader
-	case db.fenced.Load():
+	err := db.State().WriteRefusal()
+	if err == everr.ErrFenced {
 		obsv.FencedWrites.Inc()
-		return everr.ErrFenced
-	case db.quarantined.Load():
-		return everr.ErrQuarantined
 	}
-	return nil
+	return err
 }
 
 // commit logs rec to the durable store (if any) and then publishes
@@ -1375,19 +1337,9 @@ func (g *generation) runTopDownConjunction(goals []program.Atom, opts Options) (
 	if err != nil {
 		return res, err
 	}
-	// answers are substitutions over the goal variables; project the
-	// FIRST goal's args as the canonical answer vector when there is
-	// exactly one relational goal, else the variable bindings.
-	var rel []program.Atom
-	for _, g := range goals {
-		if !g.IsBuiltin() {
-			rel = append(rel, g)
-		}
-	}
-	primary := goals[0]
-	if len(rel) == 1 {
-		primary = rel[0]
-	}
+	// answers are substitutions over the goal variables; project them
+	// onto the answer atom's args.
+	primary := answerAtom(goals)
 	seenAns := make(map[string]bool)
 	for _, s := range answers {
 		vec := s.ResolveAll(primary.Args)
@@ -1406,22 +1358,44 @@ func (g *generation) runTopDownConjunction(goals []program.Atom, opts Options) (
 	return res, nil
 }
 
-// finish populates Vars and Bindings from the executed goals. Each
-// variable of the primary goal, nested or not, is read from every
-// answer along the argument path of its first occurrence.
-func (r *Result) finish(goals []program.Atom) {
-	var primary program.Atom
+// answerAtom is the atom a query's answers are vectors of: its one
+// relational goal (or its one goal, if none is relational), else an
+// atom over all the variables of those goals in order of first
+// appearance — so a conjunction's answers bind every variable, and
+// answers differing in any binding stay distinct.
+func answerAtom(goals []program.Atom) program.Atom {
 	var rel []program.Atom
 	for _, g := range goals {
 		if !g.IsBuiltin() {
 			rel = append(rel, g)
 		}
 	}
-	if len(rel) >= 1 {
-		primary = rel[0]
-	} else if len(goals) > 0 {
-		primary = goals[0]
+	if len(rel) == 0 {
+		rel = goals
 	}
+	if len(rel) == 1 {
+		return rel[0]
+	}
+	var vars []term.Term
+	seen := map[string]bool{}
+	for _, g := range rel {
+		for _, a := range g.Args {
+			for _, v := range term.Vars(nil, a) {
+				if !seen[v.Name] {
+					seen[v.Name] = true
+					vars = append(vars, v)
+				}
+			}
+		}
+	}
+	return program.NewAtom("answer", vars...)
+}
+
+// finish populates Vars and Bindings from the executed goals. Each
+// variable of the answer atom, nested or not, is read from every
+// answer along the argument path of its first occurrence.
+func (r *Result) finish(goals []program.Atom) {
+	primary := answerAtom(goals)
 	r.Vars = []string{}
 	var paths [][]int
 	seen := map[string]bool{}

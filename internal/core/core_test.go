@@ -231,6 +231,29 @@ func TestConjunctiveQueryTopDown(t *testing.T) {
 	}
 }
 
+// TestConjunctionAnswersBindEveryVariable pins the answer shape of a
+// conjunction of several relational goals: one vector over all its
+// variables, so answers that differ only in a later goal's binding are
+// not collapsed; a ground conjunction that holds answers one empty
+// vector.
+func TestConjunctionAnswersBindEveryVariable(t *testing.T) {
+	db := load(t, "e(a, b). e(b, c). e(c, d). e(b, x).")
+	res := ask(t, db, "?- e(X, Y), e(Y, Z).", Options{})
+	SortAnswers(res.Answers)
+	if got, want := fmt.Sprint(res.Vars, res.Answers), "[X Y Z] [[a b c] [a b x] [b c d]]"; got != want {
+		t.Errorf("Vars, Answers = %s, want %s", got, want)
+	}
+	for _, b := range res.Bindings {
+		if len(b) != 3 {
+			t.Errorf("binding %v does not bind X, Y and Z", b)
+		}
+	}
+	res = ask(t, db, "?- e(a, b), e(b, c).", Options{})
+	if got := fmt.Sprint(res.Vars, res.Answers); got != "[] [[]]" {
+		t.Errorf("ground conjunction: Vars, Answers = %s, want [] [[]]", got)
+	}
+}
+
 func TestExplain(t *testing.T) {
 	db := load(t, sgSrc)
 	goals, _ := lang.ParseQuery("?- sg(c1, Y).")

@@ -59,9 +59,8 @@ func OpenDir(dir string, opts wal.Options) (*DB, error) {
 		store.Close()
 		return nil, err
 	}
-	db.epoch.Store(est.Epoch)
-	db.epochSeen.Store(max(est.Epoch, est.MaxSeen))
-	db.fenced.Store(est.Fenced)
+	// Installed before the store is attached: the file already holds it.
+	db.setState(func(NodeState) NodeState { return NodeState{EpochState: est} })
 	db.writeMu.Lock()
 	db.store = store
 	db.writeMu.Unlock()

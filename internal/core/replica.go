@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"chainsplit/internal/everr"
 	"chainsplit/internal/obsv"
 	"chainsplit/internal/wal"
 )
@@ -27,7 +26,7 @@ import (
 // leader.
 func NewFollower() *DB {
 	db := NewDB()
-	db.follower.Store(true)
+	db.setState(becomeFollower)
 	return db
 }
 
@@ -40,12 +39,15 @@ func OpenFollowerDir(dir string, opts wal.Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.follower.Store(true)
+	db.setState(becomeFollower)
 	return db, nil
 }
 
-// Follower reports whether the database is a read-only replica.
-func (db *DB) Follower() bool { return db.follower.Load() }
+// becomeFollower is the transition to a read-only replica.
+func becomeFollower(s NodeState) NodeState {
+	s.Follower = true
+	return s
+}
 
 // ApplyReplica applies one shipped leader record: validate and build
 // the next generation, append the record to the follower's own log
@@ -56,7 +58,7 @@ func (db *DB) Follower() bool { return db.follower.Load() }
 func (db *DB) ApplyReplica(r wal.Record) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if !db.follower.Load() {
+	if !db.State().Follower {
 		return errors.New("core: ApplyReplica on a database that is not a follower")
 	}
 	next, err := db.buildRecordGen(r)
@@ -84,7 +86,7 @@ func (db *DB) BootstrapReplica(snap *wal.Snapshot) error {
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if !db.follower.Load() {
+	if !db.State().Follower {
 		return errors.New("core: BootstrapReplica on a database that is not a follower")
 	}
 	if db.store != nil {
@@ -117,6 +119,7 @@ func (db *DB) BootstrapReplica(snap *wal.Snapshot) error {
 func (db *DB) ResetReplica() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
+	var fresh *wal.Store
 	if db.store != nil {
 		dir, opts := db.store.Dir(), db.store.Options()
 		if err := db.store.Close(); err != nil {
@@ -126,14 +129,20 @@ func (db *DB) ResetReplica() error {
 		if err != nil {
 			return err
 		}
-		if err := wal.WriteEpochState(dir, wal.EpochState{Epoch: db.epoch.Load(), MaxSeen: db.epochSeen.Load()}); err != nil {
-			s.Close()
-			return err
-		}
-		db.store = s
+		fresh = s
 	}
-	db.follower.Store(true)
-	db.fenced.Store(false)
+	if _, err := db.setState(func(s NodeState) NodeState {
+		s.Follower, s.Fenced = true, false
+		return s
+	}); err != nil {
+		if fresh != nil {
+			fresh.Close()
+		}
+		return err
+	}
+	if fresh != nil {
+		db.store = fresh
+	}
 	db.publish(newGeneration(0))
 	return nil
 }
@@ -152,7 +161,7 @@ func (db *DB) ResetReplica() error {
 // frames carry the higher epoch, every follower that hears it adopts
 // it, and any surviving ex-leader that meets the higher epoch fences
 // itself. The minted epoch is one past the highest epoch this node has
-// EVER heard of (epochSeen), not just its own serving epoch — a fenced
+// EVER heard of (MaxSeen), not just its own serving epoch — a fenced
 // ex-leader knows its successor's epoch and must promote strictly past
 // it, or the documented recovery path (explicit Promote on a deposed
 // leader) would mint the same epoch a live successor is writing under.
@@ -162,10 +171,9 @@ func (db *DB) ResetReplica() error {
 func (db *DB) Promote() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if !db.follower.Load() && !db.fenced.Load() {
+	if st := db.State(); !st.Follower && !st.Fenced {
 		return nil
 	}
-	next := max(db.epoch.Load(), db.epochSeen.Load()) + 1
 	if db.store != nil {
 		if err := db.store.Sync(); err != nil {
 			return fmt.Errorf("core: promote: fsync of the log tail failed: %w", err)
@@ -173,25 +181,18 @@ func (db *DB) Promote() error {
 		if got, want := db.store.LastSeq(), db.current().seq; got != want {
 			return fmt.Errorf("%w: promote: durable log at generation %d, published state at %d", wal.ErrCorrupt, got, want)
 		}
-		if err := wal.WriteEpochState(db.store.Dir(), wal.EpochState{Epoch: next, MaxSeen: next}); err != nil {
-			return fmt.Errorf("core: promote: epoch bump not durable, still read-only: %w", err)
-		}
 	}
-	db.epoch.Store(next)
-	db.epochSeen.Store(next)
-	db.fenced.Store(false)
-	db.follower.Store(false)
+	if _, err := db.setState(func(s NodeState) NodeState {
+		next := s.MaxSeen + 1
+		s.EpochState = wal.EpochState{Epoch: next, MaxSeen: next}
+		s.Follower = false
+		return s
+	}); err != nil {
+		return fmt.Errorf("core: promote: epoch bump not durable, still read-only: %w", err)
+	}
 	obsv.ReplicaPromotions.Inc()
 	return nil
 }
-
-// Epoch returns the leader epoch the database currently serves under.
-func (db *DB) Epoch() uint64 { return db.epoch.Load() }
-
-// Fenced reports whether the database has fenced itself: it learned
-// of a higher epoch (a promoted successor) and refuses mutations with
-// everr.ErrFenced until promoted again.
-func (db *DB) Fenced() bool { return db.fenced.Load() }
 
 // Fence deposes the database on evidence of a higher epoch: mutations
 // start failing with everr.ErrFenced, durably — the fencing state is
@@ -207,23 +208,19 @@ func (db *DB) Fenced() bool { return db.fenced.Load() }
 func (db *DB) Fence(higher uint64) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if higher <= db.epoch.Load() {
-		return nil
-	}
-	if db.follower.Load() {
-		return db.adoptEpochLocked(higher)
-	}
-	if db.fenced.Load() && higher <= db.epochSeen.Load() {
-		return nil
-	}
-	seen := max(higher, db.epochSeen.Load())
-	if db.store != nil {
-		if err := wal.WriteEpochState(db.store.Dir(), wal.EpochState{Epoch: db.epoch.Load(), MaxSeen: seen, Fenced: true}); err != nil {
-			return fmt.Errorf("core: fence not durable: %w", err)
+	if _, err := db.setState(func(s NodeState) NodeState {
+		switch {
+		case higher <= s.Epoch:
+		case s.Follower:
+			s.Epoch = higher
+		default:
+			s.MaxSeen = max(s.MaxSeen, higher)
+			s.Fenced = true
 		}
+		return s
+	}); err != nil {
+		return fmt.Errorf("core: fence not durable: %w", err)
 	}
-	db.epochSeen.Store(seen)
-	db.fenced.Store(true)
 	return nil
 }
 
@@ -233,39 +230,16 @@ func (db *DB) Fence(higher uint64) error {
 // database the adopted epoch is persisted first, so a restarted
 // follower still refuses streams from deposed leaders.
 func (db *DB) AdoptEpoch(epoch uint64) error {
-	if epoch <= db.epoch.Load() {
+	if epoch <= db.Epoch() {
 		return nil
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	return db.adoptEpochLocked(epoch)
-}
-
-// adoptEpochLocked is AdoptEpoch under writeMu.
-func (db *DB) adoptEpochLocked(epoch uint64) error {
-	if epoch <= db.epoch.Load() {
-		return nil
-	}
-	seen := max(epoch, db.epochSeen.Load())
-	if db.store != nil {
-		if err := wal.WriteEpochState(db.store.Dir(), wal.EpochState{Epoch: epoch, MaxSeen: seen, Fenced: db.fenced.Load()}); err != nil {
-			return fmt.Errorf("core: epoch adoption not durable: %w", err)
-		}
-	}
-	db.epoch.Store(epoch)
-	db.epochSeen.Store(seen)
-	return nil
-}
-
-// CheckFollowerRead gates a read on a follower: nil for a leader, and
-// for followers everr.ErrStale when the serving layer's staleness
-// check says the view is too old. The check itself lives with the
-// replication session (which knows the leader's position); this hook
-// just keeps the taxonomy mapping in one place.
-func CheckFollowerRead(stale bool) error {
-	if stale {
-		obsv.ReplicaStaleSheds.Inc()
-		return everr.ErrStale
+	if _, err := db.setState(func(s NodeState) NodeState {
+		s.Epoch = max(s.Epoch, epoch)
+		return s
+	}); err != nil {
+		return fmt.Errorf("core: epoch adoption not durable: %w", err)
 	}
 	return nil
 }

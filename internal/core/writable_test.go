@@ -8,6 +8,7 @@ import (
 	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/term"
+	"chainsplit/internal/wal"
 )
 
 // TestWritableRefusalOrder pins which refusal wins when a node carries
@@ -36,9 +37,7 @@ func TestWritableRefusalOrder(t *testing.T) {
 			}
 			for name, write := range writes {
 				db := NewDB()
-				db.follower.Store(c.follower)
-				db.fenced.Store(c.fenced)
-				db.quarantined.Store(c.quarantined)
+				db.state.Store(&NodeState{EpochState: wal.EpochState{Fenced: c.fenced}, Follower: c.follower, Quarantined: c.quarantined})
 				fenced := obsv.FencedWrites.Value()
 				err := write(db)
 				if c.want == nil {

@@ -70,23 +70,17 @@ type Model struct {
 	// Depth is the estimated recursion depth used by the quantitative
 	// plan comparison (0 = 6).
 	Depth int
-	// DefaultExpansion is assumed for predicates without statistics
-	// (unmaterialized IDB); 0 = 1.5.
-	DefaultExpansion float64
 }
+
+// defaultExpansion is assumed for predicates without statistics
+// (unmaterialized IDB).
+const defaultExpansion = 1.5
 
 func (m *Model) depth() int {
 	if m.Depth > 0 {
 		return m.Depth
 	}
 	return 6
-}
-
-func (m *Model) defaultExpansion() float64 {
-	if m.DefaultExpansion > 0 {
-		return m.DefaultExpansion
-	}
-	return 1.5
 }
 
 // Expansion estimates the join expansion ratio of evaluating literal
@@ -98,11 +92,11 @@ func (m *Model) defaultExpansion() float64 {
 //
 // With no bound position the ratio is the full relation cardinality
 // (the cross-product effect the paper warns about). Unknown relations
-// get DefaultExpansion.
+// get defaultExpansion.
 func (m *Model) Expansion(lit program.Atom, bound map[string]bool) float64 {
 	rel := m.Cat.Get(lit.Pred)
 	if rel == nil || rel.Arity() != lit.Arity() {
-		return m.defaultExpansion()
+		return defaultExpansion
 	}
 	if rel.Len() == 0 {
 		// Explicit zero-expansion signal: the connection is provably

@@ -298,7 +298,8 @@ func (l *Leader) serveConn(conn net.Conn) {
 	if string(hs[:8]) != string(handshakeMagic) {
 		return
 	}
-	if fe := binary.BigEndian.Uint64(hs[16:]); fe > l.db.Epoch() {
+	st := l.db.State()
+	if fe := binary.BigEndian.Uint64(hs[16:]); fe > st.Epoch {
 		// The follower has heard from a leader of a higher epoch: this
 		// leader has been deposed and just found out. Fence durably —
 		// local mutations must start failing before this connection is
@@ -306,7 +307,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 		l.db.Fence(fe)
 		return
 	}
-	if l.db.Fenced() {
+	if st.Fenced {
 		// A deposed leader stops replicating: its history may diverge
 		// from the successor's, and feeding it to followers would fork
 		// them too.
@@ -321,7 +322,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 	}
 	var echo [16]byte
 	copy(echo[:8], handshakeMagic)
-	binary.BigEndian.PutUint64(echo[8:], l.db.Epoch())
+	binary.BigEndian.PutUint64(echo[8:], st.Epoch)
 	if err := send(conn, wal.Frame(echo[:])); err != nil {
 		return
 	}
@@ -347,7 +348,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 			return
 		default:
 		}
-		if l.db.Fenced() {
+		if l.db.State().Fenced {
 			// Deposed mid-stream: the handshake check caught fencing at
 			// connect time, this catches it on established connections.
 			// Past the fence point this leader's history may diverge from
@@ -531,7 +532,7 @@ type Session struct {
 // The session runs until Stop; connection failures reconnect with the
 // configured backoff and resume from the database's durable position.
 func StartFollower(db *core.DB, addr string, cfg FollowerConfig) (*Session, error) {
-	if !db.Follower() {
+	if !db.State().Follower {
 		return nil, errors.New("replica: StartFollower needs a follower database")
 	}
 	pol := cfg.Retry

@@ -105,7 +105,8 @@ func TestMaxPassesBudget(t *testing.T) {
 tc(X, Y) :- e(X, Y).
 tc(X, Y) :- tc(X, Z), e(Z, Y).
 e(a, b). e(b, c). e(c, d).
-`, Options{MaxPasses: 1})
+`, Options{})
+	e.passLimit = 1
 	q, _ := lang.ParseQuery("?- tc(a, Y).")
 	_, err := solveGoal(e, q.Goals[0])
 	// Left recursion needs multiple passes; one pass must trip the

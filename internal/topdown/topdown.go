@@ -49,9 +49,6 @@ type Options struct {
 	MaxSteps int
 	// MaxDepth bounds call nesting (0 = defaultMaxDepth, 1,000,000).
 	MaxDepth int
-	// MaxPasses bounds QSQR fixpoint passes
-	// (0 = defaultMaxPasses, 10,000).
-	MaxPasses int
 	// Tracer, when non-nil, receives one structured event per QSQR
 	// fixpoint pass (obsv.PhaseRound). A nil tracer costs nothing.
 	Tracer *obsv.Tracer
@@ -59,10 +56,12 @@ type Options struct {
 
 // The budgets a zero Options field stands for.
 const (
-	defaultMaxSteps  = 10_000_000
-	defaultMaxDepth  = 1_000_000
-	defaultMaxPasses = 10_000
+	defaultMaxSteps = 10_000_000
+	defaultMaxDepth = 1_000_000
 )
+
+// maxPasses bounds QSQR fixpoint passes.
+const maxPasses = 10_000
 
 func (o Options) maxSteps() int {
 	if o.MaxSteps > 0 {
@@ -76,13 +75,6 @@ func (o Options) maxDepth() int {
 		return o.MaxDepth
 	}
 	return defaultMaxDepth
-}
-
-func (o Options) maxPasses() int {
-	if o.MaxPasses > 0 {
-		return o.MaxPasses
-	}
-	return defaultMaxPasses
 }
 
 // Stats reports evaluation effort.
@@ -114,6 +106,8 @@ type Engine struct {
 	rules map[string][]program.Rule
 	opts  Options
 	stats Stats
+	// passLimit is maxPasses; tests lower it to reach the budget.
+	passLimit int
 
 	table      map[string]*entry
 	inProgress map[string]bool
@@ -133,6 +127,7 @@ func New(prog *program.Program, cat *relation.Catalog, opts Options) *Engine {
 		cat:        cat,
 		rules:      make(map[string][]program.Rule),
 		opts:       opts,
+		passLimit:  maxPasses,
 		table:      make(map[string]*entry),
 		inProgress: make(map[string]bool),
 		renamer:    term.NewRenamer("_T"),
@@ -176,7 +171,7 @@ func (e *Engine) SolveConjunction(goals []program.Atom) ([]term.Subst, error) {
 		if err := everr.Check(e.opts.Ctx); err != nil {
 			return nil, err
 		}
-		if pass >= e.opts.maxPasses() {
+		if pass >= e.passLimit {
 			return nil, fmt.Errorf("%w: %d fixpoint passes", ErrBudget, pass)
 		}
 		e.stats.Passes++
@@ -205,7 +200,7 @@ func (e *Engine) SolveUnder(g program.Atom, s term.Subst) ([]term.Subst, error) 
 		if err := everr.Check(e.opts.Ctx); err != nil {
 			return nil, err
 		}
-		if pass >= e.opts.maxPasses() {
+		if pass >= e.passLimit {
 			return nil, fmt.Errorf("%w: %d fixpoint passes", ErrBudget, pass)
 		}
 		e.curPass++

@@ -65,6 +65,11 @@ func ReadEpochState(dir string) (EpochState, error) {
 	if err != nil {
 		return EpochState{}, err
 	}
+	return decodeEpochState(data)
+}
+
+// decodeEpochState parses an epoch file's bytes.
+func decodeEpochState(data []byte) (EpochState, error) {
 	if len(data) != epochFileSize || string(data[:8]) != string(epochMagic) {
 		return EpochState{}, corruptf("epoch state file: bad size or magic")
 	}
@@ -92,20 +97,7 @@ func ReadEpochState(dir string) (EpochState, error) {
 // the encoded bytes, so tests can tear or corrupt the fencing record
 // in flight.
 func WriteEpochState(dir string, st EpochState) error {
-	if st.MaxSeen < st.Epoch {
-		st.MaxSeen = st.Epoch
-	}
-	data := make([]byte, 0, epochFileSize)
-	data = append(data, epochMagic...)
-	data = binary.BigEndian.AppendUint64(data, st.Epoch)
-	data = binary.BigEndian.AppendUint64(data, st.MaxSeen)
-	if st.Fenced {
-		data = append(data, 1)
-	} else {
-		data = append(data, 0)
-	}
-	data = binary.BigEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
-	data, err := faultinject.FireData(faultinject.SiteReplicaEpoch, data)
+	data, err := faultinject.FireData(faultinject.SiteReplicaEpoch, encodeEpochState(st))
 	if err != nil {
 		return err
 	}
@@ -120,4 +112,22 @@ func WriteEpochState(dir string, st EpochState) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// encodeEpochState renders st as an epoch file's bytes, raising MaxSeen
+// to at least Epoch.
+func encodeEpochState(st EpochState) []byte {
+	if st.MaxSeen < st.Epoch {
+		st.MaxSeen = st.Epoch
+	}
+	data := make([]byte, 0, epochFileSize)
+	data = append(data, epochMagic...)
+	data = binary.BigEndian.AppendUint64(data, st.Epoch)
+	data = binary.BigEndian.AppendUint64(data, st.MaxSeen)
+	if st.Fenced {
+		data = append(data, 1)
+	} else {
+		data = append(data, 0)
+	}
+	return binary.BigEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
 }
