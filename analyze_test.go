@@ -61,11 +61,24 @@ func TestExplainAnalyzeSCSGFlagsSameCountry(t *testing.T) {
 				t.Fatalf("report does not mention same_country:\n%s", an.Report)
 			}
 			// Every decision line must carry estimated and observed (or an
-			// explicit not-observed marker).
-			var decisions, observed int
+			// explicit not-observed marker). Flagged counts the decisions
+			// carrying a ⚠ line, each once, and the report holds only
+			// the decisions that ran: no separate path walk.
+			var decisions, observed, warned int
+			var decision string
 			for _, line := range strings.Split(an.Report, "\n") {
 				if strings.HasPrefix(line, "decision:") {
 					decisions++
+					decision = line
+				}
+				if strings.HasPrefix(line, "path:") {
+					t.Errorf("report carries a path line: %q", line)
+				}
+				if strings.Contains(line, "⚠ calibration") {
+					warned++
+					if !strings.Contains(decision, "same_country") {
+						t.Errorf("⚠ line under %q, want the same_country decision", decision)
+					}
 				}
 				if strings.Contains(line, "estimated ") {
 					if !strings.Contains(line, "observed") && !strings.Contains(line, "not observed") {
@@ -84,6 +97,9 @@ func TestExplainAnalyzeSCSGFlagsSameCountry(t *testing.T) {
 			}
 			if !strings.Contains(an.Report, "⚠ calibration") {
 				t.Fatalf("no calibration warning rendered:\n%s", an.Report)
+			}
+			if an.Flagged != 1 || warned != an.Flagged {
+				t.Fatalf("Flagged = %d with %d flagged decision lines, want 1 and 1:\n%s", an.Flagged, warned, an.Report)
 			}
 			// The structured trace and rule profiles rode along.
 			if len(an.Result.Metrics.TraceEvents) == 0 {

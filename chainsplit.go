@@ -722,8 +722,7 @@ type Analysis struct {
 	Result *Result
 	// Report is the rendered EXPLAIN ANALYZE text: each split/follow
 	// decision with its estimated vs. observed expansion ratio, the
-	// chain-generating-path walks, the observed rule profiles and the
-	// per-round delta sizes.
+	// observed rule profiles and the per-round delta sizes.
 	Report string
 	// Flagged counts calibration misses — decisions whose observed
 	// ratio landed in a different threshold regime than the estimate.

@@ -8,8 +8,6 @@
 //	benchtab -exp T2      # run one experiment
 //	benchtab -list        # list experiments
 //	benchtab -timeout 2m  # bound the whole run (typed error on expiry)
-//	benchtab -parallel 8  # client concurrency for C1 (default GOMAXPROCS)
-//	benchtab -exp C5      # durability: WAL cost, compaction, recovery fidelity
 //	benchtab -metrics     # print the process metrics snapshot after the run
 //
 // It exits 1 when an experiment cannot run or a claim does not hold.
@@ -30,7 +28,6 @@ func main() {
 	exp := flag.String("exp", "", "experiment ID to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	parallel := flag.Int("parallel", 0, "client concurrency for the concurrent-serving experiment (0 = GOMAXPROCS, min 4)")
 	metrics := flag.Bool("metrics", false, "print the process metrics snapshot (queries, retries, sheds, parallel work, interned terms) after the run")
 	flag.Parse()
 
@@ -40,7 +37,7 @@ func main() {
 		}
 		return
 	}
-	code := run(*exp, *timeout, *parallel)
+	code := run(*exp, *timeout)
 	if *metrics {
 		fmt.Print("\nprocess metrics:\n" + chainsplit.MetricsSnapshot())
 	}
@@ -48,7 +45,7 @@ func main() {
 }
 
 // run executes the selected experiments and returns the exit code.
-func run(id string, timeout time.Duration, parallel int) int {
+func run(id string, timeout time.Duration) int {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -66,7 +63,7 @@ func run(id string, timeout time.Duration, parallel int) int {
 	}
 	code := 0
 	for _, e := range exps {
-		r, err := e.Run(experiments.Config{Ctx: ctx, Parallel: parallel})
+		r, err := e.Run(experiments.Config{Ctx: ctx})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", e.ID, err)
 			return 1

@@ -45,58 +45,72 @@ func loadDet(t *testing.T, db *core.DB, c detCase) {
 }
 
 // TestDurableRoundTripAcrossStrategies closes and reopens each
-// determinism workload and requires every strategy to reproduce its
+// determinism workload, on a log-only store and on one that snapshots
+// after every record, and requires every strategy to reproduce its
 // pre-close answers and metrics bit-identically from the recovered
 // state.
 func TestDurableRoundTripAcrossStrategies(t *testing.T) {
 	for _, c := range detCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			db := durableDetDB(t, c, dir)
-			opts := func(s core.Strategy) core.Options {
-				return core.Options{Strategy: s, MaxTuples: 200_000, MaxIterations: 10_000}
-			}
-			type outcome struct {
-				answers string
-				tuples  int
-				err     string
-			}
-			before := make(map[core.Strategy]outcome)
-			for _, strat := range detStrategies {
-				res, err := db.Query(c.goals, opts(strat))
-				if err != nil {
-					before[strat] = outcome{err: err.Error()}
-					continue
-				}
-				before[strat] = outcome{answers: renderSorted(res), tuples: res.Metrics.DerivedTuples}
-			}
-			wantGen := db.Generation()
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			db2, err := core.OpenDir(dir, wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db2.Close()
-			if got := db2.Generation(); got != wantGen {
-				t.Fatalf("recovered generation %d, want %d", got, wantGen)
-			}
-			for _, strat := range detStrategies {
-				res, err := db2.Query(c.goals, opts(strat))
-				var got outcome
-				if err != nil {
-					got = outcome{err: err.Error()}
-				} else {
-					got = outcome{answers: renderSorted(res), tuples: res.Metrics.DerivedTuples}
-				}
-				if got != before[strat] {
-					t.Fatalf("%s diverges after recovery:\n got %+v\nwant %+v", strat, got, before[strat])
-				}
+			for _, every := range []int{-1, 1} {
+				durableRoundTrip(t, c, wal.Options{SnapshotEvery: every})
 			}
 		})
+	}
+}
+
+// durableRoundTrip is one TestDurableRoundTripAcrossStrategies run on
+// a store with the given options.
+func durableRoundTrip(t *testing.T, c detCase, wopts wal.Options) {
+	t.Helper()
+	dir := t.TempDir()
+	db, err := core.OpenDir(dir, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadDet(t, db, c)
+	opts := func(s core.Strategy) core.Options {
+		return core.Options{Strategy: s, MaxTuples: 200_000, MaxIterations: 10_000}
+	}
+	type outcome struct {
+		answers string
+		tuples  int
+		err     string
+	}
+	before := make(map[core.Strategy]outcome)
+	for _, strat := range detStrategies {
+		res, err := db.Query(c.goals, opts(strat))
+		if err != nil {
+			before[strat] = outcome{err: err.Error()}
+			continue
+		}
+		before[strat] = outcome{answers: renderSorted(res), tuples: res.Metrics.DerivedTuples}
+	}
+	wantGen := db.Generation()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := core.OpenDir(dir, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := db2.Generation(); got != wantGen {
+		t.Fatalf("snapshot every %d: recovered generation %d, want %d", wopts.SnapshotEvery, got, wantGen)
+	}
+	for _, strat := range detStrategies {
+		res, err := db2.Query(c.goals, opts(strat))
+		var got outcome
+		if err != nil {
+			got = outcome{err: err.Error()}
+		} else {
+			got = outcome{answers: renderSorted(res), tuples: res.Metrics.DerivedTuples}
+		}
+		if got != before[strat] {
+			t.Fatalf("snapshot every %d: %s diverges after recovery:\n got %+v\nwant %+v", wopts.SnapshotEvery, strat, got, before[strat])
+		}
 	}
 }
 

@@ -41,6 +41,37 @@ func AtomAdornment(a program.Atom, bound map[string]bool) string {
 	return string(buf)
 }
 
+// Occurrences counts, for each variable, the atoms among atoms that
+// contain it.
+func Occurrences(atoms ...program.Atom) map[string]int {
+	occ := make(map[string]int)
+	for _, a := range atoms {
+		for v := range a.Vars() {
+			occ[v]++
+		}
+	}
+	return occ
+}
+
+// NegationReady is the one rule for when a negated literal may run:
+// once every variable it shares with the rest of its rule or query is
+// bound. A variable that occurs in no other atom is local to the
+// negation and reads "for no value": \+ e(Y, _) holds when no e tuple
+// has Y in its first column. occ counts each variable's atoms over the
+// whole rule (head included) or query, the literal itself among them
+// (see Occurrences); bound reports whether a variable is bound where
+// the literal would run. The literal's positive form must also be
+// finitely evaluable under the resulting adornment; each engine checks
+// that with its own finiteness test.
+func NegationReady(neg program.Atom, occ map[string]int, bound func(v string) bool) bool {
+	for v := range neg.Vars() {
+		if occ[v] > 1 && !bound(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // BoundVarsOfQuery returns the set of variables bound by a query goal:
 // none — but the *arguments* that are ground contribute a 'b'. For the
 // head of a rule evaluated under adornment ad, the bound variables are
@@ -245,6 +276,8 @@ type oracle func(pred string, arity int, ad string) bool
 // literal form the Delayed set.
 func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connected bool) Schedule {
 	bound := BoundVarsOfHead(r.Head, ad)
+	isBound := func(v string) bool { return bound[v] }
+	var occ map[string]int // built at the first negated literal
 	headKey := r.Head.Key()
 	n := len(r.Body)
 	done := make([]bool, n)
@@ -263,10 +296,12 @@ func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connecte
 				recursive := !isB && !lit.Negated && an.graph.SameSCC(lit.Key(), headKey)
 				litAd := AtomAdornment(lit, bound)
 				if lit.Negated {
-					// Negation-as-failure is a pure test: evaluable
-					// only with every argument bound, schedulable in
-					// the builtin pass.
-					if pass != 0 || litAd != AllB(lit.Arity()) {
+					// Negation-as-failure is a pure test, schedulable
+					// in the builtin pass.
+					if occ == nil {
+						occ = Occurrences(append([]program.Atom{r.Head}, r.Body...)...)
+					}
+					if pass != 0 || !NegationReady(lit, occ, isBound) || !fin(lit.Pred, lit.Arity(), litAd) {
 						continue
 					}
 					pick, pickRecursive = i, false
@@ -414,6 +449,3 @@ func (an *Analysis) Explain(pred string, arity int, ad string) string {
 	}
 	return fmt.Sprintf("%s is infinitely evaluable: %s", Key(pred, arity, ad), strings.Join(parts, " | "))
 }
-
-// AllB returns an all-bound adornment of length n.
-func AllB(n int) string { return strings.Repeat("b", n) }

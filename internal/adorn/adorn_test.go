@@ -254,9 +254,3 @@ func TestStuckReported(t *testing.T) {
 		t.Error("bad^bf should be finite")
 	}
 }
-
-func TestAllBF(t *testing.T) {
-	if AllB(3) != "bbb" {
-		t.Errorf("AllB(3) = %q, want bbb", AllB(3))
-	}
-}

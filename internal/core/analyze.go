@@ -11,10 +11,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"chainsplit/internal/adorn"
 	"chainsplit/internal/cost"
 	"chainsplit/internal/magic"
 	"chainsplit/internal/program"
@@ -46,24 +44,6 @@ type DecisionAnalysis struct {
 	Flagged bool
 }
 
-// PathAnalysis annotates the cost model's walk of one chain generating
-// path (cost.SplitPath) with observed ratios per body literal.
-type PathAnalysis struct {
-	// Rule is the recursive rule owning the path.
-	Rule string
-	// Path lists the body literal indices of the chain generating path.
-	Path []int
-	// Decision is the model's split/follow walk with estimated
-	// expansions per literal.
-	Decision cost.SplitDecision
-	// Observed maps body literal index to the realized expansion ratio
-	// (only literals that actually ran appear).
-	Observed map[int]float64
-	// Flagged lists literal indices whose observed ratio crossed a
-	// threshold the estimate was on the other side of.
-	Flagged []int
-}
-
 // AnalyzeReport is the result of ExplainAnalyze: the executed query
 // plus the estimated-vs-observed calibration of every chain-split
 // decision.
@@ -76,9 +56,7 @@ type AnalyzeReport struct {
 	Thresholds cost.Thresholds
 	// Decisions annotates each magic propagation decision.
 	Decisions []DecisionAnalysis
-	// Paths annotates the cost model's chain-generating-path walks.
-	Paths []PathAnalysis
-	// Flagged counts calibration misses across Decisions and Paths.
+	// Flagged counts the flagged Decisions.
 	Flagged int
 }
 
@@ -122,42 +100,6 @@ func (g *generation) ExplainAnalyze(goals []program.Atom, opts Options) (*Analyz
 			rep.Decisions = append(rep.Decisions, da)
 		}
 	}
-
-	// Chain-generating-path walks: re-plan (cheap, no evaluation) to
-	// recover the compiled chain form, then let the cost model walk
-	// each path and compare against what the literals actually did.
-	if goal, cons, gerr := goalAndConstraints(goals); gerr == nil {
-		if _, pd, perr := g.plan(goal, cons, opts); perr == nil && pd != nil && pd.comp != nil {
-			model := &cost.Model{Cat: g.cat, Depth: opts.CostDepth}
-			goalAd := adorn.GoalAdornment(goal)
-			for _, rr := range pd.comp.RecRules {
-				for _, path := range rr.Paths {
-					bound := adorn.BoundVarsOfHead(rr.Rule.Head, goalAd)
-					dec := model.SplitPath(rr.Rule, path.Literals, bound, th)
-					pa := PathAnalysis{
-						Rule:     rr.Rule.String(),
-						Path:     path.Literals,
-						Decision: dec,
-						Observed: make(map[int]float64),
-					}
-					for li, est := range dec.Expansions {
-						o, ok := obs[rr.Rule.Body[li].String()]
-						if !ok || o.in == 0 {
-							continue
-						}
-						ratio := float64(o.out) / float64(o.in)
-						pa.Observed[li] = ratio
-						if regimeOf(est, th) != regimeOf(ratio, th) {
-							pa.Flagged = append(pa.Flagged, li)
-							rep.Flagged++
-						}
-					}
-					sort.Ints(pa.Flagged)
-					rep.Paths = append(rep.Paths, pa)
-				}
-			}
-		}
-	}
 	return rep, nil
 }
 
@@ -196,8 +138,8 @@ func regimeOf(e float64, th cost.Thresholds) string {
 }
 
 // String renders the calibration report: the plan, each decision with
-// estimated vs. observed expansion, the path walks, the observed rule
-// profiles and the per-round delta sizes.
+// estimated vs. observed expansion, the observed rule profiles and the
+// per-round delta sizes.
 func (r *AnalyzeReport) String() string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
@@ -222,32 +164,6 @@ func (r *AnalyzeReport) String() string {
 				b.WriteString(" (observed at its delayed answer-join position)")
 			}
 			b.WriteByte('\n')
-		}
-	}
-
-	for _, p := range r.Paths {
-		fmt.Fprintf(&b, "path:      %s %v\n", p.Rule, p.Path)
-		flagged := make(map[int]bool, len(p.Flagged))
-		for _, li := range p.Flagged {
-			flagged[li] = true
-		}
-		lis := make([]int, 0, len(p.Decision.Expansions))
-		for li := range p.Decision.Expansions {
-			lis = append(lis, li)
-		}
-		sort.Ints(lis)
-		for _, li := range lis {
-			fmt.Fprintf(&b, "           literal %d: estimated %.2f", li, p.Decision.Expansions[li])
-			if ob, ok := p.Observed[li]; ok {
-				fmt.Fprintf(&b, ", observed %.2f", ob)
-			}
-			if flagged[li] {
-				b.WriteString("  ⚠ calibration")
-			}
-			b.WriteByte('\n')
-		}
-		if p.Decision.Vacuous {
-			b.WriteString("           path is vacuous (empty connection)\n")
 		}
 	}
 

@@ -1359,10 +1359,12 @@ func (g *generation) runTopDownConjunction(goals []program.Atom, opts Options) (
 }
 
 // answerAtom is the atom a query's answers are vectors of: its one
-// relational goal (or its one goal, if none is relational), else an
-// atom over all the variables of those goals in order of first
+// positive relational goal (or its one goal, if none is relational),
+// else an atom over the variables of those goals in order of first
 // appearance — so a conjunction's answers bind every variable, and
-// answers differing in any binding stay distinct.
+// answers differing in any binding stay distinct. Anonymous variables,
+// and any variable local to a negated goal (adorn.NegationReady), are
+// not answer columns.
 func answerAtom(goals []program.Atom) program.Atom {
 	var rel []program.Atom
 	for _, g := range goals {
@@ -1373,14 +1375,18 @@ func answerAtom(goals []program.Atom) program.Atom {
 	if len(rel) == 0 {
 		rel = goals
 	}
-	if len(rel) == 1 {
+	if len(rel) == 1 && !rel[0].Negated {
 		return rel[0]
 	}
 	var vars []term.Term
 	seen := map[string]bool{}
+	occ := adorn.Occurrences(goals...)
 	for _, g := range rel {
 		for _, a := range g.Args {
 			for _, v := range term.Vars(nil, a) {
+				if v.Anonymous() || g.Negated && occ[v.Name] == 1 {
+					continue
+				}
 				if !seen[v.Name] {
 					seen[v.Name] = true
 					vars = append(vars, v)
@@ -1392,7 +1398,7 @@ func answerAtom(goals []program.Atom) program.Atom {
 }
 
 // finish populates Vars and Bindings from the executed goals. Each
-// variable of the answer atom, nested or not, is read from every
+// named variable of the answer atom, nested or not, is read from every
 // answer along the argument path of its first occurrence.
 func (r *Result) finish(goals []program.Atom) {
 	primary := answerAtom(goals)
@@ -1403,7 +1409,7 @@ func (r *Result) finish(goals []program.Atom) {
 	walk = func(t term.Term, path []int) {
 		switch t := t.(type) {
 		case term.Var:
-			if !seen[t.Name] {
+			if !t.Anonymous() && !seen[t.Name] {
 				seen[t.Name] = true
 				r.Vars = append(r.Vars, t.Name)
 				paths = append(paths, append([]int(nil), path...))

@@ -218,17 +218,39 @@ p(X, Y) :- e(X, Y).
 app([], L, L).
 app([X|L1], L2, [X|L3]) :- app(L1, L2, L3).
 `
+	// Each `_` is its own variable, reported in no binding; a variable
+	// local to a negated literal reads "for no value".
+	const anonSrc = `
+e(a, b). e(b, c). e(c, c).
+q(X) :- e(X, _), e(_, X).
+`
+	const negSrc = `
+e(a, b). e(b, c). e(c, d). e(b, x).
+p(X) :- e(X, Y), \+ e(Y, _).
+source(X) :- e(X, _), \+ e(_, X).
+`
+	all := []Strategy{StrategyAuto, StrategySeminaive, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}
 	cases := []struct {
+		src         string // the program; src when empty
 		query, want string
 		strategies  []Strategy // strategies that must accept the query
 	}{
-		{"?- t(X, X).", "a,a;b,b", []Strategy{StrategyAuto, StrategySeminaive, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
-		{"?- p(X, [H|T]).", "c,[1, 2]", []Strategy{StrategyAuto, StrategySeminaive, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
-		{"?- app(X, X, [1,2,1,2]).", "[1, 2],[1, 2],[1, 2, 1, 2]", []Strategy{StrategyAuto, StrategyBuffered, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
+		{"", "?- t(X, X).", "a,a;b,b", all},
+		{"", "?- p(X, [H|T]).", "c,[1, 2]", all},
+		{"", "?- app(X, X, [1,2,1,2]).", "[1, 2],[1, 2],[1, 2, 1, 2]", []Strategy{StrategyAuto, StrategyBuffered, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
+		{anonSrc, "?- e(_, _).", "a,b;b,c;c,c", all},
+		{anonSrc, "?- q(X).", "b;c", all},
+		{negSrc, "?- e(X, Y), \\+ e(Y, _).", "b,x;c,d", all},
+		{negSrc, "?- p(X).", "b;c", all},
+		{negSrc, "?- source(X).", "a", all},
+		{negSrc, "?- X = d, \\+ e(X, Z).", "d", all},
 	}
 	for _, c := range cases {
 		for _, strat := range c.strategies {
-			db := load(t, src)
+			if c.src == "" {
+				c.src = src
+			}
+			db := load(t, c.src)
 			q, err := lang.ParseQuery(c.query)
 			if err != nil {
 				t.Fatal(err)
@@ -240,6 +262,16 @@ app([X|L1], L2, [X|L3]) :- app(L1, L2, L3).
 			}
 			if got := answerSet(res); got != c.want {
 				t.Errorf("%v on %s: got %q, want %q", strat, c.query, got, c.want)
+			}
+			for _, v := range res.Vars {
+				if strings.HasPrefix(v, "_") {
+					t.Errorf("%v on %s: anonymous variable %s is reported", strat, c.query, v)
+				}
+			}
+			// The dumped database means the same.
+			res, err = load(t, db.Dump()).Query(q.Goals, Options{Strategy: strat})
+			if err != nil || answerSet(res) != c.want {
+				t.Errorf("%v on %s after Dump: %v, %v", strat, c.query, res, err)
 			}
 		}
 	}

@@ -207,6 +207,10 @@ type SplitDecision struct {
 // (chain-following) or to cut (chain-split). Only literals reachable
 // through already-bound variables are candidates for propagation; once
 // a cut happens, everything remaining in the path is delayed.
+//
+// No engine executes this walk (the magic rewrite decides per literal
+// through Decide); it is kept only while the benchmark's
+// cost.split_path_us metric times it.
 func (m *Model) SplitPath(rule program.Rule, path []int, bound map[string]bool, th Thresholds) SplitDecision {
 	dec := SplitDecision{Expansions: make(map[int]float64)}
 	bound = cloneSet(bound)

@@ -15,11 +15,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"chainsplit/internal/core"
 	"chainsplit/internal/lang"
@@ -31,34 +29,18 @@ type Config struct {
 	// Ctx, when non-nil, bounds the whole run: experiments abort with
 	// a typed error when it ends (benchtab -timeout).
 	Ctx context.Context
-	// Parallel is the client concurrency for the concurrent-serving
-	// experiment (benchtab -parallel; 0 = GOMAXPROCS, min 4).
-	Parallel int
-}
-
-// parallel resolves the client concurrency.
-func (cfg Config) parallel() int {
-	if cfg.Parallel > 0 {
-		return cfg.Parallel
-	}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		return n
-	}
-	return 4
 }
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
-	// ID is the experiment identifier (T1…T9, F1…F3, A1…A3, C1, C5).
+	// ID is the experiment identifier (T1…T9, F1…F3, A1…A3).
 	ID string
 	// Title is a one-line description.
 	Title string
 	// PaperRef anchors the experiment in the paper.
 	PaperRef string
 	// Claim is what the rows must show: the paper's claim as
-	// EXPERIMENTS.md states it. The serving-layer experiments (C*) claim
-	// properties of the substrate the engines run on, report timings,
-	// and stay out of EXPERIMENTS.md.
+	// EXPERIMENTS.md states it.
 	Claim string
 	// Run executes the experiment.
 	Run func(cfg Config) (*Report, error)
@@ -121,9 +103,9 @@ var registry []Experiment
 func register(e Experiment) { registry = append(registry, e) }
 
 // All returns the experiments in ID order: tables (T*), then figures
-// (F*), then ablations (A*), then the serving-layer checks (C*).
+// (F*), then ablations (A*).
 func All() []Experiment {
-	rank := func(id string) int { return strings.IndexByte("TFAC", id[0]) }
+	rank := func(id string) int { return strings.IndexByte("TFA", id[0]) }
 	out := append([]Experiment(nil), registry...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].ID, out[j].ID
@@ -258,10 +240,4 @@ func choice(p *core.Plan, pred string) string {
 		}
 	}
 	return "follow"
-}
-
-// ms formats a duration in milliseconds, for the serving-layer
-// experiments, the only ones that report time.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.3fms", float64(d.Microseconds())/1000.0)
 }

@@ -11,7 +11,7 @@ import (
 var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated sections from this run")
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "F1", "F2", "F3", "A1", "A2", "A3", "C1", "C5"}
+	want := []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "F1", "F2", "F3", "A1", "A2", "A3"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
@@ -47,7 +47,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			for _, f := range r.Failed {
 				t.Errorf("%s claim broken: %s", e.ID, f)
 			}
-			if !strings.HasPrefix(e.ID, "C") && r.Measured == "" {
+			if r.Measured == "" {
 				t.Errorf("%s reports no measured summary", e.ID)
 			}
 			reports[e.ID] = r
@@ -60,17 +60,13 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 }
 
 // checkExperimentsMD renders the summary table and the full tables of
-// the paper experiments (all but the serving-layer C*) and compares
-// them with the generated sections of EXPERIMENTS.md, rewriting those
-// sections under -update.
+// the experiments and compares them with the generated sections of
+// EXPERIMENTS.md, rewriting those sections under -update.
 func checkExperimentsMD(t *testing.T, reports map[string]*Report) {
 	var summary, tables strings.Builder
 	summary.WriteString("| Exp | Paper claim | Measured | Verdict |\n|-----|-------------|----------|---------|\n")
 	tables.WriteString("```\n")
 	for _, e := range All() {
-		if strings.HasPrefix(e.ID, "C") {
-			continue
-		}
 		r := reports[e.ID]
 		fmt.Fprintf(&summary, "| %s | %s | %s | %s |\n", e.ID, e.Claim, r.Measured, e.Verdict(r))
 		e.Print(&tables, r)

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzParse asserts the parser never panics and that anything it
-// accepts round-trips through the printer. Run with `go test -fuzz
+// FuzzParse asserts the parser never panics and that any program or
+// query it accepts round-trips through the printer. Run with `go test -fuzz
 // FuzzParse ./internal/lang` for continuous fuzzing; the seed corpus
 // runs in every ordinary test invocation.
 func FuzzParse(f *testing.F) {
@@ -24,6 +24,8 @@ func FuzzParse(f *testing.F) {
 		"p(((((",
 		"]] [[ || ?? @@",
 		"p(a)\n:-\nq(b).",
+		"p(_, _) :- q(_).",
+		"?- e(X, Y), \\+ e(Y, _).",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -40,6 +42,12 @@ func FuzzParse(f *testing.F) {
 		}
 		if res2.Program.String() != printed {
 			t.Fatalf("print-parse-print not stable:\n%s\nvs\n%s", printed, res2.Program.String())
+		}
+		for _, q := range res.Queries {
+			q2, err := ParseQuery(q.String())
+			if err != nil || q2.String() != q.String() {
+				t.Fatalf("query %s does not round-trip: %v, %v", q, q2, err)
+			}
 		}
 	})
 }

@@ -34,6 +34,9 @@ type Result struct {
 type parser struct {
 	toks []token
 	pos  int
+	// anon numbers the anonymous variables of the current clause, query
+	// or pragma.
+	anon int
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -69,6 +72,7 @@ func Parse(src string) (*Result, error) {
 	res := &Result{Program: &program.Program{}}
 	for {
 		t := p.peek()
+		p.anon = 0
 		switch {
 		case t.kind == tokEOF:
 			return res, nil
@@ -273,6 +277,10 @@ func (p *parser) parseTerm() (term.Term, error) {
 	case t.kind == tokStr:
 		p.advance()
 		return term.NewStr(t.text), nil
+	case t.kind == tokVar && t.text == "_":
+		p.advance()
+		p.anon++
+		return term.Anon(p.anon), nil
 	case t.kind == tokVar:
 		p.advance()
 		return term.NewVar(t.text), nil

@@ -41,13 +41,29 @@ func tupOf(vals ...string) (t []term.Term) {
 }
 
 func TestNegationUnboundRejected(t *testing.T) {
-	// \+ q(Y) with Y never bound: unsafe.
+	// \+ q(Y) with Y shared with the head but never bound: unsafe.
 	_, _, err := run(t, `
-p(X) :- n(X), \+ q(Y).
+p(X, Y) :- n(X), \+ q(Y).
 n(1). q(2).
 `, Options{})
 	if !errors.Is(err, ErrUnsafe) {
 		t.Errorf("err = %v, want ErrUnsafe", err)
+	}
+	// A variable only the negation has reads "for no value": \+ q(Y)
+	// fails while q holds any tuple.
+	cat, _, err := run(t, `
+p(X) :- n(X), \+ q(Y).
+r(X) :- n(X), \+ s(Y).
+n(1). q(2).
+`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := cat.Get("p"); rel != nil && rel.Len() != 0 {
+		t.Errorf("p = %v, want empty", rel.Sorted())
+	}
+	if rel := cat.Get("r"); rel == nil || rel.Len() != 1 {
+		t.Errorf("r = %v, want {1}", rel)
 	}
 }
 

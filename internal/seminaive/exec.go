@@ -66,7 +66,7 @@ type stepKind uint8
 const (
 	stepRel        stepKind = iota // positive relation literal: probe and bind
 	stepBuiltin                    // positive builtin: call, read solutions back
-	stepNegRel                     // \+ relation literal: membership probe
+	stepNegRel                     // \+ relation literal: holds when no tuple matches
 	stepNegBuiltin                 // \+ builtin: holds when it has no solution
 )
 
@@ -83,12 +83,11 @@ type step struct {
 	atom program.Atom
 	// rel is the relation read (stepRel, stepNegRel); nil reads as empty.
 	rel *relation.Relation
-	// key holds the index columns (stepRel) and their closed patterns;
-	// for stepNegRel, keyPats is the whole probe tuple.
+	// key holds the index columns and their closed patterns.
 	keyCols []int
 	keyPats []pat
-	// cols matches the remaining columns of each stepRel tuple in
-	// argument order.
+	// cols matches the remaining columns of each tuple in argument
+	// order; for stepNegRel they hold the negation's local variables.
 	cols []colPat
 	// b is the resolved builtin; in lists the slots of the literal's
 	// variables bound before the step (the substitution the builtin
@@ -191,13 +190,11 @@ func compileRule(r program.Rule, order []int, cat *relation.Catalog, inSCC map[s
 					st.out = append(st.out, slotOf(v))
 				}
 			}
-		case lit.Negated:
-			st.kind = stepNegRel
-			for _, a := range lit.Args {
-				st.keyPats = append(st.keyPats, compile(a, seen))
-			}
 		default:
 			st.kind = stepRel
+			if lit.Negated {
+				st.kind = stepNegRel
+			}
 			for i, a := range lit.Args {
 				p := compile(a, seen)
 				if p.closed() {
@@ -287,7 +284,7 @@ func (x *executor) run(i int) error {
 		}
 		return nil
 	case stepNegRel:
-		if st.rel != nil && st.rel.Contains(x.build(st.keyPats)) {
+		if st.rel != nil && x.holds(i, st) {
 			return nil
 		}
 	case stepBuiltin:
@@ -343,15 +340,51 @@ func (x *executor) match(i int, st *step, tup relation.Tuple) error {
 			return err
 		}
 	}
-	for k := range st.cols {
-		if !x.unify(&st.cols[k].pat, tup[st.cols[k].col]) {
-			return nil
-		}
+	if !x.matchCols(st, tup) {
+		return nil
 	}
 	if x.lc != nil {
 		x.lc.out[st.lit]++
 	}
 	return x.run(i + 1)
+}
+
+// matchCols matches st's non-key columns against tup, binding slots.
+func (x *executor) matchCols(st *step, tup relation.Tuple) bool {
+	for k := range st.cols {
+		if !x.unify(&st.cols[k].pat, tup[st.cols[k].col]) {
+			return false
+		}
+	}
+	return true
+}
+
+// holds reports whether the relation of step i, a negated literal, has
+// a tuple matching it: a membership probe when every argument is
+// bound, else a probe on the bound columns (a scan when none is) that
+// binds the negation's local variables tuple by tuple.
+func (x *executor) holds(i int, st *step) bool {
+	if len(st.cols) == 0 {
+		return st.rel.Contains(x.build(st.keyPats))
+	}
+	if len(st.keyCols) == 0 {
+		for p, n := 0, st.rel.Len(); p < n; p++ {
+			if x.matchCols(st, st.rel.At(p)) {
+				return true
+			}
+		}
+		return false
+	}
+	if x.indexes[i] == nil {
+		x.indexes[i] = st.rel.Index(st.keyCols)
+	}
+	m := x.indexes[i].Probe(x.build(st.keyPats))
+	for p := 0; p < m.Len(); p++ {
+		if x.matchCols(st, m.At(p)) {
+			return true
+		}
+	}
+	return false
 }
 
 // unify matches p one-way against the ground term t, binding slots.

@@ -620,6 +620,8 @@ func (e *Engine) runItem(compiled []*compiledRule, items []workItem, deltas, hea
 func scheduleBody(r program.Rule) ([]int, error) {
 	n := len(r.Body)
 	bound := make(map[string]bool)
+	isBound := func(v string) bool { return bound[v] }
+	var occ map[string]int // built at the first negated literal
 	done := make([]bool, n)
 	var order []int
 	for len(order) < n {
@@ -630,11 +632,14 @@ func scheduleBody(r program.Rule) ([]int, error) {
 			}
 			lit := r.Body[i]
 			if lit.Negated {
-				// Negation-as-failure: every variable must be bound.
-				if adorn.AtomAdornment(lit, bound) != adorn.AllB(lit.Arity()) {
+				if occ == nil {
+					occ = adorn.Occurrences(append([]program.Atom{r.Head}, r.Body...)...)
+				}
+				if !adorn.NegationReady(lit, occ, isBound) {
 					continue
 				}
-			} else if b := builtin.Lookup(lit.Pred, lit.Arity()); b != nil {
+			}
+			if b := builtin.Lookup(lit.Pred, lit.Arity()); b != nil {
 				ad := adorn.AtomAdornment(lit, bound)
 				if !b.FiniteUnder(ad) {
 					continue

@@ -67,13 +67,29 @@ type Var struct{ Name string }
 // NewVar returns a variable with the given name.
 func NewVar(name string) Var { return Var{Name: name} }
 
+// anonPrefix starts the name of every anonymous variable. No source
+// identifier contains '#', so no named variable can share the name.
+const anonPrefix = "_#"
+
+// Anon returns the n-th anonymous variable of a clause: each `_` of
+// the source is its own variable, and it prints back as `_`.
+func Anon(n int) Var { return Var{Name: anonPrefix + strconv.Itoa(n)} }
+
+// Anonymous reports whether v stands for a `_` of the source.
+func (v Var) Anonymous() bool { return strings.HasPrefix(v.Name, anonPrefix) }
+
 // Kind implements Term.
 func (v Var) Kind() Kind { return KindVar }
 
 // Ground implements Term.
 func (v Var) Ground() bool { return false }
 
-func (v Var) String() string { return v.Name }
+func (v Var) String() string {
+	if v.Anonymous() {
+		return "_"
+	}
+	return v.Name
+}
 
 func (v Var) appendKey(dst []byte) []byte {
 	dst = append(dst, 'V')

@@ -228,7 +228,7 @@ func (e *Engine) solveBody(goals []program.Atom, s term.Subst, depth int) ([]ter
 	// Pick the leftmost finitely evaluable literal (chain-split rule).
 	pick := -1
 	for i, g := range goals {
-		if e.evaluable(g, s) {
+		if e.evaluable(g, s, goals) {
 			pick = i
 			break
 		}
@@ -260,13 +260,14 @@ func (e *Engine) solveBody(goals []program.Atom, s term.Subst, depth int) ([]ter
 	return out, nil
 }
 
-// evaluable reports whether goal g is finitely evaluable under s.
-func (e *Engine) evaluable(g program.Atom, s term.Subst) bool {
+// evaluable reports whether goal g, one of goals, is finitely
+// evaluable under s.
+func (e *Engine) evaluable(g program.Atom, s term.Subst, goals []program.Atom) bool {
 	if g.Negated {
-		// Negation-as-failure: a pure test, evaluable only when every
-		// argument is ground (chain-split scheduling thus delays
-		// negated goals until their inputs arrive).
-		return builtin.Adornment(s, g.Args) == adorn.AllB(g.Arity())
+		// Negation-as-failure: a pure test, delayed until the
+		// variables it shares with the other goals are ground.
+		ground := func(v string) bool { return s.Resolve(term.NewVar(v)).Ground() }
+		return adorn.NegationReady(g, adorn.Occurrences(goals...), ground) && e.evaluable(g.Positive(), s, goals)
 	}
 	if b := builtin.Lookup(g.Pred, g.Arity()); b != nil {
 		return b.FiniteUnder(builtin.Adornment(s, g.Args))

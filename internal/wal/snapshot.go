@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 
 	"chainsplit/internal/relation"
-	"chainsplit/internal/term"
 )
 
 // Snapshot is a compacted image of one database generation: the
@@ -47,8 +46,10 @@ type FactRow struct {
 // as log records; the dictionary is snapshot-local.
 var snapMagic = []byte("CSDBSNP1")
 
-// encodeSnapshot renders the on-disk image of snap.
-func encodeSnapshot(snap *Snapshot) ([]byte, error) {
+// EncodeSnapshot renders the self-contained image of snap — the bytes
+// WriteSnapshot persists, and a bootstrap payload for a follower whose
+// position left retained history.
+func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 	// Pred table in first-appearance order; fact rows reference it by
 	// index so the per-fact overhead is one uvarint.
 	predIdx := make(map[string]int)
@@ -58,9 +59,7 @@ func encodeSnapshot(snap *Snapshot) ([]byte, error) {
 	}
 	var preds []predInfo
 
-	d := newSegDict()
-	var newTerms []term.Term
-	var rowBuf []byte
+	d := NewEncDict()
 	var factBuf []byte
 	for _, fr := range snap.Facts {
 		idx, ok := predIdx[fr.Pred]
@@ -71,26 +70,10 @@ func encodeSnapshot(snap *Snapshot) ([]byte, error) {
 		} else if preds[idx].arity != len(fr.Tuple) {
 			return nil, fmt.Errorf("wal: predicate %s seen with arities %d and %d", fr.Pred, preds[idx].arity, len(fr.Tuple))
 		}
-		var okKey bool
-		rowBuf, okKey = relation.AppendIDKey(rowBuf[:0], fr.Tuple)
-		if !okKey {
-			return nil, fmt.Errorf("wal: non-ground fact %s%v", fr.Pred, fr.Tuple)
-		}
 		factBuf = binary.AppendUvarint(factBuf, uint64(idx))
-		for i := range fr.Tuple {
-			pid := term.ID(binary.BigEndian.Uint64(rowBuf[8*i:]))
-			if _, small := pid.SmallInt(); small {
-				factBuf = binary.BigEndian.AppendUint64(factBuf, uint64(pid))
-				continue
-			}
-			fid, seen := d.ids[pid]
-			if !seen {
-				fid = d.next
-				d.next++
-				d.ids[pid] = fid
-				newTerms = append(newTerms, fr.Tuple[i])
-			}
-			factBuf = binary.BigEndian.AppendUint64(factBuf, fileRefBit|fid)
+		var err error
+		if factBuf, err = d.appendRow(factBuf, fr.Tuple); err != nil {
+			return nil, err
 		}
 	}
 
@@ -104,16 +87,9 @@ func encodeSnapshot(snap *Snapshot) ([]byte, error) {
 		out = append(out, p.name...)
 		out = binary.AppendUvarint(out, uint64(p.arity))
 	}
-	out = binary.AppendUvarint(out, uint64(len(newTerms)))
-	var enc []byte
-	for _, t := range newTerms {
-		var err error
-		enc, err = term.AppendEncode(enc[:0], t)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %v", err)
-		}
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
+	out, err := d.appendDelta(out)
+	if err != nil {
+		return nil, err
 	}
 	out = binary.AppendUvarint(out, uint64(len(snap.Facts)))
 	out = append(out, factBuf...)
@@ -121,8 +97,9 @@ func encodeSnapshot(snap *Snapshot) ([]byte, error) {
 	return out, nil
 }
 
-// decodeSnapshot validates and parses a snapshot image.
-func decodeSnapshot(data []byte) (*Snapshot, error) {
+// DecodeSnapshot validates and parses an EncodeSnapshot image. Errors
+// match ErrCorrupt.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapMagic)+8+4 {
 		return nil, corruptf("snapshot of %d bytes is shorter than its header", len(data))
 	}
@@ -178,32 +155,9 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	rd := &readDict{}
-	dictCount, rest, err := readUvarint(rest, "snapshot dictionary count")
-	if err != nil {
+	d := NewDecDict()
+	if rest, err = d.readDelta(rest); err != nil {
 		return nil, err
-	}
-	if dictCount > uint64(len(rest)) {
-		return nil, corruptf("snapshot dictionary count %d exceeds remaining bytes", dictCount)
-	}
-	for i := uint64(0); i < dictCount; i++ {
-		var encLen uint64
-		encLen, rest, err = readUvarint(rest, "dictionary entry length")
-		if err != nil {
-			return nil, err
-		}
-		if encLen > uint64(len(rest)) {
-			return nil, corruptf("dictionary entry length %d exceeds %d remaining bytes", encLen, len(rest))
-		}
-		t, extra, derr := term.Decode(rest[:encLen])
-		if derr != nil {
-			return nil, corruptf("snapshot dictionary entry %d: %v", i, derr)
-		}
-		if len(extra) != 0 {
-			return nil, corruptf("snapshot dictionary entry %d: %d trailing bytes", i, len(extra))
-		}
-		rd.terms = append(rd.terms, t)
-		rest = rest[encLen:]
 	}
 
 	factCount, rest, err := readUvarint(rest, "snapshot fact count")
@@ -228,12 +182,8 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 			return nil, corruptf("fact %d truncated: needs %d row bytes, %d remain", i, p.arity*8, len(rest))
 		}
 		tup := make(relation.Tuple, p.arity)
-		for c := uint64(0); c < p.arity; c++ {
-			t, rerr := rd.resolve(binary.BigEndian.Uint64(rest[8*c:]))
-			if rerr != nil {
-				return nil, rerr
-			}
-			tup[c] = t
+		if err := d.readRow(rest, tup); err != nil {
+			return nil, err
 		}
 		rest = rest[p.arity*8:]
 		snap.Facts = append(snap.Facts, FactRow{Pred: p.name, Tuple: tup})

@@ -52,7 +52,7 @@ type Store struct {
 
 	f        *os.File
 	segStart uint64
-	dict     *segDict
+	dict     *EncDict
 	lastSeq  uint64
 
 	sinceSnap int
@@ -144,7 +144,7 @@ func readDurable(path string) ([]byte, error) {
 // snapshotAt decodes the image of the snapshot file named for seq and
 // checks that the snapshot claims that generation.
 func snapshotAt(seq uint64, data []byte) (*Snapshot, error) {
-	snap, err := decodeSnapshot(data)
+	snap, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	// Scan every segment in start order. Only the last may end torn.
 	rec := &Recovery{Snapshot: snap}
 	var run seqRun
-	var lastDict *readDict
+	var lastDict *DecDict
 	var lastPath string
 	var lastEnd int
 	for i, start := range segs {
@@ -211,7 +211,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		dict := &readDict{}
+		dict := NewDecDict()
 		recs, end, tail, err := scanSegment(data, dict)
 		switch {
 		case err != nil: // the walk's own verdict
@@ -253,7 +253,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		rec.LastSeq = rec.Records[n-1].Seq
 	}
 
-	s := &Store{dir: dir, opts: opts, dict: newSegDict(), lastSeq: rec.LastSeq}
+	s := &Store{dir: dir, opts: opts, dict: NewEncDict(), lastSeq: rec.LastSeq}
 	if lastDict != nil {
 		// Continue appending to the existing last segment: truncate
 		// the torn tail away, reopen for append, and rebuild the
@@ -320,7 +320,7 @@ func (s *Store) Append(r Record) error {
 	if r.Seq != s.lastSeq+1 {
 		return fmt.Errorf("wal: append seq %d, want %d", r.Seq, s.lastSeq+1)
 	}
-	payload, err := encodeRecord(r, s.dict)
+	payload, err := EncodeRecord(r, s.dict)
 	if err != nil {
 		s.err = err
 		return err
@@ -413,7 +413,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	if snap.Seq != s.lastSeq {
 		return fmt.Errorf("wal: snapshot seq %d, store at %d", snap.Seq, s.lastSeq)
 	}
-	data, err := encodeSnapshot(snap)
+	data, err := EncodeSnapshot(snap)
 	if err != nil {
 		return err
 	}
@@ -448,7 +448,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 		old := s.f
 		s.f = nf
 		s.segStart = snap.Seq
-		s.dict = newSegDict()
+		s.dict = NewEncDict()
 		old.Close()
 	}
 	s.sinceSnap = 0

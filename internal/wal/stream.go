@@ -1,61 +1,19 @@
 package wal
 
-// Exported record/snapshot codecs for the replication transport
-// (internal/replica). The on-wire format is exactly the on-disk
-// format: frames built by Frame, payloads built by EncodeRecord,
-// snapshots by EncodeSnapshot. What differs is dictionary scope — a
-// log segment's dictionary is per-file, a replication stream's is
-// per-connection — so the codec takes the dictionary explicitly
-// instead of burying it in Store. The leader re-encodes every shipped
-// record against its connection's EncDict, which keeps file-local
-// dictionary references valid across segment boundaries the follower
-// never sees.
+// The replication transport (internal/replica) reuses the on-disk
+// codecs: frames built by Frame, payloads by EncodeRecord, snapshots
+// by EncodeSnapshot. What differs is dictionary scope — a log
+// segment's dictionary is per-file, a replication stream's is
+// per-connection — so the record codec takes the dictionary
+// explicitly. The leader re-encodes every shipped record against its
+// connection's EncDict, which keeps file-local dictionary references
+// valid across segment boundaries the follower never sees.
 
 import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
 )
-
-// EncDict is a stream-scoped encoding dictionary: the first shipped
-// record that stores a given non-small-integer term carries the
-// term's encoding as a delta, exactly as segments do on disk. One
-// EncDict per connection, never shared.
-type EncDict struct{ d *segDict }
-
-// NewEncDict returns an empty encoding dictionary.
-func NewEncDict() *EncDict { return &EncDict{d: newSegDict()} }
-
-// DecDict is the decoding side of EncDict.
-type DecDict struct{ rd *readDict }
-
-// NewDecDict returns an empty decoding dictionary.
-func NewDecDict() *DecDict { return &DecDict{rd: &readDict{}} }
-
-// EncodeRecord renders r's payload (type | seq | body), advancing d.
-// Frame the result before writing it to a stream.
-func EncodeRecord(r Record, d *EncDict) ([]byte, error) {
-	return encodeRecord(r, d.d)
-}
-
-// DecodeRecord parses a payload produced by EncodeRecord, resolving
-// fact rows through (and extending) d. Decode errors match ErrCorrupt.
-func DecodeRecord(payload []byte, d *DecDict) (Record, error) {
-	return decodeRecord(payload, d.rd)
-}
-
-// EncodeSnapshot renders the self-contained image of snap — the same
-// bytes WriteSnapshot persists, usable as a bootstrap payload for a
-// follower whose position left retained history.
-func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
-	return encodeSnapshot(snap)
-}
-
-// DecodeSnapshot validates and parses an EncodeSnapshot image. Errors
-// match ErrCorrupt.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	return decodeSnapshot(data)
-}
 
 // ReadFrame reads exactly one frame from r and returns its payload,
 // verifying length bound and checksum. An io error is returned as-is

@@ -32,7 +32,7 @@ type Tail struct {
 	f        *os.File
 	segStart uint64
 	off      int64 // next unread byte in the segment
-	dict     *readDict
+	dict     *DecDict
 	run      seqRun // the order rule over the current segment
 	closed   bool
 }
@@ -137,7 +137,7 @@ func (t *Tail) Poll() ([]Record, error) {
 // attach makes f, the segment starting at start, the one the tail
 // reads, from its first byte.
 func (t *Tail) attach(f *os.File, start uint64) {
-	t.f, t.segStart, t.off, t.dict, t.run = f, start, 0, &readDict{}, seqRun{}
+	t.f, t.segStart, t.off, t.dict, t.run = f, start, 0, NewDecDict(), seqRun{}
 }
 
 // readAvailable decodes the whole frames currently readable past t.off
@@ -225,7 +225,7 @@ func Bootstrap(dir string, snap *Snapshot, opts Options) (*Store, error) {
 	for _, name := range tmps {
 		os.Remove(filepath.Join(dir, name))
 	}
-	data, err := encodeSnapshot(snap)
+	data, err := EncodeSnapshot(snap)
 	if err != nil {
 		return nil, err
 	}

@@ -189,22 +189,22 @@ func FuzzScanSegment(f *testing.F) {
 	for _, img := range verdictImages(f) {
 		f.Add(img.data)
 	}
-	payload, err := encodeRecord(factsRec(1, "e",
+	payload, err := EncodeRecord(factsRec(1, "e",
 		tup(term.NewSym("a"), term.NewInt(2)),
-		tup(term.NewComp("f", term.NewSym("a")), term.NewInt(-1))), newSegDict())
+		tup(term.NewComp("f", term.NewSym("a")), term.NewInt(-1))), NewEncDict())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(Frame(payload))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, end, _, err := scanSegment(data, &readDict{})
+		recs, end, _, err := scanSegment(data, NewDecDict())
 		if end < 0 || end > len(data) {
 			t.Fatalf("end %d outside [0, %d]", end, len(data))
 		}
 		if err != nil {
 			return
 		}
-		again, end2, tail, err := scanSegment(data[:end], &readDict{})
+		again, end2, tail, err := scanSegment(data[:end], NewDecDict())
 		if err != nil || tail != tailNone || end2 != end {
 			t.Fatalf("rescan of the prefix: end %d, tail %d, err %v; want end %d, no tail", end2, tail, err, end)
 		}

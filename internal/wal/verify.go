@@ -78,7 +78,7 @@ func (c *checker) segment(start uint64, data []byte, final bool, readErr error) 
 		return
 	}
 	c.rep.Checked = append(c.rep.Checked, name)
-	recs, end, tail, err := scanSegment(data, &readDict{})
+	recs, end, tail, err := scanSegment(data, NewDecDict())
 	switch {
 	case err != nil:
 		c.rep.problemf("%s: %v", name, err)

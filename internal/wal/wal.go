@@ -119,120 +119,131 @@ func Frame(payload []byte) []byte {
 // fileRefBit marks a row word as a file-local dictionary reference.
 const fileRefBit = uint64(1) << 63
 
-// segDict is the per-segment (or per-snapshot) term dictionary: dense
-// file-local IDs for every non-small-integer term written since the
-// segment started.
-type segDict struct {
+// EncDict is an encoding term dictionary: dense file-local IDs for
+// every non-small-integer term written since it started. Each log
+// segment and each snapshot has its own; so does each replication
+// stream (see stream.go). The first record that stores a term carries
+// the term's encoding as a dictionary delta. One writer per EncDict,
+// never shared.
+type EncDict struct {
 	ids  map[term.ID]uint64 // process-wide ID → file-local ID
 	next uint64
+	// fresh lists the terms appendRow met first since the last
+	// appendDelta, in first-use order; buf is scratch.
+	fresh []term.Term
+	buf   []byte
 }
 
-func newSegDict() *segDict {
-	return &segDict{ids: make(map[term.ID]uint64)}
-}
+// NewEncDict returns an empty encoding dictionary.
+func NewEncDict() *EncDict { return &EncDict{ids: make(map[term.ID]uint64)} }
 
-// encodeTuples appends the dictionary-delta encoding of a batch to
-// body: new dictionary entries first, then fixed-width rows. It
-// advances d. The row words are derived from the same packed process-
-// wide ID encoding the relation layer keys storage on
-// (relation.AppendIDKey), translated word-by-word into the stable
+// appendRow appends tup's fixed-width row words to rows, giving each
+// term new to d the next file-local ID. The words are derived from the
+// same packed process-wide ID encoding the relation layer keys storage
+// on (relation.AppendIDKey), translated word by word into the stable
 // on-disk namespace.
-func encodeTuples(body []byte, d *segDict, tuples []relation.Tuple) ([]byte, error) {
-	// First pass: find terms new to this segment, in first-use order.
-	var newTerms []term.Term
-	var rowBuf []byte
-	rows := make([][]uint64, len(tuples))
-	for ti, tup := range tuples {
-		var ok bool
-		rowBuf, ok = relation.AppendIDKey(rowBuf[:0], tup)
-		if !ok {
-			return body, fmt.Errorf("wal: non-ground tuple %v", tup)
-		}
-		words := make([]uint64, len(tup))
-		for i := range tup {
-			pid := term.ID(binary.BigEndian.Uint64(rowBuf[8*i:]))
-			if _, small := pid.SmallInt(); small {
-				words[i] = uint64(pid)
-				continue
-			}
-			fid, seen := d.ids[pid]
-			if !seen {
-				fid = d.next
-				d.next++
-				d.ids[pid] = fid
-				newTerms = append(newTerms, tup[i])
-			}
-			words[i] = fileRefBit | fid
-		}
-		rows[ti] = words
+func (d *EncDict) appendRow(rows []byte, tup relation.Tuple) ([]byte, error) {
+	var ok bool
+	d.buf, ok = relation.AppendIDKey(d.buf[:0], tup)
+	if !ok {
+		return rows, fmt.Errorf("wal: non-ground tuple %v", tup)
 	}
-	body = binary.AppendUvarint(body, uint64(len(newTerms)))
-	var enc []byte
-	for _, t := range newTerms {
-		var err error
-		enc, err = term.AppendEncode(enc[:0], t)
-		if err != nil {
-			return body, fmt.Errorf("wal: %v", err)
+	for i := range tup {
+		pid := term.ID(binary.BigEndian.Uint64(d.buf[8*i:]))
+		if _, small := pid.SmallInt(); small {
+			rows = binary.BigEndian.AppendUint64(rows, uint64(pid))
+			continue
 		}
-		body = binary.AppendUvarint(body, uint64(len(enc)))
-		body = append(body, enc...)
-	}
-	body = binary.AppendUvarint(body, uint64(len(rows)))
-	for _, words := range rows {
-		for _, w := range words {
-			body = binary.BigEndian.AppendUint64(body, w)
+		fid, seen := d.ids[pid]
+		if !seen {
+			fid = d.next
+			d.next++
+			d.ids[pid] = fid
+			d.fresh = append(d.fresh, tup[i])
 		}
+		rows = binary.BigEndian.AppendUint64(rows, fileRefBit|fid)
 	}
-	return body, nil
+	return rows, nil
 }
 
-// readDict is the decoding side: file-local ID → term, grown as
-// dictionary deltas are scanned.
-type readDict struct {
+// appendDelta appends the dictionary section of the terms appendRow
+// met first since the last call: a uvarint count, then each term's
+// uvarint length and binary encoding (term.AppendEncode).
+func (d *EncDict) appendDelta(dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(d.fresh)))
+	for _, t := range d.fresh {
+		var err error
+		if d.buf, err = term.AppendEncode(d.buf[:0], t); err != nil {
+			return dst, fmt.Errorf("wal: %v", err)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(d.buf)))
+		dst = append(dst, d.buf...)
+	}
+	d.fresh = d.fresh[:0]
+	return dst, nil
+}
+
+// DecDict is the decoding side of EncDict: file-local ID → term, grown
+// as dictionary sections are read.
+type DecDict struct {
 	terms []term.Term
 }
 
-// addDeltas decodes a record's dictionary-delta section, extending rd.
-func (rd *readDict) addDeltas(body []byte) ([]byte, error) {
-	n, body, err := readUvarint(body, "dictionary delta count")
+// NewDecDict returns an empty decoding dictionary.
+func NewDecDict() *DecDict { return &DecDict{} }
+
+// readDelta reads a dictionary section written by appendDelta at the
+// front of b, extending d, and returns the bytes after it.
+func (d *DecDict) readDelta(b []byte) ([]byte, error) {
+	n, b, err := readUvarint(b, "dictionary delta count")
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(len(b)) {
+		return nil, corruptf("dictionary delta count %d exceeds %d remaining bytes", n, len(b))
+	}
 	for i := uint64(0); i < n; i++ {
 		var encLen uint64
-		encLen, body, err = readUvarint(body, "dictionary entry length")
+		encLen, b, err = readUvarint(b, "dictionary entry length")
 		if err != nil {
 			return nil, err
 		}
-		if encLen > uint64(len(body)) {
-			return nil, corruptf("dictionary entry length %d exceeds %d remaining bytes", encLen, len(body))
+		if encLen > uint64(len(b)) {
+			return nil, corruptf("dictionary entry length %d exceeds %d remaining bytes", encLen, len(b))
 		}
-		t, rest, derr := term.Decode(body[:encLen])
+		t, rest, derr := term.Decode(b[:encLen])
 		if derr != nil {
-			return nil, corruptf("dictionary entry %d: %v", len(rd.terms), derr)
+			return nil, corruptf("dictionary entry %d: %v", len(d.terms), derr)
 		}
 		if len(rest) != 0 {
-			return nil, corruptf("dictionary entry %d: %d trailing bytes", len(rd.terms), len(rest))
+			return nil, corruptf("dictionary entry %d: %d trailing bytes", len(d.terms), len(rest))
 		}
-		rd.terms = append(rd.terms, t)
-		body = body[encLen:]
+		d.terms = append(d.terms, t)
+		b = b[encLen:]
 	}
-	return body, nil
+	return b, nil
 }
 
-// resolve translates one row word into a term.
-func (rd *readDict) resolve(w uint64) (term.Term, error) {
-	if w&fileRefBit != 0 {
-		fid := w &^ fileRefBit
-		if fid >= uint64(len(rd.terms)) {
-			return nil, corruptf("dangling interned-term ID %d (dictionary has %d entries)", fid, len(rd.terms))
+// readRow resolves the len(tup) row words at the front of b into tup.
+func (d *DecDict) readRow(b []byte, tup relation.Tuple) error {
+	for c := range tup {
+		w := binary.BigEndian.Uint64(b[8*c:])
+		switch {
+		case w&fileRefBit != 0:
+			fid := w &^ fileRefBit
+			if fid >= uint64(len(d.terms)) {
+				return corruptf("dangling interned-term ID %d (dictionary has %d entries)", fid, len(d.terms))
+			}
+			tup[c] = d.terms[fid]
+		default:
+			v, ok := term.ID(w).SmallInt()
+			if !ok {
+				return corruptf("row word %#x is neither a file reference nor a small integer", w)
+			}
+			tup[c] = term.NewInt(v)
 		}
-		return rd.terms[fid], nil
 	}
-	if v, ok := term.ID(w).SmallInt(); ok {
-		return term.NewInt(v), nil
-	}
-	return nil, corruptf("row word %#x is neither a file reference nor a small integer", w)
+	return nil
 }
 
 func readUvarint(b []byte, what string) (uint64, []byte, error) {
@@ -243,9 +254,10 @@ func readUvarint(b []byte, what string) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// encodeRecord renders a record's payload (type | seq | body),
-// advancing the segment dictionary for fact batches.
-func encodeRecord(r Record, d *segDict) ([]byte, error) {
+// EncodeRecord renders r's payload (type | seq | body), advancing d
+// for a fact batch: its dictionary delta, then its fixed-width rows.
+// Frame the result before writing it to a segment or a stream.
+func EncodeRecord(r Record, d *EncDict) ([]byte, error) {
 	payload := make([]byte, 0, payloadHeaderLen+len(r.Src))
 	payload = append(payload, byte(r.Type))
 	payload = binary.BigEndian.AppendUint64(payload, r.Seq)
@@ -259,20 +271,27 @@ func encodeRecord(r Record, d *segDict) ([]byte, error) {
 		payload = binary.AppendUvarint(payload, uint64(len(r.Pred)))
 		payload = append(payload, r.Pred...)
 		payload = binary.AppendUvarint(payload, uint64(len(r.Tuples[0])))
+		rows := make([]byte, 0, 8*len(r.Tuples)*len(r.Tuples[0]))
 		var err error
-		payload, err = encodeTuples(payload, d, r.Tuples)
-		if err != nil {
+		for _, tup := range r.Tuples {
+			if rows, err = d.appendRow(rows, tup); err != nil {
+				return nil, err
+			}
+		}
+		if payload, err = d.appendDelta(payload); err != nil {
 			return nil, err
 		}
+		payload = binary.AppendUvarint(payload, uint64(len(r.Tuples)))
+		payload = append(payload, rows...)
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
 	}
 	return payload, nil
 }
 
-// decodeRecord parses a payload produced by encodeRecord, resolving
-// fact rows through (and extending) the segment read dictionary.
-func decodeRecord(payload []byte, rd *readDict) (Record, error) {
+// DecodeRecord parses a payload produced by EncodeRecord, resolving
+// fact rows through (and extending) d. Decode errors match ErrCorrupt.
+func DecodeRecord(payload []byte, d *DecDict) (Record, error) {
 	if len(payload) < payloadHeaderLen {
 		return Record{}, corruptf("record payload of %d bytes is shorter than the %d-byte header", len(payload), payloadHeaderLen)
 	}
@@ -302,7 +321,7 @@ func decodeRecord(payload []byte, rd *readDict) (Record, error) {
 		if arity == 0 || arity > maxRecordLen/8 {
 			return Record{}, corruptf("arity %d out of range", arity)
 		}
-		body, err = rd.addDeltas(body)
+		body, err = d.readDelta(body)
 		if err != nil {
 			return Record{}, err
 		}
@@ -314,15 +333,10 @@ func decodeRecord(payload []byte, rd *readDict) (Record, error) {
 			return Record{}, corruptf("facts record claims %d rows × %d columns but has %d row bytes", rowCount, arity, len(body))
 		}
 		r.Tuples = make([]relation.Tuple, rowCount)
-		for i := uint64(0); i < rowCount; i++ {
+		for i := range r.Tuples {
 			tup := make(relation.Tuple, arity)
-			for c := uint64(0); c < arity; c++ {
-				w := binary.BigEndian.Uint64(body[(i*arity+c)*8:])
-				t, err := rd.resolve(w)
-				if err != nil {
-					return Record{}, err
-				}
-				tup[c] = t
+			if err := d.readRow(body[uint64(i)*arity*8:], tup); err != nil {
+				return Record{}, err
 			}
 			r.Tuples[i] = tup
 		}
@@ -401,9 +415,9 @@ func walkFrames(data []byte, fn func(off int, payload []byte) error) (end int, t
 // scanSegment decodes the whole frames of a segment image through
 // dict, the segment's read dictionary. On error it still returns the
 // records decoded before the failing frame.
-func scanSegment(data []byte, dict *readDict) (recs []Record, end int, tail frameTail, err error) {
+func scanSegment(data []byte, dict *DecDict) (recs []Record, end int, tail frameTail, err error) {
 	end, tail, err = walkFrames(data, func(_ int, payload []byte) error {
-		rec, err := decodeRecord(payload, dict)
+		rec, err := DecodeRecord(payload, dict)
 		if err == nil {
 			recs = append(recs, rec)
 		}
