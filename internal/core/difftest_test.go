@@ -229,6 +229,12 @@ e(a, b). e(b, c). e(c, d). e(b, x).
 p(X) :- e(X, Y), \+ e(Y, _).
 source(X) :- e(X, _), \+ e(_, X).
 `
+	// A compound argument of a negated literal stays inside the
+	// negation: its variables are local to it, not bound outside.
+	const negCompSrc = `
+e(a, b). e(b, c). e(c, d). e(b, x). f(b, [1]). f(c, [2, 3]).
+g(X) :- e(X, Y), \+ f(Y, [_]).
+`
 	all := []Strategy{StrategyAuto, StrategySeminaive, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}
 	cases := []struct {
 		src         string // the program; src when empty
@@ -244,6 +250,8 @@ source(X) :- e(X, _), \+ e(_, X).
 		{negSrc, "?- p(X).", "b;c", all},
 		{negSrc, "?- source(X).", "a", all},
 		{negSrc, "?- X = d, \\+ e(X, Z).", "d", all},
+		{negCompSrc, "?- g(X).", "b;c", all},
+		{negCompSrc, "?- e(X, Y), \\+ f(Y, [_]).", "b,c;b,x;c,d", all},
 	}
 	for _, c := range cases {
 		for _, strat := range c.strategies {

@@ -8,9 +8,9 @@ import (
 
 // Rectification (§2 of the paper) maps a functional logic program to a
 // function-free one: every compound argument f(T1…Tk) of a head or a
-// (non-builtin) body atom is replaced by a fresh variable V plus a
-// functional-predicate literal f(T1…Tk, V); list cells [H|T] become
-// cons(H, T, V). Head arguments are additionally made distinct
+// (non-builtin, non-negated) body atom is replaced by a fresh variable
+// V plus a functional-predicate literal f(T1…Tk, V); list cells [H|T]
+// become cons(H, T, V). Head arguments are additionally made distinct
 // variables, with constants and repeats pushed into equality literals,
 // yielding the paper's normalized rule shape, e.g.
 //
@@ -105,9 +105,12 @@ func RectifyRule(r Rule) Rule {
 	rc.extra = nil
 
 	for _, b := range r.Body {
-		if b.IsBuiltin() {
+		if b.IsBuiltin() || b.Negated {
 			// Builtins keep their arguments; cons/plus literals are
-			// already flat and comparisons take constants directly.
+			// already flat and comparisons take constants directly. A
+			// negated literal keeps its compound arguments too: their
+			// variables are local to the negation, and a defining cons
+			// literal outside it would have to bind them.
 			body = append(body, b)
 			continue
 		}
@@ -121,7 +124,7 @@ func RectifyRule(r Rule) Rule {
 		}
 		body = append(body, rc.extra...)
 		rc.extra = nil
-		body = append(body, Atom{Pred: b.Pred, Args: args, Negated: b.Negated})
+		body = append(body, Atom{Pred: b.Pred, Args: args})
 	}
 	return Rule{Head: head, Body: body}
 }
@@ -129,8 +132,9 @@ func RectifyRule(r Rule) Rule {
 // RectifyGoal flattens the arguments of a query goal, returning the
 // flat goal plus the defining literals (which, for a ground query such
 // as isort([5,7,1], Ys), are immediately evaluable cons constructions).
+// Builtin and negated goals are returned unchanged.
 func RectifyGoal(goal Atom) (flat Atom, defs []Atom) {
-	if goal.IsBuiltin() {
+	if goal.IsBuiltin() || goal.Negated {
 		return goal, nil
 	}
 	rc := &rectifier{taken: make(map[string]bool)}
@@ -145,7 +149,7 @@ func RectifyGoal(goal Atom) (flat Atom, defs []Atom) {
 			args[i] = a
 		}
 	}
-	return Atom{Pred: goal.Pred, Args: args, Negated: goal.Negated}, rc.extra
+	return Atom{Pred: goal.Pred, Args: args}, rc.extra
 }
 
 // Rectify rectifies every rule of the program. Facts with compound

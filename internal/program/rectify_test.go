@@ -145,6 +145,21 @@ func TestRectifyKeepsBuiltinsIntact(t *testing.T) {
 	}
 }
 
+// TestRectifyKeepsNegatedCompounds: a negated literal's compound
+// argument stays in place, in a rule and as a goal, so the variables
+// inside it remain local to the negation.
+func TestRectifyKeepsNegatedCompounds(t *testing.T) {
+	neg := NewAtom("f", v("Y"), term.Cons(v("Z"), term.EmptyList))
+	neg.Negated = true
+	rr := RectifyRule(Rule{Head: NewAtom("g", v("X")), Body: []Atom{NewAtom("e", v("X"), v("Y")), neg}})
+	if len(rr.Body) != 2 || !rr.Body[1].Negated || !term.Equal(rr.Body[1].Args[1], neg.Args[1]) {
+		t.Errorf("negated literal rewritten: %v", rr)
+	}
+	if flat, defs := RectifyGoal(neg); len(defs) != 0 || !flat.Negated || !term.Equal(flat.Args[1], neg.Args[1]) {
+		t.Errorf("negated goal rewritten: %v %v", flat, defs)
+	}
+}
+
 func TestRectifyConstantsInBodyKept(t *testing.T) {
 	// Constants in non-builtin body atoms are selections; keep them.
 	r := Rule{

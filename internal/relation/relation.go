@@ -20,6 +20,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,10 +106,26 @@ func (t Tuple) String() string {
 // packed dictionary codes of the projection. A caller that probes the
 // same columns many times can hold it (see Relation.Index): it stays
 // valid, and sees later inserts, for the relation's lifetime.
+//
+// The map holds a bucket number rather than the bucket, so adding a
+// position to an existing bucket reads the map through the no-copy key
+// conversion and allocates no key; only a new bucket stores its key.
+// Positions within a bucket ascend (tuples are only appended).
 type Index struct {
 	r       *Relation
 	cols    []int
-	buckets map[string][]int // packed projection codes → tuple positions
+	bucket  map[string]int // packed projection codes → bucket number
+	buckets [][]int        // tuple positions, ascending
+}
+
+// add files the tuple at pos under its packed projection key k.
+func (ix *Index) add(k []byte, pos int) {
+	if b, ok := ix.bucket[string(k)]; ok {
+		ix.buckets[b] = append(ix.buckets[b], pos)
+		return
+	}
+	ix.bucket[string(k)] = len(ix.buckets)
+	ix.buckets = append(ix.buckets, []int{pos})
 }
 
 // appendColsKey appends the key an index (or a memoized distinct
@@ -229,7 +246,7 @@ func (r *Relation) insert(t Tuple, other *Relation, copyT bool) bool {
 	var pb [keyBufSize]byte
 	for _, idx := range r.indexes {
 		pk, _ := appendIDKeyOn(pb[:0], t, idx.cols)
-		idx.buckets[string(pk)] = append(idx.buckets[string(pk)], pos)
+		idx.add(pk, pos)
 	}
 	return true
 }
@@ -285,11 +302,11 @@ func (r *Relation) Index(cols []int) *Index {
 	if ok {
 		return idx
 	}
-	idx = &Index{r: r, cols: append([]int(nil), cols...), buckets: make(map[string][]int)}
+	idx = &Index{r: r, cols: append([]int(nil), cols...), bucket: make(map[string]int)}
 	var pb [keyBufSize]byte
 	for pos, t := range r.tuples {
 		pk, _ := appendIDKeyOn(pb[:0], t, cols)
-		idx.buckets[string(pk)] = append(idx.buckets[string(pk)], pos)
+		idx.add(pk, pos)
 	}
 	r.idxMu.Lock()
 	if existing, ok := r.indexes[string(ck)]; ok {
@@ -323,7 +340,29 @@ func (ix *Index) Probe(values Tuple) Matches {
 	if !ok {
 		return Matches{} // a never-interned constant matches nothing
 	}
-	return Matches{r: ix.r, pos: ix.buckets[string(k)]}
+	b, ok := ix.bucket[string(k)]
+	if !ok {
+		return Matches{}
+	}
+	return Matches{r: ix.r, pos: ix.buckets[b]}
+}
+
+// ProbeWindow is Probe restricted to the tuples at insertion positions
+// [lo, hi): a semi-naive round reads its delta, and every relation of
+// its own recursion, as such a window of one relation. Bucket positions
+// ascend, so trimming is two binary searches, and a bucket already
+// inside the window costs two comparisons. It allocates nothing.
+func (ix *Index) ProbeWindow(values Tuple, lo, hi int) Matches {
+	m := ix.Probe(values)
+	if n := len(m.pos); n > 0 && m.pos[n-1] >= hi {
+		i, _ := slices.BinarySearch(m.pos, hi)
+		m.pos = m.pos[:i]
+	}
+	if len(m.pos) > 0 && m.pos[0] < lo {
+		i, _ := slices.BinarySearch(m.pos, lo)
+		m.pos = m.pos[i:]
+	}
+	return m
 }
 
 // LookupOn returns the tuples whose projection onto cols equals the

@@ -5,6 +5,7 @@ package relation
 // relations.
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -214,4 +215,75 @@ func sameTuple(a, b Tuple) bool {
 		}
 	}
 	return true
+}
+
+// TestProbeWindow: a windowed probe returns exactly the bucket's
+// positions in [lo, hi), wherever the bucket straddles the bounds, and
+// reads later inserts only when the window reaches them.
+func TestProbeWindow(t *testing.T) {
+	r := New("e", 2)
+	for i := 0; i < 10; i++ {
+		r.Insert(tup(i%2, i)) // column 1 is the insertion position
+	}
+	ix := r.Index([]int{0})
+	check := func(key, lo, hi int, want ...int) {
+		t.Helper()
+		m := ix.ProbeWindow(tup(key), lo, hi)
+		got := make([]int, m.Len())
+		for i := range got {
+			got[i] = int(m.At(i)[1].(term.Int).V)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("ProbeWindow(%d, [%d, %d)) = %v, want %v", key, lo, hi, got, want)
+		}
+	}
+	check(0, 0, 10, 0, 2, 4, 6, 8)
+	check(0, 3, 10, 4, 6, 8) // straddles lo
+	check(1, 0, 6, 1, 3, 5)  // straddles hi
+	check(0, 3, 7, 4, 6)     // straddles both
+	check(1, 4, 5)           // a window between two positions of the bucket
+	check(0, 5, 5)           // lo == hi
+	check(0, 7, 3)           // lo > hi
+	check(0, 10, 20)         // past the last position
+	if m := ix.ProbeWindow(tup("never-interned-window-key"), 0, 10); m.Len() != 0 {
+		t.Errorf("a never-interned key matched %d tuples", m.Len())
+	}
+	r.Insert(tup(0, 10))
+	r.Insert(tup(1, 11))
+	r.Insert(tup(0, 12))
+	check(0, 3, 10, 4, 6, 8) // the old window does not see later inserts
+	check(0, 10, 13, 10, 12)
+	check(0, 0, 13, 0, 2, 4, 6, 8, 10, 12)
+	key := tup(0)
+	if n := testing.AllocsPerRun(100, func() { ix.ProbeWindow(key, 3, 11) }); n != 0 {
+		t.Fatalf("ProbeWindow allocates %.1f objects per call, want 0", n)
+	}
+}
+
+// TestIndexInsertExistingBucketAllocatesNoKey: filing a tuple under an
+// index bucket that already exists allocates no key, so a relation with
+// three indexes allocates per insert what one without indexes does (the
+// presence key; slice and map growth amortize below one per insert).
+func TestIndexInsertExistingBucketAllocatesNoKey(t *testing.T) {
+	const n = 1000
+	tuples := make([]Tuple, n+1) // AllocsPerRun adds a warm-up call
+	for i := range tuples {
+		tuples[i] = tup("a", "b", i)
+	}
+	perInsert := func(r *Relation) float64 {
+		r.Insert(tup("a", "b", -1)) // the indexes' buckets exist from here on
+		i := 0
+		return testing.AllocsPerRun(n, func() {
+			r.Insert(tuples[i])
+			i++
+		})
+	}
+	plain := perInsert(New("p", 3))
+	indexed := New("p", 3)
+	for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+		indexed.Index(cols)
+	}
+	if got := perInsert(indexed); got != plain {
+		t.Fatalf("an insert into three existing buckets allocates %.0f objects, one without indexes %.0f: want equal", got, plain)
+	}
 }

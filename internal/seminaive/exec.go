@@ -83,6 +83,9 @@ type step struct {
 	atom program.Atom
 	// rel is the relation read (stepRel, stepNegRel); nil reads as empty.
 	rel *relation.Relation
+	// scc is the position of rel's predicate in the SCC being evaluated
+	// when a positive literal reads it (its reads are windowed), else -1.
+	scc int
 	// key holds the index columns and their closed patterns.
 	keyCols []int
 	keyPats []pat
@@ -111,19 +114,22 @@ type compiledRule struct {
 	// variable is bound by no body literal.
 	head       []pat
 	headGround bool
-	// deltaKeys maps a body literal index to its predicate key when the
-	// literal reads a same-SCC relation (a delta occurrence), else "".
-	deltaKeys []string
+	// deltaPreds maps a body literal index to its predicate's position
+	// in the SCC when the literal reads a same-SCC relation (a delta
+	// occurrence), else -1; headPred is the head's position.
+	deltaPreds []int
+	headPred   int
 	// agg is the engine-wide literal-statistics aggregate (nil without
 	// Options.Tracer).
 	agg *litCounters
 }
 
-// compileRule compiles r with its body in the given order. Relations are
-// resolved against cat once: during an SCC's rounds the catalog's
-// relations are stable (heads were resolved before compiling).
-func compileRule(r program.Rule, order []int, cat *relation.Catalog, inSCC map[string]bool) *compiledRule {
-	c := &compiledRule{rule: r, headKey: r.Head.Key(), deltaKeys: make([]string, len(r.Body))}
+// compileRule compiles r with its body in the given order; sccPos maps
+// each predicate key of the SCC to its position. Relations are resolved
+// against cat once: during an SCC's rounds the catalog's relations are
+// stable (heads were resolved before compiling).
+func compileRule(r program.Rule, order []int, cat *relation.Catalog, sccPos map[string]int) *compiledRule {
+	c := &compiledRule{rule: r, headKey: r.Head.Key(), headPred: sccPos[r.Head.Key()], deltaPreds: make([]int, len(r.Body))}
 	slots := make(map[string]int)
 	bound := make(map[string]bool) // bound before the current step
 	slotOf := func(name string) int {
@@ -166,16 +172,17 @@ func compileRule(r program.Rule, order []int, cat *relation.Catalog, inSCC map[s
 	}
 	for _, li := range order {
 		lit := r.Body[li]
-		st := step{lit: li, atom: lit}
+		st := step{lit: li, atom: lit, scc: -1}
 		b := builtin.Lookup(lit.Pred, lit.Arity())
 		if b == nil {
 			if rel := cat.Get(lit.Pred); rel != nil && rel.Arity() == lit.Arity() {
 				st.rel = rel
 			}
-			if !lit.Negated && inSCC[lit.Key()] {
-				c.deltaKeys[li] = lit.Key()
+			if p, ok := sccPos[lit.Key()]; ok && !lit.Negated {
+				st.scc = p
 			}
 		}
+		c.deltaPreds[li] = st.scc
 		seen := make(map[string]bool)
 		switch {
 		case b != nil:
@@ -230,19 +237,19 @@ type executor struct {
 	c     *compiledRule
 	ctx   context.Context
 	slots []term.Term
-	// deltaLit reads delta instead of its full relation (-1: none).
+	// A round reads each same-SCC relation p only below hi[p], the
+	// length it started with, so it never sees its own derivations;
+	// deltaLit (-1: none) reads only the delta window [lo[p], hi[p]).
+	lo, hi   []int
 	deltaLit int
-	delta    *relation.Relation
-	// full is the head's relation, dst the staging relation new head
-	// tuples go to.
-	full, dst *relation.Relation
+	// dst receives new head tuples: the head's relation itself, or a
+	// parallel item's private staging relation, which then skips the
+	// tuples full (the head's relation; nil when it is dst) holds.
+	dst, full *relation.Relation
 	matches   *int64
 	lc        *litCounters
-	// countDerived attributes staged tuples to lc.derived as they are
-	// staged (the serial path; parallel items count at merge time).
-	countDerived bool
-	key, head    relation.Tuple
-	substs       []term.Subst // per step, reused across builtin calls
+	key, head relation.Tuple
+	substs    []term.Subst // per step, reused across builtin calls
 	// indexes caches each relation step's index for this item.
 	indexes []*relation.Index
 }
@@ -259,14 +266,21 @@ func (x *executor) run(i int) error {
 	switch st.kind {
 	case stepRel:
 		rel := st.rel
-		if st.lit == x.deltaLit {
-			rel = x.delta
+		if rel == nil {
+			return nil
 		}
-		if rel == nil || rel.Len() == 0 {
+		lo, hi := 0, rel.Len()
+		if st.scc >= 0 {
+			hi = x.hi[st.scc]
+			if st.lit == x.deltaLit {
+				lo = x.lo[st.scc]
+			}
+		}
+		if lo >= hi {
 			return nil
 		}
 		if len(st.keyCols) == 0 {
-			for p, n := 0, rel.Len(); p < n; p++ {
+			for p := lo; p < hi; p++ {
 				if err := x.match(i, st, rel.At(p)); err != nil {
 					return err
 				}
@@ -276,7 +290,7 @@ func (x *executor) run(i int) error {
 		if x.indexes[i] == nil {
 			x.indexes[i] = rel.Index(st.keyCols)
 		}
-		m := x.indexes[i].Probe(x.build(st.keyPats))
+		m := x.indexes[i].ProbeWindow(x.build(st.keyPats), lo, hi)
 		for p := 0; p < m.Len(); p++ {
 			if err := x.match(i, st, m.At(p)); err != nil {
 				return err
@@ -449,8 +463,8 @@ func (x *executor) subst(i int, st *step) term.Subst {
 	return s
 }
 
-// emit assembles the head tuple in the reusable buffer and stages a
-// copy unless the full or the staging relation already holds it.
+// emit assembles the head tuple in the reusable buffer and stores a
+// copy in dst unless dst or full already holds it.
 func (x *executor) emit() error {
 	if x.lc != nil {
 		x.lc.fires++
@@ -468,7 +482,8 @@ func (x *executor) emit() error {
 	for k := range x.c.head {
 		x.head[k] = x.value(&x.c.head[k])
 	}
-	if x.dst.InsertCopy(x.head, x.full) && x.countDerived && x.lc != nil {
+	// A parallel item's derivations are counted when they are merged.
+	if x.dst.InsertCopy(x.head, x.full) && x.full == nil && x.lc != nil {
 		x.lc.derived++
 	}
 	return nil

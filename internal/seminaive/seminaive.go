@@ -58,7 +58,8 @@ type Options struct {
 	// Workers bounds the goroutines evaluating one fixpoint round's
 	// (rule × delta-occurrence) work items (0 or 1 = serial). Parallel
 	// rounds are bit-identical to serial evaluation: workers write to
-	// per-item staging relations that are merged in fixed item order,
+	// per-item staging relations that are merged into the head
+	// relations in fixed item order after the round,
 	// so derived tuples, insertion order, and Stats all agree with
 	// Workers=1 — see docs/performance.md for the argument. Registered
 	// builtins must be safe for concurrent calls when Workers > 1.
@@ -323,10 +324,8 @@ func (e *Engine) runSCC(scc []string) error {
 	if len(rules) == 0 {
 		return nil
 	}
-	inSCC := make(map[string]bool, len(scc))
 	preds := make([]sccPred, len(scc))
 	for i, k := range scc {
-		inSCC[k] = true
 		pred, arity, err := program.SplitKey(k)
 		if err != nil {
 			return err
@@ -338,12 +337,16 @@ func (e *Engine) runSCC(scc []string) error {
 	// Resolve every head relation once, before any round runs. This is
 	// where copy-on-write happens for snapshot-shared relations, so
 	// that workers never touch the catalog concurrently mid-round and
-	// the `full` pointer each work item reads stays stable.
-	headRels := make(map[string]*relation.Relation, len(scc))
-	deltas := make(map[string]*relation.Relation, len(scc))
-	for _, p := range preds {
-		headRels[p.key] = e.cat.Ensure(p.pred, p.arity)
-		deltas[p.key] = relation.New(p.pred, p.arity)
+	// the relation each compiled step reads stays stable. A round
+	// appends to these relations; predicate p's delta is the window
+	// [lo[p], hi[p]) of its own relation.
+	sccPos := make(map[string]int, len(preds))
+	headRels := make([]*relation.Relation, len(preds))
+	lo, hi := make([]int, len(preds)), make([]int, len(preds))
+	for i, p := range preds {
+		sccPos[p.key] = i
+		headRels[i] = e.cat.Ensure(p.pred, p.arity)
+		hi[i] = headRels[i].Len()
 	}
 
 	// Schedule (builtin-safe ordering) and compile each rule once, and
@@ -356,24 +359,17 @@ func (e *Engine) runSCC(scc []string) error {
 		if err != nil {
 			return err
 		}
-		c := compileRule(r, order, e.cat, inSCC)
+		c := compileRule(r, order, e.cat, sccPos)
 		compiled[i] = c
 		rec := false
-		for _, k := range c.deltaKeys {
-			rec = rec || k != ""
+		for _, p := range c.deltaPreds {
+			rec = rec || p >= 0
 		}
 		if rec {
 			recIdx = append(recIdx, i)
 		} else {
 			exitIdx = append(exitIdx, i)
 		}
-	}
-	newStaging := func() map[string]*relation.Relation {
-		next := make(map[string]*relation.Relation, len(preds))
-		for _, p := range preds {
-			next[p.key] = relation.New(p.pred, p.arity)
-		}
-		return next
 	}
 
 	// Round 0: exit rules against full relations.
@@ -382,24 +378,23 @@ func (e *Engine) runSCC(scc []string) error {
 		items = append(items, workItem{rule: i, deltaLit: -1})
 	}
 	e.opts.Tracer.Point(obsv.PhaseRound, scc[0], 0, int64(len(items)))
-	next := newStaging()
-	if err := e.runItems(compiled, items, nil, headRels, next); err != nil {
+	if err := e.runItems(compiled, items, headRels, lo, hi); err != nil {
 		return err
 	}
-	merge := func(next map[string]*relation.Relation, iter int) (int, error) {
+	// merge closes a round: what it appended past hi is the next delta.
+	merge := func(iter int) (int, error) {
 		total := 0
 		var ds map[string]int
 		if e.opts.Tracer.Enabled() {
 			ds = make(map[string]int)
 		}
-		for _, p := range preds {
-			d := next[p.key]
-			n := headRels[p.key].InsertAll(d)
+		for i, p := range preds {
+			n := headRels[i].Len() - hi[i]
+			lo[i], hi[i] = hi[i], headRels[i].Len()
 			total += n
 			e.stats.DerivedTuples += n
-			deltas[p.key] = d
 			if ds != nil {
-				ds[d.Name()] = n
+				ds[p.pred] = n
 			}
 		}
 		if ds != nil {
@@ -413,7 +408,7 @@ func (e *Engine) runSCC(scc []string) error {
 		}
 		return total, nil
 	}
-	if _, err := merge(next, 0); err != nil {
+	if _, err := merge(0); err != nil {
 		return err
 	}
 	if len(recIdx) == 0 {
@@ -421,9 +416,7 @@ func (e *Engine) runSCC(scc []string) error {
 	}
 	// The initial delta is everything known for the SCC predicates so
 	// far: pre-existing facts plus the exit-round derivations.
-	for _, p := range preds {
-		deltas[p.key].InsertAll(headRels[p.key])
-	}
+	clear(lo)
 
 	// Semi-naive rounds.
 	for iter := 1; ; iter++ {
@@ -438,21 +431,20 @@ func (e *Engine) runSCC(scc []string) error {
 		}
 		e.stats.Iterations++
 		// One work item per (recursive rule × same-SCC body occurrence),
-		// with that occurrence reading the delta relation.
+		// with that occurrence reading the delta window.
 		items = items[:0]
 		for _, i := range recIdx {
-			for li, k := range compiled[i].deltaKeys {
-				if k != "" && deltas[k].Len() > 0 {
+			for li, p := range compiled[i].deltaPreds {
+				if p >= 0 && lo[p] < hi[p] {
 					items = append(items, workItem{rule: i, deltaLit: li})
 				}
 			}
 		}
 		e.opts.Tracer.Point(obsv.PhaseRound, scc[0], int64(iter), int64(len(items)))
-		next := newStaging()
-		if err := e.runItems(compiled, items, deltas, headRels, next); err != nil {
+		if err := e.runItems(compiled, items, headRels, lo, hi); err != nil {
 			return err
 		}
-		n, err := merge(next, iter)
+		n, err := merge(iter)
 		if err != nil {
 			return err
 		}
@@ -463,49 +455,47 @@ func (e *Engine) runSCC(scc []string) error {
 }
 
 // workItem is one unit of round work: evaluate rule `rule` with body
-// occurrence `deltaLit` reading the delta relation (-1 in the exit
-// round, where every literal reads the full relation).
+// occurrence `deltaLit` reading the delta window (-1 in the exit round,
+// where every literal reads the full relation).
 type workItem struct {
 	rule     int
 	deltaLit int
 }
 
-// newExecutor prepares the executor of one work item; the caller sets
-// where it stages and counts.
-func (e *Engine) newExecutor(c *compiledRule, it workItem, deltas, headRels map[string]*relation.Relation) *executor {
-	x := &executor{
+// newExecutor prepares the executor of one work item, reading the
+// round's windows lo and hi; the caller sets where it stores and counts.
+func (e *Engine) newExecutor(c *compiledRule, it workItem, lo, hi []int) *executor {
+	return &executor{
 		c:        c,
 		ctx:      e.opts.Ctx,
 		slots:    make([]term.Term, len(c.vars)),
+		lo:       lo,
+		hi:       hi,
 		deltaLit: it.deltaLit,
-		full:     headRels[c.headKey],
 		key:      make(relation.Tuple, c.keyWidth),
 		head:     make(relation.Tuple, len(c.head)),
 		substs:   make([]term.Subst, len(c.steps)),
 		indexes:  make([]*relation.Index, len(c.steps)),
 	}
-	if it.deltaLit >= 0 {
-		x.delta = deltas[c.deltaKeys[it.deltaLit]]
-	}
-	return x
 }
 
-// runItems evaluates one round's work items into the staging map next,
-// serially or fanned across a bounded worker pool.
+// runItems evaluates one round's work items, serially or fanned across a
+// bounded worker pool, appending their derivations to headRels.
 //
 // The parallel path is observably identical to the serial one:
 //
-//   - Reads are race-free. During a round the full relations, the
-//     deltas, and the catalog are all stable — derivations go to
-//     staging relations, and head relations were pre-resolved — so
-//     workers share them read-only (lazy index builds synchronize
-//     internally).
+//   - Reads are race-free. During a parallel round nothing writes the
+//     relations or the catalog — derivations go to staging relations,
+//     and head relations were pre-resolved — so workers share them
+//     read-only (lazy index builds synchronize internally).
 //   - Each item stages into a private relation, and item k's head
-//     predicate and enumeration order don't depend on its siblings, so
-//     staging contents match what item k contributed serially.
-//     Merging the stagings into next in item order then reproduces the
-//     serial insertion order exactly (Insert dedups across items just
-//     as it did when they shared next).
+//     predicate and enumeration order don't depend on its siblings: the
+//     serial path appends to the head relations as it goes, but reads
+//     them only below the round's bounds hi, so it never sees what
+//     earlier items derived. Staging contents therefore match what item
+//     k contributed serially, and merging the stagings into the head
+//     relations in item order reproduces the serial insertion order
+//     exactly (Insert dedups across items just as it did serially).
 //   - Errors are deterministic: every item runs to completion (or to
 //     its own failure — siblings are not cancelled), and the
 //     lowest-index failure is returned, which is the error serial
@@ -515,7 +505,7 @@ func (e *Engine) newExecutor(c *compiledRule, it workItem, deltas, headRels map[
 // Worker panics are contained as *everr.EvalError wrapping
 // everr.ErrPanic rather than crashing the process from a goroutine the
 // public API's recover can't see.
-func (e *Engine) runItems(compiled []*compiledRule, items []workItem, deltas, headRels, next map[string]*relation.Relation) error {
+func (e *Engine) runItems(compiled []*compiledRule, items []workItem, headRels []*relation.Relation, lo, hi []int) error {
 	workers := e.opts.Workers
 	if workers > len(items) {
 		workers = len(items)
@@ -523,10 +513,10 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, deltas, he
 	if workers <= 1 {
 		for _, it := range items {
 			c := compiled[it.rule]
-			x := e.newExecutor(c, it, deltas, headRels)
-			x.dst = next[c.headKey]
+			x := e.newExecutor(c, it, lo, hi)
+			x.dst = headRels[c.headPred]
 			x.matches = &e.stats.Matches
-			x.lc, x.countDerived = e.litsFor(c), true
+			x.lc = e.litsFor(c)
 			if err := x.run(0); err != nil {
 				return err
 			}
@@ -552,7 +542,7 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, deltas, he
 			defer wg.Done()
 			busy := time.Now()
 			for k := range idxCh {
-				e.runItem(compiled, items, deltas, headRels, k, staging, matches, lits, errs)
+				e.runItem(compiled, items, headRels, lo, hi, k, staging, matches, lits, errs)
 			}
 			obsv.WorkerBusyNanos.Add(time.Since(busy).Nanoseconds())
 		}()
@@ -573,7 +563,7 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, deltas, he
 		if errs[k] != nil {
 			return errs[k]
 		}
-		n := next[c.headKey].InsertAll(staging[k])
+		n := headRels[c.headPred].InsertAll(staging[k])
 		if agg != nil {
 			agg.derived += int64(n)
 		}
@@ -585,7 +575,7 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, deltas, he
 // containing panics from rule bodies (user-registered builtins may
 // misbehave) so they surface as typed errors instead of killing the
 // process.
-func (e *Engine) runItem(compiled []*compiledRule, items []workItem, deltas, headRels map[string]*relation.Relation, k int, staging []*relation.Relation, matches []int64, lits []*litCounters, errs []error) {
+func (e *Engine) runItem(compiled []*compiledRule, items []workItem, headRels []*relation.Relation, lo, hi []int, k int, staging []*relation.Relation, matches []int64, lits []*litCounters, errs []error) {
 	c := compiled[items[k].rule]
 	defer func() {
 		if v := recover(); v != nil {
@@ -599,7 +589,8 @@ func (e *Engine) runItem(compiled []*compiledRule, items []workItem, deltas, hea
 			}
 		}
 	}()
-	x := e.newExecutor(c, items[k], deltas, headRels)
+	x := e.newExecutor(c, items[k], lo, hi)
+	x.full = headRels[c.headPred]
 	x.dst = relation.New(x.full.Name(), x.full.Arity())
 	staging[k] = x.dst
 	x.matches = &matches[k]
@@ -607,10 +598,11 @@ func (e *Engine) runItem(compiled []*compiledRule, items []workItem, deltas, hea
 		x.lc = newLitCounters(c.rule)
 		lits[k] = x.lc
 	}
-	// Derived counts are attributed at merge time (InsertAll into next
-	// in item order), not here: a private staging relation can't see
-	// what earlier items already staged, and counting its inserts would
-	// double-count tuples two items derive in the same round.
+	// Derived counts are attributed at merge time (InsertAll into the
+	// head relation in item order), not here: a private staging relation
+	// can't see what earlier items already staged, and counting its
+	// inserts would double-count tuples two items derive in the same
+	// round.
 	errs[k] = x.run(0)
 }
 
