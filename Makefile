@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check fmt vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden
+.PHONY: build test check fmt vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden shapes
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,14 @@ loc:
 	@printf 'non-test Go LOC outside bench/: %s\n' "$$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
 	@printf 'test Go LOC outside bench/:     %s\n' "$$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 	@printf 'bench/ Go LOC:                  %s\n' "$$(find bench -name '*.go' | xargs cat | wc -l)"
+
+# The shape gates, verbose, so the log records each size series: bytes
+# per element of append (buffered and top-down), bytes per n·log₂n of
+# top-down qsort, and the time of each ground-term operation at 16 and
+# 65,536 list cells.
+shapes:
+	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN)$$' ./internal/core
+	$(GO) test -count=1 -v -run '^TestGroundOpsConstantTime$$' ./internal/term
 
 # Short continuous-fuzz pass over the parser entry points, the WAL
 # frame walker and the epoch-file parser (their seed corpora run in every ordinary `go test`;

@@ -129,10 +129,11 @@ func RectifyRule(r Rule) Rule {
 	return Rule{Head: head, Body: body}
 }
 
-// RectifyGoal flattens the arguments of a query goal, returning the
-// flat goal plus the defining literals (which, for a ground query such
-// as isort([5,7,1], Ys), are immediately evaluable cons constructions).
-// Builtin and negated goals are returned unchanged.
+// RectifyGoal flattens the non-ground compound arguments of a query
+// goal, returning the flat goal plus the defining literals: p(X, [H|T])
+// becomes p(X, _F1) with cons(H, T, _F1). A ground argument, such as
+// the list of isort([5,7,1], Ys), stays one term. Builtin and negated
+// goals are returned unchanged.
 func RectifyGoal(goal Atom) (flat Atom, defs []Atom) {
 	if goal.IsBuiltin() || goal.Negated {
 		return goal, nil
@@ -143,7 +144,7 @@ func RectifyGoal(goal Atom) (flat Atom, defs []Atom) {
 	}
 	args := make([]term.Term, len(goal.Args))
 	for i, a := range goal.Args {
-		if _, comp := a.(term.Comp); comp {
+		if c, comp := a.(term.Comp); comp && !c.Ground() {
 			args[i] = rc.flatten(a)
 		} else {
 			args[i] = a

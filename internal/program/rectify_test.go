@@ -197,10 +197,19 @@ func TestRectifyFreshVarsAvoidCollision(t *testing.T) {
 }
 
 func TestRectifyGoal(t *testing.T) {
+	// A ground list stays one term: it is interned, so it unifies with
+	// a rectified head in O(1).
 	goal := NewAtom("isort", term.IntList(5, 7, 1), v("Ys"))
 	flat, defs := RectifyGoal(goal)
+	if !term.Equal(flat.Args[0], term.IntList(5, 7, 1)) || len(defs) != 0 {
+		t.Errorf("ground goal arg flattened: %v %v", flat, defs)
+	}
+	// A non-ground list becomes a fresh variable defined by one cons
+	// literal per cell.
+	goal = NewAtom("isort", term.List(v("X"), term.NewInt(7), v("Z")), v("Ys"))
+	flat, defs = RectifyGoal(goal)
 	if _, ok := flat.Args[0].(term.Var); !ok {
-		t.Fatalf("goal arg not flattened: %v %v", flat, defs)
+		t.Fatalf("non-ground goal arg not flattened: %v %v", flat, defs)
 	}
 	if len(defs) != 3 {
 		t.Errorf("expected 3 cons defs for a 3-element list, got %v", defs)

@@ -53,6 +53,7 @@ func TestGroundOpsConstantTime(t *testing.T) {
 	for _, op := range ops {
 		ts := minTime(func() bool { return op.run(sl, sl2) })
 		tl := minTime(func() bool { return op.run(ll, ll2) })
+		t.Logf("%s: n=%d: %v, n=%d: %v", op.name, small, ts, large, tl)
 		if ratio := float64(tl) / float64(ts); ratio > maxRatio {
 			t.Errorf("%s: n=%d takes %v, n=%d takes %v: ratio %.0f > %d (a structure walk)",
 				op.name, large, tl, small, ts, ratio, maxRatio)
@@ -288,7 +289,7 @@ func TestQuickIDShortcutsMatchStructure(t *testing.T) {
 	check("Rename", func(c shortcutCase) bool {
 		r := NewRenamer("_P")
 		got := r.Rename(c.A)
-		if !refEqual(got, refRename(c.A, "_P", map[string]Var{})) {
+		if !refEqual(got, refRename(c.A, "_P'", map[string]Var{})) {
 			return false
 		}
 		if !c.A.Ground() {
@@ -296,7 +297,7 @@ func TestQuickIDShortcutsMatchStructure(t *testing.T) {
 		}
 		id, _ := IDOf(c.A)
 		rid, ok := IDOf(got)
-		return ok && rid == id && len(Vars(nil, got)) == 0 && r.Fresh().Name == "_P1"
+		return ok && rid == id && len(Vars(nil, got)) == 0 && r.Fresh().Name == "_P'1"
 	})
 	check("Key", func(c shortcutCase) bool {
 		return (key(c.A) == key(c.B)) == refEqual(c.A, c.B)

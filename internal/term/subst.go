@@ -179,10 +179,12 @@ type Renamer struct {
 	seen   map[string]Var
 }
 
-// NewRenamer returns a Renamer issuing names with the given prefix
-// (conventionally "_R" for rule instantiation).
+// NewRenamer returns a Renamer issuing the names prefix'1, prefix'2, …
+// (e.g. _T'3 for the prefix _T). No source identifier contains a
+// quote, so an issued name never equals a variable a program or query
+// names, nor an anonymous one (those start _#).
 func NewRenamer(prefix string) *Renamer {
-	return &Renamer{prefix: prefix, seen: make(map[string]Var)}
+	return &Renamer{prefix: prefix + "'", seen: make(map[string]Var)}
 }
 
 // Fresh returns a brand-new variable.

@@ -3,6 +3,7 @@ package term
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -172,6 +173,13 @@ func TestRenamer(t *testing.T) {
 	rb := r.Rename(NewVar("X"))
 	if Equal(ra.Args[0], rb) {
 		t.Error("Reset did not produce fresh names")
+	}
+	// An issued name is no source identifier, so it cannot collide with
+	// a variable a query names (such as _R1), and it is not anonymous.
+	for _, v := range []Var{ra.Args[0].(Var), ra.Args[1].(Var), rb.(Var), r.Fresh()} {
+		if !strings.ContainsRune(v.Name, '\'') || v.Anonymous() {
+			t.Errorf("issued name %q could be a source variable or reads as anonymous", v.Name)
+		}
 	}
 }
 

@@ -6,7 +6,8 @@
 // portions (e.g. the cons(X1, W1, W) rebuilding a list, or the insert
 // call of isort) run after the recursion returns with their inputs
 // bound. This reproduces the paper's isort([5,7,1]) and qsort([4,9,5])
-// traces literally.
+// traces literally; as there, the query's ground list is one term that
+// the first rule applied decomposes.
 //
 // Tabling (QSQR-style iterate-to-fixpoint) makes the engine complete on
 // function-free recursions over cyclic data as well, so it doubles as a
@@ -97,13 +98,41 @@ type entry struct {
 	pass int
 }
 
+// body is one conjunction the engine schedules — a rule body or a
+// query — with its variables, in the fixed order pick's memo key reads
+// them, and the memo of its chain-split picks.
+type body struct {
+	atoms []program.Atom
+	vars  []term.Term
+	picks map[string]int
+}
+
+func newBody(atoms []program.Atom) *body {
+	var args []term.Term
+	for _, a := range atoms {
+		args = append(args, a.Args...)
+	}
+	b := &body{atoms: atoms, picks: make(map[string]int)}
+	for v := range term.VarSet(args...) {
+		b.vars = append(b.vars, term.NewVar(v))
+	}
+	return b
+}
+
+// rule is a stored rule. It runs unrenamed: call unifies its head with
+// the canonical call arguments in a fresh substitution.
+type rule struct {
+	head program.Atom
+	body *body
+}
+
 // Engine evaluates goals against one program and catalog.
 type Engine struct {
 	an  *adorn.Analysis
 	cat *relation.Catalog
 	// rules indexes the program's rules by head key, in program
 	// order; its key set is the IDB.
-	rules map[string][]program.Rule
+	rules map[string][]rule
 	opts  Options
 	stats Stats
 	// passLimit is maxPasses; tests lower it to reach the budget.
@@ -112,6 +141,7 @@ type Engine struct {
 	table      map[string]*entry
 	inProgress map[string]bool
 	renamer    *term.Renamer
+	pickKey    []byte // scratch for pick's memo key
 
 	// per-pass state
 	sawPartial bool
@@ -125,7 +155,7 @@ func New(prog *program.Program, cat *relation.Catalog, opts Options) *Engine {
 	e := &Engine{
 		an:         adorn.NewAnalysis(prog),
 		cat:        cat,
-		rules:      make(map[string][]program.Rule),
+		rules:      make(map[string][]rule),
 		opts:       opts,
 		passLimit:  maxPasses,
 		table:      make(map[string]*entry),
@@ -134,7 +164,7 @@ func New(prog *program.Program, cat *relation.Catalog, opts Options) *Engine {
 	}
 	for _, r := range prog.Rules {
 		k := r.Head.Key()
-		e.rules[k] = append(e.rules[k], r)
+		e.rules[k] = append(e.rules[k], rule{head: r.Head, body: newBody(r.Body)})
 	}
 	for _, f := range prog.Facts {
 		tup := relation.Tuple(f.Args)
@@ -154,16 +184,17 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 
 // SolveConjunction evaluates a conjunctive query with chain-split
 // scheduling across the whole conjunction, returning all solution
-// substitutions. Goal arguments are flattened first, so ground
-// compound arguments (lists) become immediately evaluable cons
-// constructions.
+// substitutions. Non-ground compound goal arguments are flattened
+// first (program.RectifyGoal); a ground list stays one term, which
+// unifies with a rule head in O(1).
 func (e *Engine) SolveConjunction(goals []program.Atom) ([]term.Subst, error) {
-	var body []program.Atom
+	var atoms []program.Atom
 	for _, g := range goals {
 		flat, defs := program.RectifyGoal(g)
-		body = append(body, defs...)
-		body = append(body, flat)
+		atoms = append(atoms, defs...)
+		atoms = append(atoms, flat)
 	}
+	q, solved := newBody(atoms), make([]byte, len(atoms))
 	if err := e.an.Graph().CheckStratified(); err != nil {
 		return nil, fmt.Errorf("topdown: %v", err)
 	}
@@ -179,7 +210,7 @@ func (e *Engine) SolveConjunction(goals []program.Atom) ([]term.Subst, error) {
 		e.curPass++
 		e.sawPartial = false
 		e.newAnswers = false
-		sols, err := e.solveBody(body, term.NewSubst(), 0)
+		sols, err := e.solveBody(q, solved, len(atoms), term.NewSubst(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -216,48 +247,96 @@ func (e *Engine) SolveUnder(g program.Atom, s term.Subst) ([]term.Subst, error) 
 	}
 }
 
-// solveBody evaluates the conjunction of goals under s with chain-split
-// scheduling, returning all solution substitutions.
-func (e *Engine) solveBody(goals []program.Atom, s term.Subst, depth int) ([]term.Subst, error) {
-	if len(goals) == 0 {
+// solveBody evaluates the left literals of b not marked 1 in solved
+// under s with chain-split scheduling, returning all solution
+// substitutions. Each activation of a body owns its solved slice; a
+// literal is marked while the solutions it produced are extended, and
+// an error abandons the activation.
+func (e *Engine) solveBody(b *body, solved []byte, left int, s term.Subst, depth int) ([]term.Subst, error) {
+	if left == 0 {
 		return []term.Subst{s}, nil
 	}
 	if depth > e.opts.maxDepth() {
 		return nil, fmt.Errorf("%w: depth %d", ErrBudget, depth)
 	}
-	// Pick the leftmost finitely evaluable literal (chain-split rule).
-	pick := -1
-	for i, g := range goals {
-		if e.evaluable(g, s, goals) {
-			pick = i
-			break
-		}
-	}
+	pick := e.pick(b, solved, s)
 	if pick < 0 {
 		var parts []string
-		for _, g := range goals {
-			parts = append(parts, g.Resolve(s).String())
+		for i, g := range b.atoms {
+			if solved[i] == 0 {
+				parts = append(parts, g.Resolve(s).String())
+			}
 		}
 		return nil, fmt.Errorf("%w: %s", ErrFlounder, strings.Join(parts, ", "))
 	}
-	g := goals[pick]
-	rest := make([]program.Atom, 0, len(goals)-1)
-	rest = append(rest, goals[:pick]...)
-	rest = append(rest, goals[pick+1:]...)
-
-	sols, err := e.solveLiteral(g, s, depth)
+	sols, err := e.solveLiteral(b.atoms[pick], s, depth)
 	if err != nil {
 		return nil, err
 	}
+	solved[pick] = 1
 	var out []term.Subst
 	for _, sol := range sols {
-		sub, err := e.solveBody(rest, sol, depth)
+		sub, err := e.solveBody(b, solved, left-1, sol, depth)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, sub...)
 	}
+	solved[pick] = 0
 	return out, nil
+}
+
+// pick returns the index of the leftmost unsolved literal of b that is
+// finitely evaluable under s (the chain-split rule), or -1. Builtin
+// modes, IDB finiteness and adorn.NegationReady read only which
+// variables are ground, so the pick is memoized on the solved set plus
+// the groundness of each of b's variables.
+func (e *Engine) pick(b *body, solved []byte, s term.Subst) int {
+	key := append(e.pickKey[:0], solved...)
+	for _, v := range b.vars {
+		key = append(key, 'f')
+		if ground(s, v) {
+			key[len(key)-1] = 'b'
+		}
+	}
+	e.pickKey = key
+	if p, ok := b.picks[string(key)]; ok {
+		return p
+	}
+	var rest []program.Atom
+	var at []int
+	for i, g := range b.atoms {
+		if solved[i] == 0 {
+			rest, at = append(rest, g), append(at, i)
+		}
+	}
+	p := -1
+	for j, g := range rest {
+		if e.evaluable(g, s, rest) {
+			p = at[j]
+			break
+		}
+	}
+	b.picks[string(key)] = p
+	return p
+}
+
+// ground reports whether t is ground under s. Unlike
+// s.Resolve(t).Ground() it builds no term, so it interns none.
+func ground(s term.Subst, t term.Term) bool {
+	switch t := s.Walk(t).(type) {
+	case term.Var:
+		return false
+	case term.Comp:
+		if !t.Ground() {
+			for _, a := range t.Args {
+				if !ground(s, a) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // evaluable reports whether goal g, one of goals, is finitely
@@ -330,7 +409,7 @@ func (e *Engine) call(g program.Atom, s term.Subst, depth int) ([]term.Subst, er
 	if depth > e.stats.MaxDepthAt {
 		e.stats.MaxDepthAt = depth
 	}
-	key, resolved := e.canonical(g, s)
+	key, args := e.canonical(g, s)
 	ent := e.table[key]
 	if ent == nil {
 		ent = &entry{seen: make(map[string]bool)}
@@ -352,11 +431,10 @@ func (e *Engine) call(g program.Atom, s term.Subst, depth int) ([]term.Subst, er
 	defer delete(e.inProgress, key)
 
 	for _, r := range e.rules[g.Key()] {
-		rr := r.Rename(e.renamer)
 		hs := term.NewSubst()
 		ok := true
-		for i, ha := range rr.Head.Args {
-			if !term.Unify(hs, ha, resolved[i]) {
+		for i, ha := range r.head.Args {
+			if !term.Unify(hs, ha, args[i]) {
 				ok = false
 				break
 			}
@@ -364,12 +442,13 @@ func (e *Engine) call(g program.Atom, s term.Subst, depth int) ([]term.Subst, er
 		if !ok {
 			continue
 		}
-		sols, err := e.solveBody(rr.Body, hs, depth+1)
+		n := len(r.body.atoms)
+		sols, err := e.solveBody(r.body, make([]byte, n), n, hs, depth+1)
 		if err != nil {
 			return nil, err
 		}
 		for _, sol := range sols {
-			ans := sol.ResolveAll(rr.Head.Args)
+			ans := sol.ResolveAll(r.head.Args)
 			var kb []byte
 			for _, a := range ans {
 				kb = term.AppendKey(kb, a)
@@ -421,44 +500,41 @@ func (e *Engine) unifyAnswers(ent *entry, g program.Atom, s term.Subst) ([]term.
 	return out, nil
 }
 
-// canonical builds the table key for a call: the resolved arguments
-// with free variables normalized by order of first occurrence.
+// canonical returns the table key for a call and its canonical
+// arguments: the arguments resolved under s, with free variables
+// renamed $0, $1, … by order of first occurrence. A rule runs against
+// the canonical arguments, so neither the caller's variables nor its
+// substitution reach the callee.
 func (e *Engine) canonical(g program.Atom, s term.Subst) (string, []term.Term) {
-	resolved := make([]term.Term, len(g.Args))
-	for i, a := range g.Args {
-		resolved[i] = s.Resolve(a)
-	}
-	names := make(map[string]string)
-	var kb []byte
-	kb = append(kb, g.Key()...)
-	var walk func(t term.Term)
-	walk = func(t term.Term) {
-		switch tt := t.(type) {
+	names := make(map[string]term.Var)
+	var canon func(t term.Term) term.Term
+	canon = func(t term.Term) term.Term {
+		switch tt := s.Walk(t).(type) {
 		case term.Var:
-			nn, ok := names[tt.Name]
+			nv, ok := names[tt.Name]
 			if !ok {
-				nn = "$" + strconv.Itoa(len(names))
-				names[tt.Name] = nn
+				nv = term.NewVar("$" + strconv.Itoa(len(names)))
+				names[tt.Name] = nv
 			}
-			kb = term.AppendKey(kb, term.NewVar(nn))
+			return nv
 		case term.Comp:
 			if tt.Ground() {
-				kb = term.AppendKey(kb, tt)
-				return
+				return tt
 			}
-			kb = append(kb, 'C')
-			kb = append(kb, tt.Functor...)
-			kb = append(kb, 0)
-			for _, a := range tt.Args {
-				walk(a)
+			args := make([]term.Term, len(tt.Args))
+			for i, a := range tt.Args {
+				args[i] = canon(a)
 			}
-			kb = append(kb, 1)
+			return term.NewComp(tt.Functor, args...)
 		default:
-			kb = term.AppendKey(kb, tt)
+			return tt
 		}
 	}
-	for _, a := range resolved {
-		walk(a)
+	args := make([]term.Term, len(g.Args))
+	kb := []byte(g.Key())
+	for i, a := range g.Args {
+		args[i] = canon(a)
+		kb = term.AppendKey(kb, args[i])
 	}
-	return string(kb), resolved
+	return string(kb), args
 }

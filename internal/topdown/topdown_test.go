@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"chainsplit/internal/lang"
@@ -374,5 +376,64 @@ func TestDeterministicAnswerOrder(t *testing.T) {
 	a, b := mk(), mk()
 	if a != b {
 		t.Errorf("nondeterministic answers:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// tcSrc is a cyclic graph with a tail, for tabled and negated queries.
+const tcSrc = `
+tc(X, Y) :- e(X, Y).
+tc(X, Y) :- e(X, Z), tc(Z, Y).
+e(a, b). e(b, c). e(c, a). e(c, d). e(d, e). e(f, a).
+node(a). node(b). node(c). node(d). node(e). node(f).
+unreach(X) :- node(X), \+ tc(a, X).
+`
+
+// TestCountsPinned pins the engine's effort counts: a change to the
+// scheduler, the tables or the pass loop moves one of them. A ground
+// query list is one term, so its cells cost no steps.
+func TestCountsPinned(t *testing.T) {
+	list := func(n int, f func(i int) int) string {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = strconv.Itoa(f(i))
+		}
+		return "[" + strings.Join(parts, ",") + "]"
+	}
+	id := func(i int) int { return i }
+	scramble := func(i int) int { return (i*37 + 11) % 101 }
+	cases := []struct {
+		src, query string
+		want       Stats
+	}{
+		{qsortSrc, "?- append(" + list(4, id) + ", [-1], W).", Stats{Steps: 20, Calls: 5, Passes: 1}},
+		{qsortSrc, "?- append(" + list(16, id) + ", [-1], W).", Stats{Steps: 68, Calls: 17, Passes: 1}},
+		{qsortSrc, "?- append(" + list(64, id) + ", [-1], W).", Stats{Steps: 260, Calls: 65, Passes: 1}},
+		{sortSrc, "?- isort(" + list(4, scramble) + ", Ys).", Stats{Steps: 54, Calls: 11, Passes: 1}},
+		{sortSrc, "?- isort(" + list(16, scramble) + ", Ys).", Stats{Steps: 639, Calls: 87, Passes: 1}},
+		{sortSrc, "?- isort(" + list(64, scramble) + ", Ys).", Stats{Steps: 9471, Calls: 1111, Passes: 1}},
+		{qsortSrc, "?- qsort(" + list(4, scramble) + ", Ys).", Stats{Steps: 97, Calls: 23, TableHits: 4, Passes: 1}},
+		{qsortSrc, "?- qsort(" + list(16, scramble) + ", Ys).", Stats{Steps: 626, Calls: 129, TableHits: 16, Passes: 1}},
+		{qsortSrc, "?- qsort(" + list(64, scramble) + ", Ys).", Stats{Steps: 3544, Calls: 683, TableHits: 64, Passes: 1}},
+		// One rule body under two adornments (bbf, then ffb): its
+		// chain-split picks differ, so a pick memo must key on them.
+		{qsortSrc, "?- append([0,1,2], [3], W), append(X, Y, W).", Stats{Steps: 46, Calls: 9, Passes: 1}},
+		{tcSrc, "?- tc(a, Y).", Stats{Steps: 48, Calls: 18, Passes: 3}},
+		{tcSrc, "?- e(X, Y), \\+ tc(Y, X).", Stats{Steps: 225, Calls: 78, Passes: 3}},
+		{tcSrc, "?- unreach(X).", Stats{Steps: 312, Calls: 111, Passes: 3}},
+	}
+	for _, c := range cases {
+		e := engine(t, c.src, Options{})
+		q, err := lang.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.SolveConjunction(q.Goals); err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		got := *e.Stats()
+		got.MaxDepthAt = 0
+		if got != c.want {
+			t.Errorf("%.40s: got %+v, want %+v", c.query, got, c.want)
+		}
 	}
 }
