@@ -109,11 +109,13 @@ loc:
 
 # The shape gates, verbose, so the log records each size series: bytes
 # per element of append (buffered and top-down), bytes per n·log₂n of
-# top-down qsort, and the time of each ground-term operation at 16 and
-# 65,536 list cells.
+# top-down qsort, the time of each ground-term operation at 16 and
+# 65,536 list cells, and the heap bytes per stored tuple and the
+# allocations of a copy-on-write relation clone.
 shapes:
 	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN)$$' ./internal/core
 	$(GO) test -count=1 -v -run '^TestGroundOpsConstantTime$$' ./internal/term
+	$(GO) test -count=1 -v -run '^TestRelationStorageCost$$' ./internal/relation
 
 # Short continuous-fuzz pass over the parser entry points, the WAL
 # frame walker and the epoch-file parser (their seed corpora run in every ordinary `go test`;

@@ -193,3 +193,58 @@ func recvName(e ast.Expr) string {
 	}
 	return "?"
 }
+
+// TestNoConstantLiterals fails on a term.Sym or term.Str composite
+// literal outside internal/term. Constants carry their dictionary ID
+// from NewSym and NewStr; a literal would carry none, so == (and every
+// map keyed on terms) would tell it apart from the same constant built
+// by its constructor.
+func TestNoConstantLiterals(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); p != "." && (strings.HasPrefix(n, ".") || n == "testdata") || p == filepath.Join("internal", "term") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"chainsplit/internal/term"` {
+				pkg = "term"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			if sel, ok := lit.Type.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Sym" || sel.Sel.Name == "Str") {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+					t.Errorf("%s: %s.%s literal; build constants with term.NewSym / term.NewStr", fset.Position(lit.Pos()), pkg, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -268,6 +268,8 @@ q(1, 2). q(2, 3). q(3, 4).
 		// Two ground lists in one conjunction are two terms, not two
 		// cons chains whose generated variables could meet.
 		{"", "?- app([0], [1], Y), app(Y, [2], Z).", "[0, 1],[0, 1, 2]", lists},
+		// Each goal's non-ground list is its own generated variable.
+		{"", "?- A = 1, B = 2, app([0], [A], Y), app([5], [B], Z).", "1,[0, 1],2,[5, 2]", lists},
 	}
 	for _, c := range cases {
 		for _, strat := range c.strategies {

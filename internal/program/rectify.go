@@ -129,28 +129,40 @@ func RectifyRule(r Rule) Rule {
 	return Rule{Head: head, Body: body}
 }
 
-// RectifyGoal flattens the non-ground compound arguments of a query
-// goal, returning the flat goal plus the defining literals: p(X, [H|T])
-// becomes p(X, _F1) with cons(H, T, _F1). A ground argument, such as
-// the list of isort([5,7,1], Ys), stays one term. Builtin and negated
-// goals are returned unchanged.
-func RectifyGoal(goal Atom) (flat Atom, defs []Atom) {
-	if goal.IsBuiltin() || goal.Negated {
-		return goal, nil
-	}
+// RectifyGoals flattens the non-ground compound arguments of a
+// conjunctive query, returning the conjunction with each goal preceded
+// by its defining literals: p(X, [H|T]) becomes cons(H, T, _F1),
+// p(X, _F1). One rectifier serves the whole conjunction and reserves
+// every goal's variables first, so no two goals are given the same
+// generated variable. A ground argument, such as the list of
+// isort([5,7,1], Ys), stays one term. Builtin and negated goals are
+// kept unchanged.
+func RectifyGoals(goals []Atom) []Atom {
 	rc := &rectifier{taken: make(map[string]bool)}
-	for name := range term.VarSet(goal.Args...) {
-		rc.taken[name] = true
-	}
-	args := make([]term.Term, len(goal.Args))
-	for i, a := range goal.Args {
-		if c, comp := a.(term.Comp); comp && !c.Ground() {
-			args[i] = rc.flatten(a)
-		} else {
-			args[i] = a
+	for _, g := range goals {
+		for name := range term.VarSet(g.Args...) {
+			rc.taken[name] = true
 		}
 	}
-	return Atom{Pred: goal.Pred, Args: args}, rc.extra
+	var out []Atom
+	for _, g := range goals {
+		if g.IsBuiltin() || g.Negated {
+			out = append(out, g)
+			continue
+		}
+		args := make([]term.Term, len(g.Args))
+		for i, a := range g.Args {
+			if c, comp := a.(term.Comp); comp && !c.Ground() {
+				args[i] = rc.flatten(a)
+			} else {
+				args[i] = a
+			}
+		}
+		out = append(out, rc.extra...)
+		rc.extra = nil
+		out = append(out, Atom{Pred: g.Pred, Args: args})
+	}
+	return out
 }
 
 // Rectify rectifies every rule of the program. Facts with compound

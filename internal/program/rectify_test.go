@@ -155,8 +155,8 @@ func TestRectifyKeepsNegatedCompounds(t *testing.T) {
 	if len(rr.Body) != 2 || !rr.Body[1].Negated || !term.Equal(rr.Body[1].Args[1], neg.Args[1]) {
 		t.Errorf("negated literal rewritten: %v", rr)
 	}
-	if flat, defs := RectifyGoal(neg); len(defs) != 0 || !flat.Negated || !term.Equal(flat.Args[1], neg.Args[1]) {
-		t.Errorf("negated goal rewritten: %v %v", flat, defs)
+	if out := RectifyGoals([]Atom{neg}); len(out) != 1 || !out[0].Negated || !term.Equal(out[0].Args[1], neg.Args[1]) {
+		t.Errorf("negated goal rewritten: %v", out)
 	}
 }
 
@@ -200,14 +200,14 @@ func TestRectifyGoal(t *testing.T) {
 	// A ground list stays one term: it is interned, so it unifies with
 	// a rectified head in O(1).
 	goal := NewAtom("isort", term.IntList(5, 7, 1), v("Ys"))
-	flat, defs := RectifyGoal(goal)
+	flat, defs := rectifyGoal(goal)
 	if !term.Equal(flat.Args[0], term.IntList(5, 7, 1)) || len(defs) != 0 {
 		t.Errorf("ground goal arg flattened: %v %v", flat, defs)
 	}
 	// A non-ground list becomes a fresh variable defined by one cons
 	// literal per cell.
 	goal = NewAtom("isort", term.List(v("X"), term.NewInt(7), v("Z")), v("Ys"))
-	flat, defs = RectifyGoal(goal)
+	flat, defs = rectifyGoal(goal)
 	if _, ok := flat.Args[0].(term.Var); !ok {
 		t.Fatalf("non-ground goal arg not flattened: %v %v", flat, defs)
 	}
@@ -218,6 +218,29 @@ func TestRectifyGoal(t *testing.T) {
 		if d.Pred != "cons" {
 			t.Errorf("def %v is not cons", d)
 		}
+	}
+}
+
+// rectifyGoal rectifies a one-goal conjunction, splitting the result
+// into the flat goal and its defining literals.
+func rectifyGoal(goal Atom) (Atom, []Atom) {
+	out := RectifyGoals([]Atom{goal})
+	return out[len(out)-1], out[:len(out)-1]
+}
+
+// TestRectifyGoalsNamesApart: each goal of a conjunction gets its own
+// generated variables, none of them a variable any goal names.
+func TestRectifyGoalsNamesApart(t *testing.T) {
+	out := RectifyGoals([]Atom{
+		NewAtom("app", term.List(term.NewInt(0)), term.List(v("A")), v("Y")),
+		NewAtom("app", term.List(term.NewInt(5)), term.List(v("B")), v("_F2")),
+	})
+	if len(out) != 4 || out[1].Pred != "app" || out[3].Pred != "app" {
+		t.Fatalf("want cons, app, cons, app; got %v", out)
+	}
+	a, b := out[1].Args[1].(term.Var), out[3].Args[1].(term.Var)
+	if a == b || a.Name == "_F2" || b.Name == "_F2" {
+		t.Fatalf("generated variables %s and %s collide with each other or with _F2: %v", a, b, out)
 	}
 }
 

@@ -8,21 +8,21 @@
 // insert, so semi-naive iteration does not rebuild hash tables each
 // round.
 //
-// Storage is dictionary-encoded: tuple identity, the presence set and
-// every hash index key on the packed 8-byte-per-column dictionary
-// codes of the ground terms (see term.IDOf), not on allocated
-// canonical strings. Membership probes (Contains, Index.Probe,
-// LookupOn, Select) are allocation-free: they pack
-// codes into a stack-side buffer and use Go's no-copy string
-// conversion for the map read, and a constant that was never interned
-// short-circuits to "no match" without touching the dictionary.
+// Storage is dictionary-encoded: the presence set and every hash index
+// are open-addressing tables hashed on the dictionary codes of the
+// ground terms (see term.IDOf), which every term carries from its
+// construction. A table stores no key, only an int32 per slot; a probe
+// compares its key's codes with those of the stored tuple a slot
+// names, each a field read. Membership probes (Contains, Index.Probe,
+// LookupOn, Select) are allocation-free, and a big integer that was
+// never interned short-circuits to "no match" without touching the
+// dictionary.
 package relation
 
 import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,10 +33,13 @@ import (
 // Tuple is an ordered list of ground terms.
 type Tuple []term.Term
 
-// appendIDKey appends the packed dictionary codes of every column,
-// interning terms on first sight. ok is false if any column is not
-// ground (such a tuple can never be stored).
-func appendIDKey(dst []byte, t Tuple) ([]byte, bool) {
+// AppendIDKey appends the fixed-width (8 bytes per column) dictionary
+// codes of every column of t, interning terms on first sight. ok is
+// false if any column is not ground. Durable snapshots and WAL fact
+// records serialize tuple rows in exactly this format, with a
+// dictionary section mapping the non-self-describing IDs back to
+// terms.
+func AppendIDKey(dst []byte, t Tuple) ([]byte, bool) {
 	for _, v := range t {
 		id, ok := term.IDOf(v)
 		if !ok {
@@ -49,50 +52,115 @@ func appendIDKey(dst []byte, t Tuple) ([]byte, bool) {
 	return dst, true
 }
 
-// AppendIDKey appends the fixed-width (8 bytes per column) dictionary
-// codes of every column of t, interning terms on first sight — the
-// same packed encoding the presence set and the hash indexes key on.
-// ok is false if any column is not ground. Durable snapshots and WAL
-// fact records serialize tuple rows in exactly this format, with a
-// dictionary section mapping the non-self-describing IDs back to
-// terms.
-func AppendIDKey(dst []byte, t Tuple) ([]byte, bool) {
-	return appendIDKey(dst, t)
-}
+// idBufLen sizes the stack-side buffer a key's codes are read into:
+// arity ≤ 16 never spills to the heap.
+const idBufLen = 16
 
-// appendIDKeyOn is appendIDKey restricted to cols.
-func appendIDKeyOn(dst []byte, t Tuple, cols []int) ([]byte, bool) {
-	for _, c := range cols {
-		id, ok := term.IDOf(t[c])
+// appendIDs appends the dictionary codes of t's columns cols (every
+// column if cols is nil). A probe reads them with term.ProbeID, so ok
+// is false for a non-ground column and, on a probe, for a big integer
+// never interned, which no stored tuple can hold.
+func appendIDs(dst []term.ID, t Tuple, cols []int, probe bool) ([]term.ID, bool) {
+	n := len(cols)
+	if cols == nil {
+		n = len(t)
+	}
+	for i := range n {
+		c := i
+		if cols != nil {
+			c = cols[i]
+		}
+		var id term.ID
+		var ok bool
+		if probe {
+			id, ok = term.ProbeID(t[c])
+		} else {
+			id, ok = term.IDOf(t[c])
+		}
 		if !ok {
 			return dst, false
 		}
-		dst = append(dst,
-			byte(id>>56), byte(id>>48), byte(id>>40), byte(id>>32),
-			byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
+		dst = append(dst, id)
 	}
 	return dst, true
 }
 
-// appendProbeKey packs dictionary codes without interning: ok is false
-// if any column is non-ground or was never interned — in which case no
-// stored tuple can match, so callers report absence immediately.
-func appendProbeKey(dst []byte, t Tuple) ([]byte, bool) {
-	for _, v := range t {
-		id, ok := term.ProbeID(v)
-		if !ok {
-			return dst, false
-		}
-		dst = append(dst,
-			byte(id>>56), byte(id>>48), byte(id>>40), byte(id>>32),
-			byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
+// hashIDs mixes a key's codes into 64 bits whose low bits pick a slot.
+func hashIDs(ids []term.ID) uint64 {
+	h := uint64(len(ids))
+	for _, id := range ids {
+		h = (h ^ uint64(id)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
 	}
-	return dst, true
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
 }
 
-// keyBufSize is the stack-side packing buffer: 8 bytes per column
-// covers arity ≤ 16 without spilling to the heap.
-const keyBufSize = 128
+// entries names, for each entry of an idTable, the stored tuple whose
+// projection is that entry's key.
+type entries interface{ tuple(e int) Tuple }
+
+// idTable is an open-addressing hash table over the entries 0..n-1 of
+// a dense array: a relation's tuple positions, or an index's buckets.
+// A slot holds entry+1, and 0 marks it empty. No key is stored: a
+// probe compares its codes with those of the tuple the entry names.
+// Probing is linear, and the table doubles before it is 3/4 full.
+type idTable []int32
+
+// find returns the entry whose key, the projection of es.tuple(e) onto
+// cols, has the codes ids (hashed to h); or -1 and the empty slot where
+// that key belongs (-1 too while the table has no slots).
+func (t idTable) find(h uint64, ids []term.ID, cols []int, es entries) (e, slot int) {
+	if len(t) == 0 {
+		return -1, -1
+	}
+	mask := uint64(len(t) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if t[i] == 0 {
+			return -1, int(i)
+		}
+		if e := int(t[i] - 1); sameIDs(es.tuple(e), cols, ids) {
+			return e, int(i)
+		}
+	}
+}
+
+// add files entry n-1 in slot, the empty slot find returned for its
+// key. If n entries would fill more than 3/4 of the table it instead
+// rebuilds the table twice as large, rehashing every entry's key.
+func (t *idTable) add(slot, n int, cols []int, es entries) {
+	if 4*n <= 3*len(*t) {
+		(*t)[slot] = int32(n)
+		return
+	}
+	nt := make(idTable, max(8, 2*len(*t)))
+	mask := uint64(len(nt) - 1)
+	var ib [idBufLen]term.ID
+	for e := range n {
+		ids, _ := appendIDs(ib[:0], es.tuple(e), cols, false)
+		i := hashIDs(ids) & mask
+		for nt[i] != 0 {
+			i = (i + 1) & mask
+		}
+		nt[i] = int32(e + 1)
+	}
+	*t = nt
+}
+
+// sameIDs reports whether t's columns cols (every column if nil) have
+// the codes ids.
+func sameIDs(t Tuple, cols []int, ids []term.ID) bool {
+	for i, want := range ids {
+		c := i
+		if cols != nil {
+			c = cols[i]
+		}
+		if id, _ := term.IDOf(t[c]); id != want {
+			return false
+		}
+	}
+	return true
+}
 
 func (t Tuple) String() string {
 	parts := make([]string, len(t))
@@ -102,48 +170,36 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Index is a relation's hash index on a fixed column list, keyed on
-// packed dictionary codes of the projection. A caller that probes the
-// same columns many times can hold it (see Relation.Index): it stays
-// valid, and sees later inserts, for the relation's lifetime.
+// Index is a relation's hash index on a fixed column list. A caller
+// that probes the same columns many times can hold it (see
+// Relation.Index): it stays valid, and sees later inserts, for the
+// relation's lifetime.
 //
-// The map holds a bucket number rather than the bucket, so adding a
-// position to an existing bucket reads the map through the no-copy key
-// conversion and allocates no key; only a new bucket stores its key.
-// Positions within a bucket ascend (tuples are only appended).
+// The table holds bucket numbers, and a bucket's key is the projection
+// of its first tuple, so adding a position to an existing bucket
+// stores nothing but the position. Positions within a bucket ascend
+// (tuples are only appended).
 type Index struct {
 	r       *Relation
 	cols    []int
-	bucket  map[string]int // packed projection codes → bucket number
-	buckets [][]int        // tuple positions, ascending
+	table   idTable // bucket numbers, hashed on the projection's codes
+	buckets [][]int // tuple positions, ascending
 }
 
-// add files the tuple at pos under its packed projection key k.
-func (ix *Index) add(k []byte, pos int) {
-	if b, ok := ix.bucket[string(k)]; ok {
+func (ix *Index) tuple(b int) Tuple { return ix.r.tuples[ix.buckets[b][0]] }
+
+// add files the tuple t, stored at pos, under its projection.
+func (ix *Index) add(t Tuple, pos int) {
+	var ib [idBufLen]term.ID
+	ids, _ := appendIDs(ib[:0], t, ix.cols, false)
+	b, slot := ix.table.find(hashIDs(ids), ids, ix.cols, ix)
+	if b >= 0 {
 		ix.buckets[b] = append(ix.buckets[b], pos)
 		return
 	}
-	ix.bucket[string(k)] = len(ix.buckets)
 	ix.buckets = append(ix.buckets, []int{pos})
+	ix.table.add(slot, len(ix.buckets), ix.cols, ix)
 }
-
-// appendColsKey appends the key an index (or a memoized distinct
-// count) is filed under: the column list in decimal, comma-separated.
-// Callers pack it into a stack buffer of colsKeyBufSize, so finding an
-// existing index allocates nothing.
-func appendColsKey(dst []byte, cols []int) []byte {
-	for i, c := range cols {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, int64(c), 10)
-	}
-	return dst
-}
-
-// colsKeyBufSize covers 16 two-digit columns without spilling.
-const colsKeyBufSize = 48
 
 // Relation is a set of ground tuples of fixed arity with insertion
 // order preserved and incrementally maintained column indexes.
@@ -164,7 +220,7 @@ type Relation struct {
 	name    string
 	arity   int
 	tuples  []Tuple
-	present map[string]struct{}
+	present idTable // tuple positions, hashed on every column's code
 
 	// frozen marks the relation immutable (shared between snapshots).
 	frozen atomic.Bool
@@ -172,21 +228,21 @@ type Relation struct {
 	// indexes lazily on first lookup, possibly from several readers at
 	// once, and memoize distinct counts.
 	idxMu   sync.RWMutex
-	indexes map[string]*Index
+	indexes []*Index
 	// distinct memoizes DistinctOn per column list, on frozen relations
-	// only (nil until the first count).
-	distinct map[string]int
+	// only.
+	distinct []distinctCount
+}
+
+type distinctCount struct {
+	cols []int
+	n    int
 }
 
 // New returns an empty relation with the given name and arity.
-func New(name string, arity int) *Relation {
-	return &Relation{
-		name:    name,
-		arity:   arity,
-		present: make(map[string]struct{}),
-		indexes: make(map[string]*Index),
-	}
-}
+func New(name string, arity int) *Relation { return &Relation{name: name, arity: arity} }
+
+func (r *Relation) tuple(pos int) Tuple { return r.tuples[pos] }
 
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
@@ -212,9 +268,9 @@ func (r *Relation) Insert(t Tuple) bool { return r.insert(t, nil, false) }
 
 // InsertCopy inserts a copy of t unless r or other (nil: none) already
 // holds it, and reports whether it did. Only an inserted tuple is
-// copied, so t may be a buffer the caller reuses; its key is packed
-// once for both membership tests and the insert. other must not be
-// mutated concurrently.
+// copied, so t may be a buffer the caller reuses; its codes are read
+// and hashed once for both membership tests and the insert. other must
+// not be mutated concurrently.
 func (r *Relation) InsertCopy(t Tuple, other *Relation) bool { return r.insert(t, other, true) }
 
 func (r *Relation) insert(t Tuple, other *Relation, copyT bool) bool {
@@ -224,29 +280,28 @@ func (r *Relation) insert(t Tuple, other *Relation, copyT bool) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation %s/%d: inserting tuple of width %d", r.name, r.arity, len(t)))
 	}
-	var kb [keyBufSize]byte
-	k, ok := appendIDKey(kb[:0], t)
+	var ib [idBufLen]term.ID
+	ids, ok := appendIDs(ib[:0], t, nil, false)
 	if !ok {
 		panic(fmt.Sprintf("relation %s: inserting non-ground tuple %s", r.name, t))
 	}
-	if other != nil {
-		if _, dup := other.present[string(k)]; dup {
+	h := hashIDs(ids)
+	if other != nil && other.arity == r.arity {
+		if pos, _ := other.present.find(h, ids, nil, other); pos >= 0 {
 			return false
 		}
 	}
-	if _, dup := r.present[string(k)]; dup {
+	pos, slot := r.present.find(h, ids, nil, r)
+	if pos >= 0 {
 		return false
 	}
 	if copyT {
 		t = append(Tuple(nil), t...)
 	}
-	r.present[string(k)] = struct{}{}
-	pos := len(r.tuples)
 	r.tuples = append(r.tuples, t)
-	var pb [keyBufSize]byte
+	r.present.add(slot, len(r.tuples), nil, r)
 	for _, idx := range r.indexes {
-		pk, _ := appendIDKeyOn(pb[:0], t, idx.cols)
-		idx.add(pk, pos)
+		idx.add(t, len(r.tuples)-1)
 	}
 	return true
 }
@@ -265,13 +320,13 @@ func (r *Relation) InsertAll(o *Relation) int {
 
 // Contains reports whether the tuple is present. It is allocation-free.
 func (r *Relation) Contains(t Tuple) bool {
-	var kb [keyBufSize]byte
-	k, ok := appendProbeKey(kb[:0], t)
-	if !ok {
+	var ib [idBufLen]term.ID
+	ids, ok := appendIDs(ib[:0], t, nil, true)
+	if !ok || len(ids) != r.arity {
 		return false
 	}
-	_, present := r.present[string(k)]
-	return present
+	pos, _ := r.present.find(hashIDs(ids), ids, nil, r)
+	return pos >= 0
 }
 
 // Each calls f on every tuple in insertion order without copying the
@@ -288,31 +343,37 @@ func (r *Relation) Each(f func(Tuple) bool) {
 // At returns the i-th tuple in insertion order.
 func (r *Relation) At(i int) Tuple { return r.tuples[i] }
 
+// indexOn returns the index on cols, or nil. The caller holds idxMu.
+func (r *Relation) indexOn(cols []int) *Index {
+	for _, idx := range r.indexes {
+		if slices.Equal(idx.cols, cols) {
+			return idx
+		}
+	}
+	return nil
+}
+
 // Index returns (building if needed) the index on cols. Lazy builds
 // are the one mutation frozen relations still perform, so the index
-// map is read and published under idxMu; the build itself runs outside
+// list is read and published under idxMu; the build itself runs outside
 // the critical section (tuples are stable: append-only for the single
 // owner, immutable once frozen) and the first publication wins.
 func (r *Relation) Index(cols []int) *Index {
-	var cb [colsKeyBufSize]byte
-	ck := appendColsKey(cb[:0], cols)
 	r.idxMu.RLock()
-	idx, ok := r.indexes[string(ck)]
+	idx := r.indexOn(cols)
 	r.idxMu.RUnlock()
-	if ok {
+	if idx != nil {
 		return idx
 	}
-	idx = &Index{r: r, cols: append([]int(nil), cols...), bucket: make(map[string]int)}
-	var pb [keyBufSize]byte
+	idx = &Index{r: r, cols: append([]int(nil), cols...)}
 	for pos, t := range r.tuples {
-		pk, _ := appendIDKeyOn(pb[:0], t, cols)
-		idx.add(pk, pos)
+		idx.add(t, pos)
 	}
 	r.idxMu.Lock()
-	if existing, ok := r.indexes[string(ck)]; ok {
+	if existing := r.indexOn(cols); existing != nil {
 		idx = existing // another reader won the build race
 	} else {
-		r.indexes[string(ck)] = idx
+		r.indexes = append(r.indexes, idx)
 	}
 	r.idxMu.Unlock()
 	return idx
@@ -335,13 +396,13 @@ func (m Matches) At(i int) Tuple { return m.r.tuples[m.pos[i]] }
 // Probe finds the tuples whose projection onto the index columns
 // equals values. It allocates nothing.
 func (ix *Index) Probe(values Tuple) Matches {
-	var kb [keyBufSize]byte
-	k, ok := appendProbeKey(kb[:0], values)
-	if !ok {
+	var ib [idBufLen]term.ID
+	ids, ok := appendIDs(ib[:0], values, nil, true)
+	if !ok || len(ids) != len(ix.cols) {
 		return Matches{} // a never-interned constant matches nothing
 	}
-	b, ok := ix.bucket[string(k)]
-	if !ok {
+	b, _ := ix.table.find(hashIDs(ids), ids, ix.cols, ix)
+	if b < 0 {
 		return Matches{}
 	}
 	return Matches{r: ix.r, pos: ix.buckets[b]}
@@ -386,49 +447,67 @@ func (r *Relation) LookupOn(cols []int, values Tuple) []Tuple {
 // Projecting onto every column, in any order, is the relation itself
 // (a relation is a set), so that count is Len. Any other count comes
 // from an index already built on cols, or else from one scan through a
-// transient set; the scan builds no index, since retaining a full hash
-// index for a one-shot aggregate would cost more than the count. On a
-// frozen relation the scanned count is memoized per column list: the
-// relation can no longer change, so the count cannot go stale, and a
-// generation pays at most one scan per (relation, column list). An
+// transient table; the scan builds no index, since retaining a full
+// hash index for a one-shot aggregate would cost more than the count.
+// On a frozen relation the scanned count is memoized per column list:
+// the relation can no longer change, so the count cannot go stale, and
+// a generation pays at most one scan per (relation, column list). An
 // unfrozen relation recounts on every call.
 func (r *Relation) DistinctOn(cols []int) int {
 	if r.allColumns(cols) {
 		return len(r.tuples)
 	}
-	var cb [colsKeyBufSize]byte
-	ck := appendColsKey(cb[:0], cols)
 	r.idxMu.RLock()
-	idx, indexed := r.indexes[string(ck)]
-	n, memo := r.distinct[string(ck)]
+	idx, memo := r.indexOn(cols), r.memoOn(cols)
 	r.idxMu.RUnlock()
 	switch {
-	case indexed:
+	case idx != nil:
 		return len(idx.buckets)
-	case memo:
-		return n
+	case memo >= 0:
+		return memo
 	}
 	// Read before the scan: only a count of an immutable relation may be
 	// memoized.
 	frozen := r.frozen.Load()
-	seen := make(map[string]struct{}, len(r.tuples))
-	var pb [keyBufSize]byte
-	for _, t := range r.tuples {
-		pk, _ := appendIDKeyOn(pb[:0], t, cols)
-		if _, dup := seen[string(pk)]; !dup {
-			seen[string(pk)] = struct{}{}
+	d := &distinctScan{r: r}
+	var table idTable
+	var ib [idBufLen]term.ID
+	for pos, t := range r.tuples {
+		ids, _ := appendIDs(ib[:0], t, cols, false)
+		if e, slot := table.find(hashIDs(ids), ids, cols, d); e < 0 {
+			d.reps = append(d.reps, pos)
+			table.add(slot, len(d.reps), cols, d)
 		}
 	}
 	if frozen {
 		r.idxMu.Lock()
-		if r.distinct == nil {
-			r.distinct = make(map[string]int)
+		if r.memoOn(cols) < 0 {
+			r.distinct = append(r.distinct, distinctCount{cols: slices.Clone(cols), n: len(d.reps)})
 		}
-		r.distinct[string(ck)] = len(seen)
 		r.idxMu.Unlock()
 	}
-	return len(seen)
+	return len(d.reps)
 }
+
+// memoOn returns the memoized distinct count on cols, or -1. The
+// caller holds idxMu.
+func (r *Relation) memoOn(cols []int) int {
+	for _, d := range r.distinct {
+		if slices.Equal(d.cols, cols) {
+			return d.n
+		}
+	}
+	return -1
+}
+
+// distinctScan is DistinctOn's transient table: its entries are the
+// first position of each distinct projection.
+type distinctScan struct {
+	r    *Relation
+	reps []int
+}
+
+func (d *distinctScan) tuple(e int) Tuple { return d.r.tuples[d.reps[e]] }
 
 // allColumns reports whether cols lists every column exactly once.
 func (r *Relation) allColumns(cols []int) bool {
@@ -450,19 +529,21 @@ func (r *Relation) allColumns(cols []int) bool {
 //
 // Tuple-sharing contract: the clone shares the Tuple values (and the
 // terms inside them) with the original — only the containers (tuple
-// slice, presence set) are copied. This aliasing is safe because
+// slice, presence table) are copied. This aliasing is safe because
 // tuples are ground on insertion and term values are never mutated
 // anywhere in the system; no caller may mutate a Tuple obtained from a
-// relation, cloned or not. Indexes are not copied — the clone rebuilds
-// them lazily on first lookup.
+// relation, cloned or not. The presence table names tuples by
+// position, so the clone copies its slots as they are. Indexes are not
+// copied — the clone rebuilds them lazily on first lookup. A clone is
+// made to be written (Catalog.Ensure), so its tuple slice gets the
+// headroom append would add at the first insert, without a second copy.
 func (r *Relation) Clone() *Relation {
-	c := New(r.name, r.arity)
-	c.tuples = append(make([]Tuple, 0, len(r.tuples)), r.tuples...)
-	c.present = make(map[string]struct{}, len(r.present))
-	for k := range r.present {
-		c.present[k] = struct{}{}
+	return &Relation{
+		name:    r.name,
+		arity:   r.arity,
+		tuples:  append(make([]Tuple, 0, len(r.tuples)+len(r.tuples)/4+1), r.tuples...),
+		present: slices.Clone(r.present),
 	}
-	return c
 }
 
 // Select returns the tuples satisfying all constraints, where a

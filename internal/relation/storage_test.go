@@ -5,6 +5,8 @@ package relation
 // relations.
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -47,18 +49,23 @@ func TestDistinctOnNoIndexRetention(t *testing.T) {
 	}
 }
 
-// TestContainsNeverInterned: membership probes with constants the
-// process has never seen must report absence (and, per ProbeID's
-// contract, must not grow the dictionary).
+// TestContainsNeverInterned: membership probes with constants no
+// relation holds report absence and add no dictionary entry. Building
+// a constant interns it, so the probe terms are built before the
+// snapshot; a big integer never interned still short-circuits.
 func TestContainsNeverInterned(t *testing.T) {
 	r := New("p", 2)
 	r.Insert(tup2("a", "b"))
+	absent := Tuple{term.NewSym("zz-never-seen-1"), term.NewSym("zz-never-seen-2")}
+	lookup, big := Tuple{term.NewSym("zz-never-seen-3")}, Tuple{term.NewInt(1<<60 + 999_999_929)}
 	before := term.DictStats()
-	if r.Contains(Tuple{term.NewSym("zz-never-seen-1"), term.NewSym("zz-never-seen-2")}) {
-		t.Fatal("Contains reported a never-interned tuple present")
+	if r.Contains(absent) {
+		t.Fatal("Contains reported a never-inserted tuple present")
 	}
-	if got := r.LookupOn([]int{0}, Tuple{term.NewSym("zz-never-seen-3")}); got != nil {
-		t.Fatalf("LookupOn(never-interned) = %v, want nil", got)
+	for _, key := range []Tuple{lookup, big} {
+		if got := r.LookupOn([]int{0}, key); got != nil {
+			t.Fatalf("LookupOn(%v) = %v, want nil", key, got)
+		}
 	}
 	if after := term.DictStats(); after != before {
 		t.Fatalf("probing grew the dictionary: %+v -> %+v", before, after)
@@ -108,7 +115,7 @@ func TestDistinctOnUnfrozenNotMemoized(t *testing.T) {
 	// Frozen, the count is memoized; the clone a writer makes of it
 	// starts without the memo.
 	r.Freeze()
-	if n := r.DistinctOn([]int{1}); n != 1 || r.distinct["1"] != 1 {
+	if n := r.DistinctOn([]int{1}); n != 1 || r.memoOn([]int{1}) != 1 {
 		t.Fatalf("frozen DistinctOn(1) = %d, memo %v", n, r.distinct)
 	}
 	c := r.Clone()
@@ -262,8 +269,8 @@ func TestProbeWindow(t *testing.T) {
 
 // TestIndexInsertExistingBucketAllocatesNoKey: filing a tuple under an
 // index bucket that already exists allocates no key, so a relation with
-// three indexes allocates per insert what one without indexes does (the
-// presence key; slice and map growth amortize below one per insert).
+// three indexes allocates per insert what one without indexes does
+// (slice and table growth amortize below one per insert).
 func TestIndexInsertExistingBucketAllocatesNoKey(t *testing.T) {
 	const n = 1000
 	tuples := make([]Tuple, n+1) // AllocsPerRun adds a warm-up call
@@ -285,5 +292,156 @@ func TestIndexInsertExistingBucketAllocatesNoKey(t *testing.T) {
 	}
 	if got := perInsert(indexed); got != plain {
 		t.Fatalf("an insert into three existing buckets allocates %.0f objects, one without indexes %.0f: want equal", got, plain)
+	}
+}
+
+// TestRelationStorageCost bounds what a stored tuple costs: 100,000
+// arity-2 tuples with one single-column index take at most
+// maxBytesPerTuple of heap after a collection (tuple, terms, presence
+// table and index together), and copying the frozen relation for a
+// write — Clone plus one insert — makes at most maxCloneAllocs
+// allocations, however many tuples it holds.
+func TestRelationStorageCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap and allocation counts are not repeatable under the race detector")
+	}
+	const (
+		n                = 100_000
+		maxBytesPerTuple = 100
+		maxCloneAllocs   = 8
+	)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	r := New("e", 2)
+	for i := range n {
+		r.Insert(Tuple{term.NewInt(int64(i)), term.NewInt(int64(i % 1000))})
+	}
+	r.Index([]int{1})
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	perTuple := float64(ms.HeapAlloc-before) / n
+	runtime.KeepAlive(r)
+	r.Freeze()
+	extra := Tuple{term.NewInt(-1), term.NewInt(-1)}
+	allocs := testing.AllocsPerRun(5, func() { r.Clone().Insert(extra) })
+	t.Logf("%d tuples: %.1f B of heap per tuple; Clone plus one insert: %.0f allocations", n, perTuple, allocs)
+	if perTuple > maxBytesPerTuple {
+		t.Errorf("%.1f B of heap per tuple, want <= %d", perTuple, maxBytesPerTuple)
+	}
+	if allocs > maxCloneAllocs {
+		t.Errorf("Clone plus one insert makes %.0f allocations, want <= %d", allocs, maxCloneAllocs)
+	}
+}
+
+// TestTablesGrow: the presence table and indexes built before and after
+// the inserts stay exact across many doublings, never more than 3/4
+// full.
+func TestTablesGrow(t *testing.T) {
+	r := New("p", 3)
+	early := r.Index([]int{1})
+	for i := range 5000 {
+		if !r.Insert(tup(i, i%7, fmt.Sprintf("s%d", i%13))) {
+			t.Fatalf("insert %d reported a duplicate", i)
+		}
+		if r.Insert(tup(i/2, (i/2)%7, fmt.Sprintf("s%d", (i/2)%13))) {
+			t.Fatalf("re-insert of tuple %d grew the relation", i/2)
+		}
+		if n := len(r.present); n&(n-1) != 0 || 4*r.Len() > 3*n {
+			t.Fatalf("%d tuples in a presence table of %d slots", r.Len(), n)
+		}
+	}
+	late := r.Index([]int{0, 2})
+	for i := range 5000 {
+		if !r.Contains(tup(i, i%7, fmt.Sprintf("s%d", i%13))) || r.Contains(tup(i, i%7+1, fmt.Sprintf("s%d", i%13))) {
+			t.Fatalf("presence of tuple %d is wrong", i)
+		}
+		if m := late.Probe(tup(i, fmt.Sprintf("s%d", i%13))); m.Len() != 1 || !sameTuple(m.At(0), r.At(i)) {
+			t.Fatalf("late index finds %d tuples for tuple %d", m.Len(), i)
+		}
+	}
+	for k := range 7 {
+		m := early.Probe(tup(k))
+		if want := (5000 - k + 6) / 7; m.Len() != want {
+			t.Fatalf("early index: %d tuples under %d, want %d", m.Len(), k, want)
+		}
+		for j := range m.Len() {
+			if got := int(m.At(j)[0].(term.Int).V); got != k+7*j {
+				t.Fatalf("early index: match %d under %d is tuple %d", j, k, got)
+			}
+		}
+	}
+}
+
+// TestCloneDiverges: a clone copies the presence table, so inserts into
+// the clone and into its original land in two tables, each seeing only
+// its own.
+func TestCloneDiverges(t *testing.T) {
+	r := New("p", 2)
+	for i := range 100 {
+		r.Insert(tup(i, "shared"))
+	}
+	c := r.Clone()
+	for i := range 300 { // enough to grow both tables
+		r.Insert(tup(i, "orig"))
+		c.Insert(tup(i, "clone"))
+	}
+	for i := range 300 {
+		if !r.Contains(tup(i, "orig")) || r.Contains(tup(i, "clone")) ||
+			!c.Contains(tup(i, "clone")) || c.Contains(tup(i, "orig")) {
+			t.Fatalf("tuple %d: original and clone share an insert", i)
+		}
+	}
+	for i := range 100 {
+		if !r.Contains(tup(i, "shared")) || !c.Contains(tup(i, "shared")) || c.Insert(tup(i, "shared")) {
+			t.Fatalf("tuple %d held before the clone is missing from one side", i)
+		}
+	}
+	if r.Len() != 400 || c.Len() != 400 {
+		t.Fatalf("lengths %d and %d, want 400 each", r.Len(), c.Len())
+	}
+	if m := c.Index([]int{1}).Probe(tup("orig")); m.Len() != 0 {
+		t.Fatalf("the clone's index finds %d of the original's inserts", m.Len())
+	}
+}
+
+// TestDistinctOnMatchesIndex: the transient scan counts what an index
+// on the same columns holds as buckets, and what a map of the
+// projections' strings counts.
+func TestDistinctOnMatchesIndex(t *testing.T) {
+	for _, cols := range [][]int{{0}, {1}, {2}, {0, 1}, {2, 0}, {1, 1}} {
+		r := New("p", 3)
+		seen := map[string]bool{}
+		for i := range 500 {
+			tp := tup(i%11, fmt.Sprintf("s%d", i%17), i%5)
+			r.Insert(tp)
+			key := ""
+			for _, c := range cols {
+				key += tp[c].String() + ","
+			}
+			seen[key] = true
+		}
+		scanned := r.DistinctOn(cols)
+		if ix := r.Index(cols); scanned != len(seen) || len(ix.buckets) != scanned || r.DistinctOn(cols) != scanned {
+			t.Errorf("DistinctOn(%v) scanned %d, index holds %d buckets, want %d", cols, scanned, len(ix.buckets), len(seen))
+		}
+	}
+}
+
+// TestProbeAbsentConstant: a constant built but held by no relation —
+// interned at construction — and a big integer never interned both
+// match nothing, through every probe.
+func TestProbeAbsentConstant(t *testing.T) {
+	r := New("p", 2)
+	for i := range 50 {
+		r.Insert(tup(i, "b"))
+	}
+	ix := r.Index([]int{0})
+	for _, c := range []term.Term{term.NewSym("held-by-no-relation"), term.NewStr("b"), term.NewInt(1<<60 + 999_999_893)} {
+		if r.Contains(Tuple{c, term.NewSym("b")}) || ix.Probe(Tuple{c}).Len() != 0 ||
+			ix.ProbeWindow(Tuple{c}, 0, r.Len()).Len() != 0 || r.LookupOn([]int{1}, Tuple{c}) != nil {
+			t.Fatalf("%s matched a stored tuple", c)
+		}
 	}
 }

@@ -76,11 +76,16 @@ func (p Policy) Do(ctx context.Context, f func() error) (retries int, err error)
 	if retryable == nil {
 		retryable = DefaultRetryable
 	}
-	rng := p.newRand()
+	// The jitter source is built at the first sleep: seeding one
+	// allocates kilobytes, and most calls settle on their first attempt.
+	var rng *rand.Rand
 	for attempt := 1; ; attempt++ {
 		err = f()
 		if err == nil || attempt >= attempts || !retryable(err) {
 			return attempt - 1, err
+		}
+		if rng == nil && p.Jitter > 0 {
+			rng = p.newRand()
 		}
 		if serr := sleep(ctx, p.delay(attempt, rng)); serr != nil {
 			return attempt - 1, serr

@@ -172,6 +172,17 @@ func TestSeededJitterIsReproducible(t *testing.T) {
 	}
 }
 
+// TestDoFirstAttemptAllocatesNothing: a call settled by its first
+// attempt never sleeps, so it builds no jitter source.
+func TestDoFirstAttemptAllocatesNothing(t *testing.T) {
+	p := Policy{MaxAttempts: 3, Jitter: 0.5, Seed: 42}
+	ctx := context.Background()
+	f := func() error { return nil }
+	if n := testing.AllocsPerRun(100, func() { p.Do(ctx, f) }); n != 0 {
+		t.Fatalf("a first-attempt success allocates %.1f objects, want 0", n)
+	}
+}
+
 func TestDefaultSeedsAreUnique(t *testing.T) {
 	// Zero Seed must not mean "lockstep": two Do calls started in the
 	// same clock tick still get distinct jitter streams.

@@ -18,11 +18,12 @@ import (
 
 // maxAllocsPerDerived bounds the allocations of one magic-rewritten sg
 // evaluation per derived tuple. What still allocates per derived tuple
-// is the tuple itself and its one presence-set key (a round appends to
-// the head relation directly, and an index bucket that exists takes a
-// position without a new key), plus amortized slice and map growth; a
-// substitution map or a builtin lookup per match would blow the bound.
-const maxAllocsPerDerived = 4
+// is the tuple itself (presence and index tables store no key: a round
+// appends to the head relation directly, and an index bucket that
+// exists takes a position), plus amortized slice and table growth; a
+// presence key, a substitution map or a builtin lookup per match would
+// blow the bound.
+const maxAllocsPerDerived = 2
 
 // TestEvalAllocsPerDerivedTuple measures the executor's allocation rate
 // on the deep sg query of the family-recursion benchmark: magic-rewritten

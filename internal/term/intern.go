@@ -2,10 +2,9 @@ package term
 
 // Dictionary-encoded term storage: every distinct ground term maps to a
 // stable fixed-width ID, assigned on first sight by a process-wide
-// concurrent interner. The relation layer keys tuples, hash indexes and
-// presence sets on packed IDs instead of freshly allocated canonical
-// strings, which removes per-tuple string building from every storage
-// hot loop (Insert, Contains, Join, Semijoin, Select, Diff).
+// concurrent interner. The relation layer hashes tuples, index
+// projections and presence probes on these IDs, so no storage hot loop
+// builds a key.
 //
 // The encoding is tagged: small integers carry their value directly in
 // the ID (no dictionary entry at all); symbols, strings and
@@ -13,9 +12,10 @@ package term
 // a fixed-width encoding of (functor ID, child IDs) — so a compound's
 // dictionary key has one 8-byte word per argument regardless of how
 // deep the arguments are, and structural identity collapses to ID
-// equality. Compounds cache their ID at construction (NewComp), making
-// later ID reads a field access: hash-consing without a global lookup
-// on the read path.
+// equality. Symbols, strings and ground compounds are hash-consed: they
+// intern at construction (NewSym, NewStr, NewComp) and carry their ID,
+// so every later ID read is a field access, with no global lookup on
+// the read path. Only big integers are looked up at each use.
 //
 // The dictionary is append-only and process-wide. Entries are never
 // evicted — IDs must stay stable while any relation holds them — so its
@@ -206,9 +206,9 @@ func IDOf(t Term) (ID, bool) {
 		}
 		return makeID(tagBigInt, bigTab.intern(strconv.AppendInt(nil, tt.V, 10))), true
 	case Sym:
-		return makeID(tagSym, symTab.intern([]byte(tt.Name))), true
+		return tt.id, true
 	case Str:
-		return makeID(tagStr, strTab.intern([]byte(tt.V))), true
+		return tt.id, true
 	case Comp:
 		if tt.id != 0 {
 			return tt.id, true
@@ -225,11 +225,12 @@ func IDOf(t Term) (ID, bool) {
 	}
 }
 
-// ProbeID returns the code of t only if every symbol, string and
-// compound inside it is already in the dictionary; it never extends
-// the dictionary. ok=false means either t is not ground or t has never
-// been interned — and a never-interned term cannot be stored in any
-// relation, so index probes can report "no match" immediately.
+// ProbeID returns the code of t without extending the dictionary.
+// Constants and ground compounds were interned when they were built,
+// so only a big integer can be missing: ok=false means t is not ground
+// or is a big integer never interned — and a never-interned term
+// cannot be stored in any relation, so index probes can report "no
+// match" immediately.
 func ProbeID(t Term) (ID, bool) {
 	switch tt := t.(type) {
 	case Int:
@@ -242,17 +243,9 @@ func ProbeID(t Term) (ID, bool) {
 		}
 		return makeID(tagBigInt, code), true
 	case Sym:
-		code := symTab.probe([]byte(tt.Name))
-		if code == 0 {
-			return 0, false
-		}
-		return makeID(tagSym, code), true
+		return tt.id, true
 	case Str:
-		code := strTab.probe([]byte(tt.V))
-		if code == 0 {
-			return 0, false
-		}
-		return makeID(tagStr, code), true
+		return tt.id, true
 	case Comp:
 		// Ground compounds intern at construction, so the cached ID is
 		// authoritative; its absence means non-ground.

@@ -9,10 +9,10 @@ import (
 func TestIDOfDistinguishesKinds(t *testing.T) {
 	// Same surface text in different namespaces must never collide.
 	terms := []Term{
-		NewSym("a"), Str{V: "a"}, NewInt(0), NewInt(1), NewInt(-1),
-		NewSym("0"), Str{V: "0"},
+		NewSym("a"), NewStr("a"), NewInt(0), NewInt(1), NewInt(-1),
+		NewSym("0"), NewStr("0"),
 		NewComp("a", NewSym("a")),
-		NewComp("a", Str{V: "a"}),
+		NewComp("a", NewStr("a")),
 		NewComp("a", NewInt(0)),
 		NewComp("f", NewSym("a"), NewSym("b")),
 		NewComp("f", NewSym("b"), NewSym("a")),
@@ -79,24 +79,52 @@ func TestSmallAndBigInts(t *testing.T) {
 }
 
 func TestProbeNeverInterns(t *testing.T) {
+	// Constructing a constant interns it (TestConstantsInternAtConstruction),
+	// so the probe terms are built before the snapshot: what must not grow
+	// the dictionary is the probe itself.
+	sym, str := NewSym("never-interned-probe-sym-xyzzy"), NewStr("never-interned-probe-str-xyzzy")
+	big := NewInt(1<<60 + 999_999_937)
 	before := DictStats()
-	if _, ok := ProbeID(NewSym("never-interned-probe-sym-xyzzy")); ok {
-		t.Fatal("ProbeID found a symbol that was never interned")
+	for _, c := range []Term{sym, str} {
+		id, ok := ProbeID(c)
+		if want, _ := IDOf(c); !ok || id != want {
+			t.Fatalf("ProbeID(%s) = %d,%v, want its construction-time ID %d", c, id, ok, want)
+		}
 	}
-	if _, ok := ProbeID(Str{V: "never-interned-probe-str-xyzzy"}); ok {
-		t.Fatal("ProbeID found a string that was never interned")
-	}
-	if _, ok := ProbeID(NewInt(1<<60 + 999_999_937)); ok {
+	if _, ok := ProbeID(big); ok {
 		t.Fatal("ProbeID found a big int that was never interned")
 	}
 	if after := DictStats(); after != before {
 		t.Fatalf("probing grew the dictionary: %+v -> %+v", before, after)
 	}
 	// After interning, the probe sees it.
-	id, _ := IDOf(NewSym("never-interned-probe-sym-xyzzy"))
-	pid, ok := ProbeID(NewSym("never-interned-probe-sym-xyzzy"))
+	id, _ := IDOf(big)
+	pid, ok := ProbeID(big)
 	if !ok || pid != id {
 		t.Fatalf("probe after intern = %d,%v, want %d", pid, ok, id)
+	}
+}
+
+func TestConstantsInternAtConstruction(t *testing.T) {
+	// A symbol or string carries its ID from its constructor: building
+	// one adds its dictionary entry, and two values built alike are ==.
+	before := DictStats()
+	sym, str := NewSym("fresh-ctor-sym-plugh"), NewStr("fresh-ctor-str-plugh")
+	after := DictStats()
+	if after.Syms != before.Syms+1 || after.Strs != before.Strs+1 {
+		t.Fatalf("constructing a symbol and a string: %+v -> %+v, want one entry each", before, after)
+	}
+	for _, c := range []Term{sym, str} {
+		pid, ok := ProbeID(c)
+		if id, _ := IDOf(c); !ok || pid == 0 || pid != id {
+			t.Fatalf("ProbeID(%s) = %d,%v, IDOf %d: want the same non-zero ID", c, pid, ok, id)
+		}
+	}
+	if sym != NewSym("fresh-ctor-sym-plugh") || str != NewStr("fresh-ctor-str-plugh") || EmptyList != NewSym("[]") {
+		t.Fatal("constants built alike compare unequal")
+	}
+	if DictStats() != after {
+		t.Fatal("rebuilding an interned constant grew the dictionary")
 	}
 }
 

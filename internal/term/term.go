@@ -99,10 +99,17 @@ func (v Var) appendKey(dst []byte) []byte {
 
 // Sym is a symbolic constant (an atom in logic-programming parlance),
 // e.g. ottawa or [] (the empty list).
-type Sym struct{ Name string }
+type Sym struct {
+	Name string
+	// id is the dictionary code, set at construction (see intern.go).
+	id ID
+}
 
-// NewSym returns the symbolic constant with the given name.
-func NewSym(name string) Sym { return Sym{Name: name} }
+// NewSym returns the symbolic constant with the given name. Like every
+// constant and ground compound it is hash-consed: constructing it
+// interns its name, so its ID is a field read from then on. NewSym is
+// the only constructor of Sym, so == on symbols compares like values.
+func NewSym(name string) Sym { return Sym{Name: name, id: makeID(tagSym, symTab.intern([]byte(name)))} }
 
 // Kind implements Term.
 func (s Sym) Kind() Kind { return KindSym }
@@ -139,10 +146,15 @@ func (i Int) appendKey(dst []byte) []byte {
 }
 
 // Str is a string constant (double-quoted in the surface syntax).
-type Str struct{ V string }
+type Str struct {
+	V string
+	// id is the dictionary code, set at construction (see intern.go).
+	id ID
+}
 
-// NewStr returns the string constant v.
-func NewStr(v string) Str { return Str{V: v} }
+// NewStr returns the string constant v, interned as NewSym interns a
+// symbol. NewStr is the only constructor of Str.
+func NewStr(v string) Str { return Str{V: v, id: makeID(tagStr, strTab.intern([]byte(v)))} }
 
 // Kind implements Term.
 func (s Str) Kind() Kind { return KindStr }
@@ -196,7 +208,7 @@ type Comp struct {
 const ConsFunctor = "."
 
 // EmptyList is the empty-list constant [].
-var EmptyList = Sym{Name: "[]"}
+var EmptyList = NewSym("[]")
 
 // NewComp returns the compound term functor(args...). It panics if args
 // is empty: zero-argument applications are symbols, not compounds.

@@ -185,15 +185,10 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // SolveConjunction evaluates a conjunctive query with chain-split
 // scheduling across the whole conjunction, returning all solution
 // substitutions. Non-ground compound goal arguments are flattened
-// first (program.RectifyGoal); a ground list stays one term, which
+// first (program.RectifyGoals); a ground list stays one term, which
 // unifies with a rule head in O(1).
 func (e *Engine) SolveConjunction(goals []program.Atom) ([]term.Subst, error) {
-	var atoms []program.Atom
-	for _, g := range goals {
-		flat, defs := program.RectifyGoal(g)
-		atoms = append(atoms, defs...)
-		atoms = append(atoms, flat)
-	}
+	atoms := program.RectifyGoals(goals)
 	q, solved := newBody(atoms), make([]byte, len(atoms))
 	if err := e.an.Graph().CheckStratified(); err != nil {
 		return nil, fmt.Errorf("topdown: %v", err)
