@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check fmt vet staticcheck govulncheck race bench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden shapes
+.PHONY: build test check fmt vet staticcheck govulncheck race bench microbench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden shapes
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,11 @@ check: build fmt vet staticcheck govulncheck race
 bench:
 	$(GO) test -bench=. -benchmem
 
+# The micro-benchmarks of the term and relation layers that
+# docs/performance.md tabulates.
+microbench:
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/term ./internal/relation
+
 # Regenerate every golden file from the current code: the executor
 # outcome table, the experiments' generated EXPERIMENTS.md sections and
 # the fact-state golden. Review the diff before committing it — a
@@ -110,10 +115,12 @@ loc:
 # The shape gates, verbose, so the log records each size series: bytes
 # per element of append (buffered and top-down), bytes per n·log₂n of
 # top-down qsort, the time of each ground-term operation at 16 and
-# 65,536 list cells, and the heap bytes per stored tuple and the
-# allocations of a copy-on-write relation clone.
+# 65,536 list cells, the heap bytes per stored tuple and the
+# allocations of a copy-on-write relation clone, and the bytes per
+# top-down resolution step of qsort, isort and append.
 shapes:
 	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN)$$' ./internal/core
+	$(GO) test -count=1 -v -run '^TestTopDownBytesPerStep$$' ./internal/topdown
 	$(GO) test -count=1 -v -run '^TestGroundOpsConstantTime$$' ./internal/term
 	$(GO) test -count=1 -v -run '^TestRelationStorageCost$$' ./internal/relation
 

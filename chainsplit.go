@@ -858,7 +858,10 @@ range(N, [N|B]) :- N > 0, minus(N, 1, M), range(M, B).
 // static analysis proves to have infinitely many answers.
 var ErrNotFinitelyEvaluable = core.ErrNotFinitelyEvaluable
 
-// Subst is the variable-binding environment passed to user builtins.
+// Subst is the variable-binding environment passed to user builtins. It
+// is a binding chain, not a map: Walk and Resolve read it, Unify and
+// Bind extend it in place, and Clone returns an independent copy in
+// O(1), sharing the bindings made so far.
 type Subst = term.Subst
 
 // RegisterBuiltin installs a user-defined evaluable predicate,

@@ -2,6 +2,8 @@ package builtin
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"chainsplit/internal/term"
@@ -215,14 +217,46 @@ func TestAdornment(t *testing.T) {
 	}
 }
 
+// TestEvalDoesNotMutateInput calls every core builtin in a mode with a
+// solution and checks the substitution it received is left as it was:
+// solutions are clones, so a caller may keep extending its own.
 func TestEvalDoesNotMutateInput(t *testing.T) {
-	b := Lookup("cons", 3)
-	s := term.NewSubst()
-	args := []term.Term{term.NewInt(1), term.EmptyList, term.NewVar("L")}
-	if _, err := b.Eval(s, args); err != nil {
-		t.Fatal(err)
+	a, l, out := term.NewVar("A"), term.NewVar("L"), term.NewVar("Out")
+	calls := map[string][]term.Term{
+		"cons/3":    {term.NewInt(1), term.EmptyList, out},
+		"=/2":       {out, a},
+		"\\=/2":     {a, term.NewInt(3)},
+		"</2":       {a, term.NewInt(3)},
+		">/2":       {term.NewInt(3), a},
+		"=</2":      {a, term.NewInt(2)},
+		">=/2":      {a, term.NewInt(2)},
+		"plus/3":    {a, term.NewInt(1), out},
+		"minus/3":   {a, term.NewInt(1), out},
+		"mod/3":     {term.NewInt(7), a, out},
+		"abs/2":     {term.NewInt(-4), out},
+		"between/3": {term.NewInt(1), a, out},
+		"length/2":  {l, out},
+		"times/3":   {a, term.NewInt(3), out},
 	}
-	if len(s) != 0 {
-		t.Errorf("input substitution mutated: %v", s)
+	for k := range core {
+		if _, ok := calls[k]; !ok {
+			t.Errorf("core builtin %s has no call here", k)
+		}
+	}
+	for k, args := range calls {
+		name, arity, _ := strings.Cut(k, "/")
+		n, _ := strconv.Atoi(arity)
+		s := term.NewSubst()
+		s.Bind(a, term.NewInt(2))
+		s.Bind(l, term.IntList(1, 2))
+		before := s.String()
+		sols, err := Lookup(name, n).Eval(s, args)
+		if err != nil || len(sols) == 0 {
+			t.Errorf("%s%v: %d solutions, error %v; want a solution", k, args, len(sols), err)
+			continue
+		}
+		if got := s.String(); got != before {
+			t.Errorf("%s: input substitution %s became %s", k, before, got)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // is the tuple itself (presence and index tables store no key: a round
 // appends to the head relation directly, and an index bucket that
 // exists takes a position), plus amortized slice and table growth; a
-// presence key, a substitution map or a builtin lookup per match would
+// presence key, a substitution or a builtin lookup per match would
 // blow the bound.
 const maxAllocsPerDerived = 2
 

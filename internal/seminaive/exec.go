@@ -249,7 +249,6 @@ type executor struct {
 	matches   *int64
 	lc        *litCounters
 	key, head relation.Tuple
-	substs    []term.Subst // per step, reused across builtin calls
 	// indexes caches each relation step's index for this item.
 	indexes []*relation.Index
 }
@@ -302,7 +301,7 @@ func (x *executor) run(i int) error {
 			return nil
 		}
 	case stepBuiltin:
-		s := x.subst(i, st)
+		s := x.subst(st)
 		sols, err := st.b.Eval(s, st.atom.Args)
 		if err != nil {
 			if errors.Is(err, builtin.ErrInsufficient) {
@@ -327,7 +326,7 @@ func (x *executor) run(i int) error {
 		}
 		return nil
 	case stepNegBuiltin:
-		s := x.subst(i, st)
+		s := x.subst(st)
 		sols, err := st.b.Eval(s, st.atom.Args)
 		if err != nil {
 			return fmt.Errorf("%w: %s in %s", ErrUnsafe, st.atom.Resolve(s), x.c.rule)
@@ -448,17 +447,12 @@ func (x *executor) build(ps []pat) relation.Tuple {
 	return key
 }
 
-// subst refills step i's reusable substitution with the bound variables
-// of its literal — all a builtin reads.
-func (x *executor) subst(i int, st *step) term.Subst {
-	s := x.substs[i]
-	if s == nil {
-		s = make(term.Subst, len(st.in))
-		x.substs[i] = s
-	}
-	clear(s)
+// subst returns a fresh substitution binding the bound variables of
+// st's literal — all a builtin reads.
+func (x *executor) subst(st *step) term.Subst {
+	s := term.NewSubst()
 	for _, in := range st.in {
-		s[x.c.vars[in]] = x.slots[in]
+		s.Bind(term.Var{Name: x.c.vars[in]}, x.slots[in])
 	}
 	return s
 }
@@ -473,7 +467,7 @@ func (x *executor) emit() error {
 		s := term.NewSubst()
 		for i, v := range x.slots {
 			if v != nil {
-				s[x.c.vars[i]] = v
+				s.Bind(term.Var{Name: x.c.vars[i]}, v)
 			}
 		}
 		head := x.c.rule.Head

@@ -474,7 +474,6 @@ func (e *Engine) newExecutor(c *compiledRule, it workItem, lo, hi []int) *execut
 		deltaLit: it.deltaLit,
 		key:      make(relation.Tuple, c.keyWidth),
 		head:     make(relation.Tuple, len(c.head)),
-		substs:   make([]term.Subst, len(c.steps)),
 		indexes:  make([]*relation.Index, len(c.steps)),
 	}
 }

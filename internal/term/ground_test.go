@@ -103,14 +103,14 @@ func refUnify(s Subst, a, b Term) bool {
 		if refOccurs(s, av, b) {
 			return false
 		}
-		s[av.Name] = b
+		s.Bind(av, b)
 		return true
 	}
 	if bv, ok := b.(Var); ok {
 		if refOccurs(s, bv, a) {
 			return false
 		}
-		s[bv.Name] = a
+		s.Bind(bv, a)
 		return true
 	}
 	ac, aok := a.(Comp)
@@ -247,14 +247,19 @@ func (shortcutCase) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(shortcutCase{A: a, B: b, X: x})
 }
 
-func (c shortcutCase) subst() Subst { return Subst{"X": c.X} }
+func (c shortcutCase) subst() Subst {
+	s := NewSubst()
+	s.Bind(NewVar("X"), c.X)
+	return s
+}
 
 func sameBindings(s1, s2 Subst) bool {
-	if len(s1) != len(s2) {
+	m1, m2 := bindings(s1), bindings(s2)
+	if len(m1) != len(m2) {
 		return false
 	}
-	for k, v := range s1 {
-		if w, ok := s2[k]; !ok || !refEqual(v, w) {
+	for k, v := range m1 {
+		if w, ok := m2[k]; !ok || !refEqual(v, w) {
 			return false
 		}
 	}
@@ -278,7 +283,7 @@ func TestQuickIDShortcutsMatchStructure(t *testing.T) {
 	})
 	check("occurs", func(c shortcutCase) bool {
 		s := c.subst()
-		s["Y"] = NewComp("h", NewVar("Z"), c.X)
+		s.Bind(NewVar("Y"), NewComp("h", NewVar("Z"), c.X))
 		for _, v := range []Var{NewVar("X"), NewVar("Y"), NewVar("Z")} {
 			if occurs(s, v, c.A) != refOccurs(s, v, c.A) {
 				return false

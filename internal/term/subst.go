@@ -11,29 +11,55 @@ import (
 // terms. Bindings may be chained (a variable bound to another variable
 // that is itself bound); Walk and Resolve follow chains.
 //
-// Substitutions are persistent in spirit but implemented as mutable
-// maps; Clone before branching.
-type Subst map[string]Term
+// A Subst is not a map. It points to a small mutable head over an
+// immutable chain of binding cells, newest first: Bind prepends one
+// cell, Walk scans the chain, and Clone copies only the head, so it
+// costs O(1) and the copy shares every binding made so far while
+// later bindings on either side stay private to that side. Copies of a
+// Subst value share one head, so Unify extending one extends all;
+// Clone before branching. The chains stay short because every
+// top-down call and every counting context starts a fresh
+// substitution.
+type Subst struct{ h *substHead }
 
-// NewSubst returns an empty substitution.
-func NewSubst() Subst { return make(Subst) }
+type substHead struct{ top *binding }
 
-// Clone returns an independent copy of s.
-func (s Subst) Clone() Subst {
-	c := make(Subst, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
+// binding is one cell of a substitution's chain. Cells are never
+// modified once linked, which is what lets clones share them.
+type binding struct {
+	name string
+	val  Term
+	next *binding
 }
 
-// Bind adds the binding v := t. It panics if v is already bound to a
-// different term; callers are expected to Walk first.
-func (s Subst) Bind(v Var, t Term) {
-	if old, ok := s[v.Name]; ok && !Equal(old, t) {
-		panic(fmt.Sprintf("term: rebinding %s from %s to %s", v.Name, old, t))
+// NewSubst returns an empty substitution.
+func NewSubst() Subst { return Subst{new(substHead)} }
+
+// Clone returns a substitution holding the same bindings as s that
+// can be extended independently of it. It copies no binding.
+func (s Subst) Clone() Subst { return Subst{&substHead{top: s.h.top}} }
+
+// lookup returns the term the variable named name is bound to.
+func (s Subst) lookup(name string) (Term, bool) {
+	for c := s.h.top; c != nil; c = c.next {
+		if c.name == name {
+			return c.val, true
+		}
 	}
-	s[v.Name] = t
+	return nil, false
+}
+
+// Bind adds the binding v := t. Binding v again to an equal term is a
+// no-op; it panics if v is already bound to a different term, so
+// callers are expected to Walk first.
+func (s Subst) Bind(v Var, t Term) {
+	if old, ok := s.lookup(v.Name); ok {
+		if !Equal(old, t) {
+			panic(fmt.Sprintf("term: rebinding %s from %s to %s", v.Name, old, t))
+		}
+		return
+	}
+	s.h.top = &binding{name: v.Name, val: t, next: s.h.top}
 }
 
 // Walk follows variable bindings starting at t until it reaches a
@@ -45,7 +71,7 @@ func (s Subst) Walk(t Term) Term {
 		if !ok {
 			return t
 		}
-		bound, ok := s[v.Name]
+		bound, ok := s.lookup(v.Name)
 		if !ok {
 			return t
 		}
@@ -78,19 +104,20 @@ func (s Subst) ResolveAll(ts []Term) []Term {
 }
 
 // String renders the substitution deterministically, e.g. {X=1, Y=a}.
+// Bind never shadows a binding, so each variable appears once.
 func (s Subst) String() string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
+	var cells []*binding
+	for c := s.h.top; c != nil; c = c.next {
+		cells = append(cells, c)
 	}
-	sort.Strings(keys)
+	sort.Slice(cells, func(i, j int) bool { return cells[i].name < cells[j].name })
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, c := range cells {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s", k, s[k])
+		fmt.Fprintf(&b, "%s=%s", c.name, c.val)
 	}
 	b.WriteByte('}')
 	return b.String()

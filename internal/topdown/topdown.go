@@ -495,6 +495,26 @@ func (e *Engine) unifyAnswers(ent *entry, g program.Atom, s term.Subst) ([]term.
 	return out, nil
 }
 
+// canonVars holds the first canonical variables, $0 to $63, built once
+// and only read afterwards, so concurrent engines share them and a call
+// allocates no name; equal names are then pointer-equal as well, so
+// comparing them stops at the pointer.
+var canonVars = func() []term.Var {
+	vs := make([]term.Var, 64)
+	for k := range vs {
+		vs[k] = term.NewVar("$" + strconv.Itoa(k))
+	}
+	return vs
+}()
+
+// canonVar returns the canonical variable $k.
+func canonVar(k int) term.Var {
+	if k < len(canonVars) {
+		return canonVars[k]
+	}
+	return term.NewVar("$" + strconv.Itoa(k))
+}
+
 // canonical returns the table key for a call and its canonical
 // arguments: the arguments resolved under s, with free variables
 // renamed $0, $1, … by order of first occurrence. A rule runs against
@@ -508,7 +528,7 @@ func (e *Engine) canonical(g program.Atom, s term.Subst) (string, []term.Term) {
 		case term.Var:
 			nv, ok := names[tt.Name]
 			if !ok {
-				nv = term.NewVar("$" + strconv.Itoa(len(names)))
+				nv = canonVar(len(names))
 				names[tt.Name] = nv
 			}
 			return nv

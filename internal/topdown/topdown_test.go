@@ -3,7 +3,9 @@ package topdown
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"chainsplit/internal/relation"
 	"chainsplit/internal/seminaive"
 	"chainsplit/internal/term"
+	"chainsplit/internal/workload"
 )
 
 func engine(t *testing.T, src string, opts Options) *Engine {
@@ -435,5 +438,50 @@ func TestCountsPinned(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%.40s: got %+v, want %+v", c.query, got, c.want)
 		}
+	}
+}
+
+// TestTopDownBytesPerStep bounds the bytes a top-down run allocates per
+// resolution step (Stats.Steps) on the paper's list programs. A step
+// that copied every binding made so far would grow with the bindings;
+// cloning a substitution copies none. Each row solves a seeded random
+// list on a fresh engine and keeps the least of three runs.
+func TestTopDownBytesPerStep(t *testing.T) {
+	rows := []struct {
+		name, src, pred string
+		n               int
+		max             float64
+	}{
+		{"qsort", qsortSrc, "qsort", 256, 500},
+		{"isort", sortSrc, "isort", 96, 400},
+		{"append", qsortSrc, "append", 1024, 600},
+	}
+	var report []string
+	failed := false
+	for _, r := range rows {
+		list := term.IntList(workload.RandomInts(r.n, 1<<20, int64(r.n))...)
+		args := []term.Term{list, term.NewVar("Ys")}
+		if r.pred == "append" {
+			args = []term.Term{list, term.IntList(-1), term.NewVar("Ys")}
+		}
+		goal := program.NewAtom(r.pred, args...)
+		best := math.Inf(1)
+		for run := 0; run < 3; run++ {
+			e := engine(t, r.src, Options{})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sols, err := e.SolveConjunction([]program.Atom{goal})
+			runtime.ReadMemStats(&after)
+			if err != nil || len(sols) != 1 {
+				t.Fatalf("%s n=%d: %d solutions, error %v", r.name, r.n, len(sols), err)
+			}
+			best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/float64(e.Stats().Steps))
+		}
+		report = append(report, fmt.Sprintf("%s n=%d: %.0f B/step (max %.0f)", r.name, r.n, best, r.max))
+		failed = failed || best > r.max
+	}
+	t.Log(strings.Join(report, "; "))
+	if failed {
+		t.Errorf("bytes per step over bound: %s", strings.Join(report, "; "))
 	}
 }
