@@ -90,9 +90,9 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # The micro-benchmarks of the term and relation layers that
-# docs/performance.md tabulates.
+# docs/performance.md tabulates, and the builtin registry lookup.
 microbench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/term ./internal/relation
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/term ./internal/relation ./internal/builtin
 
 # Regenerate every golden file from the current code: the executor
 # outcome table, the experiments' generated EXPERIMENTS.md sections and

@@ -163,17 +163,6 @@ func WithLimit(n int) Option {
 	return func(q *queryConfig) { q.opts.Limit = n }
 }
 
-// WithWorkers bounds the goroutines one bottom-up fixpoint round fans
-// its (rule × delta) work items across, overriding the database-wide
-// Config.Workers for this query (0 = database default, 1 = serial).
-// Parallel evaluation is bit-identical to serial: same answers in the
-// same order, same metrics. Workers multiply under load — a saturated
-// server runs up to MaxConcurrent × Workers evaluation goroutines —
-// so size the product to the machine, not each knob alone.
-func WithWorkers(n int) Option {
-	return func(q *queryConfig) { q.opts.Workers = n }
-}
-
 // RetryPolicy configures WithRetry: how many attempts a query gets and
 // the capped exponential backoff (with jitter) between them. The zero
 // value disables retries.
@@ -230,9 +219,6 @@ type Result struct {
 type DB struct {
 	inner *core.DB
 	adm   *admission.Controller
-	// workers is the Config.Workers default applied when a query does
-	// not set WithWorkers.
-	workers int
 
 	// maxStale is Config.MaxStaleness: the bound past which a follower
 	// sheds reads with ErrStale instead of serving old answers.
@@ -267,12 +253,6 @@ type Config struct {
 	// slot before further queries are shed with ErrOverloaded
 	// (0 = 1024; negative = no queue).
 	MaxQueue int
-	// Workers is the default per-query fixpoint parallelism (0 or 1 =
-	// serial); WithWorkers overrides it per query. Results are
-	// bit-identical to serial evaluation either way. Admission control
-	// and Workers compose: the server runs at most MaxConcurrent
-	// evaluations, each using up to Workers goroutines.
-	Workers int
 	// Dir, when non-empty, makes the database durable: every mutation
 	// is appended to a checksummed write-ahead log under Dir (and
 	// fsynced) before it is published, periodic compacted snapshots
@@ -341,8 +321,7 @@ func OpenWith(cfg Config) (*DB, error) {
 		}
 	}
 	db := &DB{
-		inner:   inner,
-		workers: cfg.Workers,
+		inner: inner,
 		adm: admission.New(admission.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
 			MaxQueue:      cfg.MaxQueue,
@@ -409,7 +388,6 @@ func OpenFollower(addr string, cfg Config) (*DB, error) {
 	}
 	db := &DB{
 		inner:    inner,
-		workers:  cfg.Workers,
 		maxStale: cfg.MaxStaleness,
 		adm: admission.New(admission.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
@@ -775,9 +753,8 @@ func (db *DB) ExplainAnalyzeCtx(ctx context.Context, q string, options ...Option
 // counters first, then gauges — the shape scrape-based collectors
 // ingest. The registry is process-wide: a binary embedding several DBs
 // sees the sum over all of them. Counters cover queries, errors,
-// retries, admission grants and sheds, generations, fallbacks and
-// parallel-evaluation work; gauges sample the interned-term
-// dictionaries.
+// retries, admission grants and sheds, generations and fallbacks;
+// gauges sample the interned-term dictionaries.
 func MetricsSnapshot() string { return obsv.Snapshot() }
 
 // Explain plans a query without executing it and renders the plan.
@@ -802,9 +779,6 @@ func (db *DB) prepare(q string, options []Option) ([]program.Atom, queryConfig, 
 	var qc queryConfig
 	for _, o := range options {
 		o(&qc)
-	}
-	if qc.opts.Workers == 0 {
-		qc.opts.Workers = db.workers
 	}
 	return parsed.Goals, qc, nil
 }

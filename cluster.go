@@ -274,7 +274,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 			cl: c,
 			db: &DB{
 				inner:    inner,
-				workers:  cfg.Workers,
 				maxStale: cfg.MaxStaleness,
 				adm: admission.New(admission.Config{
 					MaxConcurrent: cfg.MaxConcurrent,

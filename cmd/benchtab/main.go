@@ -28,7 +28,7 @@ func main() {
 	exp := flag.String("exp", "", "experiment ID to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	metrics := flag.Bool("metrics", false, "print the process metrics snapshot (queries, retries, sheds, parallel work, interned terms) after the run")
+	metrics := flag.Bool("metrics", false, "print the process metrics snapshot (queries, retries, sheds, interned terms) after the run")
 	flag.Parse()
 
 	if *list {

@@ -77,7 +77,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query deadline (e.g. 500ms, 10s); 0 means none")
 	maxTuples := flag.Int("max-tuples", 0, "bound on evaluation effort per query (derived tuples, resolution steps, buffered answers); 0 keeps the defaults")
 	concurrency := flag.Int("concurrency", 0, "max in-flight queries before load shedding; 0 keeps the default")
-	workers := flag.Int("workers", 0, "goroutines per bottom-up fixpoint round (results identical to serial); 0 or 1 means serial")
 	dir := flag.String("dir", "", "durable database directory (write-ahead log + snapshots); empty means in-memory")
 	fsck := flag.Bool("fsck", false, "validate the durable store under -dir (checksums, term-ID integrity, generation monotonicity) and exit; 0 clean, 3 corrupt")
 	scrubOnce := flag.Bool("scrub", false, "run one online integrity pass over the store under -dir (the fsck checks with live-writer leniencies; safe while another process writes) and exit; 0 clean, 3 corrupt")
@@ -138,9 +137,6 @@ func main() {
 	if *concurrency < 0 {
 		fail("negative -concurrency %d (use 0 for the default)", *concurrency)
 	}
-	if *workers < 0 {
-		fail("negative -workers %d (use 0 or 1 for serial)", *workers)
-	}
 	if *maxStale < 0 {
 		fail("negative -max-staleness %v (use 0 to serve at any staleness)", *maxStale)
 	}
@@ -162,7 +158,7 @@ func main() {
 		}
 	}
 
-	cfg := chainsplit.Config{MaxConcurrent: *concurrency, Workers: *workers, Dir: *dir, MaxStaleness: *maxStale}
+	cfg := chainsplit.Config{MaxConcurrent: *concurrency, Dir: *dir, MaxStaleness: *maxStale}
 	var db *chainsplit.DB
 	var cl *chainsplit.Cluster
 	var err error

@@ -1,10 +1,12 @@
 package chainsplit
 
-// Determinism suite for parallel evaluation: for every strategy and
-// workload, Workers ∈ {1, 2, 8} must produce byte-identical sorted
-// answers and identical evaluation metrics — and identical errors,
-// including under mid-round cancellation and fault injection. Run
-// under -race this also exercises the worker pool for data races.
+// Determinism suite: a query evaluates on one goroutine, so the only
+// concurrency it meets is other queries on the same database. For
+// every strategy and workload, copies of a query run concurrently must
+// produce the byte-identical sorted answers, evaluation metrics and
+// errors of the same query run alone; mid-round cancellation, fault
+// injection and panics must surface as core's typed errors. Run under
+// -race this also exercises the state concurrent queries share.
 
 import (
 	"context"
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"chainsplit/internal/core"
@@ -22,7 +25,9 @@ import (
 	"chainsplit/internal/workload"
 )
 
-var detWorkers = []int{1, 2, 8}
+// detWorkers is how many copies of a query run concurrently against
+// the serial run.
+const detWorkers = 3
 
 type detCase struct {
 	name  string
@@ -115,6 +120,13 @@ var detStrategies = []core.Strategy{
 }
 
 func TestDeterminismAcrossWorkers(t *testing.T) {
+	type outcome struct {
+		answers string
+		tuples  int
+		rounds  int
+		matches int64
+		err     string
+	}
 	for _, c := range detCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -122,36 +134,35 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			for _, strat := range detStrategies {
 				strat := strat
 				t.Run(strat.String(), func(t *testing.T) {
-					type outcome struct {
-						answers string
-						tuples  int
-						rounds  int
-						matches int64
-						err     string
-					}
-					var serial outcome
-					for i, w := range detWorkers {
+					run := func() outcome {
 						res, err := db.Query(c.goals, core.Options{
-							Strategy: strat, Workers: w,
+							Strategy:  strat,
 							MaxTuples: 200_000, MaxIterations: 10_000,
 						})
-						var got outcome
 						if err != nil {
-							got.err = err.Error()
-						} else {
-							got = outcome{
-								answers: renderSorted(res),
-								tuples:  res.Metrics.DerivedTuples,
-								rounds:  res.Metrics.Iterations,
-								matches: res.Metrics.Matches,
-							}
+							return outcome{err: err.Error()}
 						}
-						if i == 0 {
-							serial = got
-							continue
+						return outcome{
+							answers: renderSorted(res),
+							tuples:  res.Metrics.DerivedTuples,
+							rounds:  res.Metrics.Iterations,
+							matches: res.Metrics.Matches,
 						}
-						if got != serial {
-							t.Fatalf("workers=%d diverges from serial:\n got %+v\nwant %+v", w, got, serial)
+					}
+					serial := run()
+					got := make([]outcome, detWorkers)
+					var wg sync.WaitGroup
+					for w := range got {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							got[w] = run()
+						}(w)
+					}
+					wg.Wait()
+					for w, o := range got {
+						if o != serial {
+							t.Fatalf("concurrent run %d diverges from serial:\n got %+v\nwant %+v", w, o, serial)
 						}
 					}
 				})
@@ -161,84 +172,70 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestDeterminismUnderCancellation cancels mid-evaluation (from the
-// fixpoint-round fault-injection site, i.e. between parallel rounds)
-// and requires every worker count to surface ErrCanceled.
+// fixpoint-round fault-injection site) and requires ErrCanceled.
 func TestDeterminismUnderCancellation(t *testing.T) {
 	defer faultinject.Reset()
 	c := detCases(t)[0] // sg
 	db := detDB(t, c)
 	for _, strat := range []core.Strategy{core.StrategyMagic, core.StrategySeminaive} {
-		for _, w := range detWorkers {
-			ctx, cancel := context.WithCancel(context.Background())
-			fires := 0
-			restore := faultinject.Set(faultinject.SiteSeminaiveIterate, func() error {
-				fires++
-				if fires == 2 {
-					cancel() // mid-evaluation: at least one round already ran
-				}
-				return nil
-			})
-			_, err := db.Query(c.goals, core.Options{Strategy: strat, Workers: w, Ctx: ctx})
-			restore()
-			cancel()
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("%s workers=%d: err = %v, want ErrCanceled", strat, w, err)
+		ctx, cancel := context.WithCancel(context.Background())
+		fires := 0
+		restore := faultinject.Set(faultinject.SiteSeminaiveIterate, func() error {
+			fires++
+			if fires == 2 {
+				cancel() // mid-evaluation: at least one round already ran
 			}
+			return nil
+		})
+		_, err := db.Query(c.goals, core.Options{Strategy: strat, Ctx: ctx})
+		restore()
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: err = %v, want ErrCanceled", strat, err)
 		}
 	}
 }
 
 // TestDeterminismUnderFaultInjection injects a mid-evaluation engine
-// fault and requires the identical error for every worker count.
+// fault and requires it to surface as a typed engine error.
 func TestDeterminismUnderFaultInjection(t *testing.T) {
 	defer faultinject.Reset()
 	c := detCases(t)[0] // sg
 	db := detDB(t, c)
-	var want string
-	for i, w := range detWorkers {
-		fires := 0
-		restore := faultinject.Set(faultinject.SiteSeminaiveIterate, func() error {
-			fires++
-			if fires == 2 {
-				return errors.New("determinism: injected fault")
-			}
-			return nil
-		})
-		_, err := db.Query(c.goals, core.Options{Strategy: core.StrategyMagic, Workers: w})
-		restore()
-		if err == nil {
-			t.Fatalf("workers=%d: no error surfaced", w)
+	fires := 0
+	restore := faultinject.Set(faultinject.SiteSeminaiveIterate, func() error {
+		fires++
+		if fires == 2 {
+			return errors.New("determinism: injected fault")
 		}
-		if i == 0 {
-			want = err.Error()
-			continue
-		}
-		if err.Error() != want {
-			t.Fatalf("workers=%d: err = %q, serial had %q", w, err.Error(), want)
-		}
+		return nil
+	})
+	_, err := db.Query(c.goals, core.Options{Strategy: core.StrategyMagic})
+	restore()
+	var ee *EvalError
+	if !errors.As(err, &ee) || !strings.Contains(err.Error(), "determinism: injected fault") {
+		t.Fatalf("err = %v, want an *EvalError carrying the injected fault", err)
 	}
 }
 
 // TestDeterminismPanicContained injects a panic at the round boundary:
-// every worker count must surface a contained ErrPanic through the
-// public query path, never a process crash.
+// it must surface as a contained ErrPanic through the query path, never
+// a process crash.
 func TestDeterminismPanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	c := detCases(t)[0] // sg
 	db := detDB(t, c)
-	for _, w := range detWorkers {
-		fires := 0
-		restore := faultinject.Set(faultinject.SiteSeminaiveIterate, func() error {
-			fires++
-			if fires == 2 {
-				panic("determinism: injected panic")
-			}
-			return nil
-		})
-		_, err := db.Query(c.goals, core.Options{Strategy: core.StrategyMagic, Workers: w})
-		restore()
-		if !errors.Is(err, ErrPanic) {
-			t.Fatalf("workers=%d: err = %v, want ErrPanic", w, err)
+	fires := 0
+	restore := faultinject.Set(faultinject.SiteSeminaiveIterate, func() error {
+		fires++
+		if fires == 2 {
+			panic("determinism: injected panic")
 		}
+		return nil
+	})
+	_, err := db.Query(c.goals, core.Options{Strategy: core.StrategyMagic})
+	restore()
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("err = %v, want ErrPanic", err)
 	}
 }

@@ -16,7 +16,6 @@ package builtin
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"chainsplit/internal/term"
@@ -55,14 +54,18 @@ type Builtin struct {
 // installed by init; user builtins are added through Register.
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]*Builtin{}
-	core       = map[string]bool{}
+	registry   = map[key]*Builtin{}
+	core       = map[key]bool{}
 )
 
-func key(name string, arity int) string { return name + "/" + strconv.Itoa(arity) }
+// key identifies a builtin by name and arity without building a string.
+type key struct {
+	name  string
+	arity int
+}
 
 func register(b *Builtin) {
-	k := key(b.Name, b.Arity)
+	k := key{b.Name, b.Arity}
 	registry[k] = b
 	core[k] = true
 }
@@ -86,11 +89,11 @@ func Register(b *Builtin) error {
 			}
 		}
 	}
-	k := key(b.Name, b.Arity)
+	k := key{b.Name, b.Arity}
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if core[k] {
-		return fmt.Errorf("builtin: cannot override core builtin %s", k)
+		return fmt.Errorf("builtin: cannot override core builtin %s/%d", k.name, k.arity)
 	}
 	registry[k] = b
 	return nil
@@ -100,7 +103,7 @@ func Register(b *Builtin) error {
 func Lookup(name string, arity int) *Builtin {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
-	return registry[key(name, arity)]
+	return registry[key{name, arity}]
 }
 
 // IsBuiltin reports whether name/arity names a builtin predicate.

@@ -2,6 +2,7 @@ package builtin
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -239,8 +240,9 @@ func TestEvalDoesNotMutateInput(t *testing.T) {
 		"times/3":   {a, term.NewInt(3), out},
 	}
 	for k := range core {
-		if _, ok := calls[k]; !ok {
-			t.Errorf("core builtin %s has no call here", k)
+		name := fmt.Sprintf("%s/%d", k.name, k.arity)
+		if _, ok := calls[name]; !ok {
+			t.Errorf("core builtin %s has no call here", name)
 		}
 	}
 	for k, args := range calls {
@@ -257,6 +259,17 @@ func TestEvalDoesNotMutateInput(t *testing.T) {
 		}
 		if got := s.String(); got != before {
 			t.Errorf("%s: input substitution %s became %s", k, before, got)
+		}
+	}
+}
+
+// BenchmarkLookup times one registry hit and one miss per op, the two
+// lookups an engine makes for a builtin literal and an ordinary one.
+func BenchmarkLookup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if Lookup("cons", 3) == nil || Lookup("append", 3) != nil {
+			b.Fatal("unexpected lookup result")
 		}
 	}
 }

@@ -125,12 +125,6 @@ type Options struct {
 	// conclusion calls for integrating chain-split evaluation with
 	// existence checking.
 	Limit int
-	// Workers bounds the goroutines a bottom-up fixpoint round fans its
-	// work items across (0 or 1 = serial). Parallel evaluation is
-	// bit-identical to serial — same answers, same insertion order,
-	// same metrics — and respects Ctx cancellation and the tuple /
-	// iteration budgets; see seminaive.Options.Workers.
-	Workers int
 	// Trace turns on everything an evaluation can record about itself:
 	// each attempt records typed phase events
 	// (plan/compile/round/merge/level) into a fresh obsv.Tracer,
@@ -569,8 +563,7 @@ func (db *DB) Dump() string {
 // paper's compiled form, e.g. sg's two parent chains.
 func (db *DB) CompileInfo(key string) (string, error) {
 	g := db.current()
-	graph := program.NewDepGraph(g.prog)
-	comp, err := chain.Compile(g.prog, graph, key)
+	comp, err := chain.Compile(g.prog, g.analysisFor().Graph(), key)
 	if err != nil {
 		return "", err
 	}
@@ -951,7 +944,6 @@ func (g *generation) plan(goal program.Atom, cons []program.Atom, opts Options) 
 
 	functional := g.reachesFunctional(goal.Key(), pd.graph)
 	boundAny := strings.ContainsRune(pl.Adornment, 'b')
-	negation := g.usesNegation()
 
 	chosen := opts.Strategy
 	if chosen == StrategyAuto {
@@ -981,11 +973,9 @@ func (g *generation) plan(goal program.Atom, cons []program.Atom, opts Options) 
 		// construction (materialize negated strata, then rewrite) —
 		// except when the goal itself is consumed under negation, in
 		// which case no goal-direction remains.
-		if negation && (chosen == StrategyMagic || chosen == StrategyMagicFollow || chosen == StrategyMagicSplit) {
-			if pd.graph.NegClosure()[goal.Key()] {
-				chosen = StrategySeminaive
-				pl.Notes = append(pl.Notes, "goal is consumed under negation: evaluated by stratified semi-naive")
-			}
+		if (chosen == StrategyMagic || chosen == StrategyMagicFollow || chosen == StrategyMagicSplit) && pd.graph.NegClosure()[goal.Key()] {
+			chosen = StrategySeminaive
+			pl.Notes = append(pl.Notes, "goal is consumed under negation: evaluated by stratified semi-naive")
 		}
 	}
 	pd.strategy = chosen
@@ -1059,19 +1049,6 @@ func (g *generation) linearMutualSCC(key string, dg *program.DepGraph) bool {
 		}
 	}
 	return true
-}
-
-// usesNegation reports whether any rule body contains a negated
-// literal.
-func (g *generation) usesNegation() bool {
-	for _, r := range g.prog.Rules {
-		for _, b := range r.Body {
-			if b.Negated {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // reachesFunctional reports whether any rule reachable from the goal's
@@ -1197,30 +1174,20 @@ func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, 
 	case StrategyMagicSplit:
 		cfg.Policy = magic.PolicySplit
 	}
-	var rw *magic.Rewritten
-	var err error
+	rw, err := magic.Rewrite(g.prog, pd.goal, cfg)
+	if err != nil {
+		return res, err
+	}
 	cat := g.cat.Snapshot()
-	if g.usesNegation() {
+	if n := len(rw.Materialize.Rules); n > 0 {
 		// Stratum-wise construction: materialize the negated strata
-		// first, then magic-rewrite the positive remainder against
+		// first, then evaluate the magic-rewritten remainder against
 		// them.
-		var phase1 *program.Program
-		rw, phase1, err = magic.RewriteStratified(g.prog, pd.goal, cfg)
-		if err != nil {
+		if err := evalBottomUp(res, &rw.Materialize, cat, opts, ""); err != nil {
 			return res, err
 		}
-		if len(phase1.Rules) > 0 {
-			if err := evalBottomUp(res, phase1, cat, opts, ""); err != nil {
-				return res, err
-			}
-			res.Plan.Notes = append(res.Plan.Notes,
-				fmt.Sprintf("stratified negation: %d rule(s) materialized before the magic phase", len(phase1.Rules)))
-		}
-	} else {
-		rw, err = magic.Rewrite(g.prog, pd.goal, cfg)
-		if err != nil {
-			return res, err
-		}
+		res.Plan.Notes = append(res.Plan.Notes,
+			fmt.Sprintf("stratified negation: %d rule(s) materialized before the magic phase", n))
 	}
 	res.Plan.Decisions = rw.Decisions
 	err = evalBottomUp(res, rw.Program, cat, opts, "")
@@ -1244,7 +1211,6 @@ func evalBottomUp(res *Result, p *program.Program, cat *relation.Catalog, opts O
 		Ctx:           opts.Ctx,
 		MaxIterations: opts.MaxIterations,
 		MaxTuples:     opts.MaxTuples,
-		Workers:       opts.Workers,
 		Tracer:        opts.tracer,
 		Goal:          goal,
 	})

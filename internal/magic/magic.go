@@ -116,6 +116,10 @@ type Rewritten struct {
 	// Program contains the adorned/magic rules plus the magic seed
 	// fact; evaluate it with seminaive against the EDB catalog.
 	Program *program.Program
+	// Materialize holds the rules of the predicates consumed under
+	// negation and everything they depend on; evaluate it fully before
+	// Program. It is empty for a program without negation.
+	Materialize program.Program
 	// AnswerPred is the adorned relation holding the query answers.
 	AnswerPred string
 	// GoalAd is the adornment of the query goal.
@@ -128,56 +132,34 @@ type Rewritten struct {
 
 // Rewrite performs the magic-sets transform of (rectified) program p
 // for the given query goal. The goal's predicate must be an IDB
-// predicate of p.
+// predicate of p. A program with stratified negation is rewritten
+// stratum-wise: predicates consumed under negation (and everything
+// they depend on) cannot be goal-directed — their absence test needs
+// the complete relation — so their rules are returned in Materialize,
+// to be evaluated fully first, and the rest is magic-rewritten with
+// them treated as EDB.
 func Rewrite(p *program.Program, goal program.Atom, cfg Config) (*Rewritten, error) {
-	// Magic rewriting of a negated program needs the stratum-wise
-	// construction; callers use RewriteStratified for those.
-	for _, r := range p.Rules {
-		for _, b := range r.Body {
-			if b.Negated {
-				return nil, fmt.Errorf("magic: program uses negation (%s in %s); use RewriteStratified", b, r)
+	idb := p.IDB() // magic-rewritten; every other predicate reads its relation
+	var mat []program.Rule
+	if usesNegation(p) {
+		g := program.NewDepGraph(p)
+		if err := g.CheckStratified(); err != nil {
+			return nil, fmt.Errorf("magic: %v", err)
+		}
+		closure := g.NegClosure()
+		if closure[goal.Key()] {
+			// The goal itself is below a negation: no goal-direction left.
+			return nil, fmt.Errorf("magic: goal %s is consumed under negation; use seminaive", goal.Key())
+		}
+		for k := range closure {
+			delete(idb, k) // materialized: treated as EDB by the rewrite
+		}
+		for _, r := range p.Rules {
+			if closure[r.Head.Key()] {
+				mat = append(mat, r)
 			}
 		}
 	}
-	return rewriteWithIDB(p, goal, cfg, p.IDB())
-}
-
-// RewriteStratified magic-rewrites a program with stratified negation.
-// Predicates consumed under negation (and everything they depend on)
-// cannot be goal-directed — their absence test needs the complete
-// relation — so they are returned as a materialization program to be
-// evaluated fully first; the remaining (positive) part is then
-// magic-rewritten with the materialized predicates treated as EDB.
-func RewriteStratified(p *program.Program, goal program.Atom, cfg Config) (*Rewritten, *program.Program, error) {
-	g := program.NewDepGraph(p)
-	if err := g.CheckStratified(); err != nil {
-		return nil, nil, fmt.Errorf("magic: %v", err)
-	}
-	mat := g.NegClosure()
-	if mat[goal.Key()] {
-		// The goal itself is below a negation: no goal-direction left.
-		return nil, nil, fmt.Errorf("magic: goal %s is consumed under negation; use seminaive", goal.Key())
-	}
-	phase1 := &program.Program{}
-	for _, r := range p.Rules {
-		if mat[r.Head.Key()] {
-			phase1.Rules = append(phase1.Rules, r)
-		}
-	}
-	idb := p.IDB()
-	for k := range mat {
-		delete(idb, k) // materialized: treated as EDB by the rewrite
-	}
-	rw, err := rewriteWithIDB(p, goal, cfg, idb)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rw, phase1, nil
-}
-
-// rewriteWithIDB is the core transform; idb controls which predicates
-// are magic-rewritten (everything else reads a relation directly).
-func rewriteWithIDB(p *program.Program, goal program.Atom, cfg Config, idb map[string]bool) (*Rewritten, error) {
 	if err := everr.Check(cfg.Ctx); err != nil {
 		return nil, err
 	}
@@ -266,7 +248,21 @@ func rewriteWithIDB(p *program.Program, goal program.Atom, cfg Config, idb map[s
 	}
 	sort.Strings(pas)
 	out.AdornedPreds = pas
+	out.Materialize.Rules = mat
 	return out, nil
+}
+
+// usesNegation reports whether any rule body contains a negated
+// literal.
+func usesNegation(p *program.Program) bool {
+	for _, r := range p.Rules {
+		for _, b := range r.Body {
+			if b.Negated {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 type callSite struct {
@@ -388,7 +384,7 @@ func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad str
 		case lit.Negated:
 			// Negation-as-failure binds nothing and must not join the
 			// magic bodies: it is a pure test in the answer rule. Its
-			// predicate is materialized beforehand (RewriteStratified).
+			// predicate is materialized beforehand (Rewritten.Materialize).
 			roles[i] = roleResidual
 		case kind == 0 || kind == 3: // builtin
 			if kind == 0 {

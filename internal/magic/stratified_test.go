@@ -29,12 +29,12 @@ func stratifiedEval(t *testing.T, src, goalSrc string, cfg Config) *relation.Rel
 	goalQ, _ := lang.ParseQuery(goalSrc)
 	goal := goalQ.Goals[0]
 	cat := catalogOf(p)
-	rw, phase1, err := RewriteStratified(p, goal, withModel(cfg, cat))
+	rw, err := Rewrite(p, goal, withModel(cfg, cat))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(phase1.Rules) > 0 {
-		if _, err := seminaive.Eval(phase1, cat, seminaive.Options{}); err != nil {
+	if len(rw.Materialize.Rules) > 0 {
+		if _, err := seminaive.Eval(&rw.Materialize, cat, seminaive.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,15 +61,15 @@ func TestRewriteStratifiedMaterializationProgram(t *testing.T) {
 	res, _ := lang.Parse(negSrc)
 	p := program.Rectify(res.Program)
 	goalQ, _ := lang.ParseQuery("?- unreachable(a, Y).")
-	_, phase1, err := RewriteStratified(p, goalQ.Goals[0], withModel(Config{Policy: PolicyFollow}, catalogOf(p)))
+	rw, err := Rewrite(p, goalQ.Goals[0], withModel(Config{Policy: PolicyFollow}, catalogOf(p)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// reach/2 (two rules) must be materialized; unreachable must not.
-	if len(phase1.Rules) != 2 {
-		t.Fatalf("phase1 = %v", phase1.Rules)
+	if len(rw.Materialize.Rules) != 2 {
+		t.Fatalf("materialize = %v", rw.Materialize.Rules)
 	}
-	for _, r := range phase1.Rules {
+	for _, r := range rw.Materialize.Rules {
 		if r.Head.Pred != "reach" {
 			t.Errorf("unexpected materialized rule %v", r)
 		}
@@ -80,7 +80,7 @@ func TestRewriteStratifiedGoalUnderNegation(t *testing.T) {
 	res, _ := lang.Parse(negSrc)
 	p := program.Rectify(res.Program)
 	goalQ, _ := lang.ParseQuery("?- reach(a, Y).")
-	_, _, err := RewriteStratified(p, goalQ.Goals[0], Config{Policy: PolicyFollow})
+	_, err := Rewrite(p, goalQ.Goals[0], Config{Policy: PolicyFollow})
 	if err == nil || !strings.Contains(err.Error(), "consumed under negation") {
 		t.Errorf("err = %v", err)
 	}
@@ -94,19 +94,49 @@ n(1).
 `)
 	p := program.Rectify(res.Program)
 	goalQ, _ := lang.ParseQuery("?- p(X).")
-	_, _, err := RewriteStratified(p, goalQ.Goals[0], Config{Policy: PolicyFollow})
+	_, err := Rewrite(p, goalQ.Goals[0], Config{Policy: PolicyFollow})
 	if err == nil || !strings.Contains(err.Error(), "not stratified") {
 		t.Errorf("err = %v", err)
 	}
 }
 
-func TestRewriteRejectsNegationPlain(t *testing.T) {
-	res, _ := lang.Parse(negSrc)
-	p := program.Rectify(res.Program)
-	goalQ, _ := lang.ParseQuery("?- unreachable(a, Y).")
-	_, err := Rewrite(p, goalQ.Goals[0], Config{Policy: PolicyFollow})
-	if err == nil || !strings.Contains(err.Error(), "RewriteStratified") {
-		t.Errorf("err = %v", err)
+// TestRewriteMaterializesOnlyUnderNegation: the one Rewrite entry
+// returns materialization rules exactly when the program negates, and
+// the magic program then reads the materialized predicate as EDB.
+func TestRewriteMaterializesOnlyUnderNegation(t *testing.T) {
+	for _, c := range []struct {
+		src, goal string
+		want      int
+	}{
+		// far reads reach both positively and under negation.
+		{negSrc + "far(X, Y) :- reach(X, Y), \\+ reach(Y, X).\n", "?- far(a, Y).", 2},
+		{`
+edge(a, b). edge(b, c).
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- edge(X, Z), reach(Z, Y).
+`, "?- reach(a, Y).", 0},
+	} {
+		res, err := lang.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := program.Rectify(res.Program)
+		goalQ, _ := lang.ParseQuery(c.goal)
+		rw, err := Rewrite(p, goalQ.Goals[0], withModel(Config{Policy: PolicyFollow}, catalogOf(p)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.goal, err)
+		}
+		if got := len(rw.Materialize.Rules); got != c.want {
+			t.Fatalf("%s: %d materialization rules, want %d: %v", c.goal, got, c.want, rw.Materialize.Rules)
+		}
+		if c.want == 0 {
+			continue
+		}
+		for _, r := range rw.Program.Rules {
+			if strings.HasPrefix(r.Head.Pred, "reach@") || strings.HasPrefix(r.Head.Pred, "m$reach@") {
+				t.Errorf("materialized reach was magic-rewritten: %v", r)
+			}
+		}
 	}
 }
 

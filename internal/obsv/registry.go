@@ -107,14 +107,6 @@ var (
 	Generations = NewCounter("chainsplit_generations_total", "database generations published")
 	// Fallbacks counts StrategyAuto degradations to semi-naive.
 	Fallbacks = NewCounter("chainsplit_fallbacks_total", "StrategyAuto fallbacks to semi-naive")
-	// ParallelRounds counts fixpoint rounds that fanned across workers.
-	ParallelRounds = NewCounter("chainsplit_parallel_rounds_total", "fixpoint rounds evaluated by a worker pool")
-	// ParallelItems counts (rule × delta) work items run by workers.
-	ParallelItems = NewCounter("chainsplit_parallel_items_total", "work items evaluated by worker pools")
-	// WorkerBusyNanos accumulates wall time worker goroutines spent
-	// evaluating items; divided by elapsed wall time it yields the
-	// worker-utilization figure reported in the snapshot docs.
-	WorkerBusyNanos = NewCounter("chainsplit_worker_busy_nanos_total", "cumulative worker-goroutine busy time (ns)")
 
 	// WALAppends counts records appended to write-ahead logs.
 	WALAppends = NewCounter("chainsplit_wal_appends_total", "records appended to write-ahead logs")

@@ -93,11 +93,15 @@ func (g *DepGraph) Reachable(starts ...string) map[string]bool {
 // NegClosure returns the predicates a stratified evaluation must
 // materialize in full before anything goal-directed runs: every
 // predicate negated anywhere, plus everything it depends on, positively
-// or negatively. Their absence tests need complete relations.
+// or negatively. Their absence tests need complete relations. It is nil
+// when nothing is negated.
 func (g *DepGraph) NegClosure() map[string]bool {
 	var negated []string
 	for _, tos := range g.NegEdges {
 		negated = append(negated, tos...)
+	}
+	if len(negated) == 0 {
+		return nil
 	}
 	return g.Reachable(negated...)
 }

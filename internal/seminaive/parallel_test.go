@@ -12,13 +12,16 @@ import (
 	"testing"
 
 	"chainsplit/internal/builtin"
+	"chainsplit/internal/cost"
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
 	"chainsplit/internal/lang"
+	"chainsplit/internal/magic"
 	"chainsplit/internal/obsv"
 	"chainsplit/internal/program"
 	"chainsplit/internal/relation"
 	"chainsplit/internal/term"
+	"chainsplit/internal/workload"
 )
 
 // mutualSrc has a multi-rule, multi-predicate SCC so one round carries
@@ -67,22 +70,75 @@ func requireSameCatalog(t *testing.T, label string, want, got *relation.Catalog)
 	}
 }
 
+// magicFamilyCase is the magic-rewritten (PolicyCost, supplementary)
+// program of goal over a seeded family, with that family's catalog
+// frozen so every evaluation can run on its own snapshot.
+func magicFamilyCase(t *testing.T, rules, goal string, fc workload.FamilyConfig) (*program.Program, *relation.Catalog) {
+	t.Helper()
+	cat := relation.NewCatalog()
+	for _, f := range workload.Family(fc).Facts {
+		cat.Ensure(f.Pred, f.Arity()).Insert(relation.Tuple(f.Args))
+	}
+	cat.Freeze()
+	res, err := lang.Parse(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := lang.ParseQuery("?- " + goal + ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := magic.Rewrite(program.Rectify(res.Program), q.Goals[0], magic.Config{Policy: magic.PolicyCost, Model: &cost.Model{Cat: cat}, Supplementary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rw.Program, cat
+}
+
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, src := range []string{mutualSrc, `
+	type evalCase struct {
+		name string
+		eval func(Options) (*relation.Catalog, *Stats, error)
+	}
+	fromSrc := func(name, src string) evalCase {
+		return evalCase{name, func(o Options) (*relation.Catalog, *Stats, error) { return evalWorkers(t, src, o) }}
+	}
+	// The magic-rewritten sg and scsg are the programs the benchmark's
+	// two-worker evaluation probe runs.
+	fromMagic := func(name string, p *program.Program, cat *relation.Catalog) evalCase {
+		return evalCase{name, func(o Options) (*relation.Catalog, *Stats, error) {
+			snap := cat.Snapshot()
+			stats, err := Eval(p, snap, o)
+			return snap, stats, err
+		}}
+	}
+	sgProg, sgCat := magicFamilyCase(t, workload.SGRules(), "sg("+workload.PersonName(5, 3)+", Y)",
+		workload.FamilyConfig{Generations: 5, Fanout: 2, Roots: 1, Countries: 1 << 20, Seed: 7})
+	scsgProg, scsgCat := magicFamilyCase(t, workload.SCSGRules(), "scsg("+workload.PersonName(4, 0)+", Y)",
+		workload.FamilyConfig{Generations: 4, Fanout: 2, Roots: 1, Countries: 2, Seed: 3})
+	for _, c := range []evalCase{
+		fromSrc("mutual", mutualSrc),
+		fromSrc("tc", `
 tc(X, Y) :- e(X, Y).
 tc(X, Y) :- e(X, Z), tc(Z, Y).
 e(a, b). e(b, c). e(c, d). e(d, e).
-`} {
-		serialCat, serialStats, err := evalWorkers(t, src, Options{MaxIterations: 100})
+`),
+		fromMagic("magic-sg", sgProg, sgCat),
+		fromMagic("magic-scsg", scsgProg, scsgCat),
+	} {
+		serialCat, serialStats, err := c.eval(Options{MaxIterations: 100})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if serialStats.DerivedTuples == 0 {
+			t.Fatalf("%s: serial evaluation derived nothing", c.name)
 		}
 		for _, w := range []int{2, 4, 8} {
-			cat, stats, err := evalWorkers(t, src, Options{MaxIterations: 100, Workers: w})
+			cat, stats, err := c.eval(Options{MaxIterations: 100, Workers: w})
+			label := fmt.Sprintf("%s workers=%d", c.name, w)
 			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			label := fmt.Sprintf("workers=%d", w)
 			requireSameCatalog(t, label, serialCat, cat)
 			if stats.Iterations != serialStats.Iterations ||
 				stats.DerivedTuples != serialStats.DerivedTuples ||

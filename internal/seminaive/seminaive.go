@@ -16,7 +16,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 
 	"chainsplit/internal/adorn"
 	"chainsplit/internal/builtin"
@@ -56,13 +55,10 @@ type Options struct {
 	// not evaluated. Empty evaluates the whole program.
 	Goal string
 	// Workers bounds the goroutines evaluating one fixpoint round's
-	// (rule × delta-occurrence) work items (0 or 1 = serial). Parallel
-	// rounds are bit-identical to serial evaluation: workers write to
-	// per-item staging relations that are merged into the head
-	// relations in fixed item order after the round,
-	// so derived tuples, insertion order, and Stats all agree with
-	// Workers=1 — see docs/performance.md for the argument. Registered
-	// builtins must be safe for concurrent calls when Workers > 1.
+	// work items (0 or 1 = serial); results are bit-identical to serial
+	// evaluation. No production path sets it: a query evaluates on one
+	// goroutine. It remains only for the benchmark's two-worker
+	// evaluation probe and goes when that probe is retired.
 	Workers int
 	// Tracer, when non-nil, receives structured round/merge events
 	// (obsv.PhaseRound / obsv.PhaseMerge), one per fixpoint round per
@@ -523,8 +519,6 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, headRels [
 		return nil
 	}
 
-	obsv.ParallelRounds.Inc()
-	obsv.ParallelItems.Add(int64(len(items)))
 	staging := make([]*relation.Relation, len(items))
 	matches := make([]int64, len(items))
 	lits := make([]*litCounters, len(items))
@@ -539,11 +533,9 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, headRels [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			busy := time.Now()
 			for k := range idxCh {
 				e.runItem(compiled, items, headRels, lo, hi, k, staging, matches, lits, errs)
 			}
-			obsv.WorkerBusyNanos.Add(time.Since(busy).Nanoseconds())
 		}()
 	}
 	wg.Wait()

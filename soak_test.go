@@ -146,12 +146,7 @@ func TestChaosSoak(t *testing.T) {
 					return
 				default:
 				}
-				// 1 << {0,1,2}: a third of queries run serial, the rest
-				// exercise the parallel fixpoint rounds (2 or 4 workers).
-				opts := []Option{
-					WithStrategy(strategies[rng.Intn(len(strategies))]),
-					WithWorkers(1 << rng.Intn(3)),
-				}
+				opts := []Option{WithStrategy(strategies[rng.Intn(len(strategies))])}
 				if rng.Intn(3) == 0 {
 					opts = append(opts, WithRetry(RetryPolicy{
 						MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: 0.5,
