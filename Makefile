@@ -125,7 +125,8 @@ shapes:
 	$(GO) test -count=1 -v -run '^TestRelationStorageCost$$' ./internal/relation
 
 # Short continuous-fuzz pass over the parser entry points, the WAL
-# frame walker and the epoch-file parser (their seed corpora run in every ordinary `go test`;
+# frame walker, the epoch-file parser and the conjunction oracle (every
+# strategy agrees on queries of several goals; their seed corpora run in every ordinary `go test`;
 # this actually mutates for 30s each). New crashers land in
 # testdata/fuzz — commit them as regression seeds.
 fuzz-smoke:
@@ -133,3 +134,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTerm$$' -fuzztime=30s ./internal/lang/
 	$(GO) test -run='^$$' -fuzz='^FuzzScanSegment$$' -fuzztime=30s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEpochState$$' -fuzztime=30s ./internal/wal/
+	$(GO) test -run='^$$' -fuzz='^FuzzConjunctionsAgree$$' -fuzztime=30s ./internal/core/

@@ -18,12 +18,13 @@ import (
 	"fmt"
 	"sync"
 
+	"chainsplit/internal/everr"
 	"chainsplit/internal/term"
 )
 
 // ErrInsufficient is returned when a builtin is invoked with a binding
-// pattern it cannot evaluate finitely.
-var ErrInsufficient = errors.New("builtin: insufficiently instantiated arguments")
+// pattern it cannot evaluate finitely. It wraps everr.ErrUnsafe.
+var ErrInsufficient = everr.Tag("builtin: insufficiently instantiated arguments", everr.ErrUnsafe)
 
 // ErrType is returned when a builtin receives arguments of the wrong
 // type (e.g. comparing a symbol with <).

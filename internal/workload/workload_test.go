@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -241,5 +243,30 @@ func TestSortRulesRun(t *testing.T) {
 	out, err := db.Query([]program.Atom{goal}, core.Options{})
 	if err != nil || len(out.Answers) != 1 {
 		t.Fatalf("isort on workload: %v %v", out, err)
+	}
+}
+
+// TestFamilyFactsPinned pins the fact stream, in order, of the family
+// configurations the benchmark builds (seed 101): its sha256 over each
+// fact's text, one per line.
+func TestFamilyFactsPinned(t *testing.T) {
+	cases := []struct {
+		gens, countries int
+		want            string
+	}{
+		{13, 1 << 20, "0b0c986822f1ba0e9c7cc9573cb6aab80b3a1ee2898ca663619a2f1ec5e4ac57"},
+		{8, 2, "43c67e1b4fe5996438a750ffea8dfbd81e55f5cac1b6fb065a5ab9a46049b9bb"},
+		{9, 4, "dd3aeb63404d3e44fdf17b0b45884a9cb479ceafafb6ee99fe3f33443e947a66"},
+		{7, 4, "dad5327028792a642edcb51e9f40e62c09da9b6e4d944aa4bc8f20de8f12a334"},
+	}
+	for _, c := range cases {
+		p := Family(FamilyConfig{Generations: c.gens, Fanout: 2, Roots: 1, Countries: c.countries, Seed: 101})
+		h := sha256.New()
+		for _, f := range p.Facts {
+			fmt.Fprintf(h, "%s\n", f)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("Family(Generations %d, Countries %d): fact stream sha256 %s, want %s", c.gens, c.countries, got, c.want)
+		}
 	}
 }
