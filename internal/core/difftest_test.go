@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -301,6 +302,86 @@ q(1, 2). q(2, 3). q(3, 4).
 			if err != nil || answerSet(res) != c.want {
 				t.Errorf("%v on %s after Dump: %v, %v", strat, c.query, res, err)
 			}
+		}
+	}
+}
+
+// TestForcedStrategyOnConjunction checks that a forced strategy runs a
+// conjunction or a negated goal itself: the plan names the forced
+// strategy, or notes the one fallback (buffered to top-down), and a
+// refusal is attributed to the forced strategy or to planning. It
+// also checks that Explain shows the plan that runs.
+func TestForcedStrategyOnConjunction(t *testing.T) {
+	const appSrc = `
+app([], L, L).
+app([X|L1], L2, [X|L3]) :- app(L1, L2, L3).
+`
+	const negSrc = `
+e(a, b). e(b, c). e(c, d). e(b, x). f(b, [1]). f(c, [2, 3]).
+`
+	cases := []struct{ src, query string }{
+		{appSrc, "?- app([0], [1], Y), app(Y, [2], Z)."},
+		{appSrc, "?- A = 1, B = 2, app([0], [A], Y), app([5], [B], Z)."},
+		{negSrc, "?- e(X, Y), \\+ e(Y, _)."},
+		{negSrc, "?- X = d, \\+ e(X, Z)."},
+		{negSrc, "?- e(X, Y), \\+ f(Y, [_])."},
+		{negSrc, "?- \\+ e(a, c)."},
+		{sgSrc, "?- parent(X, P), parent(Y, P), X \\= Y."},
+		{sgSrc, "?- sg(c1, Y), sg(Y, Z)."},
+		{reachSrc, "?- node(X), \\+ reach(a, X)."},
+	}
+	forced := []Strategy{StrategySeminaive, StrategyMagic, StrategyMagicFollow, StrategyMagicSplit,
+		StrategyBuffered, StrategyTopDown}
+	for _, c := range cases {
+		db := load(t, c.src)
+		q, err := lang.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range forced {
+			res, err := db.Query(q.Goals, Options{Strategy: strat})
+			if err != nil {
+				var ee *EvalError
+				if !errors.As(err, &ee) || ee.Strategy != strat.String() && ee.Strategy != "plan" {
+					t.Errorf("%v on %s: refused as %v", strat, c.query, err)
+				}
+				continue
+			}
+			pl := res.Plan
+			fellBack := strat == StrategyBuffered && pl.Strategy == StrategyTopDown &&
+				strings.Contains(strings.Join(pl.Notes, "\n"), "fell back to top-down")
+			if pl.Strategy != strat && !fellBack {
+				t.Errorf("%v on %s: ran %v (notes %q)", strat, c.query, pl.Strategy, pl.Notes)
+			}
+			if !strings.HasPrefix(pl.Goal, queryPred) {
+				t.Errorf("%v on %s: plan goal %s is not the query rule's", strat, c.query, pl.Goal)
+			}
+		}
+	}
+
+	for _, c := range []struct{ src, query string }{
+		{sgSrc, "?- sg(c1, Y), sg(Y, Z)."},
+		{workload.SortRules(), "?- qsort([3,1,2], Y)."},
+	} {
+		db := load(t, c.src)
+		q, err := lang.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explained, err := db.Explain(q.Goals, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query(q.Goals, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := res.Plan
+		if explained.Strategy != ran.Strategy || explained.Goal != ran.Goal ||
+			explained.Adornment != ran.Adornment || explained.Class != ran.Class {
+			t.Errorf("%s: Explain shows %v %s %s %v, but %v %s %s %v ran", c.query,
+				explained.Strategy, explained.Goal, explained.Adornment, explained.Class,
+				ran.Strategy, ran.Goal, ran.Adornment, ran.Class)
 		}
 	}
 }
