@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"chainsplit/internal/adorn"
-	"chainsplit/internal/builtin"
 	"chainsplit/internal/chain"
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
@@ -212,7 +211,6 @@ type Evaluator struct {
 	an      *adorn.Analysis
 	cat     *relation.Catalog
 	inner   *topdown.Engine
-	idb     map[string]bool
 	opts    Options
 
 	splits    map[string][]ruleSplit    // "pred^ad" → per-rec-rule splits
@@ -238,14 +236,14 @@ type workItem struct {
 // recursive, the chain forms of the other SCC members are compiled too
 // and the context graph spans the whole SCC.
 func New(prog *program.Program, cat *relation.Catalog, comp *chain.Compiled, opts Options) *Evaluator {
+	inner := topdown.New(prog, cat, topdown.Options{Ctx: opts.Ctx})
 	ev := &Evaluator{
 		goalKey:   comp.Key(),
 		comps:     map[string]*chain.Compiled{comp.Key(): comp},
 		prog:      prog,
-		an:        adorn.NewAnalysis(prog),
+		an:        inner.Analysis(),
 		cat:       cat,
-		inner:     topdown.New(prog, cat, topdown.Options{Ctx: opts.Ctx}),
-		idb:       prog.IDB(),
+		inner:     inner,
 		opts:      opts,
 		splits:    make(map[string][]ruleSplit),
 		exitOrder: make(map[string][][]int),
@@ -681,14 +679,14 @@ func (ev *Evaluator) propagate(e edge, ans []term.Term) error {
 }
 
 // evalPortion evaluates the given body literals (by index, in order)
-// under s, returning all solutions.
+// under s on the inner top-down engine, returning all solutions.
 func (ev *Evaluator) evalPortion(lits []int, r program.Rule, s term.Subst) ([]term.Subst, error) {
 	sols := []term.Subst{s}
 	for _, li := range lits {
 		lit := r.Body[li]
 		var next []term.Subst
 		for _, cur := range sols {
-			ext, err := ev.solveLit(lit, cur)
+			ext, err := ev.inner.SolveUnder(lit, cur)
 			if err != nil {
 				return nil, err
 			}
@@ -700,33 +698,6 @@ func (ev *Evaluator) evalPortion(lits []int, r program.Rule, s term.Subst) ([]te
 		}
 	}
 	return sols, nil
-}
-
-// solveLit evaluates one literal: builtin, EDB lookup, or nested IDB
-// via the inner tabled engine. Negated literals are tests (solved
-// positively and inverted).
-func (ev *Evaluator) solveLit(lit program.Atom, s term.Subst) ([]term.Subst, error) {
-	if lit.Negated {
-		sols, err := ev.solveLit(lit.Positive(), s)
-		if err != nil {
-			return nil, err
-		}
-		if len(sols) > 0 {
-			return nil, nil
-		}
-		return []term.Subst{s}, nil
-	}
-	if b := builtin.Lookup(lit.Pred, lit.Arity()); b != nil {
-		sols, err := b.Eval(s, lit.Args)
-		if err != nil {
-			return nil, fmt.Errorf("counting: %s: %w", lit.Resolve(s), err)
-		}
-		return sols, nil
-	}
-	if rel := ev.cat.Get(lit.Pred); rel != nil && rel.Arity() == lit.Arity() && !ev.idb[lit.Key()] {
-		return relation.Match(rel, lit.Args, s), nil
-	}
-	return ev.inner.SolveUnder(lit, s)
 }
 
 // termsString renders a term vector compactly for the event log.

@@ -143,9 +143,10 @@ type Engine struct {
 	renamer    *term.Renamer
 	pickKey    []byte // scratch for pick's memo key
 
-	// per-pass state
+	// sawPartial reports that the current pass consumed a table that
+	// may still grow; derived counts the answers added to any table.
 	sawPartial bool
-	newAnswers bool
+	derived    int
 	curPass    int
 }
 
@@ -182,6 +183,9 @@ func New(prog *program.Program, cat *relation.Catalog, opts Options) *Engine {
 // Stats returns accumulated statistics.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
+// Analysis returns the finiteness analysis of the engine's program.
+func (e *Engine) Analysis() *adorn.Analysis { return e.an }
+
 // SolveConjunction evaluates a conjunctive query with chain-split
 // scheduling across the whole conjunction, returning all solution
 // substitutions. Non-ground compound goal arguments are flattened
@@ -193,35 +197,28 @@ func (e *Engine) SolveConjunction(goals []program.Atom) ([]term.Subst, error) {
 	if err := e.an.Graph().CheckStratified(); err != nil {
 		return nil, fmt.Errorf("topdown: %v", err)
 	}
-	for pass := 0; ; pass++ {
-		if err := everr.Check(e.opts.Ctx); err != nil {
-			return nil, err
-		}
-		if pass >= e.passLimit {
-			return nil, fmt.Errorf("%w: %d fixpoint passes", ErrBudget, pass)
-		}
-		e.stats.Passes++
-		e.opts.Tracer.Point(obsv.PhaseRound, "qsqr", int64(e.stats.Passes), int64(e.stats.Steps))
-		e.curPass++
-		e.sawPartial = false
-		e.newAnswers = false
-		sols, err := e.solveBody(q, solved, len(atoms), term.NewSubst(), 0)
-		if err != nil {
-			return nil, err
-		}
-		if !e.sawPartial || !e.newAnswers {
-			return sols, nil
-		}
-		// Re-iterate with tables retained; partial tables grow
-		// monotonically toward the fixpoint.
-	}
+	return e.fixpoint(true, func() ([]term.Subst, error) {
+		return e.solveBody(q, solved, len(atoms), term.NewSubst(), 0)
+	})
 }
 
 // SolveUnder evaluates one literal under an existing substitution,
 // running the tabling fixpoint to completion. It is the composition
-// hook used by the buffered evaluator to solve nested IDB subgoals
-// (e.g. isort's delayed insert call) inside chain portions.
+// hook the buffered evaluator solves every literal of a chain portion
+// through: builtins, EDB lookups, negations and nested IDB subgoals
+// (e.g. isort's delayed insert call).
 func (e *Engine) SolveUnder(g program.Atom, s term.Subst) ([]term.Subst, error) {
+	return e.fixpoint(false, func() ([]term.Subst, error) {
+		return e.solveLiteral(g, s, 0)
+	})
+}
+
+// fixpoint is the QSQR pass loop: it runs solve, with tables retained,
+// until a pass consumes no partial table or derives no new answer, and
+// returns that pass's solutions. Partial tables grow monotonically
+// toward the fixpoint. counted passes enter Stats.Passes and the
+// tracer's PhaseRound events.
+func (e *Engine) fixpoint(counted bool, solve func() ([]term.Subst, error)) ([]term.Subst, error) {
 	for pass := 0; ; pass++ {
 		if err := everr.Check(e.opts.Ctx); err != nil {
 			return nil, err
@@ -229,15 +226,16 @@ func (e *Engine) SolveUnder(g program.Atom, s term.Subst) ([]term.Subst, error) 
 		if pass >= e.passLimit {
 			return nil, fmt.Errorf("%w: %d fixpoint passes", ErrBudget, pass)
 		}
+		if counted {
+			e.stats.Passes++
+			e.opts.Tracer.Point(obsv.PhaseRound, "qsqr", int64(e.stats.Passes), int64(e.stats.Steps))
+		}
 		e.curPass++
 		e.sawPartial = false
-		e.newAnswers = false
-		sols, err := e.solveLiteral(g, s, 0)
-		if err != nil {
-			return nil, err
-		}
-		if !e.sawPartial || !e.newAnswers {
-			return sols, nil
+		before := e.derived
+		sols, err := solve()
+		if err != nil || !e.sawPartial || e.derived == before {
+			return sols, err
 		}
 	}
 }
@@ -367,7 +365,20 @@ func (e *Engine) solveLiteral(g program.Atom, s term.Subst, depth int) ([]term.S
 		return nil, fmt.Errorf("%w: %d steps", ErrBudget, e.stats.Steps)
 	}
 	if g.Negated {
-		sols, err := e.solveLiteral(g.Positive(), s, depth)
+		// A found answer refutes the negation for good, but a failure
+		// read off a table that may still grow is final only once that
+		// table is: then the positive goal runs to its own fixpoint.
+		// Stratification keeps the tables in progress out of its cone.
+		saw := e.sawPartial
+		e.sawPartial = false
+		pos := g.Positive()
+		sols, err := e.solveLiteral(pos, s, depth)
+		if err == nil && len(sols) == 0 && e.sawPartial {
+			sols, err = e.fixpoint(false, func() ([]term.Subst, error) {
+				return e.solveLiteral(pos, s, depth)
+			})
+		}
+		e.sawPartial = saw
 		if err != nil {
 			return nil, err
 		}
@@ -452,7 +463,7 @@ func (e *Engine) call(g program.Atom, s term.Subst, depth int) ([]term.Subst, er
 			if !ent.seen[ak] {
 				ent.seen[ak] = true
 				ent.answers = append(ent.answers, ans)
-				e.newAnswers = true
+				e.derived++
 			}
 		}
 	}
