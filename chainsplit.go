@@ -183,15 +183,16 @@ type Row map[string]Term
 
 // Result is a completed query.
 type Result struct {
-	// Vars lists the query's variable names in order of first
-	// appearance, including those nested in compound arguments.
+	// Vars lists the query's variable names, including those nested in
+	// compound arguments: those of its relational goals first, then
+	// those only builtins name, each in order of first appearance.
 	Vars []string
 	// Rows holds one map per answer.
 	Rows []Row
 	// Tuples holds the raw answer vectors, parallel to Rows: the
-	// argument values of the query's one relational goal, or, for a
-	// conjunction of several, the values of all its variables in Vars
-	// order.
+	// argument values of the query's one relational goal (when its
+	// builtin goals name no other variable) or of its one builtin goal,
+	// else the values of all its variables in Vars order.
 	Tuples [][]Term
 	// Plan describes the evaluation plan that ran.
 	Plan string
@@ -685,8 +686,11 @@ func convertResult(inner *core.Result) *Result {
 		out.Plan = inner.Plan.String()
 		out.Strategy = inner.Plan.Strategy
 	}
-	for _, b := range inner.Bindings {
-		out.Rows = append(out.Rows, Row(b))
+	if n := len(inner.Answers); n > 0 {
+		out.Rows = make([]Row, n)
+		for i := range out.Rows {
+			out.Rows[i] = inner.Row(i)
+		}
 	}
 	return out
 }

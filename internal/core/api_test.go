@@ -82,8 +82,8 @@ func TestLimitOption(t *testing.T) {
 	if len(res.Answers) != 1 {
 		t.Errorf("limited answers = %v", res.Answers)
 	}
-	if len(res.Bindings) != 1 {
-		t.Errorf("bindings not limited: %v", res.Bindings)
+	if row := res.Row(0); len(row) != 1 || row["Y"] == nil {
+		t.Errorf("limited row = %v, want a binding of Y", row)
 	}
 }
 

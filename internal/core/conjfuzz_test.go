@@ -10,7 +10,6 @@ import (
 
 	"chainsplit/internal/everr"
 	"chainsplit/internal/lang"
-	"chainsplit/internal/term"
 )
 
 // everyStrategy lists every strategy a query can be run under.
@@ -99,7 +98,8 @@ func decodeConjunction(data []byte) (query string, vars []string) {
 // of vars.
 func bindingSet(res *Result, vars []string) string {
 	set := map[string]bool{}
-	for _, b := range res.Bindings {
+	for i := range res.Answers {
+		b := res.Row(i)
 		var parts []string
 		for _, v := range vars {
 			parts = append(parts, fmt.Sprintf("%s=%v", v, b[v]))
@@ -114,12 +114,22 @@ func bindingSet(res *Result, vars []string) string {
 	return strings.Join(keys, " ")
 }
 
+// sameVarSet reports whether a and b name the same variables, in any
+// order.
+func sameVarSet(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
 // FuzzConjunctionsAgree is the differential oracle for queries of
 // several goals, negated goals and builtins: every strategy that
-// accepts a query reports the same Vars and answers as every other,
-// and the answers semi-naive evaluation gives for the query written as
-// a rule, ref(Vars…) :- goals.; a strategy that refuses a query does
-// so with a typed error (ErrUnsafe or ErrPlan). Run with
+// accepts a query reports the same Vars and answers as every other;
+// its Vars are the head variables of the query written as a rule,
+// ref(Vars…) :- goals., and its answers those semi-naive evaluation
+// gives for that rule; a strategy that refuses a query does so with a
+// typed error (ErrUnsafe or ErrPlan). Run with
 // `go test -fuzz FuzzConjunctionsAgree ./internal/core`; the seed
 // corpus in testdata/fuzz runs in every ordinary test invocation.
 func FuzzConjunctionsAgree(f *testing.F) {
@@ -154,9 +164,7 @@ func FuzzConjunctionsAgree(f *testing.F) {
 			t.Fatal(err)
 		}
 		// The reference binds every variable the query names outside
-		// a negation; a query reports a subset of them (a variable of
-		// a builtin beside one relational goal is not an answer
-		// column), and answers are compared on that subset.
+		// a negation.
 		refDB := NewDB()
 		var ref *Result
 		if err := refDB.Load(refProg.Program); err == nil {
@@ -177,11 +185,6 @@ func FuzzConjunctionsAgree(f *testing.F) {
 				continue
 			}
 			got := bindingSet(res, res.Vars)
-			for _, v := range res.Vars {
-				if term.NewVar(v).Anonymous() || !strings.Contains(query, v) {
-					t.Errorf("%v on %s reports variable %s", strat, query, v)
-				}
-			}
 			switch {
 			case first == nil:
 				first, firstFrom = res, strat
@@ -190,13 +193,11 @@ func FuzzConjunctionsAgree(f *testing.F) {
 			case got != bindingSet(first, res.Vars):
 				t.Errorf("%v on %s: %s, but %v gives %s", strat, query, got, firstFrom, bindingSet(first, res.Vars))
 			}
+			if !sameVarSet(res.Vars, vars) {
+				t.Errorf("%v on %s reports Vars %v, but the reference rule's head is over %v", strat, query, res.Vars, vars)
+			}
 			if ref == nil {
 				continue
-			}
-			for _, v := range res.Vars {
-				if !slices.Contains(ref.Vars, v) {
-					t.Errorf("%v on %s reports %s, which the reference does not bind", strat, query, v)
-				}
 			}
 			if want := bindingSet(ref, res.Vars); got != want {
 				t.Errorf("%v on %s: %s, but the reference gives %s", strat, query, got, want)

@@ -245,16 +245,58 @@ func (p *Plan) String() string {
 
 // Result is a completed query.
 type Result struct {
-	// Vars lists the goal's variable names in order of first
+	// Vars lists the planned goal's variable names in order of first
 	// appearance, including those nested in compound arguments.
 	Vars []string
 	// Answers holds one row per answer: the argument vector of the
-	// answer atom (see answerAtom).
+	// planned goal (see forQuery).
 	Answers [][]term.Term
-	// Bindings projects each answer onto Vars.
-	Bindings []map[string]term.Term
-	Plan     *Plan
-	Metrics  Metrics
+	Plan    *Plan
+	Metrics Metrics
+	// paths holds, per variable of Vars, the argument path of its first
+	// occurrence in the planned goal.
+	paths [][]int
+}
+
+// newResult starts the result of answering goal under plan pl: Vars
+// and their paths are read off goal once.
+func newResult(pl *Plan, goal program.Atom) *Result {
+	r := &Result{Plan: pl, Vars: []string{}}
+	seen := map[string]bool{}
+	var walk func(t term.Term, path []int)
+	walk = func(t term.Term, path []int) {
+		switch t := t.(type) {
+		case term.Var:
+			if !t.Anonymous() && !seen[t.Name] {
+				seen[t.Name] = true
+				r.Vars = append(r.Vars, t.Name)
+				r.paths = append(r.paths, append([]int(nil), path...))
+			}
+		case term.Comp:
+			for i, a := range t.Args {
+				walk(a, append(path, i))
+			}
+		}
+	}
+	for i, a := range goal.Args {
+		walk(a, []int{i})
+	}
+	return r
+}
+
+// Row projects answer i onto Vars: each variable is read along the
+// argument path of its first occurrence.
+func (r *Result) Row(i int) map[string]term.Term {
+	ans := r.Answers[i]
+	m := make(map[string]term.Term, len(r.Vars))
+	for j, v := range r.Vars {
+		t := ans[r.paths[j][0]]
+		for _, k := range r.paths[j][1:] {
+			t = t.(term.Comp).Args[k] // every answer has the goal's shape
+		}
+		m[v] = t
+	}
+	return m
 }
 
 // DB is a deductive database instance: rectified rules plus an EDB
@@ -581,7 +623,8 @@ func (db *DB) Catalog() *relation.Catalog { return db.current().cat }
 
 // goalAndConstraints splits a query of one positive relational goal
 // into that goal and its builtin side constraints; ok is false for any
-// other query.
+// other query, and for one whose constraints name a variable the goal
+// lacks (that variable is an answer column too).
 func goalAndConstraints(goals []program.Atom) (goal program.Atom, cons []program.Atom, ok bool) {
 	var rel []program.Atom
 	for _, g := range goals {
@@ -594,6 +637,16 @@ func goalAndConstraints(goals []program.Atom) (goal program.Atom, cons []program
 	if len(rel) != 1 || rel[0].Negated {
 		return program.Atom{}, nil, false
 	}
+	have := term.VarSet(rel[0].Args...)
+	for _, c := range cons {
+		for _, a := range c.Args {
+			for _, v := range term.Vars(nil, a) {
+				if !v.Anonymous() && !have[v.Name] {
+					return program.Atom{}, nil, false
+				}
+			}
+		}
+	}
 	return rel[0], cons, true
 }
 
@@ -601,10 +654,11 @@ func goalAndConstraints(goals []program.Atom) (goal program.Atom, cons []program
 // program defines it.
 const queryPred = "q$"
 
-// forQuery returns the generation and goal a query is planned over: a
-// query of one positive relational goal is that goal with its builtin
-// constraints; any other is the query rule q$(A1, …, Ak) :- goals.,
-// over the answer columns (answerAtom), in an overlay of g.
+// forQuery returns the generation and goal a query is planned over,
+// and every strategy answers: a query of one positive relational goal
+// is that goal with its builtin constraints (goalAndConstraints); any
+// other is the query rule q$(A1, …, Ak) :- goals., over the answer
+// columns (answerAtom), in an overlay of g.
 func (g *generation) forQuery(goals []program.Atom) (*generation, program.Atom, []program.Atom) {
 	if goal, cons, ok := goalAndConstraints(goals); ok {
 		return g, goal, cons
@@ -647,7 +701,6 @@ func (g *generation) Query(goals []program.Atom, opts Options) (*Result, error) 
 		}
 		res.Metrics.Duration = time.Since(start)
 		res.Metrics.Generation = g.seq
-		res.finish(goals)
 	}
 	if err != nil {
 		err = wrapEvalError(err, goals, res)
@@ -1113,11 +1166,11 @@ func (g *generation) dispatch(goals []program.Atom, opts Options, track **Plan) 
 	q, goal, cons := g.forQuery(goals)
 	pl, pd, err := q.plan(goal, cons, opts)
 	*track = pl
+	res := newResult(pl, goal)
 	if err != nil {
-		return &Result{Plan: pl}, err
+		return res, err
 	}
 	opts.tracer.Point(obsv.PhasePlan, strategyNames[pd.strategy], int64(len(pl.Splits)), 0)
-	res := &Result{Plan: pl}
 	switch pd.strategy {
 	case StrategySeminaive:
 		if q.prog.IDB()[goal.Key()] {
@@ -1128,17 +1181,17 @@ func (g *generation) dispatch(goals []program.Atom, opts Options, track **Plan) 
 		return q.runMagic(res, pd, opts)
 	case StrategyBuffered:
 		r, err := q.runBuffered(res, pd, opts)
-		if err != nil && !errors.Is(err, counting.ErrBudget) &&
+		if err != nil && !errors.Is(err, everr.ErrBudget) &&
 			!errors.Is(err, everr.ErrCanceled) && !errors.Is(err, everr.ErrDeadline) {
 			// Fall back to top-down scheduling (e.g. exit rules not
 			// schedulable under this adornment, or a nonlinear rule).
 			pl.Strategy = StrategyTopDown
 			pl.Notes = append(pl.Notes, fmt.Sprintf("buffered evaluation failed (%v); fell back to top-down", err))
-			return g.runTopDownConjunction(&Result{Plan: pl}, goals, opts)
+			return q.runTopDown(newResult(pl, goal), goal, cons, opts)
 		}
 		return r, err
 	default:
-		return g.runTopDownConjunction(res, goals, opts)
+		return q.runTopDown(res, goal, cons, opts)
 	}
 }
 
@@ -1286,13 +1339,14 @@ func (g *generation) runBuffered(res *Result, pd *planned, opts Options) (*Resul
 	return res, nil
 }
 
-// runTopDownConjunction solves the query's goals top-down, whatever
-// goal the plan in res was made for.
-func (g *generation) runTopDownConjunction(res *Result, goals []program.Atom, opts Options) (*Result, error) {
+// runTopDown solves the planned goal and its constraints top-down —
+// a query rule's goal is one tabled call of q$ — and projects the
+// solutions onto the goal's arguments.
+func (g *generation) runTopDown(res *Result, goal program.Atom, cons []program.Atom, opts Options) (*Result, error) {
 	// The top-down engine seeds program facts into its catalog; a
 	// snapshot keeps those (usually no-op) writes off the generation.
 	e := topdown.New(g.prog, g.cat.Snapshot(), topdown.Options{Ctx: opts.Ctx, MaxSteps: opts.MaxSteps, Tracer: opts.tracer})
-	answers, err := e.SolveConjunction(goals)
+	sols, err := e.SolveConjunction(append([]program.Atom{goal}, cons...))
 	st := e.Stats()
 	res.Metrics.Steps = st.Steps
 	res.Metrics.Calls = st.Calls
@@ -1300,55 +1354,48 @@ func (g *generation) runTopDownConjunction(res *Result, goals []program.Atom, op
 	if err != nil {
 		return res, err
 	}
-	// answers are substitutions over the goal variables; project them
-	// onto the answer atom's args.
-	primary := answerAtom(goals)
-	seenAns := make(map[string]bool)
-	for _, s := range answers {
-		vec := s.ResolveAll(primary.Args)
-		var kb []byte
+	seen := make(map[string]bool)
+	var kb []byte
+	for _, s := range sols {
+		vec := s.ResolveAll(goal.Args)
+		kb = kb[:0]
 		for _, a := range vec {
 			kb = term.AppendKey(kb, a)
 		}
-		if seenAns[string(kb)] {
+		if seen[string(kb)] {
 			continue
 		}
-		seenAns[string(kb)] = true
+		seen[string(kb)] = true
 		res.Answers = append(res.Answers, vec)
 	}
 	return res, nil
 }
 
-// answerAtom is the atom a query's answers are vectors of: its one
-// positive relational goal (or its one goal, if none is relational),
-// else an atom over the variables of those goals in order of first
-// appearance — so a conjunction's answers bind every variable, and
+// answerAtom is the atom a query rule's head is built over: a query of
+// one builtin goal answers that goal's argument vector; any other
+// answers an atom over its named variables, those of the relational
+// goals first and then those only builtins name, each group in order
+// of first appearance — so the answers bind every variable, and
 // answers differing in any binding stay distinct. Anonymous variables,
 // and any variable local to a negated goal (adorn.NegationReady), are
 // not answer columns.
 func answerAtom(goals []program.Atom) program.Atom {
-	var rel []program.Atom
-	for _, g := range goals {
-		if !g.IsBuiltin() {
-			rel = append(rel, g)
-		}
-	}
-	if len(rel) == 0 {
-		rel = goals
-	}
-	if len(rel) == 1 && !rel[0].Negated {
-		return rel[0]
+	if len(goals) == 1 && goals[0].IsBuiltin() {
+		return goals[0]
 	}
 	var vars []term.Term
 	seen := map[string]bool{}
 	occ := adorn.Occurrences(goals...)
-	for _, g := range rel {
-		for _, a := range g.Args {
-			for _, v := range term.Vars(nil, a) {
-				if v.Anonymous() || g.Negated && occ[v.Name] == 1 {
-					continue
-				}
-				if !seen[v.Name] {
+	for _, builtins := range []bool{false, true} {
+		for _, g := range goals {
+			if g.IsBuiltin() != builtins {
+				continue
+			}
+			for _, a := range g.Args {
+				for _, v := range term.Vars(nil, a) {
+					if v.Anonymous() || g.Negated && occ[v.Name] == 1 || seen[v.Name] {
+						continue
+					}
 					seen[v.Name] = true
 					vars = append(vars, v)
 				}
@@ -1356,45 +1403,6 @@ func answerAtom(goals []program.Atom) program.Atom {
 		}
 	}
 	return program.NewAtom("answer", vars...)
-}
-
-// finish populates Vars and Bindings from the executed goals. Each
-// named variable of the answer atom, nested or not, is read from every
-// answer along the argument path of its first occurrence.
-func (r *Result) finish(goals []program.Atom) {
-	primary := answerAtom(goals)
-	r.Vars = []string{}
-	var paths [][]int
-	seen := map[string]bool{}
-	var walk func(t term.Term, path []int)
-	walk = func(t term.Term, path []int) {
-		switch t := t.(type) {
-		case term.Var:
-			if !t.Anonymous() && !seen[t.Name] {
-				seen[t.Name] = true
-				r.Vars = append(r.Vars, t.Name)
-				paths = append(paths, append([]int(nil), path...))
-			}
-		case term.Comp:
-			for i, a := range t.Args {
-				walk(a, append(path, i))
-			}
-		}
-	}
-	for i, a := range primary.Args {
-		walk(a, []int{i})
-	}
-	for _, ans := range r.Answers {
-		m := make(map[string]term.Term, len(r.Vars))
-		for j, v := range r.Vars {
-			t := ans[paths[j][0]]
-			for _, k := range paths[j][1:] {
-				t = t.(term.Comp).Args[k] // every answer has the goal's shape
-			}
-			m[v] = t
-		}
-		r.Bindings = append(r.Bindings, m)
-	}
 }
 
 // SortAnswers orders answers canonically (stable output for tools).

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"chainsplit/internal/everr"
+	"chainsplit/internal/faultinject"
 	"chainsplit/internal/lang"
 	"chainsplit/internal/program"
 	"chainsplit/internal/term"
@@ -109,20 +110,49 @@ append([X|L1], L2, [X|L3]) :- append(L1, L2, L3).
 	}
 }
 
-func TestIsortNestedViaBuffered(t *testing.T) {
-	db := load(t, `
+// isortSrc is insertion sort: a linear recursion whose delayed portion
+// calls the recursive insert.
+const isortSrc = `
 isort([X|Xs], Ys) :- isort(Xs, Zs), insert(X, Zs, Ys).
 isort([], []).
 insert(X, [], [X]).
 insert(X, [Y|Ys], [Y|Zs]) :- X > Y, insert(X, Ys, Zs).
 insert(X, [Y|Ys], [X,Y|Ys]) :- X =< Y.
-`)
+`
+
+func TestIsortNestedViaBuffered(t *testing.T) {
+	db := load(t, isortSrc)
 	res := ask(t, db, "?- isort([5,7,1], Ys).", Options{})
 	if res.Plan.Strategy != StrategyBuffered {
 		t.Errorf("strategy = %v, want buffered (nested linear)", res.Plan.Strategy)
 	}
 	if len(res.Answers) != 1 || !term.Equal(res.Answers[0][1], term.IntList(1, 5, 7)) {
 		t.Errorf("answers = %v", res.Answers)
+	}
+}
+
+// TestBufferedBudgetEndsQuery checks that a budget exhausted by the
+// top-down engine that buffered evaluation solves its portions on ends
+// the query: falling back to top-down would only burn it again.
+func TestBufferedBudgetEndsQuery(t *testing.T) {
+	db := load(t, isortSrc)
+	defer faultinject.Set(faultinject.SiteTopdownStep, func() error {
+		return fmt.Errorf("injected: %w", everr.ErrBudget)
+	})()
+	q, err := lang.ParseQuery("?- isort([5,7,1], Ys).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(q.Goals, Options{Strategy: StrategyBuffered})
+	var ee *EvalError
+	if !errors.As(err, &ee) || !errors.Is(err, everr.ErrBudget) || ee.Strategy != StrategyBuffered.String() {
+		t.Fatalf("err = %v, want a budget failure of the buffered strategy", err)
+	}
+	if res == nil || res.Plan == nil {
+		t.Fatal("no plan")
+	}
+	if len(res.Plan.Notes) > 0 {
+		t.Errorf("plan notes = %v, want no fallback note", res.Plan.Notes)
 	}
 }
 
@@ -248,14 +278,27 @@ func TestConjunctionAnswersBindEveryVariable(t *testing.T) {
 	if got, want := fmt.Sprint(res.Vars, res.Answers), "[X Y Z] [[a b c] [a b x] [b c d]]"; got != want {
 		t.Errorf("Vars, Answers = %s, want %s", got, want)
 	}
-	for _, b := range res.Bindings {
-		if len(b) != 3 {
+	for i := range res.Answers {
+		if b := res.Row(i); len(b) != 3 {
 			t.Errorf("binding %v does not bind X, Y and Z", b)
 		}
 	}
 	res = ask(t, db, "?- e(a, b), e(b, c).", Options{})
 	if got := fmt.Sprint(res.Vars, res.Answers); got != "[] [[]]" {
 		t.Errorf("ground conjunction: Vars, Answers = %s, want [] [[]]", got)
+	}
+}
+
+// TestTopDownAnswersPlannedGoal checks that top-down answers the goal
+// the query was planned as: a conjunction's query rule is one call.
+func TestTopDownAnswersPlannedGoal(t *testing.T) {
+	db := load(t, "e(a, b). e(b, c).")
+	res := ask(t, db, "?- e(X, Y), e(Y, Z).", Options{Strategy: StrategyTopDown})
+	if res.Plan.Goal != "q$(X, Y, Z)" || res.Metrics.Calls != 1 {
+		t.Errorf("Plan.Goal, Calls = %s, %d, want q$(X, Y, Z), 1", res.Plan.Goal, res.Metrics.Calls)
+	}
+	if got := fmt.Sprint(res.Vars, res.Answers); got != "[X Y Z] [[a b c]]" {
+		t.Errorf("Vars, Answers = %s, want [X Y Z] [[a b c]]", got)
 	}
 }
 
@@ -283,7 +326,8 @@ func TestResultBindingsNested(t *testing.T) {
 		t.Fatalf("Vars = %v, want [H T]", res.Vars)
 	}
 	var rows []string
-	for _, b := range res.Bindings {
+	for i := range res.Answers {
+		b := res.Row(i)
 		rows = append(rows, fmt.Sprintf("H=%v T=%v", b["H"], b["T"]))
 	}
 	sort.Strings(rows)
@@ -298,11 +342,11 @@ func TestResultBindings(t *testing.T) {
 	if len(res.Vars) != 1 || res.Vars[0] != "Y" {
 		t.Errorf("Vars = %v", res.Vars)
 	}
-	if len(res.Bindings) != len(res.Answers) {
-		t.Errorf("bindings/answers mismatch")
+	if len(res.Answers) == 0 {
+		t.Fatal("no answers")
 	}
-	for _, b := range res.Bindings {
-		if b["Y"] == nil {
+	for i := range res.Answers {
+		if b := res.Row(i); b["Y"] == nil {
 			t.Errorf("binding missing Y: %v", b)
 		}
 	}
@@ -390,6 +434,8 @@ func TestQueryAnswerShape(t *testing.T) {
 		{"?- e(a, b), e(b, c).", "[]", "[[]]", 0},
 		{"?- e(X, Y), e(Y, Z).", "[X Y Z]", "[[a b c]]", 3},
 		{"?- [H|T] = [1, 2].", "[H T]", "[[[1, 2] [1, 2]]]", 2},
+		{"?- e(X, a), c = Y.", "[X Y]", "[]", 2},
+		{"?- e(X, b), c = Y.", "[X Y]", "[[a c]]", 2},
 	}
 	for _, strat := range everyStrategy {
 		for _, c := range cases {
