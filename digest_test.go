@@ -41,7 +41,7 @@ func TestStateDigestAgreesAcrossReplication(t *testing.T) {
 	if err := leader.LoadFacts("edge", [][]Term{{Int(3), Int(4)}, {Int(4), Int(5)}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 
 	lg, ld := digestOf(leader)
 	fg, fd := digestOf(follower)
@@ -90,7 +90,7 @@ func TestStateDigestAgreesAcrossSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 
 	lg, ld := digestOf(leader)
 	fg, fd := digestOf(follower)
@@ -144,7 +144,7 @@ func TestResetReplicaWipesAndReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	epoch := follower.Epoch()
 
 	// Quarantine-and-reseed by hand, the sequence the cluster repair
@@ -166,7 +166,7 @@ func TestResetReplicaWipesAndReseeds(t *testing.T) {
 	if err := follower.retarget(addr); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	follower.inner.ClearQuarantine()
 	lg, ld := digestOf(leader)
 	fg, fd := digestOf(follower)

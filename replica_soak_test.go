@@ -219,7 +219,7 @@ func TestReplicaChaosSoak(t *testing.T) {
 
 		// Faults healed: the durable follower must converge to the
 		// leader's exact state.
-		waitCaughtUp(t, durableF, leader.Generation())
+		waitCaughtUp(t, durableF, leader)
 		if got, want := answers(t, durableF, "?- m(K)."), answers(t, leader, "?- m(K)."); got != want {
 			t.Fatalf("cycle %d: converged follower differs from leader:\nleader:\n%s\nfollower:\n%s", cycles, want, got)
 		}

@@ -17,13 +17,17 @@ import (
 	"chainsplit/internal/replica"
 )
 
-// waitCaughtUp polls until the follower's generation reaches want.
-func waitCaughtUp(t *testing.T, f *DB, want uint64) {
+// waitCaughtUp polls until the follower's generation reaches the
+// leader's generation at entry. On timeout it reports what the
+// follower believes about itself and where the leader has got to.
+func waitCaughtUp(t *testing.T, f, leader *DB) {
 	t.Helper()
+	want := leader.Generation()
 	deadline := time.Now().Add(10 * time.Second)
 	for f.Generation() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at generation %d, want %d", f.Generation(), want)
+			t.Fatalf("follower stuck at generation %d, want %d (follower: staleness %v, follower %v, fenced %v; leader now at generation %d)",
+				f.Generation(), want, f.Staleness(), f.IsFollower(), f.Fenced(), leader.Generation())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -70,7 +74,7 @@ func TestReplicationBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 
 	if !follower.IsFollower() {
 		t.Fatal("follower does not report IsFollower")
@@ -83,7 +87,7 @@ func TestReplicationBasic(t *testing.T) {
 	if err := leader.LoadFacts("edge", [][]Term{{Sym("d"), Sym("e")}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	if got, want := answers(t, follower, "?- path(a, Y)."), answers(t, leader, "?- path(a, Y)."); got != want {
 		t.Fatalf("post-write answers differ:\nleader:\n%s\nfollower:\n%s", want, got)
 	}
@@ -118,7 +122,7 @@ func TestFollowerDurableResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	gen := follower.Generation()
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
@@ -141,7 +145,7 @@ func TestFollowerDurableResume(t *testing.T) {
 	if follower.Generation() < gen {
 		t.Fatalf("reopened follower at generation %d, had reached %d", follower.Generation(), gen)
 	}
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	if got, want := answers(t, follower, "?- n(X)."), answers(t, leader, "?- n(X)."); got != want {
 		t.Fatalf("resumed follower diverged:\nleader:\n%s\nfollower:\n%s", want, got)
 	}
@@ -174,7 +178,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	if got, want := answers(t, follower, "?- n(X)."), answers(t, leader, "?- n(X)."); got != want {
 		t.Fatalf("bootstrapped follower diverged:\nleader:\n%s\nfollower:\n%s", want, got)
 	}
@@ -183,7 +187,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	if err := leader.LoadFacts("n", [][]Term{{Int(99)}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	if got, want := answers(t, follower, "?- n(X)."), answers(t, leader, "?- n(X)."); got != want {
 		t.Fatalf("post-bootstrap stream diverged:\nleader:\n%s\nfollower:\n%s", want, got)
 	}
@@ -206,7 +210,7 @@ func TestPromoteFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	wantGen := follower.Generation()
 
 	// Leader dies; the follower is promoted at exactly its last
@@ -253,7 +257,7 @@ func TestStalenessShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 
 	// Fresh: reads pass.
 	if _, err := follower.Query("?- n(X)."); err != nil {
@@ -325,7 +329,7 @@ func TestStalenessHonestDuringCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 
 	// Partition the follower's receive side and pile up a backlog.
 	restore := faultinject.SetData(faultinject.SiteReplicaRecv, func([]byte) ([]byte, error) {
@@ -424,7 +428,7 @@ func TestCorruptFrameNeverApplied(t *testing.T) {
 		t.Fatalf("follower applied %d generation(s) from a corrupted stream", got)
 	}
 	restore()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	if got, want := answers(t, follower, "?- n(X)."), answers(t, leader, "?- n(X)."); got != want {
 		t.Fatalf("follower diverged after corruption healed:\nleader:\n%s\nfollower:\n%s", want, got)
 	}
@@ -537,7 +541,7 @@ func TestEpochPersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	if err := follower.Promote(); err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +592,7 @@ func TestHandshakeFencesDeposedLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 
 	// The follower learns (as it would from a coordinator-run
 	// promotion elsewhere) that epoch 3 exists, then reconnects.
@@ -633,7 +637,7 @@ func TestFencedLeaderStopsServingEstablishedStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Generation())
+	waitCaughtUp(t, follower, leader)
 	follower.replMu.Lock()
 	sess := follower.repl
 	follower.replMu.Unlock()
