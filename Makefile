@@ -95,13 +95,14 @@ microbench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/term ./internal/relation ./internal/builtin
 
 # Regenerate every golden file from the current code: the executor
-# outcome table, the experiments' generated EXPERIMENTS.md sections and
-# the fact-state golden. Review the diff before committing it — a
-# golden that moves is a behaviour change.
+# outcome table, the experiments' generated EXPERIMENTS.md sections,
+# the fact-state golden and the magic rewrite's body orders. Review the
+# diff before committing it — a golden that moves is a behaviour change.
 golden:
 	$(GO) test -count=1 -run '^TestExecutorGolden$$' ./internal/seminaive -update
 	$(GO) test -count=1 -run '^TestAllExperimentsRunQuick$$' ./internal/experiments -update
 	$(GO) test -count=1 -run '^TestFactStateGolden$$' . -update
+	$(GO) test -count=1 -run '^TestRewriteOrderGolden$$' ./internal/magic -update
 
 # The three line counts ROADMAP.md tracks: non-test Go outside bench/,
 # tests outside bench/, and everything in bench/.
