@@ -1,7 +1,9 @@
 // Package adorn implements binding analysis: adornments (§2.2 of the
-// paper), sideways information passing via greedy mode scheduling, and
-// the finiteness analysis that decides which chain elements are
-// finitely evaluable under a query binding.
+// paper), the finiteness analysis that decides which chain elements are
+// finitely evaluable under a query binding, and the one body order
+// every engine uses: Ready says when a literal may run, Order picks a
+// rule's next literal (the chain schedule, magic's sideways information
+// passing), and top-down and semi-naive take the leftmost Ready one.
 //
 // A superscript 'b' or 'f' adorns each argument of a predicate to
 // indicate bound (finite) or free (possibly infinite). EDB relations
@@ -16,6 +18,7 @@ package adorn
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -30,15 +33,33 @@ import (
 func AtomAdornment(a program.Atom, bound map[string]bool) string {
 	buf := make([]byte, len(a.Args))
 	for i, arg := range a.Args {
-		buf[i] = 'b'
-		for v := range term.VarSet(arg) {
-			if !bound[v] {
-				buf[i] = 'f'
-				break
-			}
+		buf[i] = 'f'
+		if n, in := varsIn(arg, bound); n == in {
+			buf[i] = 'b'
 		}
 	}
 	return string(buf)
+}
+
+// varsIn counts the variable occurrences of t, n, and those of them in
+// bound, in.
+func varsIn(t term.Term, bound map[string]bool) (n, in int) {
+	switch t := t.(type) {
+	case term.Var:
+		if bound[t.Name] {
+			return 1, 1
+		}
+		return 1, 0
+	case term.Comp:
+		if t.Ground() {
+			return 0, 0
+		}
+		for _, a := range t.Args {
+			dn, din := varsIn(a, bound)
+			n, in = n+dn, in+din
+		}
+	}
+	return n, in
 }
 
 // Occurrences counts, for each variable, the atoms among atoms that
@@ -57,19 +78,43 @@ func Occurrences(atoms ...program.Atom) map[string]int {
 // once every variable it shares with the rest of its rule or query is
 // bound. A variable that occurs in no other atom is local to the
 // negation and reads "for no value": \+ e(Y, _) holds when no e tuple
-// has Y in its first column. occ counts each variable's atoms over the
-// whole rule (head included) or query, the literal itself among them
-// (see Occurrences); bound reports whether a variable is bound where
-// the literal would run. The literal's positive form must also be
-// finitely evaluable under the resulting adornment; each engine checks
-// that with its own finiteness test.
-func NegationReady(neg program.Atom, occ map[string]int, bound func(v string) bool) bool {
+// has Y in its first column. occ counts each variable's atoms (see
+// Occurrences), the literal itself among them: over the whole rule
+// (head included) when a rule body is ordered, over the goals not yet
+// solved when top-down picks its next goal. bound holds the variables
+// bound where the literal would run. Ready adds the finiteness test of
+// the literal's positive form.
+func NegationReady(neg program.Atom, occ map[string]int, bound map[string]bool) bool {
 	for v := range neg.Vars() {
-		if occ[v] > 1 && !bound(v) {
+		if occ[v] > 1 && !bound[v] {
 			return false
 		}
 	}
 	return true
+}
+
+// Oracle reports whether the relation pred/arity is finitely evaluable
+// under the adornment ad.
+type Oracle func(pred string, arity int, ad string) bool
+
+// Ready is the one rule for when a body literal may run with the
+// variables in bound bound: a negated literal not before NegationReady
+// holds (occ as there), and then a builtin when one of its finite modes
+// covers its adornment, a relation when finite accepts its adornment.
+// A nil finite accepts every relation: one binds all its variables.
+func Ready(lit program.Atom, bound map[string]bool, occ map[string]int, finite Oracle) bool {
+	if lit.Negated && !NegationReady(lit, occ, bound) {
+		return false
+	}
+	b := builtin.Lookup(lit.Pred, lit.Arity())
+	if b == nil && finite == nil {
+		return true
+	}
+	ad := AtomAdornment(lit, bound)
+	if b != nil {
+		return b.FiniteUnder(ad)
+	}
+	return finite(lit.Pred, lit.Arity(), ad)
 }
 
 // BoundVarsOfQuery returns the set of variables bound by a query goal:
@@ -104,7 +149,7 @@ func GoalAdornment(goal program.Atom) string {
 
 // Key identifies a predicate-adornment pair, e.g. "append/3^bff".
 func Key(pred string, arity int, ad string) string {
-	return fmt.Sprintf("%s/%d^%s", pred, arity, ad)
+	return pred + "/" + strconv.Itoa(arity) + "^" + ad
 }
 
 // Schedule is the result of mode-scheduling one rule body.
@@ -170,6 +215,12 @@ func (an *Analysis) Graph() *program.DepGraph { return an.graph }
 // positions ground has finitely many answers computable by some
 // evaluable scheduling of each rule.
 func (an *Analysis) Finite(pred string, arity int, ad string) bool {
+	if b := builtin.Lookup(pred, arity); b != nil {
+		return b.FiniteUnder(ad)
+	}
+	if !an.idb[pred+"/"+strconv.Itoa(arity)] {
+		return true // EDB relations are finite under any adornment
+	}
 	an.mu.Lock()
 	defer an.mu.Unlock()
 	k := Key(pred, arity, ad)
@@ -218,16 +269,10 @@ func parseKey(k string) (pred string, arity int, ad string) {
 	return pred, arity, k[caret+1:]
 }
 
-// check evaluates finiteness of one pair under the current hypothesis.
+// check evaluates finiteness of one IDB pair under the current
+// hypothesis.
 func (an *Analysis) check(pred string, arity int, ad string) bool {
-	if b := builtin.Lookup(pred, arity); b != nil {
-		return b.FiniteUnder(ad)
-	}
-	key := fmt.Sprintf("%s/%d", pred, arity)
-	if !an.idb[key] {
-		return true // EDB relations are finite under any adornment
-	}
-	for _, r := range an.prog.RulesFor(key) {
+	for _, r := range an.prog.RulesFor(pred + "/" + strconv.Itoa(arity)) {
 		// Inside the fixpoint, schedule against the hypothesis table
 		// (assumeFinite); the surrounding sweep verifies every
 		// optimistic assumption before Finite returns.
@@ -239,117 +284,121 @@ func (an *Analysis) check(pred string, arity int, ad string) bool {
 	return true
 }
 
-// assumeFinite is the hypothesis lookup used while scheduling: unknown
-// pairs are registered optimistically as finite so the fixpoint sweep
-// revisits them.
+// assumeFinite is the hypothesis lookup used while scheduling (Ready
+// asks it about relations only): unknown IDB pairs are registered
+// optimistically as finite so the fixpoint sweep revisits them.
 func (an *Analysis) assumeFinite(pred string, arity int, ad string) bool {
 	k := Key(pred, arity, ad)
 	if v, ok := an.finite[k]; ok {
 		return v
 	}
-	if b := builtin.Lookup(pred, arity); b != nil {
-		v := b.FiniteUnder(ad)
-		an.finite[k] = v
-		return v
-	}
-	key := fmt.Sprintf("%s/%d", pred, arity)
-	if !an.idb[key] {
-		an.finite[k] = true
-		return true
+	if !an.idb[pred+"/"+strconv.Itoa(arity)] {
+		return true // EDB relations are finite under any adornment
 	}
 	an.finite[k] = true // optimistic; swept later
 	return true
 }
 
-// oracle answers finiteness queries during scheduling.
-type oracle func(pred string, arity int, ad string) bool
+// Order steps through one rule body in the paper's order: the
+// leftmost finitely evaluable literal of the best class, where the
+// classes, best first, are an evaluable builtin or ready negation, a
+// connected non-recursive literal, a connected recursive literal, any
+// non-recursive literal and any recursive literal. A literal is
+// connected when it shares a bound variable (or a ground argument) with
+// the binding; under the rule policy every literal counts as connected.
+// Recursive means in the head's strongly connected component. The
+// caller keeps the bound set, so it decides what each literal binds.
+type Order struct {
+	rule  program.Rule
+	fin   Oracle
+	chain bool
+	occ   map[string]int // built at the first negated literal
+	rec   []bool
+	done  []bool
+}
 
-// scheduleCore is the shared scheduling engine.
-//
-// Each round picks, in priority order: (0) an evaluable builtin, (1) a
-// finitely evaluable non-recursive literal — when connected is set,
-// only ones sharing a bound variable (or a ground argument) with the
-// binding, so unbound cross-product scans are delayed, (2) a finitely
-// evaluable recursive literal, (3) any finitely evaluable non-recursive
-// literal (the unconnected fallback). All variables of a scheduled
-// literal become bound. Literals scheduled after the first recursive
-// literal form the Delayed set.
-func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connected bool) Schedule {
-	bound := BoundVarsOfHead(r.Head, ad)
-	isBound := func(v string) bool { return bound[v] }
-	var occ map[string]int // built at the first negated literal
-	headKey := r.Head.Key()
-	n := len(r.Body)
-	done := make([]bool, n)
-	var sched Schedule
-	recursiveSeen := false
-	for len(sched.Order) < n {
-		pick := -1
-		pickRecursive := false
-		for pass := 0; pass < 4 && pick < 0; pass++ {
-			for i := 0; i < n; i++ {
-				if done[i] {
-					continue
-				}
-				lit := r.Body[i]
-				isB := lit.IsBuiltin()
-				recursive := !isB && !lit.Negated && an.graph.SameSCC(lit.Key(), headKey)
-				litAd := AtomAdornment(lit, bound)
-				if lit.Negated {
-					// Negation-as-failure is a pure test, schedulable
-					// in the builtin pass.
-					if occ == nil {
-						occ = Occurrences(append([]program.Atom{r.Head}, r.Body...)...)
-					}
-					if pass != 0 || !NegationReady(lit, occ, isBound) || !fin(lit.Pred, lit.Arity(), litAd) {
-						continue
-					}
-					pick, pickRecursive = i, false
-					break
-				}
-				switch pass {
-				case 0:
-					if !isB {
-						continue
-					}
-				case 1:
-					if isB || recursive {
-						continue
-					}
-					if connected && !recursiveSeen && !ConnectedTo(lit, bound) {
-						continue
-					}
-				case 2:
-					if !recursive {
-						continue
-					}
-				case 3:
-					if isB || recursive {
-						continue
-					}
-				}
-				if !fin(lit.Pred, lit.Arity(), litAd) {
-					continue
-				}
-				pick, pickRecursive = i, recursive
-				break
+// Order starts ordering r's body. With chain set, connectivity ranks
+// the literals (the chain schedule, magic's binding propagation);
+// otherwise it does not (ScheduleRule).
+func (an *Analysis) Order(r program.Rule, chain bool) *Order {
+	o := &Order{rule: r, fin: an.Finite, chain: chain, rec: make([]bool, len(r.Body)), done: make([]bool, len(r.Body))}
+	head := r.Head.Key()
+	for i, lit := range r.Body {
+		o.rec[i] = !lit.Negated && !lit.IsBuiltin() && an.graph.SameSCC(lit.Key(), head)
+	}
+	return o
+}
+
+// Next picks the body literal to run next when the variables in bound
+// are bound, marks it taken and returns its index; -1 when no literal
+// left may run.
+func (o *Order) Next(bound map[string]bool) int {
+	pick, best := -1, 5
+	for i, lit := range o.rule.Body {
+		if o.done[i] {
+			continue
+		}
+		class := 0
+		if !lit.Negated && !lit.IsBuiltin() {
+			if best <= 1 {
+				continue
+			}
+			class = 1
+			if o.chain && !ConnectedTo(lit, bound) {
+				class = 3
+			}
+			if o.rec[i] {
+				class++
 			}
 		}
+		if class >= best {
+			continue
+		}
+		if lit.Negated && o.occ == nil {
+			o.occ = Occurrences(append([]program.Atom{o.rule.Head}, o.rule.Body...)...)
+		}
+		if !Ready(lit, bound, o.occ, o.fin) {
+			continue
+		}
+		pick, best = i, class
+		if class == 0 {
+			break
+		}
+	}
+	if pick >= 0 {
+		o.done[pick] = true
+	}
+	return pick
+}
+
+// Taken reports whether Next has picked body literal i.
+func (o *Order) Taken(i int) bool { return o.done[i] }
+
+// scheduleCore runs an Order to the end under the head adornment ad.
+// Every variable of a picked literal becomes bound. Literals picked
+// after the first recursive literal form the Delayed set.
+func (an *Analysis) scheduleCore(r program.Rule, ad string, fin Oracle, chain bool) Schedule {
+	bound := BoundVarsOfHead(r.Head, ad)
+	o := an.Order(r, chain)
+	o.fin = fin
+	var sched Schedule
+	recursiveSeen := false
+	for len(sched.Order) < len(r.Body) {
+		pick := o.Next(bound)
 		if pick < 0 {
-			for i := 0; i < n; i++ {
-				if !done[i] {
+			for i := range r.Body {
+				if !o.Taken(i) {
 					sched.Stuck = append(sched.Stuck, i)
 				}
 			}
-			sched.OK = false
 			return sched
 		}
-		done[pick] = true
 		sched.Order = append(sched.Order, pick)
-		if recursiveSeen && !pickRecursive {
+		rec := o.rec[pick]
+		if recursiveSeen && !rec {
 			sched.Delayed = append(sched.Delayed, pick)
 		}
-		if pickRecursive && !recursiveSeen {
+		if rec && !recursiveSeen {
 			recursiveSeen = true
 			sched.RecAd = AtomAdornment(r.Body[pick], bound)
 		}
@@ -371,30 +420,14 @@ func (an *Analysis) scheduleCore(r program.Rule, ad string, fin oracle, connecte
 }
 
 // ConnectedTo reports whether the literal touches the current binding:
-// it shares a bound variable or has a ground argument.
+// it shares a bound variable, has a ground argument or has none.
 func ConnectedTo(lit program.Atom, bound map[string]bool) bool {
-	vars := lit.Vars()
-	if len(vars) == 0 {
-		return true
-	}
-	for v := range vars {
-		if bound[v] {
-			return true
-		}
-	}
 	for _, a := range lit.Args {
-		if a.Ground() {
+		if n, in := varsIn(a, bound); n == 0 || in > 0 {
 			return true
 		}
 	}
-	return false
-}
-
-// verified is the oracle that fully verifies IDB finiteness through the
-// fixpoint (unlike assumeFinite, which seeds optimistically and is only
-// sound inside the fixpoint sweep itself).
-func (an *Analysis) verified(pred string, arity int, ad string) bool {
-	return an.Finite(pred, arity, ad)
+	return len(lit.Args) == 0
 }
 
 // ScheduleRule computes an evaluable ordering of the body of r when
@@ -404,7 +437,7 @@ func (an *Analysis) verified(pred string, arity int, ad string) bool {
 // (recursive) literal are reported as Delayed: they form the
 // delayed-evaluation portion of the chain.
 func (an *Analysis) ScheduleRule(r program.Rule, ad string) Schedule {
-	return an.scheduleCore(r, ad, an.verified, false)
+	return an.scheduleCore(r, ad, an.Finite, false)
 }
 
 // ScheduleChain is ScheduleRule with connectivity-aware ordering: an
@@ -413,7 +446,7 @@ func (an *Analysis) ScheduleRule(r program.Rule, ad string) Schedule {
 // delayed rather than evaluated as a cross-product scan. This is the
 // schedule the chain compiler and the buffered evaluator use.
 func (an *Analysis) ScheduleChain(r program.Rule, ad string) Schedule {
-	return an.scheduleCore(r, ad, an.verified, true)
+	return an.scheduleCore(r, ad, an.Finite, true)
 }
 
 // Explain reports why pred/arity is (or is not) finitely evaluable
@@ -430,7 +463,7 @@ func (an *Analysis) Explain(pred string, arity int, ad string) string {
 	key := fmt.Sprintf("%s/%d", pred, arity)
 	var parts []string
 	for _, r := range an.prog.RulesFor(key) {
-		sched := an.scheduleCore(r, ad, an.verified, false)
+		sched := an.scheduleCore(r, ad, an.Finite, false)
 		if sched.OK {
 			continue
 		}

@@ -254,3 +254,37 @@ func TestStuckReported(t *testing.T) {
 		t.Error("bad^bf should be finite")
 	}
 }
+
+// TestReady pins the one readiness rule: a builtin waits for a finite
+// mode, a negation for the variables it shares, a relation for the
+// finiteness oracle (none accepts every relation).
+func TestReady(t *testing.T) {
+	an := NewAnalysis(mustParse(t, appendSrc))
+	x, y, z, w := term.NewVar("X"), term.NewVar("Y"), term.NewVar("Z"), term.NewVar("W")
+	cons := program.NewAtom("cons", x, y, w)
+	if Ready(cons, map[string]bool{"X": true}, nil, nil) {
+		t.Error("cons(X, Y, W) ready with only X bound")
+	}
+	if !Ready(cons, map[string]bool{"X": true, "Y": true}, nil, nil) {
+		t.Error("cons(X, Y, W) not ready with X and Y bound")
+	}
+	neg := program.NewAtom("e", x, z)
+	neg.Negated = true
+	occ := map[string]int{"X": 2, "Z": 1} // Z is local to the negation
+	if !Ready(neg, map[string]bool{"X": true}, occ, nil) {
+		t.Error(`\+ e(X, Z) not ready with its shared X bound`)
+	}
+	if Ready(neg, map[string]bool{}, occ, nil) {
+		t.Error(`\+ e(X, Z) ready with its shared X free`)
+	}
+	app := program.NewAtom("append", x, y, w)
+	if Ready(app, map[string]bool{"X": true}, nil, an.Finite) {
+		t.Error("append^bff ready under the finiteness oracle")
+	}
+	if !Ready(app, map[string]bool{"X": true, "Y": true}, nil, an.Finite) {
+		t.Error("append^bbf not ready under the finiteness oracle")
+	}
+	if !Ready(app, map[string]bool{}, nil, nil) {
+		t.Error("a relation not ready without an oracle")
+	}
+}

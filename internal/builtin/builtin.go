@@ -132,20 +132,6 @@ func (b *Builtin) FiniteUnder(adornment string) bool {
 	return false
 }
 
-// Adornment computes the runtime adornment of a call: position i is 'b'
-// if args[i] resolves to a ground term under s.
-func Adornment(s term.Subst, args []term.Term) string {
-	buf := make([]byte, len(args))
-	for i, a := range args {
-		if s.Resolve(a).Ground() {
-			buf[i] = 'b'
-		} else {
-			buf[i] = 'f'
-		}
-	}
-	return string(buf)
-}
-
 // one wraps a single successful solution.
 func one(s term.Subst) []term.Subst { return []term.Subst{s} }
 

@@ -209,15 +209,6 @@ func TestTimes(t *testing.T) {
 	}
 }
 
-func TestAdornment(t *testing.T) {
-	s := term.NewSubst()
-	s.Bind(term.NewVar("X"), term.NewInt(1))
-	got := Adornment(s, []term.Term{term.NewVar("X"), term.NewVar("Y"), term.NewSym("a")})
-	if got != "bfb" {
-		t.Errorf("Adornment = %q, want bfb", got)
-	}
-}
-
 // TestEvalDoesNotMutateInput calls every core builtin in a mode with a
 // solution and checks the substitution it received is left as it was:
 // solutions are clones, so a caller may keep extending its own.

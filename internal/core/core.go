@@ -1215,6 +1215,7 @@ func (g *generation) runMagic(res *Result, pd *planned, opts Options) (*Result, 
 		Model:         &cost.Model{Cat: g.cat, Depth: opts.CostDepth},
 		Thresholds:    opts.Thresholds,
 		Supplementary: true,
+		Analysis:      pd.an,
 		Ctx:           opts.Ctx,
 	}
 	switch pd.strategy {

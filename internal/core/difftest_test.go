@@ -271,6 +271,9 @@ q(1, 2). q(2, 3). q(3, 4).
 		{"", "?- app([0], [1], Y), app(Y, [2], Z).", "[0, 1],[0, 1, 2]", lists},
 		// Each goal's non-ground list is its own generated variable.
 		{"", "?- A = 1, B = 2, app([0], [A], Y), app([5], [B], Z).", "1,[0, 1],2,[5, 2]", lists},
+		// qsort's inverse mode: magic orders partition after both
+		// recursive calls, where its lists are bound.
+		{workload.SortRules(), "?- qsort(Xs, [1,2]).", "[1, 2],[1, 2];[2, 1],[1, 2]", []Strategy{StrategyMagic, StrategyMagicFollow, StrategyMagicSplit, StrategyTopDown}},
 	}
 	for _, c := range cases {
 		for _, strat := range c.strategies {

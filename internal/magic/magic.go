@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"chainsplit/internal/adorn"
-	"chainsplit/internal/builtin"
 	"chainsplit/internal/cost"
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
@@ -77,6 +76,9 @@ type Config struct {
 	// the answer rule. Purely an optimization: answer sets are
 	// identical either way (the A1 ablation experiment measures it).
 	Supplementary bool
+	// Analysis, when non-nil, is p's finiteness analysis, shared with
+	// the caller's planning; nil builds one per rewrite.
+	Analysis *adorn.Analysis
 	// Ctx, when non-nil, is checked before the transform runs (the
 	// rewrite itself is fast; evaluation of the rewritten program gets
 	// the same context through seminaive.Options).
@@ -173,6 +175,10 @@ func Rewrite(p *program.Program, goal program.Atom, cfg Config) (*Rewritten, err
 		return nil, fmt.Errorf("magic: %s rewrite requires a cost model", cfg.Policy)
 	}
 	th := cfg.thresholds()
+	an := cfg.Analysis
+	if an == nil {
+		an = adorn.NewAnalysis(p)
+	}
 
 	out := &Rewritten{Program: &program.Program{}}
 	goalAd := adorn.GoalAdornment(goal)
@@ -215,7 +221,10 @@ func Rewrite(p *program.Program, goal program.Atom, cfg Config) (*Rewritten, err
 			out.Program.Rules = append(out.Program.Rules, bridge)
 		}
 		for ri, r := range p.RulesFor(cur.key) {
-			rules, calls, decisions := rewriteRule(p, idb, r, cur.ad, ri, cfg, th)
+			rules, calls, decisions, err := rewriteRule(an, idb, r, cur.ad, ri, cfg, th)
+			if err != nil {
+				return nil, err
+			}
 			out.Decisions = append(out.Decisions, decisions...)
 			out.Program.Rules = append(out.Program.Rules, rules...)
 			for _, c := range calls {
@@ -290,8 +299,9 @@ func Answers(cat *relation.Catalog, rw *Rewritten, goal program.Atom) *relation.
 // rewriteRule adorns one rule under head adornment ad, generating the
 // magic (and, when configured, supplementary) rules for its IDB body
 // literals according to the propagation policy. It returns every
-// generated rule, with the adorned answer rule last.
-func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad string, ruleIdx int, cfg Config, th cost.Thresholds) ([]program.Rule, []callSite, []Decision) {
+// generated rule, with the adorned answer rule last, or an error when
+// no finite order places one of the rule's IDB literals.
+func rewriteRule(an *adorn.Analysis, idb map[string]bool, r program.Rule, ad string, ruleIdx int, cfg Config, th cost.Thresholds) ([]program.Rule, []callSite, []Decision, error) {
 	bound := adorn.BoundVarsOfHead(r.Head, ad)
 	hasMagic := strings.ContainsRune(ad, 'b')
 
@@ -307,15 +317,13 @@ func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad str
 		magicHead = &program.Atom{Pred: MagicName(r.Head.Pred, ad), Args: boundArgs}
 	}
 
-	n := len(r.Body)
-	done := make([]bool, n)
 	litAds := make(map[int]string) // IDB literal index → adornment used
 	var sipOrder []int
-	// prefix holds the literals (already adorned where IDB) that
-	// propagate bindings; roles records how each scheduled literal
-	// participates, for the post-pass that assembles the rules.
-	var prefix []program.Atom
+	// roles records how each scheduled literal participates, for the
+	// post-pass that assembles the rules; propagated counts the
+	// literals that propagate bindings so far.
 	roles := make(map[int]sipRole)
+	propagated := 0
 	var calls []callSite
 	var decisions []Decision
 
@@ -326,7 +334,7 @@ func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad str
 		case PolicyFollow:
 			return cost.Follow, 0, "policy follow-all"
 		case PolicySplit:
-			if len(prefix) == 0 {
+			if propagated == 0 {
 				return cost.Follow, 0, "policy split-all: first connection follows"
 			}
 			return cost.Split, 0, "policy split-all"
@@ -337,96 +345,59 @@ func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad str
 		}
 	}
 
-	for len(sipOrder) < n {
-		// 1. evaluable builtin; 2. connected non-builtin; 3. any
-		// non-builtin; 4. leftover builtin (scheduled last, may still
-		// be unevaluable here — seminaive's own scheduler has the
-		// final say at evaluation time).
-		pick := -1
-		kind := -1
-		for pass := 0; pass < 4 && pick < 0; pass++ {
-			for i := 0; i < n; i++ {
-				if done[i] {
-					continue
-				}
-				lit := r.Body[i]
-				isB := lit.IsBuiltin()
-				switch pass {
-				case 0:
-					if !isB {
-						continue
-					}
-					b := builtin.Lookup(lit.Pred, lit.Arity())
-					if !b.FiniteUnder(adorn.AtomAdornment(lit, bound)) {
-						continue
-					}
-				case 1:
-					if isB || !adorn.ConnectedTo(lit, bound) {
-						continue
-					}
-				case 2:
-					if isB {
-						continue
-					}
-				case 3:
-					// any leftover builtin
-				}
-				pick, kind = i, pass
-				break
-			}
-		}
-		i := pick
+	// The chain order picks the literals (adorn.Order) as the bindings
+	// grow; a split literal binds nothing. What it cannot place stays a
+	// residual of the answer rule, which seminaive orders again when it
+	// evaluates the rewritten program.
+	ord := an.Order(r, true)
+	for i := ord.Next(bound); i >= 0; i = ord.Next(bound) {
 		lit := r.Body[i]
-		done[i] = true
 		sipOrder = append(sipOrder, i)
-
+		roles[i] = rolePropagating
 		switch {
 		case lit.Negated:
 			// Negation-as-failure binds nothing and must not join the
 			// magic bodies: it is a pure test in the answer rule. Its
 			// predicate is materialized beforehand (Rewritten.Materialize).
 			roles[i] = roleResidual
-		case kind == 0 || kind == 3: // builtin
-			if kind == 0 {
-				for v := range lit.Vars() {
-					bound[v] = true
-				}
-				prefix = append(prefix, lit)
-				roles[i] = rolePropagating
-			} else {
-				roles[i] = roleResidual
-			}
+		case lit.IsBuiltin(): // ready, so it propagates
 		case idb[lit.Key()]: // IDB literal: adorn, enqueue
-			litAd := adorn.AtomAdornment(lit, bound)
-			litAds[i] = litAd
+			litAds[i] = adorn.AtomAdornment(lit, bound)
 			roles[i] = roleIDB
-			calls = append(calls, callSite{key: lit.Key(), ad: litAd})
-			// The literal's answers bind all its variables.
-			for v := range lit.Vars() {
-				bound[v] = true
-			}
-			prefix = append(prefix, program.Atom{Pred: AdornedName(lit.Pred, litAd), Args: lit.Args})
+			calls = append(calls, callSite{key: lit.Key(), ad: litAds[i]})
 		default: // EDB literal: propagation policy decides
 			choice, e, why := propagateDecision(lit)
 			decisions = append(decisions, Decision{
 				Rule: r.String(), Literal: lit.String(), Expansion: e, Choice: choice, Why: why,
 			})
-			if choice == cost.Follow {
-				for v := range lit.Vars() {
-					bound[v] = true
-				}
-				prefix = append(prefix, lit)
-				roles[i] = rolePropagating
-				if e > 0 {
-					evalExpansion *= e
-				}
-			} else {
+			if choice == cost.Split {
 				// Split: the literal stays in the rule body (delayed
 				// portion) but contributes no bindings and is excluded
 				// from magic rule bodies.
 				roles[i] = roleResidual
+			} else if e > 0 {
+				evalExpansion *= e
 			}
 		}
+		if roles[i] != roleResidual {
+			// A propagating literal, or an IDB literal's answers, binds
+			// all its variables.
+			propagated++
+			for v := range lit.Vars() {
+				bound[v] = true
+			}
+		}
+	}
+	for i, lit := range r.Body {
+		if ord.Taken(i) {
+			continue
+		}
+		if idb[lit.Key()] {
+			// An IDB literal read unadorned would read no answers.
+			return nil, nil, nil, fmt.Errorf("magic: no finite order places %s in %s under %s: %w", lit, r, ad, everr.ErrUnsafe)
+		}
+		sipOrder = append(sipOrder, i)
+		roles[i] = roleResidual
 	}
 
 	var rules []program.Rule
@@ -435,7 +406,7 @@ func rewriteRule(p *program.Program, idb map[string]bool, r program.Rule, ad str
 	} else {
 		rules = assembleFlat(r, ad, sipOrder, roles, litAds, magicHead)
 	}
-	return rules, calls, decisions
+	return rules, calls, decisions, nil
 }
 
 // sipRole classifies a scheduled body literal.
@@ -447,8 +418,8 @@ const (
 	rolePropagating sipRole = iota
 	// roleIDB: an IDB literal (adorned, magic-guarded).
 	roleIDB
-	// roleResidual: a split EDB literal or an unschedulable builtin —
-	// present in the answer rule only.
+	// roleResidual: a split EDB literal, a negation, or a builtin the
+	// order could not place — present in the answer rule only.
 	roleResidual
 )
 

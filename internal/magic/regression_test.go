@@ -1,8 +1,10 @@
 package magic
 
 import (
+	"errors"
 	"testing"
 
+	"chainsplit/internal/everr"
 	"chainsplit/internal/lang"
 	"chainsplit/internal/program"
 	"chainsplit/internal/seminaive"
@@ -54,5 +56,30 @@ p(Y, X) :- e2(Y, X).
 				}
 			}
 		}
+	}
+}
+
+// A split connection binds nothing, so an IDB literal that needed its
+// bindings may be placed in no finite order: the rewrite refuses the
+// rule instead of reading the literal's unadorned relation.
+func TestUnplaceableIDBLiteralIsRefused(t *testing.T) {
+	const src = `
+e(a, 1). e(a, 2). e(a, 3). e(a, 4). e(a, 5).
+r(X, L) :- e(X, Y), app([Y], [], L).
+app([], L, L).
+app([X|L1], L2, [X|L3]) :- app(L1, L2, L3).
+`
+	res, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := program.Rectify(res.Program)
+	q, _ := lang.ParseQuery("?- r(a, L).")
+	cat := catalogOf(p)
+	if _, err := Rewrite(p, q.Goals[0], withModel(Config{Policy: PolicyCost, Supplementary: true}, cat)); !errors.Is(err, everr.ErrUnsafe) {
+		t.Errorf("cost policy (e splits): err = %v, want ErrUnsafe", err)
+	}
+	if _, err := Rewrite(p, q.Goals[0], withModel(Config{Policy: PolicyFollow, Supplementary: true}, cat)); err != nil {
+		t.Errorf("follow policy: %v", err)
 	}
 }

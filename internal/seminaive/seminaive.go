@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"chainsplit/internal/adorn"
-	"chainsplit/internal/builtin"
 	"chainsplit/internal/everr"
 	"chainsplit/internal/faultinject"
 	"chainsplit/internal/obsv"
@@ -597,13 +596,13 @@ func (e *Engine) runItem(compiled []*compiledRule, items []workItem, headRels []
 	errs[k] = x.run(0)
 }
 
-// scheduleBody orders the body so every builtin is invoked only when
-// its finite mode is satisfied, assuming relation literals bind all
-// their variables. Returns ErrUnsafe if impossible.
+// scheduleBody orders the body leftmost-ready (adorn.Ready): every
+// builtin is invoked only when its finite mode is satisfied and every
+// negation once its shared variables are bound, assuming relation
+// literals bind all their variables. Returns ErrUnsafe if impossible.
 func scheduleBody(r program.Rule) ([]int, error) {
 	n := len(r.Body)
 	bound := make(map[string]bool)
-	isBound := func(v string) bool { return bound[v] }
 	var occ map[string]int // built at the first negated literal
 	done := make([]bool, n)
 	var order []int
@@ -614,22 +613,13 @@ func scheduleBody(r program.Rule) ([]int, error) {
 				continue
 			}
 			lit := r.Body[i]
-			if lit.Negated {
-				if occ == nil {
-					occ = adorn.Occurrences(append([]program.Atom{r.Head}, r.Body...)...)
-				}
-				if !adorn.NegationReady(lit, occ, isBound) {
-					continue
-				}
+			if lit.Negated && occ == nil {
+				occ = adorn.Occurrences(append([]program.Atom{r.Head}, r.Body...)...)
 			}
-			if b := builtin.Lookup(lit.Pred, lit.Arity()); b != nil {
-				ad := adorn.AtomAdornment(lit, bound)
-				if !b.FiniteUnder(ad) {
-					continue
-				}
+			if adorn.Ready(lit, bound, occ, nil) {
+				pick = i
+				break
 			}
-			pick = i
-			break
 		}
 		if pick < 0 {
 			var stuck []string

@@ -103,7 +103,7 @@ type entry struct {
 // them, and the memo of its chain-split picks.
 type body struct {
 	atoms []program.Atom
-	vars  []term.Term
+	vars  []term.Var
 	picks map[string]int
 }
 
@@ -279,11 +279,10 @@ func (e *Engine) solveBody(b *body, solved []byte, left int, s term.Subst, depth
 	return out, nil
 }
 
-// pick returns the index of the leftmost unsolved literal of b that is
-// finitely evaluable under s (the chain-split rule), or -1. Builtin
-// modes, IDB finiteness and adorn.NegationReady read only which
-// variables are ground, so the pick is memoized on the solved set plus
-// the groundness of each of b's variables.
+// pick returns the index of the leftmost unsolved literal of b that may
+// run under s (adorn.Ready: the chain-split rule), or -1. Readiness
+// reads only which variables are ground, so the pick is memoized on the
+// solved set plus the groundness of each of b's variables.
 func (e *Engine) pick(b *body, solved []byte, s term.Subst) int {
 	key := append(e.pickKey[:0], solved...)
 	for _, v := range b.vars {
@@ -296,6 +295,12 @@ func (e *Engine) pick(b *body, solved []byte, s term.Subst) int {
 	if p, ok := b.picks[string(key)]; ok {
 		return p
 	}
+	bound := make(map[string]bool)
+	for k, v := range b.vars {
+		if key[len(solved)+k] == 'b' {
+			bound[v.Name] = true
+		}
+	}
 	var rest []program.Atom
 	var at []int
 	for i, g := range b.atoms {
@@ -303,9 +308,13 @@ func (e *Engine) pick(b *body, solved []byte, s term.Subst) int {
 			rest, at = append(rest, g), append(at, i)
 		}
 	}
+	var occ map[string]int // over the unsolved goals, built at the first negation
 	p := -1
 	for j, g := range rest {
-		if e.evaluable(g, s, rest) {
+		if g.Negated && occ == nil {
+			occ = adorn.Occurrences(rest...)
+		}
+		if adorn.Ready(g, bound, occ, e.an.Finite) {
 			p = at[j]
 			break
 		}
@@ -330,24 +339,6 @@ func ground(s term.Subst, t term.Term) bool {
 		}
 	}
 	return true
-}
-
-// evaluable reports whether goal g, one of goals, is finitely
-// evaluable under s.
-func (e *Engine) evaluable(g program.Atom, s term.Subst, goals []program.Atom) bool {
-	if g.Negated {
-		// Negation-as-failure: a pure test, delayed until the
-		// variables it shares with the other goals are ground.
-		ground := func(v string) bool { return s.Resolve(term.NewVar(v)).Ground() }
-		return adorn.NegationReady(g, adorn.Occurrences(goals...), ground) && e.evaluable(g.Positive(), s, goals)
-	}
-	if b := builtin.Lookup(g.Pred, g.Arity()); b != nil {
-		return b.FiniteUnder(builtin.Adornment(s, g.Args))
-	}
-	if _, idb := e.rules[g.Key()]; !idb {
-		return true // EDB relations are finite under any adornment
-	}
-	return e.an.Finite(g.Pred, g.Arity(), builtin.Adornment(s, g.Args))
 }
 
 // solveLiteral evaluates one literal under s.
