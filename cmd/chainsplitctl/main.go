@@ -28,9 +28,11 @@
 //
 // Exit codes (documented in docs/robustness.md and docs/durability.md):
 //
-//	0  success
-//	1  usage error or program/fact load failure (including -fsck on a
-//	   directory that holds no durable store at all)
+//	0  success, a query with no answers included
+//	1  usage error, program/fact load failure (including -fsck on a
+//	   directory that holds no durable store at all), or a one-shot
+//	   query (-q or embedded) that failed otherwise: a syntax error or
+//	   a query the planner or the chosen strategy refused
 //	2  a limit stopped the query: -timeout, the -max-tuples budget,
 //	   admission-control load shedding, or a -follow read shed because
 //	   the follower exceeded -max-staleness
@@ -313,16 +315,23 @@ func main() {
 		printResult(q, res, *metrics, *trace)
 		return nil
 	}
-	// One-shot modes exit non-zero when a limit stopped the query, so
-	// scripts can tell "no answers" from "gave up". Load shedding is a
-	// limit too: the query was never evaluated, only refused. So is a
-	// staleness shed on a -follow replica — the follower declined to
-	// serve an old answer.
-	exitOnLimit := func(err error) {
+	// One-shot modes exit non-zero when the query failed, so scripts
+	// can tell "no answers" (0) from "gave up" (2) and from "refused or
+	// malformed" (1). A limit gave up: a deadline, a budget, load
+	// shedding (the query was never evaluated, only refused for now) or
+	// a staleness shed on a -follow replica (the follower declined to
+	// serve an old answer).
+	exitOnFailure := func(err error) {
+		if err == nil {
+			return
+		}
+		code := 1
 		if errors.Is(err, chainsplit.ErrDeadline) || errors.Is(err, chainsplit.ErrBudget) ||
 			errors.Is(err, chainsplit.ErrOverloaded) || errors.Is(err, chainsplit.ErrStale) {
-			os.Exit(2)
+			code = 2
 		}
+		closeAll()
+		os.Exit(code)
 	}
 
 	if cl != nil && (*query != "" || len(embedded) > 0) {
@@ -334,7 +343,7 @@ func main() {
 
 	switch {
 	case *query != "":
-		exitOnLimit(runOne(*query))
+		exitOnFailure(runOne(*query))
 	case *interactive:
 		fmt.Println("chainsplitctl: enter queries (empty line to quit)")
 		sc := bufio.NewScanner(os.Stdin)
@@ -354,7 +363,7 @@ func main() {
 			fmt.Printf("%s\n", q)
 			err := runOne(q)
 			fmt.Println()
-			exitOnLimit(err)
+			exitOnFailure(err)
 		}
 	case *serve != "" || *follow != "" || cl != nil:
 		// A server with nothing else to do serves until told to stop,

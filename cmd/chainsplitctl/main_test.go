@@ -432,3 +432,54 @@ func TestScrubExitCodes(t *testing.T) {
 		t.Errorf("scrub on a corrupt store: exit %d, want 3\n%s", code, out)
 	}
 }
+
+// TestQueryExitCodes pins the one-shot query statuses: answers or none
+// exit 0, a limit exits 2, and a query that fails otherwise (malformed,
+// or refused by the chosen strategy) exits 1, whether it came from -q
+// or is embedded in the program. -i keeps going past a failure.
+func TestQueryExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	prog := write("p.dl", "e(a, b). e(b, a).\np(X, Y) :- e(X, Y).\n")
+	unstratified := write("q.dl", "e(a, b). e(b, a).\nq(X) :- e(X, Y), \\+ q(Y).\n")
+	travel := write("travel.dl", `
+travel(L, D, DT, A, AT, F) :- flight(Fno, D, DT, A, AT, F), cons(Fno, [], L).
+travel(L, D, DT, A, AT, F) :-
+    flight(Fno, D, DT, A1, AT1, F1), travel(L1, A1, DT1, A, AT, F2),
+    DT1 > AT1, plus(F1, F2, F), cons(Fno, L1, L).
+flight(1, a, 100, b, 50, 50).
+flight(2, b, 100, a, 50, 60).
+`)
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"answers", []string{"-q", "?- p(a, Y).", prog}, 0},
+		{"no answers", []string{"-q", "?- p(c, Y).", prog}, 0},
+		{"syntax error", []string{"-q", "?- p(X", prog}, 1},
+		{"refused", []string{"-strategy", "topdown", "-q", "?- q(X).", unstratified}, 1},
+		{"limit", []string{"-max-tuples", "200", "-q", "?- travel(L, a, DT, A, AT, F).", travel}, 2},
+		{"embedded refused", []string{"-strategy", "topdown", write("emb.dl", "e(a, b).\nq(X) :- e(X, Y), \\+ q(Y).\n?- q(X).\n")}, 1},
+		{"embedded answers", []string{write("ok.dl", "e(a, b).\n?- e(X, Y).\n")}, 0},
+	}
+	for _, c := range cases {
+		if out, code := runCtl(t, c.args...); code != c.want {
+			t.Errorf("%s: exit %d, want %d\n%s", c.name, code, c.want, out)
+		}
+	}
+	// -i reports a failed query and answers the next one.
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CHAINSPLITCTL_BE_MAIN=1", "CHAINSPLITCTL_ARGS="+strings.Join([]string{"-i", prog}, "\x1f"))
+	cmd.Stdin = strings.NewReader("?- p(X\n?- p(a, Y).\n\n")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "syntax error") || !strings.Contains(string(out), "Y = b") {
+		t.Errorf("-i past a failed query: %v\n%s", err, out)
+	}
+}
