@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"chainsplit/internal/everr"
 	"chainsplit/internal/lang"
 	"chainsplit/internal/term"
 )
@@ -111,6 +113,30 @@ n(1).
 	_, err := db.Query(goals.Goals, Options{})
 	if err == nil || !strings.Contains(err.Error(), "not stratified") {
 		t.Errorf("err = %v, want stratification error", err)
+	}
+}
+
+// TestStratifiedConeOnly checks that stratification is a property of
+// the goal's dependency cone: recursion through negation elsewhere in
+// the program refuses only the goals that reach it, under every
+// strategy, and the refusal wraps ErrUnsafe.
+func TestStratifiedConeOnly(t *testing.T) {
+	const src = `
+e(a, b). e(b, a).
+p(X, Y) :- e(X, Y).
+q(X) :- e(X, Y), \+ q(Y).
+`
+	for s := StrategyAuto; s <= StrategySeminaive; s++ {
+		db := load(t, src)
+		res := ask(t, db, "?- p(a, Y).", Options{Strategy: s})
+		if got := fmt.Sprint(res.Answers); got != "[[a b]]" {
+			t.Errorf("%s: p(a, Y) = %s, want [[a b]]", strategyNames[s], got)
+		}
+		goals, _ := lang.ParseQuery("?- q(X).")
+		_, err := db.Query(goals.Goals, Options{Strategy: s})
+		if !errors.Is(err, everr.ErrUnsafe) || !strings.Contains(fmt.Sprint(err), "not stratified") {
+			t.Errorf("%s: q(X) err = %v, want a stratification error wrapping ErrUnsafe", strategyNames[s], err)
+		}
 	}
 }
 

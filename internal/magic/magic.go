@@ -120,7 +120,7 @@ type Rewritten struct {
 	Program *program.Program
 	// Materialize holds the rules of the predicates consumed under
 	// negation and everything they depend on; evaluate it fully before
-	// Program. It is empty for a program without negation.
+	// Program. It is empty when nothing in the goal's cone is negated.
 	Materialize program.Program
 	// AnswerPred is the adorned relation holding the query answers.
 	AnswerPred string
@@ -134,32 +134,29 @@ type Rewritten struct {
 
 // Rewrite performs the magic-sets transform of (rectified) program p
 // for the given query goal. The goal's predicate must be an IDB
-// predicate of p. A program with stratified negation is rewritten
-// stratum-wise: predicates consumed under negation (and everything
-// they depend on) cannot be goal-directed — their absence test needs
-// the complete relation — so their rules are returned in Materialize,
-// to be evaluated fully first, and the rest is magic-rewritten with
-// them treated as EDB.
+// predicate of p. Only the goal's dependency cone must be stratified.
+// Negation in the cone is rewritten stratum-wise: predicates negated
+// there (and everything they depend on) cannot be goal-directed — their
+// absence test needs the complete relation — so their rules are
+// returned in Materialize, to be evaluated fully first, and the rest is
+// magic-rewritten with them treated as EDB.
 func Rewrite(p *program.Program, goal program.Atom, cfg Config) (*Rewritten, error) {
+	an := cfg.Analysis
+	if an == nil {
+		an = adorn.NewAnalysis(p)
+	}
+	closure, err := an.Graph().Stratify(goal.Key())
+	if err != nil {
+		return nil, fmt.Errorf("magic: %w", err)
+	}
 	idb := p.IDB() // magic-rewritten; every other predicate reads its relation
 	var mat []program.Rule
-	if usesNegation(p) {
-		g := program.NewDepGraph(p)
-		if err := g.CheckStratified(); err != nil {
-			return nil, fmt.Errorf("magic: %v", err)
-		}
-		closure := g.NegClosure()
-		if closure[goal.Key()] {
-			// The goal itself is below a negation: no goal-direction left.
-			return nil, fmt.Errorf("magic: goal %s is consumed under negation; use seminaive", goal.Key())
-		}
-		for k := range closure {
-			delete(idb, k) // materialized: treated as EDB by the rewrite
-		}
-		for _, r := range p.Rules {
-			if closure[r.Head.Key()] {
-				mat = append(mat, r)
-			}
+	for k := range closure {
+		delete(idb, k) // materialized: treated as EDB by the rewrite
+	}
+	for _, r := range p.Rules {
+		if closure[r.Head.Key()] {
+			mat = append(mat, r)
 		}
 	}
 	if err := everr.Check(cfg.Ctx); err != nil {
@@ -175,10 +172,6 @@ func Rewrite(p *program.Program, goal program.Atom, cfg Config) (*Rewritten, err
 		return nil, fmt.Errorf("magic: %s rewrite requires a cost model", cfg.Policy)
 	}
 	th := cfg.thresholds()
-	an := cfg.Analysis
-	if an == nil {
-		an = adorn.NewAnalysis(p)
-	}
 
 	out := &Rewritten{Program: &program.Program{}}
 	goalAd := adorn.GoalAdornment(goal)
@@ -259,19 +252,6 @@ func Rewrite(p *program.Program, goal program.Atom, cfg Config) (*Rewritten, err
 	out.AdornedPreds = pas
 	out.Materialize.Rules = mat
 	return out, nil
-}
-
-// usesNegation reports whether any rule body contains a negated
-// literal.
-func usesNegation(p *program.Program) bool {
-	for _, r := range p.Rules {
-		for _, b := range r.Body {
-			if b.Negated {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 type callSite struct {

@@ -3,6 +3,8 @@ package program
 import (
 	"fmt"
 	"sort"
+
+	"chainsplit/internal/everr"
 )
 
 // DepGraph is the predicate dependency graph of a program: an edge
@@ -90,34 +92,43 @@ func (g *DepGraph) Reachable(starts ...string) map[string]bool {
 	return out
 }
 
-// NegClosure returns the predicates a stratified evaluation must
-// materialize in full before anything goal-directed runs: every
-// predicate negated anywhere, plus everything it depends on, positively
-// or negatively. Their absence tests need complete relations. It is nil
-// when nothing is negated.
-func (g *DepGraph) NegClosure() map[string]bool {
-	var negated []string
-	for _, tos := range g.NegEdges {
-		negated = append(negated, tos...)
+// Stratify checks the dependency cone of goals (the whole program when
+// goals is empty) for recursion through negation, which has no
+// stratified model: no predicate in the cone may depend negatively on
+// its own SCC. The error wraps everr.ErrUnsafe. It also returns the
+// cone's negation closure — every predicate negated inside the cone
+// plus everything it depends on, positively or negatively — which a
+// stratified evaluation must materialize in full before anything
+// goal-directed runs, since absence tests need complete relations. A
+// program without negation computes no cone and returns (nil, nil).
+func (g *DepGraph) Stratify(goals ...string) (map[string]bool, error) {
+	if len(g.NegEdges) == 0 {
+		return nil, nil
 	}
-	if len(negated) == 0 {
-		return nil
+	var cone map[string]bool
+	if len(goals) > 0 {
+		cone = g.Reachable(goals...)
 	}
-	return g.Reachable(negated...)
-}
-
-// CheckStratified verifies no predicate depends negatively on its own
-// SCC: recursion through negation has no stratified model and is
-// rejected.
-func (g *DepGraph) CheckStratified() error {
-	for from, tos := range g.NegEdges {
-		for _, to := range tos {
-			if g.SameSCC(from, to) {
-				return fmt.Errorf("program is not stratified: %s depends negatively on %s within a recursive component", from, to)
-			}
+	froms := make([]string, 0, len(g.NegEdges))
+	for from := range g.NegEdges {
+		if cone == nil || cone[from] {
+			froms = append(froms, from)
 		}
 	}
-	return nil
+	sort.Strings(froms)
+	var negated []string
+	for _, from := range froms {
+		for _, to := range g.NegEdges[from] {
+			if g.SameSCC(from, to) {
+				return nil, everr.Tag(fmt.Sprintf("program is not stratified: %s depends negatively on %s within a recursive component", from, to), everr.ErrUnsafe)
+			}
+			negated = append(negated, to)
+		}
+	}
+	if len(negated) == 0 {
+		return nil, nil
+	}
+	return g.Reachable(negated...), nil
 }
 
 // computeSCCs runs Tarjan's algorithm (iterative) over the graph.

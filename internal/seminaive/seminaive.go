@@ -238,7 +238,11 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // Run evaluates the whole program to fixpoint, SCC by SCC in
 // dependency order.
 func (e *Engine) Run() error {
-	if err := e.graph.CheckStratified(); err != nil {
+	var goals []string
+	if e.opts.Goal != "" {
+		goals = append(goals, e.opts.Goal)
+	}
+	if _, err := e.graph.Stratify(goals...); err != nil {
 		return fmt.Errorf("%w: %v", ErrUnsafe, err)
 	}
 	// Pre-create IDB relations (arity from rule heads). Relations that
