@@ -83,6 +83,9 @@ type Options struct {
 	// the spec's bound rejects. The constraint-pushing partial
 	// evaluator (Algorithm 3.3) produces it.
 	Acc *AccumSpec
+	// Analysis is the finiteness analysis of the program, shared with
+	// the planner; nil builds one.
+	Analysis *adorn.Analysis
 }
 
 // AccumSpec declares a monotone down-phase accumulator, the product of
@@ -236,7 +239,7 @@ type workItem struct {
 // recursive, the chain forms of the other SCC members are compiled too
 // and the context graph spans the whole SCC.
 func New(prog *program.Program, cat *relation.Catalog, comp *chain.Compiled, opts Options) *Evaluator {
-	inner := topdown.New(prog, cat, topdown.Options{Ctx: opts.Ctx})
+	inner := topdown.New(prog, cat, topdown.Options{Ctx: opts.Ctx, Analysis: opts.Analysis})
 	ev := &Evaluator{
 		goalKey:   comp.Key(),
 		comps:     map[string]*chain.Compiled{comp.Key(): comp},
