@@ -89,10 +89,14 @@ check: build fmt vet staticcheck govulncheck race
 bench:
 	$(GO) test -bench=. -benchmem
 
-# The micro-benchmarks of the term and relation layers that
-# docs/performance.md tabulates, and the builtin registry lookup.
+# The micro-benchmarks docs/performance.md tabulates: the term and
+# relation layers, the builtin registry lookup and top-down solves of
+# the list programs. BENCHTIME=1x runs each benchmark once (CI does, so
+# none of them rots).
+BENCHTIME ?= 1s
+
 microbench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/term ./internal/relation ./internal/builtin
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./internal/term ./internal/relation ./internal/builtin ./internal/topdown
 
 # Regenerate every golden file from the current code: the executor
 # outcome table, the experiments' generated EXPERIMENTS.md sections,
