@@ -36,12 +36,6 @@ func (a Atom) Negate() Atom {
 	return a
 }
 
-// Positive returns the atom with negation stripped.
-func (a Atom) Positive() Atom {
-	a.Negated = false
-	return a
-}
-
 // Arity returns the number of arguments.
 func (a Atom) Arity() int { return len(a.Args) }
 

@@ -572,45 +572,6 @@ func (r *Relation) Select(constraints map[int]term.Term) *Relation {
 	return out
 }
 
-// Match returns one extension of s per tuple of r that unifies with
-// args under s, in insertion order. The ground (under s) arguments
-// select candidates through an index; only the rest are unified.
-func Match(r *Relation, args []term.Term, s term.Subst) []term.Subst {
-	var cols []int
-	var vals Tuple
-	resolved := make([]term.Term, len(args))
-	for i, a := range args {
-		ra := s.Resolve(a)
-		resolved[i] = ra
-		if ra.Ground() {
-			cols = append(cols, i)
-			vals = append(vals, ra)
-		}
-	}
-	candidates := r.tuples
-	if len(cols) > 0 {
-		candidates = r.LookupOn(cols, vals)
-	}
-	var out []term.Subst
-	for _, tup := range candidates {
-		sol := s.Clone()
-		ok := true
-		for i, a := range resolved {
-			if a.Ground() {
-				continue
-			}
-			if !term.Unify(sol, a, tup[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, sol)
-		}
-	}
-	return out
-}
-
 // Join hash-joins r and o on r.leftCols = o.rightCols and returns the
 // concatenated tuples (r's columns then o's columns), probing o's
 // index with each tuple of r.

@@ -2,6 +2,7 @@ package topdown
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,5 +114,36 @@ e(a, b). e(b, c). e(c, d).
 	// budget rather than return silently-incomplete answers.
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget (passes)", err)
+	}
+}
+
+// TestFrameEdgeCases covers the slot frames' rarer paths: a non-ground
+// answer read into a frame with no slots of its own, a body wider than
+// 64 literals and 64 variables, and SolveUnder binding a variable that
+// occurs only inside the substitution's values.
+func TestFrameEdgeCases(t *testing.T) {
+	e := engine(t, boxSrc, Options{})
+	if got := solve(t, e, "?- boxed(1, box(1, 7))."); len(got) != 1 {
+		t.Errorf("boxed(1, box(1, 7)) = %v, want one solution", got)
+	}
+
+	var body []string
+	for i := 0; i < 70; i++ {
+		body = append(body, fmt.Sprintf("e(X%d, X%d)", i, i+1))
+	}
+	e = engine(t, "e(a, b). e(b, a).\nwalk(X0, X70) :- "+strings.Join(body, ", ")+".", Options{})
+	if got := fmt.Sprint(solve(t, e, "?- walk(a, Y).")); got != "[[a a]]" {
+		t.Errorf("walk(a, Y) = %s, want [[a a]]", got)
+	}
+
+	e = engine(t, "", Options{})
+	s := term.NewSubst()
+	s.Bind(term.NewVar("X"), term.NewComp("f", term.NewVar("Z")))
+	sols, err := e.SolveUnder(program.NewAtom("=", term.NewVar("X"), term.NewComp("f", term.NewInt(1))), s)
+	if err != nil || len(sols) != 1 {
+		t.Fatalf("SolveUnder: %v, %v", sols, err)
+	}
+	if got := sols[0].Resolve(term.NewVar("Z")); !term.Equal(got, term.NewInt(1)) {
+		t.Errorf("Z = %v, want 1", got)
 	}
 }

@@ -462,18 +462,19 @@ func TestCountsPinned(t *testing.T) {
 
 // TestTopDownBytesPerStep bounds the bytes a top-down run allocates per
 // resolution step (Stats.Steps) on the paper's list programs. A step
-// that copied every binding made so far would grow with the bindings;
-// cloning a substitution copies none. Each row solves a seeded random
-// list on a fresh engine and keeps the least of three runs.
+// binds slots of a frame and records them on a trail, so what it
+// allocates is the terms it builds, table entries and answers, and the
+// stack's growth. Each row solves a seeded random list on a fresh
+// engine and keeps the least of three runs.
 func TestTopDownBytesPerStep(t *testing.T) {
 	rows := []struct {
 		name, src, pred string
 		n               int
 		max             float64
 	}{
-		{"qsort", qsortSrc, "qsort", 256, 500},
-		{"isort", sortSrc, "isort", 96, 400},
-		{"append", qsortSrc, "append", 1024, 600},
+		{"qsort", qsortSrc, "qsort", 256, 250},
+		{"isort", sortSrc, "isort", 96, 200},
+		{"append", qsortSrc, "append", 1024, 300},
 	}
 	var report []string
 	failed := false
