@@ -224,15 +224,6 @@ func (r *Renamer) Fresh() Var {
 // the next Rename call renames apart from everything issued so far.
 func (r *Renamer) Reset() { r.seen = make(map[string]Var) }
 
-// Renamed reports what the variable named orig was renamed to since the
-// last Reset. Callers that need the source-to-instance variable mapping
-// (e.g. to locate an accumulator variable inside a renamed rule) query
-// this right after Rename.
-func (r *Renamer) Renamed(orig string) (Var, bool) {
-	v, ok := r.seen[orig]
-	return v, ok
-}
-
 // Rename returns t with every variable consistently replaced by a fresh
 // one. Consecutive calls share the renaming table until Reset, so the
 // head and body of one rule stay consistent. Ground terms, compounds
