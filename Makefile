@@ -90,13 +90,13 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # The micro-benchmarks docs/performance.md tabulates: the term and
-# relation layers, the builtin registry lookup and top-down solves of
-# the list programs. BENCHTIME=1x runs each benchmark once (CI does, so
-# none of them rots).
+# relation layers, the builtin registry lookup, and top-down and
+# buffered solves of the list programs. BENCHTIME=1x runs each
+# benchmark once (CI does, so none of them rots).
 BENCHTIME ?= 1s
 
 microbench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./internal/term ./internal/relation ./internal/builtin ./internal/topdown
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./internal/term ./internal/relation ./internal/builtin ./internal/topdown ./internal/counting
 
 # Regenerate every golden file from the current code: the executor
 # outcome table, the experiments' generated EXPERIMENTS.md sections,
