@@ -420,7 +420,7 @@ same_country(ap1, bp1). same_country(ap2, bp2).
 // builtins only answers with the argument vector of its one goal; a
 // conjunction or a negated goal with a vector over its variables.
 func TestQueryAnswerShape(t *testing.T) {
-	db := load(t, "e(a, b). e(b, c).")
+	db := load(t, "e(a, b). e(b, c). id(X, X).")
 	cases := []struct {
 		query, vars, answers string
 		arity                int
@@ -461,6 +461,22 @@ func TestQueryAnswerShape(t *testing.T) {
 		q, _ := lang.ParseQuery("?- X = Y.")
 		if _, err := db.Query(q.Goals, Options{Strategy: strat}); !errors.Is(err, everr.ErrUnsafe) {
 			t.Errorf("%v on ?- X = Y.: err = %v, want ErrUnsafe", strat, err)
+		}
+		// The constraint binds the goal's Z, so the query runs as the
+		// query rule. Semi-naive evaluation computes id/2's whole
+		// extension, which is infinite, and refuses the query as it
+		// refuses ?- id(Z, 1).
+		q, _ = lang.ParseQuery("?- id(Z, W), Z = 1.")
+		res, err := db.Query(q.Goals, Options{Strategy: strat})
+		switch {
+		case strat == StrategySeminaive:
+			if !errors.Is(err, everr.ErrUnsafe) || !strings.Contains(fmt.Sprint(err), "not safe for bottom-up evaluation") {
+				t.Errorf("%v on ?- id(Z, W), Z = 1.: err = %v, want the bottom-up safety refusal", strat, err)
+			}
+		case err != nil:
+			t.Errorf("%v on ?- id(Z, W), Z = 1.: %v", strat, err)
+		case fmt.Sprint(res.Vars, " ", res.Answers) != "[Z W] [[1 1]]":
+			t.Errorf("%v on ?- id(Z, W), Z = 1.: Vars, Answers = %v %v, want [Z W] [[1 1]]", strat, res.Vars, res.Answers)
 		}
 	}
 }
