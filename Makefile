@@ -121,11 +121,13 @@ loc:
 # per element of append (buffered and top-down), bytes per n·log₂n of
 # top-down qsort, the time of each ground-term operation at 16 and
 # 65,536 list cells, the heap bytes per stored tuple and the
-# allocations of a copy-on-write relation clone, and the bytes per
-# top-down resolution step of qsort, isort and append.
+# allocations of a copy-on-write relation clone, the bytes per top-down
+# resolution step of qsort, isort and append, and semi-naive's
+# allocations per derived tuple.
 shapes:
 	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN)$$' ./internal/core
 	$(GO) test -count=1 -v -run '^TestTopDownBytesPerStep$$' ./internal/topdown
+	$(GO) test -count=1 -v -run '^TestEvalAllocsPerDerivedTuple$$' ./internal/seminaive
 	$(GO) test -count=1 -v -run '^TestGroundOpsConstantTime$$' ./internal/term
 	$(GO) test -count=1 -v -run '^TestRelationStorageCost$$' ./internal/relation
 

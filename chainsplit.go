@@ -847,20 +847,18 @@ type Subst = term.Subst
 // (strings over 'b'/'f', one character per argument) under which the
 // predicate has finitely many solutions — the finiteness analysis uses
 // them to schedule (and, where necessary, chain-split around) calls.
-// eval receives the call's argument terms and the current bindings and
-// returns one extended binding per solution, cloned from the bindings
-// it received: those belong to the engine, which may reuse them once
-// eval returns. Core builtins cannot be overridden.
+// eval receives an empty substitution and the call's arguments resolved
+// by the engine: a bound argument is its value, and a free one is a
+// variable of the engine's, which eval binds through the substitution
+// (Unify) and must not read by name. It returns one extended
+// substitution per solution (the one it received for a single one, a
+// Clone of it for each of several); each becomes the call's arguments
+// resolved under it. Core builtins cannot be overridden.
 //
 //	chainsplit.RegisterBuiltin("upper", 2, []string{"bf"},
 //	    func(s chainsplit.Subst, args []chainsplit.Term) ([]chainsplit.Subst, error) { … })
 func RegisterBuiltin(name string, arity int, finiteModes []string, eval func(Subst, []Term) ([]Subst, error)) error {
-	return builtin.Register(&builtin.Builtin{
-		Name:        name,
-		Arity:       arity,
-		FiniteModes: finiteModes,
-		Eval:        eval,
-	})
+	return builtin.Register(name, arity, finiteModes, eval)
 }
 
 // ErrBuiltinInsufficient should be returned by user builtins invoked

@@ -17,7 +17,8 @@ import (
 
 // testSeams are exported functions under internal/ that no non-test
 // file calls on purpose: each stays so tests can inject a fault or
-// observe state the program reaches on its own.
+// observe state the program reaches on its own, or because the public
+// API re-exports its type for callers outside the module.
 var testSeams = map[string]string{
 	"faultinject.Set":           "installs an injected fault at a named site",
 	"faultinject.SetData":       "installs a byte-mangling fault at a named data site",
@@ -27,6 +28,7 @@ var testSeams = map[string]string{
 	"replica.Session.Connected": "lets tests wait for a stream to come up",
 	"replica.Session.Diverged":  "lets tests observe a session ended on a digest mismatch",
 	"replica.Session.Err":       "lets tests read why a stream ended",
+	"term.Subst.Clone":          "chainsplit.Subst re-exports it: a user builtin clones its substitution once per solution",
 }
 
 // stdlibCalled are method names the standard library calls through an

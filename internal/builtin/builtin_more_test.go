@@ -2,6 +2,7 @@ package builtin
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"chainsplit/internal/term"
@@ -13,7 +14,7 @@ func evalB(t *testing.T, name string, arity int, args ...term.Term) ([]term.Subs
 	if b == nil {
 		t.Fatalf("builtin %s/%d missing", name, arity)
 	}
-	return b.Eval(term.NewSubst(), args)
+	return solve(b, term.NewSubst(), args)
 }
 
 func TestMinus(t *testing.T) {
@@ -100,5 +101,36 @@ func TestLength(t *testing.T) {
 	}
 	if _, err := evalB(t, "length", 2, term.NewInt(9), term.NewVar("N")); !errors.Is(err, ErrType) {
 		t.Errorf("length of non-list err = %v", err)
+	}
+}
+
+// TestRegisterAdapter checks the adapter Register puts around a user
+// builtin: it runs on an empty substitution and the arguments as the
+// caller resolved them, and each substitution it returns comes back as
+// the arguments resolved under it, a fresh variable included.
+func TestRegisterAdapter(t *testing.T) {
+	err := Register("adapter_probe", 2, []string{"bf"}, func(s term.Subst, args []term.Term) ([]term.Subst, error) {
+		if s.String() != "{}" {
+			t.Errorf("substitution %s, want an empty one", s)
+		}
+		one, two := s.Clone(), s.Clone()
+		if !term.Unify(one, args[1], term.NewComp("p", args[0], term.NewVar("Fresh"))) || !term.Unify(two, args[1], args[0]) {
+			t.Fatal("unify failed")
+		}
+		return []term.Subst{one, two}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []term.Term{term.IntList(1, 2), term.NewVar("$3")}
+	sols, err := Lookup("adapter_probe", 2).Solve(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(sols); got != "[[[1, 2] p([1, 2], Fresh)] [[1, 2] [1, 2]]]" {
+		t.Errorf("solutions %s", got)
+	}
+	if err := Register("cons", 3, nil, func(term.Subst, []term.Term) ([]term.Subst, error) { return nil, nil }); err == nil {
+		t.Error("Register overrode the core builtin cons/3")
 	}
 }

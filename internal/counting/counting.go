@@ -193,9 +193,8 @@ type ctx struct {
 	level   int
 	acc     int64
 	parents []edge // edges from this context (child) to its parents
-	answers [][]term.Term
-	seen    map[string]bool
 	pruned  bool
+	topdown.Answers
 }
 
 // ruleSplit caches the split of one rule under one adornment: of a
@@ -237,6 +236,7 @@ type Evaluator struct {
 	ctxs    map[string]*ctx
 	pending []workItem
 	stats   Stats
+	key     []byte // scratch for answer keys
 }
 
 // workItem is one unit of up-phase propagation: replay answer ans of a
@@ -412,7 +412,7 @@ func (ev *Evaluator) Query(goal program.Atom) ([][]term.Term, error) {
 	// Filter root answers by the goal's ground arguments (defensive;
 	// bound positions already match by construction).
 	var out [][]term.Term
-	for _, ans := range root.answers {
+	for _, ans := range root.List {
 		ok := true
 		for i, a := range goal.Args {
 			if a.Ground() && !term.Equal(a, ans[i]) {
@@ -500,7 +500,7 @@ func (ev *Evaluator) ensureCtx(key, ad string, input []term.Term, level int, acc
 	if len(ev.ctxs) >= ev.opts.maxContexts() {
 		return nil, false, fmt.Errorf("%w: more than %d contexts", ErrBudget, ev.opts.maxContexts())
 	}
-	c := &ctx{key: key, ad: ad, input: input, level: level, acc: acc, seen: make(map[string]bool)}
+	c := &ctx{key: key, ad: ad, input: input, level: level, acc: acc}
 	ev.ctxs[ck] = c
 	ev.stats.Contexts++
 	ev.opts.Tracer.Point(obsv.PhaseLevel, key, int64(level), int64(ev.stats.Contexts))
@@ -574,7 +574,7 @@ func (ev *Evaluator) expand(c *ctx, level int) ([]*ctx, error) {
 			}
 			// Replay existing answers of a shared child through the
 			// new edge.
-			for _, ans := range child.answers {
+			for _, ans := range child.List {
 				ev.pending = append(ev.pending, workItem{e: e, ans: ans})
 			}
 			if isNew {
@@ -635,16 +635,9 @@ func (ev *Evaluator) addAnswer(c *ctx, ans []term.Term) error {
 			return fmt.Errorf("counting: non-ground answer %v at context %s", ans, c.ad)
 		}
 	}
-	var kb []byte
-	for _, a := range ans {
-		kb = term.AppendKey(kb, a)
-	}
-	k := string(kb)
-	if c.seen[k] {
+	if !c.Add(ans, &ev.key) {
 		return nil
 	}
-	c.seen[k] = true
-	c.answers = append(c.answers, ans)
 	ev.stats.Answers++
 	ev.opts.Tracer.Point(obsv.PhaseAnswer, c.key, int64(c.level), int64(ev.stats.Answers))
 	if ev.opts.Tracer.Enabled() {

@@ -106,11 +106,6 @@ func (a Atom) Rename(r *term.Renamer) Atom {
 	return Atom{Pred: a.Pred, Args: args, Negated: a.Negated}
 }
 
-// Resolve applies the substitution to every argument.
-func (a Atom) Resolve(s term.Subst) Atom {
-	return Atom{Pred: a.Pred, Args: s.ResolveAll(a.Args), Negated: a.Negated}
-}
-
 // Rule is a Horn clause Head ← Body. Facts are rules with empty bodies
 // and ground heads.
 type Rule struct {

@@ -224,11 +224,8 @@ func TestParallelPanicContained(t *testing.T) {
 	// the realistic source) must come back as a typed ErrPanic error
 	// from the engine, not crash the process — a worker goroutine is
 	// beyond the reach of the public API's recover.
-	if err := builtin.Register(&builtin.Builtin{
-		Name: "panicb", Arity: 1, FiniteModes: []string{"b"},
-		Eval: func(s term.Subst, args []term.Term) ([]term.Subst, error) {
-			panic("panicb: deliberate test panic")
-		},
+	if err := builtin.Register("panicb", 1, []string{"b"}, func(s term.Subst, args []term.Term) ([]term.Subst, error) {
+		panic("panicb: deliberate test panic")
 	}); err != nil {
 		t.Fatal(err)
 	}

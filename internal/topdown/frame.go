@@ -36,7 +36,7 @@ type litKind uint8
 const (
 	litRel     litKind = iota // relation: EDB facts and/or IDB rules
 	litCons                   // cons/3, unified in the frame
-	litBuiltin                // any other builtin, through Builtin.Eval
+	litBuiltin                // any other builtin, through Builtin.Solve
 )
 
 // lit is one body literal, compiled.
@@ -51,12 +51,8 @@ type lit struct {
 	pred *pred
 	// indexes caches rel's index per set of ground argument columns.
 	indexes []colIndex
-	// b is the builtin (litBuiltin); vars holds its variables in sorted
-	// order (as terms, so passing one allocates nothing) and slots their
-	// slots.
-	b     *builtin.Builtin
-	vars  []term.Term
-	slots []int
+	// b is the builtin (litBuiltin).
+	b *builtin.Builtin
 }
 
 type colIndex struct {
@@ -179,10 +175,6 @@ func (c *compiler) lit(a program.Atom) lit {
 		l.kind = litCons
 	case b != nil:
 		l.kind, l.b = litBuiltin, b
-		for _, v := range term.SortedVarNames(a.Vars()) {
-			l.vars = append(l.vars, term.NewVar(v))
-			l.slots = append(l.slots, c.slot(v))
-		}
 	default:
 		if rel := c.e.cat.Get(a.Pred); rel != nil && rel.Arity() == a.Arity() {
 			l.rel = rel
@@ -456,11 +448,11 @@ func width(ts []term.Term) int {
 	return w
 }
 
-// adopt returns t, a term of a substitution, as a term of the frame at
-// base: a variable named in names becomes that slot, a frame variable
-// stays, and any other variable takes a fresh slot, the same one for
-// every occurrence while e.foreign lists it.
-func (e *Engine) adopt(base int, names []string, t term.Term) term.Term {
+// adopt returns t, a term of a builtin's solution, as a term of the
+// frame at base: a frame variable stays, and any other variable (a
+// fresh one a user builtin returned) takes a fresh slot, the same one
+// for every occurrence while e.foreign lists it.
+func (e *Engine) adopt(base int, t term.Term) term.Term {
 	if t.Ground() {
 		return t
 	}
@@ -468,11 +460,6 @@ func (e *Engine) adopt(base int, names []string, t term.Term) term.Term {
 	case term.Var:
 		if isRef(tt) {
 			return t
-		}
-		for s, n := range names {
-			if n == tt.Name {
-				return ref(s)
-			}
 		}
 		for _, f := range e.foreign {
 			if f.name == tt.Name {
@@ -486,14 +473,15 @@ func (e *Engine) adopt(base int, names []string, t term.Term) term.Term {
 	case term.Comp:
 		args := make([]term.Term, len(tt.Args))
 		for i, a := range tt.Args {
-			args[i] = e.adopt(base, names, a)
+			args[i] = e.adopt(base, a)
 		}
 		return term.NewComp(tt.Functor, args...)
 	}
 	return t
 }
 
-// foreignVar is a variable of a substitution given a frame slot.
+// foreignVar is a fresh variable of a builtin's solution given a frame
+// slot.
 type foreignVar struct {
 	name string
 	slot int

@@ -182,19 +182,16 @@ e(a, b). e(b, c). e(c, a). e(c, d).
 `
 
 func init() {
-	err := builtin.Register(&builtin.Builtin{
-		Name: "pairbox", Arity: 2, FiniteModes: []string{"bf"},
-		Eval: func(s term.Subst, args []term.Term) ([]term.Subst, error) {
-			x := s.Resolve(args[0])
-			if !x.Ground() {
-				return nil, builtin.ErrInsufficient
-			}
-			sol := s.Clone()
-			if !term.Unify(sol, args[1], term.NewComp("box", x, term.NewVar("_Box"))) {
-				return nil, nil
-			}
-			return []term.Subst{sol}, nil
-		},
+	err := builtin.Register("pairbox", 2, []string{"bf"}, func(s term.Subst, args []term.Term) ([]term.Subst, error) {
+		x := s.Resolve(args[0])
+		if !x.Ground() {
+			return nil, builtin.ErrInsufficient
+		}
+		sol := s.Clone()
+		if !term.Unify(sol, args[1], term.NewComp("box", x, term.NewVar("_Box"))) {
+			return nil, nil
+		}
+		return []term.Subst{sol}, nil
 	})
 	if err != nil {
 		panic(err)
