@@ -30,14 +30,15 @@ r(X, Y) :- f(Y, X).
 
 // conjPreds and conjArgs are the alphabets decodeConjunction reads. An
 // upper-case predicate is the negated goal; `=` is the builtin
-// equality. x, y, z and - are one-element lists of X, Y, Z and _; 1
-// and 2 are the ground lists [a] and [b, c].
+// equality and `~` its negation. x, y, z and - are one-element lists
+// of X, Y, Z and _; 1 and 2 are the ground lists [a] and [b, c], and 3
+// is [_, a], which clashes with [_] though neither is ground.
 const (
-	conjPreds = "efrtEFRT="
-	conjArgs  = "XYZ_abcdxyz-12"
+	conjPreds = "efrtEFRT=~"
+	conjArgs  = "XYZ_abcdxyz-123"
 )
 
-var conjArgTerms = []string{"X", "Y", "Z", "_", "a", "b", "c", "d", "[X]", "[Y]", "[Z]", "[_]", "[a]", "[b, c]"}
+var conjArgTerms = []string{"X", "Y", "Z", "_", "a", "b", "c", "d", "[X]", "[Y]", "[Z]", "[_]", "[a]", "[b, c]", "[_, a]"}
 
 // conjPick returns the index of b in alphabet, so seeds read as text,
 // or else picks an entry by b's value.
@@ -73,12 +74,14 @@ func decodeConjunction(data []byte) (query string, vars []string) {
 		a1 := conjArgTerms[conjPick(conjArgs, data[1])]
 		a2 := conjArgTerms[conjPick(conjArgs, data[2])]
 		data = data[3:]
-		negated := p >= 'A' && p <= 'Z'
+		negated := p >= 'A' && p <= 'Z' || p == '~'
 		note(a1, negated)
 		note(a2, negated)
 		switch {
 		case p == '=':
 			goals = append(goals, a1+" = "+a2)
+		case p == '~':
+			goals = append(goals, "\\+ "+a1+" = "+a2)
 		case negated:
 			goals = append(goals, fmt.Sprintf("\\+ %c(%s, %s)", p-'A'+'a', a1, a2))
 		default:

@@ -414,6 +414,23 @@ same_country(ap1, bp1). same_country(ap2, bp2).
 	}
 }
 
+// TestConstraintSidesNotGround checks, under every strategy, a goal's
+// =/2 constraints whose two sides both hold an anonymous variable: the
+// constraint holds exactly when the sides unify.
+func TestConstraintSidesNotGround(t *testing.T) {
+	db := load(t, "p(a).")
+	for _, strat := range everyStrategy {
+		for query, want := range map[string]string{
+			"?- p(X), \\+ g(X, _) = f(_, 1).": "[[a]]",
+			"?- p(X), \\+ g(X, _) = g(_, 1).": "[]",
+		} {
+			if got := fmt.Sprint(ask(t, db, query, Options{Strategy: strat}).Answers); got != want {
+				t.Errorf("%v on %s: %s, want %s", strat, query, got, want)
+			}
+		}
+	}
+}
+
 // TestQueryAnswerShape pins, under every strategy, the answer shape of
 // each query that is not one positive relational goal: its Vars, its
 // sorted answers and the arity of every answer vector. A query of
