@@ -108,7 +108,7 @@ func Compile(p *program.Program, g *program.DepGraph, key string) (*Compiled, er
 // nil context is never checked.
 func CompileCtx(ctx context.Context, p *program.Program, g *program.DepGraph, key string) (*Compiled, error) {
 	if err := faultinject.Fire(faultinject.SiteChainCompile); err != nil {
-		return nil, fmt.Errorf("chain: compilation of %s failed: %w", key, err)
+		return nil, compileFailed(key, err)
 	}
 	rules := p.RulesFor(key)
 	if len(rules) == 0 {
@@ -154,6 +154,25 @@ func CompileCtx(ctx context.Context, p *program.Program, g *program.DepGraph, ke
 		return c, nil // nonrecursive: exit rules only
 	}
 	return c, nil
+}
+
+// Reuse passes c, a chain form compiled earlier from the same rules,
+// through the checks a fresh compilation makes: the compile fault site
+// and ctx. It returns c itself, which callers share and never modify.
+func Reuse(ctx context.Context, c *Compiled) (*Compiled, error) {
+	if err := faultinject.Fire(faultinject.SiteChainCompile); err != nil {
+		return nil, compileFailed(c.Key(), err)
+	}
+	if err := everr.Check(ctx); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// compileFailed is the error of a compilation of key that the fault
+// site failed.
+func compileFailed(key string, err error) error {
+	return fmt.Errorf("chain: compilation of %s failed: %w", key, err)
 }
 
 // redundantRecursiveRule reports whether some recursive body literal

@@ -69,7 +69,7 @@ func (db *DB) ExplainAnalyze(goals []program.Atom, opts Options) (*AnalyzeReport
 
 // ExplainAnalyze evaluates against this generation; see DB.ExplainAnalyze.
 func (g *generation) ExplainAnalyze(goals []program.Atom, opts Options) (*AnalyzeReport, error) {
-	opts = g.applyPragmas(opts)
+	opts = g.rules.pragmas.apply(opts)
 	opts.Trace = true
 	res, err := g.Query(goals, opts)
 	if err != nil {

@@ -92,19 +92,19 @@ func TestAnalysisCacheInvalidation(t *testing.T) {
 append([], L, L).
 append([X|L1], L2, [X|L3]) :- append(L1, L2, L3).
 `)
-	an1 := db.current().analysisFor()
-	if db.current().analysisFor() != an1 {
+	an1 := db.current().rules.analysis()
+	if db.current().rules.analysis() != an1 {
 		t.Error("analysis not cached across calls")
 	}
 	// Fact-only load carries the cache into the next generation.
 	db.Load(parse(t, "e(a, b)."))
-	if db.current().analysisFor() != an1 {
+	if db.current().rules.analysis() != an1 {
 		t.Error("fact-only load invalidated the analysis")
 	}
 	// Rule load invalidates it, and the new rules are analysed:
 	// rev/2 did not exist before.
 	db.Load(parse(t, "rev(X, Y) :- append(Y, [], X)."))
-	if db.current().analysisFor() == an1 {
+	if db.current().rules.analysis() == an1 {
 		t.Error("rule load did not invalidate the analysis")
 	}
 	res := ask(t, db, "?- rev([1], Y).", Options{})

@@ -13,9 +13,10 @@ import (
 	"chainsplit/internal/term"
 )
 
-// Rule execution. Each rule is compiled once per SCC, in the order
-// scheduleBody chose, into a list of steps over an integer-indexed slot
-// array that holds one ground term per rule variable. Which variables
+// Rule execution. Each rule is compiled once per Compiled program, in
+// the order scheduleBody chose, into a list of steps over an
+// integer-indexed slot array that holds one ground term per rule
+// variable. Which variables
 // are bound before each step is known statically, so every argument
 // compiles to a fixed operation: a constant or an already-bound slot
 // becomes part of the index key, a first occurrence binds its slot, a
@@ -84,8 +85,11 @@ type step struct {
 	kind stepKind
 	lit  int // index in the rule body (literal statistics, delta choice)
 	atom program.Atom
-	// rel is the relation read (stepRel, stepNegRel); nil reads as empty.
-	rel *relation.Relation
+	// read is the position, among the relations its SCC reads, of the
+	// relation a stepRel or stepNegRel reads (-1 for a builtin); a run
+	// binds each position to a relation of its catalog, nil reading as
+	// empty.
+	read int
 	// scc is the position of rel's predicate in the SCC being evaluated
 	// when a positive literal reads it (its reads are windowed), else -1.
 	scc int
@@ -119,16 +123,12 @@ type compiledRule struct {
 	// occurrence), else -1; headPred is the head's position.
 	deltaPreds []int
 	headPred   int
-	// agg is the engine-wide literal-statistics aggregate (nil without
-	// Options.Tracer).
-	agg *litCounters
 }
 
 // compileRule compiles r with its body in the given order; sccPos maps
-// each predicate key of the SCC to its position. Relations are resolved
-// against cat once: during an SCC's rounds the catalog's relations are
-// stable (heads were resolved before compiling).
-func compileRule(r program.Rule, order []int, cat *relation.Catalog, sccPos map[string]int) *compiledRule {
+// each predicate key of the SCC to its position, and readOf numbers the
+// relations the SCC's literals read.
+func compileRule(r program.Rule, order []int, sccPos map[string]int, readOf func(program.Atom) int) *compiledRule {
 	c := &compiledRule{rule: r, headKey: r.Head.Key(), headPred: sccPos[r.Head.Key()], deltaPreds: make([]int, len(r.Body))}
 	slots := make(map[string]int)
 	bound := make(map[string]bool) // bound before the current step
@@ -171,12 +171,10 @@ func compileRule(r program.Rule, order []int, cat *relation.Catalog, sccPos map[
 	}
 	for _, li := range order {
 		lit := r.Body[li]
-		st := step{lit: li, atom: lit, scc: -1}
+		st := step{lit: li, atom: lit, read: -1, scc: -1}
 		b := builtin.Lookup(lit.Pred, lit.Arity())
 		if b == nil {
-			if rel := cat.Get(lit.Pred); rel != nil && rel.Arity() == lit.Arity() {
-				st.rel = rel
-			}
+			st.read = readOf(lit)
 			if p, ok := sccPos[lit.Key()]; ok && !lit.Negated {
 				st.scc = p
 			}
@@ -226,6 +224,8 @@ type executor struct {
 	c     *compiledRule
 	ctx   context.Context
 	slots []term.Term
+	// rels binds each read position of the SCC to its relation.
+	rels []*relation.Relation
 	// A round reads each same-SCC relation p only below hi[p], the
 	// length it started with, so it never sees its own derivations;
 	// deltaLit (-1: none) reads only the delta window [lo[p], hi[p]).
@@ -253,7 +253,7 @@ func (x *executor) run(i int) error {
 	}
 	switch st.kind {
 	case stepRel:
-		rel := st.rel
+		rel := x.rels[st.read]
 		if rel == nil {
 			return nil
 		}
@@ -286,7 +286,7 @@ func (x *executor) run(i int) error {
 		}
 		return nil
 	case stepNegRel:
-		if st.rel != nil && x.holds(i, st) {
+		if rel := x.rels[st.read]; rel != nil && x.holds(i, st, rel) {
 			return nil
 		}
 	case stepBuiltin, stepNegBuiltin:
@@ -350,24 +350,24 @@ func (x *executor) matchCols(st *step, tup relation.Tuple) bool {
 	return true
 }
 
-// holds reports whether the relation of step i, a negated literal, has
-// a tuple matching it: a membership probe when every argument is
+// holds reports whether rel, the relation of step i, a negated literal,
+// has a tuple matching it: a membership probe when every argument is
 // bound, else a probe on the bound columns (a scan when none is) that
 // binds the negation's local variables tuple by tuple.
-func (x *executor) holds(i int, st *step) bool {
+func (x *executor) holds(i int, st *step, rel *relation.Relation) bool {
 	if len(st.cols) == 0 {
-		return st.rel.Contains(x.build(st.keyPats))
+		return rel.Contains(x.build(st.keyPats))
 	}
 	if len(st.keyCols) == 0 {
-		for p, n := 0, st.rel.Len(); p < n; p++ {
-			if x.matchCols(st, st.rel.At(p)) {
+		for p, n := 0, rel.Len(); p < n; p++ {
+			if x.matchCols(st, rel.At(p)) {
 				return true
 			}
 		}
 		return false
 	}
 	if x.indexes[i] == nil {
-		x.indexes[i] = st.rel.Index(st.keyCols)
+		x.indexes[i] = rel.Index(st.keyCols)
 	}
 	m := x.indexes[i].Probe(x.build(st.keyPats))
 	for p := 0; p < m.Len(); p++ {

@@ -14,8 +14,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"chainsplit/internal/adorn"
 	"chainsplit/internal/everr"
@@ -131,14 +133,211 @@ type Stats struct {
 	Rules         []RuleProfile // present with Options.Tracer
 }
 
-// Engine evaluates one program against one working catalog.
-type Engine struct {
+// Compiled is a program prepared for evaluation against any catalog:
+// its dependency graph with the SCC order, the relations its rules
+// name, and — built the first time a run reaches each SCC — the SCC's
+// rules scheduled and compiled into steps. It holds no relation and no
+// catalog, so one Compiled serves any number of runs, concurrently,
+// over any catalogs; an SCC a run never reaches (one outside its goal's
+// cone) is never scheduled, so an unschedulable rule there fails no
+// run.
+type Compiled struct {
 	prog  *program.Program
 	graph *program.DepGraph
+	// rels lists every relation a rule names (heads and relation
+	// literals), each once; a run creates those its catalog lacks.
+	rels []relKey
+	// sccs holds each SCC's compiled plan by SCC index, nil until a run
+	// first reaches it; a failed compile stores nothing.
+	sccs []atomic.Pointer[sccPlan]
+	// cones memoizes, per goal key ("" for the whole program), the SCC
+	// indices a run evaluates in order, once its stratification check
+	// has passed.
+	mu    sync.Mutex
+	cones map[string][]int
+}
+
+// relKey names a relation by predicate and arity.
+type relKey struct {
+	pred  string
+	arity int
+}
+
+// Compile prepares p's rules for evaluation; p's facts are not part of
+// the result (Eval takes the facts to load).
+func Compile(p *program.Program) *Compiled {
+	c := &Compiled{prog: p, graph: program.NewDepGraph(p), cones: make(map[string][]int)}
+	c.sccs = make([]atomic.Pointer[sccPlan], len(c.graph.SCCs))
+	seen := make(map[relKey]bool)
+	note := func(a program.Atom) {
+		if k := (relKey{a.Pred, a.Arity()}); !seen[k] {
+			seen[k] = true
+			c.rels = append(c.rels, k)
+		}
+	}
+	for _, r := range p.Rules {
+		note(r.Head)
+		for _, b := range r.Body {
+			if !b.IsBuiltin() {
+				note(b)
+			}
+		}
+	}
+	return c
+}
+
+// cone returns the SCC indices a run toward goal ("" for the whole
+// program) evaluates, in dependency order, after checking that the
+// goal's cone is stratified.
+func (c *Compiled) cone(goal string) ([]int, error) {
+	c.mu.Lock()
+	ids, ok := c.cones[goal]
+	c.mu.Unlock()
+	if ok {
+		return ids, nil
+	}
+	var goals []string
+	var in map[string]bool
+	if goal != "" {
+		goals = append(goals, goal)
+		in = c.graph.Reachable(goal)
+	}
+	if _, err := c.graph.Stratify(goals...); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnsafe, err)
+	}
+	ids = []int{}
+	for id, scc := range c.graph.SCCs {
+		if in == nil || sccInCone(scc, in) {
+			ids = append(ids, id)
+		}
+	}
+	c.mu.Lock()
+	c.cones[goal] = ids
+	c.mu.Unlock()
+	return ids, nil
+}
+
+// sccInCone reports whether any member of the SCC is in the goal's
+// dependency cone (SCC membership makes any-member equivalent to
+// all-members).
+func sccInCone(scc []string, cone map[string]bool) bool {
+	for _, k := range scc {
+		if cone[k] {
+			return true
+		}
+	}
+	return false
+}
+
+// sccPlan is one SCC's rules, scheduled and compiled: what a run
+// evaluates once it has bound the plan's relations in its catalog.
+type sccPlan struct {
+	scc   []string
+	preds []sccPred // sorted by key: head positions
+	rules []*compiledRule
+	// exitIdx and recIdx split the rules into exit rules (no same-SCC
+	// body literal) and recursive ones.
+	exitIdx, recIdx []int
+	// reads lists the relations the rules' literals read, by read
+	// position.
+	reads []relKey
+}
+
+// sccPred is one predicate of an SCC, its key parsed once.
+type sccPred struct {
+	key   string
+	pred  string
+	arity int
+}
+
+// scc returns SCC id's plan, scheduling and compiling its rules on
+// first use.
+func (c *Compiled) scc(id int) (*sccPlan, error) {
+	if sp := c.sccs[id].Load(); sp != nil {
+		return sp, nil
+	}
+	scc := c.graph.SCCs[id]
+	sp := &sccPlan{scc: scc, preds: make([]sccPred, len(scc))}
+	inSCC := make(map[string]bool, len(scc))
+	for _, k := range scc {
+		inSCC[k] = true
+	}
+	var rules []program.Rule
+	for _, r := range c.prog.Rules {
+		if inSCC[r.Head.Key()] {
+			rules = append(rules, r)
+		}
+	}
+	for i, k := range scc {
+		pred, arity, err := program.SplitKey(k)
+		if err != nil {
+			return nil, err
+		}
+		sp.preds[i] = sccPred{key: k, pred: pred, arity: arity}
+	}
+	sort.Slice(sp.preds, func(i, j int) bool { return sp.preds[i].key < sp.preds[j].key })
+	sccPos := make(map[string]int, len(sp.preds))
+	for i, p := range sp.preds {
+		sccPos[p.key] = i
+	}
+	readPos := make(map[relKey]int)
+	readOf := func(a program.Atom) int {
+		k := relKey{a.Pred, a.Arity()}
+		pos, ok := readPos[k]
+		if !ok {
+			pos = len(sp.reads)
+			readPos[k] = pos
+			sp.reads = append(sp.reads, k)
+		}
+		return pos
+	}
+	for i, r := range rules {
+		order, err := scheduleBody(r)
+		if err != nil {
+			return nil, err
+		}
+		cr := compileRule(r, order, sccPos, readOf)
+		sp.rules = append(sp.rules, cr)
+		if slices.ContainsFunc(cr.deltaPreds, func(p int) bool { return p >= 0 }) {
+			sp.recIdx = append(sp.recIdx, i)
+		} else {
+			sp.exitIdx = append(sp.exitIdx, i)
+		}
+	}
+	c.sccs[id].CompareAndSwap(nil, sp)
+	return c.sccs[id].Load(), nil
+}
+
+// Eval loads facts into cat and evaluates the program to fixpoint
+// against it (cat is the run's working storage: derived relations are
+// created in it, so pass a snapshot if the caller needs the original
+// untouched), SCC by SCC in dependency order, returning the run's
+// statistics.
+func (c *Compiled) Eval(facts []program.Atom, cat *relation.Catalog, opts Options) (*Stats, error) {
+	e := &engine{c: c, cat: cat, opts: opts}
+	if opts.Tracer.Enabled() {
+		e.lits = make(map[string]*litCounters)
+	}
+	for _, f := range facts {
+		tup := relation.Tuple(f.Args)
+		// Skip facts already present: on a copy-on-write snapshot of a
+		// live database the EDB is pre-loaded, and going through Ensure
+		// would pointlessly clone every shared fact relation.
+		if rel := cat.Get(f.Pred); rel != nil && rel.Arity() == f.Arity() && rel.Contains(tup) {
+			continue
+		}
+		cat.Ensure(f.Pred, f.Arity()).Insert(tup)
+	}
+	return &e.stats, e.run()
+}
+
+// engine is one evaluation of a Compiled program against one working
+// catalog.
+type engine struct {
+	c     *Compiled
 	cat   *relation.Catalog
 	opts  Options
 	stats Stats
-	idb   map[string]bool
 	// lits aggregates per-rule literal statistics (with
 	// Options.Tracer), keyed by the rule's rendered form.
 	lits map[string]*litCounters
@@ -171,26 +370,27 @@ func (lc *litCounters) add(o *litCounters) {
 	}
 }
 
-// litsFor returns the engine-wide aggregate counter for c's rule,
-// creating it on the rule's first work item, or nil when literal
-// statistics are disabled.
-func (e *Engine) litsFor(c *compiledRule) *litCounters {
-	if !e.opts.Tracer.Enabled() {
+// litsFor returns the engine-wide aggregate counter for rule i of the
+// SCC run, creating it on the rule's first work item, or nil when
+// literal statistics are disabled.
+func (e *engine) litsFor(run *sccRun, i int) *litCounters {
+	if run.aggs == nil {
 		return nil
 	}
-	if c.agg == nil {
-		key := c.rule.String()
-		if c.agg = e.lits[key]; c.agg == nil {
-			c.agg = newLitCounters(c.rule)
-			e.lits[key] = c.agg
+	if run.aggs[i] == nil {
+		r := run.rules[i].rule
+		key := r.String()
+		if run.aggs[i] = e.lits[key]; run.aggs[i] == nil {
+			run.aggs[i] = newLitCounters(r)
+			e.lits[key] = run.aggs[i]
 		}
 	}
-	return c.agg
+	return run.aggs[i]
 }
 
 // finishLits materializes Stats.Rules from the aggregates, sorted by
 // rule text for deterministic output.
-func (e *Engine) finishLits() {
+func (e *engine) finishLits() {
 	if len(e.lits) == 0 {
 		return
 	}
@@ -210,174 +410,93 @@ func (e *Engine) finishLits() {
 	}
 }
 
-// New prepares an engine. The catalog is used as working storage: EDB
-// facts from the program are loaded into it, and derived relations are
-// created in it. Pass a clone if the caller needs the original
-// untouched.
-func New(p *program.Program, cat *relation.Catalog, opts Options) *Engine {
-	e := &Engine{prog: p, graph: program.NewDepGraph(p), cat: cat, opts: opts, idb: p.IDB()}
-	if opts.Tracer.Enabled() {
-		e.lits = make(map[string]*litCounters)
-	}
-	for _, f := range p.Facts {
-		tup := relation.Tuple(f.Args)
-		// Skip facts already present: on a copy-on-write snapshot of a
-		// live database the EDB is pre-loaded, and going through Ensure
-		// would pointlessly clone every shared fact relation.
-		if rel := cat.Get(f.Pred); rel != nil && rel.Arity() == f.Arity() && rel.Contains(tup) {
-			continue
-		}
-		cat.Ensure(f.Pred, f.Arity()).Insert(tup)
-	}
-	return e
-}
-
-// Stats returns the accumulated statistics.
-func (e *Engine) Stats() *Stats { return &e.stats }
-
-// Run evaluates the whole program to fixpoint, SCC by SCC in
-// dependency order.
-func (e *Engine) Run() error {
-	var goals []string
-	if e.opts.Goal != "" {
-		goals = append(goals, e.opts.Goal)
-	}
-	if _, err := e.graph.Stratify(goals...); err != nil {
-		return fmt.Errorf("%w: %v", ErrUnsafe, err)
+// run evaluates the goal's cone (the whole program without a goal) to
+// fixpoint, SCC by SCC in dependency order.
+func (e *engine) run() error {
+	ids, err := e.c.cone(e.opts.Goal)
+	if err != nil {
+		return err
 	}
 	// Pre-create IDB relations (arity from rule heads). Relations that
 	// already exist are left alone — Ensure on a snapshot-shared
 	// relation would clone it, and mere existence needs no write.
-	ensure := func(pred string, arity int) {
-		if rel := e.cat.Get(pred); rel != nil && rel.Arity() == arity {
-			return
+	for _, k := range e.c.rels {
+		if rel := e.cat.Get(k.pred); rel == nil || rel.Arity() != k.arity {
+			e.cat.Ensure(k.pred, k.arity)
 		}
-		e.cat.Ensure(pred, arity)
-	}
-	for _, r := range e.prog.Rules {
-		ensure(r.Head.Pred, r.Head.Arity())
-		for _, b := range r.Body {
-			if !b.IsBuiltin() {
-				ensure(b.Pred, b.Arity())
-			}
-		}
-	}
-	var cone map[string]bool
-	if e.opts.Goal != "" {
-		cone = e.graph.Reachable(e.opts.Goal)
 	}
 	if e.opts.Tracer.Enabled() {
 		defer e.finishLits()
 	}
-	for _, scc := range e.graph.SCCs {
-		if cone != nil && !sccInCone(scc, cone) {
-			continue
-		}
+	for _, id := range ids {
 		if err := everr.Check(e.opts.Ctx); err != nil {
 			return err
 		}
-		if err := e.runSCC(scc); err != nil {
+		sp, err := e.c.scc(id)
+		if err != nil {
+			return err
+		}
+		if err := e.runSCC(sp); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sccInCone reports whether any member of the SCC is in the goal's
-// dependency cone (SCC membership makes any-member equivalent to
-// all-members).
-func sccInCone(scc []string, cone map[string]bool) bool {
-	for _, k := range scc {
-		if cone[k] {
-			return true
-		}
-	}
-	return false
+// sccRun is one run's state of one SCC: the plan's relations bound in
+// the run's catalog, and the delta windows. A round appends to the head
+// relations; predicate p's delta is the window [lo[p], hi[p]) of its
+// own relation.
+type sccRun struct {
+	*sccPlan
+	headRels []*relation.Relation
+	rels     []*relation.Relation
+	lo, hi   []int
+	// aggs holds each rule's literal-statistics aggregate (nil without
+	// Options.Tracer; an entry is nil until the rule's first work item).
+	aggs []*litCounters
+	// execs holds each rule's serial executor, made on its first work
+	// item.
+	execs []*executor
 }
 
-// sccRules returns the rules whose head is in the SCC.
-func (e *Engine) sccRules(scc []string) []program.Rule {
-	inSCC := make(map[string]bool, len(scc))
-	for _, k := range scc {
-		inSCC[k] = true
-	}
-	var out []program.Rule
-	for _, r := range e.prog.Rules {
-		if inSCC[r.Head.Key()] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// sccPred is one predicate of the SCC being evaluated, its key parsed
-// once.
-type sccPred struct {
-	key   string
-	pred  string
-	arity int
-}
-
-func (e *Engine) runSCC(scc []string) error {
-	rules := e.sccRules(scc)
-	if len(rules) == 0 {
+func (e *engine) runSCC(sp *sccPlan) error {
+	if len(sp.rules) == 0 {
 		return nil
 	}
-	preds := make([]sccPred, len(scc))
-	for i, k := range scc {
-		pred, arity, err := program.SplitKey(k)
-		if err != nil {
-			return err
-		}
-		preds[i] = sccPred{key: k, pred: pred, arity: arity}
+	// Resolve every head relation once, before any round runs, and then
+	// every relation the rules read. This is where copy-on-write happens
+	// for snapshot-shared relations, so that workers never touch the
+	// catalog concurrently mid-round and the relation each compiled
+	// step reads stays stable.
+	run := &sccRun{
+		sccPlan:  sp,
+		headRels: make([]*relation.Relation, len(sp.preds)),
+		rels:     make([]*relation.Relation, len(sp.reads)),
+		lo:       make([]int, len(sp.preds)),
+		hi:       make([]int, len(sp.preds)),
 	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i].key < preds[j].key })
-
-	// Resolve every head relation once, before any round runs. This is
-	// where copy-on-write happens for snapshot-shared relations, so
-	// that workers never touch the catalog concurrently mid-round and
-	// the relation each compiled step reads stays stable. A round
-	// appends to these relations; predicate p's delta is the window
-	// [lo[p], hi[p]) of its own relation.
-	sccPos := make(map[string]int, len(preds))
-	headRels := make([]*relation.Relation, len(preds))
-	lo, hi := make([]int, len(preds)), make([]int, len(preds))
-	for i, p := range preds {
-		sccPos[p.key] = i
-		headRels[i] = e.cat.Ensure(p.pred, p.arity)
-		hi[i] = headRels[i].Len()
+	for i, p := range sp.preds {
+		run.headRels[i] = e.cat.Ensure(p.pred, p.arity)
+		run.hi[i] = run.headRels[i].Len()
 	}
-
-	// Schedule (builtin-safe ordering) and compile each rule once, and
-	// split the rules into exit rules (no same-SCC body literal) and
-	// recursive ones.
-	compiled := make([]*compiledRule, len(rules))
-	var exitIdx, recIdx []int
-	for i, r := range rules {
-		order, err := scheduleBody(r)
-		if err != nil {
-			return err
-		}
-		c := compileRule(r, order, e.cat, sccPos)
-		compiled[i] = c
-		rec := false
-		for _, p := range c.deltaPreds {
-			rec = rec || p >= 0
-		}
-		if rec {
-			recIdx = append(recIdx, i)
-		} else {
-			exitIdx = append(exitIdx, i)
+	for i, k := range sp.reads {
+		if rel := e.cat.Get(k.pred); rel != nil && rel.Arity() == k.arity {
+			run.rels[i] = rel
 		}
 	}
+	if e.opts.Tracer.Enabled() {
+		run.aggs = make([]*litCounters, len(sp.rules))
+	}
+	scc := sp.scc
 
 	// Round 0: exit rules against full relations.
-	items := make([]workItem, 0, len(exitIdx))
-	for _, i := range exitIdx {
+	items := make([]workItem, 0, len(sp.exitIdx))
+	for _, i := range sp.exitIdx {
 		items = append(items, workItem{rule: i, deltaLit: -1})
 	}
 	e.opts.Tracer.Point(obsv.PhaseRound, scc[0], 0, int64(len(items)))
-	if err := e.runItems(compiled, items, headRels, lo, hi); err != nil {
+	if err := e.runItems(run, items); err != nil {
 		return err
 	}
 	// merge closes a round: what it appended past hi is the next delta.
@@ -387,9 +506,9 @@ func (e *Engine) runSCC(scc []string) error {
 		if e.opts.Tracer.Enabled() {
 			ds = make(map[string]int)
 		}
-		for i, p := range preds {
-			n := headRels[i].Len() - hi[i]
-			lo[i], hi[i] = hi[i], headRels[i].Len()
+		for i, p := range sp.preds {
+			n := run.headRels[i].Len() - run.hi[i]
+			run.lo[i], run.hi[i] = run.hi[i], run.headRels[i].Len()
 			total += n
 			e.stats.DerivedTuples += n
 			if ds != nil {
@@ -410,12 +529,12 @@ func (e *Engine) runSCC(scc []string) error {
 	if _, err := merge(0); err != nil {
 		return err
 	}
-	if len(recIdx) == 0 {
+	if len(sp.recIdx) == 0 {
 		return nil
 	}
 	// The initial delta is everything known for the SCC predicates so
 	// far: pre-existing facts plus the exit-round derivations.
-	clear(lo)
+	clear(run.lo)
 
 	// Semi-naive rounds.
 	for iter := 1; ; iter++ {
@@ -432,15 +551,15 @@ func (e *Engine) runSCC(scc []string) error {
 		// One work item per (recursive rule × same-SCC body occurrence),
 		// with that occurrence reading the delta window.
 		items = items[:0]
-		for _, i := range recIdx {
-			for li, p := range compiled[i].deltaPreds {
-				if p >= 0 && lo[p] < hi[p] {
+		for _, i := range sp.recIdx {
+			for li, p := range sp.rules[i].deltaPreds {
+				if p >= 0 && run.lo[p] < run.hi[p] {
 					items = append(items, workItem{rule: i, deltaLit: li})
 				}
 			}
 		}
 		e.opts.Tracer.Point(obsv.PhaseRound, scc[0], int64(iter), int64(len(items)))
-		if err := e.runItems(compiled, items, headRels, lo, hi); err != nil {
+		if err := e.runItems(run, items); err != nil {
 			return err
 		}
 		n, err := merge(iter)
@@ -462,14 +581,16 @@ type workItem struct {
 }
 
 // newExecutor prepares the executor of one work item, reading the
-// round's windows lo and hi; the caller sets where it stores and counts.
-func (e *Engine) newExecutor(c *compiledRule, it workItem, lo, hi []int) *executor {
+// round's windows; the caller sets where it stores and counts.
+func (e *engine) newExecutor(run *sccRun, it workItem) *executor {
+	c := run.rules[it.rule]
 	return &executor{
 		c:        c,
 		ctx:      e.opts.Ctx,
 		slots:    make([]term.Term, len(c.vars)),
-		lo:       lo,
-		hi:       hi,
+		rels:     run.rels,
+		lo:       run.lo,
+		hi:       run.hi,
 		deltaLit: it.deltaLit,
 		key:      make(relation.Tuple, c.keyWidth),
 		head:     make(relation.Tuple, len(c.head)),
@@ -503,18 +624,27 @@ func (e *Engine) newExecutor(c *compiledRule, it workItem, lo, hi []int) *execut
 // Worker panics are contained as *everr.EvalError wrapping
 // everr.ErrPanic rather than crashing the process from a goroutine the
 // public API's recover can't see.
-func (e *Engine) runItems(compiled []*compiledRule, items []workItem, headRels []*relation.Relation, lo, hi []int) error {
+func (e *engine) runItems(run *sccRun, items []workItem) error {
 	workers := e.opts.Workers
 	if workers > len(items) {
 		workers = len(items)
 	}
 	if workers <= 1 {
+		// Serially, one executor per rule serves all its work items: the
+		// relations an SCC run reads, and so their indexes, stay put.
+		if run.execs == nil {
+			run.execs = make([]*executor, len(run.rules))
+		}
 		for _, it := range items {
-			c := compiled[it.rule]
-			x := e.newExecutor(c, it, lo, hi)
-			x.dst = headRels[c.headPred]
-			x.matches = &e.stats.Matches
-			x.lc = e.litsFor(c)
+			x := run.execs[it.rule]
+			if x == nil {
+				x = e.newExecutor(run, it)
+				x.dst = run.headRels[x.c.headPred]
+				x.matches = &e.stats.Matches
+				x.lc = e.litsFor(run, it.rule)
+				run.execs[it.rule] = x
+			}
+			x.deltaLit = it.deltaLit
 			if err := x.run(0); err != nil {
 				return err
 			}
@@ -537,7 +667,7 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, headRels [
 		go func() {
 			defer wg.Done()
 			for k := range idxCh {
-				e.runItem(compiled, items, headRels, lo, hi, k, staging, matches, lits, errs)
+				e.runItem(run, items, k, staging, matches, lits, errs)
 			}
 		}()
 	}
@@ -548,16 +678,16 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, headRels [
 	// accounted (later items did run, but their matches and stagings
 	// are discarded), so Stats and contents agree with Workers=1.
 	for k, it := range items {
-		c := compiled[it.rule]
+		c := run.rules[it.rule]
 		e.stats.Matches += matches[k]
-		agg := e.litsFor(c)
+		agg := e.litsFor(run, it.rule)
 		if agg != nil {
 			agg.add(lits[k])
 		}
 		if errs[k] != nil {
 			return errs[k]
 		}
-		n := headRels[c.headPred].InsertAll(staging[k])
+		n := run.headRels[c.headPred].InsertAll(staging[k])
 		if agg != nil {
 			agg.derived += int64(n)
 		}
@@ -569,8 +699,8 @@ func (e *Engine) runItems(compiled []*compiledRule, items []workItem, headRels [
 // containing panics from rule bodies (user-registered builtins may
 // misbehave) so they surface as typed errors instead of killing the
 // process.
-func (e *Engine) runItem(compiled []*compiledRule, items []workItem, headRels []*relation.Relation, lo, hi []int, k int, staging []*relation.Relation, matches []int64, lits []*litCounters, errs []error) {
-	c := compiled[items[k].rule]
+func (e *engine) runItem(run *sccRun, items []workItem, k int, staging []*relation.Relation, matches []int64, lits []*litCounters, errs []error) {
+	c := run.rules[items[k].rule]
 	defer func() {
 		if v := recover(); v != nil {
 			errs[k] = &everr.EvalError{
@@ -583,8 +713,8 @@ func (e *Engine) runItem(compiled []*compiledRule, items []workItem, headRels []
 			}
 		}
 	}()
-	x := e.newExecutor(c, items[k], lo, hi)
-	x.full = headRels[c.headPred]
+	x := e.newExecutor(run, items[k])
+	x.full = run.headRels[c.headPred]
 	x.dst = relation.New(x.full.Name(), x.full.Arity())
 	staging[k] = x.dst
 	x.matches = &matches[k]
@@ -643,12 +773,8 @@ func scheduleBody(r program.Rule) ([]int, error) {
 	return order, nil
 }
 
-// Eval is the convenience entry point: evaluate prog against cat (which
-// is mutated) and return stats.
+// Eval compiles p and evaluates it, facts included, against cat (which
+// is mutated), returning the run's statistics.
 func Eval(p *program.Program, cat *relation.Catalog, opts Options) (*Stats, error) {
-	e := New(p, cat, opts)
-	if err := e.Run(); err != nil {
-		return e.Stats(), err
-	}
-	return e.Stats(), nil
+	return Compile(p).Eval(p.Facts, cat, opts)
 }
