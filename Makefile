@@ -90,13 +90,13 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # The micro-benchmarks docs/performance.md tabulates: the term and
-# relation layers, the builtin registry lookup, and top-down and
-# buffered solves of the list programs. BENCHTIME=1x runs each
+# relation layers, the builtin registry lookup, top-down and buffered
+# solves of the list programs, and a warm bound sg query. BENCHTIME=1x runs each
 # benchmark once (CI does, so none of them rots).
 BENCHTIME ?= 1s
 
 microbench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./internal/term ./internal/relation ./internal/builtin ./internal/topdown ./internal/counting
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./internal/term ./internal/relation ./internal/builtin ./internal/topdown ./internal/counting ./internal/core
 
 # Regenerate every golden file from the current code: the executor
 # outcome table, the experiments' generated EXPERIMENTS.md sections,
@@ -122,10 +122,11 @@ loc:
 # top-down qsort, the time of each ground-term operation at 16 and
 # 65,536 list cells, the heap bytes per stored tuple and the
 # allocations of a copy-on-write relation clone, the bytes per top-down
-# resolution step of qsort, isort and append, and semi-naive's
-# allocations per derived tuple.
+# resolution step of qsort, isort and append, semi-naive's
+# allocations per derived tuple, and the allocations of a warm bound sg
+# query.
 shapes:
-	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN)$$' ./internal/core
+	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN|TestWarmBoundQueryAllocs)$$' ./internal/core
 	$(GO) test -count=1 -v -run '^TestTopDownBytesPerStep$$' ./internal/topdown
 	$(GO) test -count=1 -v -run '^TestEvalAllocsPerDerivedTuple$$' ./internal/seminaive
 	$(GO) test -count=1 -v -run '^TestGroundOpsConstantTime$$' ./internal/term

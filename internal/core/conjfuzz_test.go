@@ -10,6 +10,8 @@ import (
 
 	"chainsplit/internal/everr"
 	"chainsplit/internal/lang"
+	"chainsplit/internal/program"
+	"chainsplit/internal/term"
 )
 
 // everyStrategy lists every strategy a query can be run under.
@@ -126,13 +128,66 @@ func sameVarSet(a, b []string) bool {
 	return slices.Equal(a, b)
 }
 
+// reference is one answer set a query's answers must equal.
+type reference struct {
+	name string
+	res  *Result
+}
+
+// filterOracle answers a query of one positive relational goal and
+// =/2 and \=/2 constraints, the queries every strategy answers through
+// partial.FilterAnswers, without it and without the builtins: it reads
+// the goal relation's tuples (the goal with every argument free,
+// answered by semi-naive evaluation), unifies the goal with each, and
+// checks each constraint with term.Unify. ok is false for any other
+// query.
+func filterOracle(t *testing.T, db *DB, goals []program.Atom) (*Result, bool) {
+	goal, cons, ok := goalAndConstraints(goals)
+	if !ok || slices.ContainsFunc(cons, func(c program.Atom) bool { return c.Pred != "=" && c.Pred != "\\=" }) {
+		return nil, false
+	}
+	free := make([]term.Term, goal.Arity())
+	for i := range free {
+		free[i] = term.NewVar(fmt.Sprintf("A%d", i))
+	}
+	all, err := db.Query([]program.Atom{program.NewAtom(goal.Pred, free...)}, Options{Strategy: StrategySeminaive})
+	if err != nil {
+		t.Fatalf("reading %s: %v", goal.Key(), err)
+	}
+	res := newResult(&Plan{}, goal)
+next:
+	for _, tup := range all.Answers {
+		s := term.NewSubst()
+		for i, a := range goal.Args {
+			if !term.Unify(s, a, tup[i]) {
+				continue next
+			}
+		}
+		for _, c := range cons {
+			holds := term.Unify(s.Clone(), c.Args[0], c.Args[1]) == (c.Pred == "=")
+			if holds == c.Negated {
+				continue next
+			}
+		}
+		res.Answers = append(res.Answers, s.ResolveAll(goal.Args))
+	}
+	return res, true
+}
+
 // FuzzConjunctionsAgree is the differential oracle for queries of
 // several goals, negated goals and builtins: every strategy that
 // accepts a query reports the same Vars and answers as every other;
 // its Vars are the head variables of the query written as a rule,
-// ref(Vars…) :- goals., and its answers those semi-naive evaluation
-// gives for that rule; a strategy that refuses a query does so with a
-// typed error (ErrUnsafe or ErrPlan). Run with
+// ref(Vars…) :- goals., and its answers those semi-naive and top-down
+// evaluation give for that rule; a strategy that refuses a query does
+// so with a typed error (ErrUnsafe or ErrPlan). The two references run
+// the rule's builtins in its body, so neither shares the query's
+// constraint filtering (partial.FilterAnswers), which every strategy
+// uses for a query of one relational goal and builtins; but both
+// refuse a constraint with an anonymous variable, which never becomes
+// ground, so such a query is also checked against filterOracle. The
+// database is long-lived, so the inputs share its rule set's caches.
+// Run with
 // `go test -fuzz FuzzConjunctionsAgree ./internal/core`; the seed
 // corpus in testdata/fuzz runs in every ordinary test invocation.
 func FuzzConjunctionsAgree(f *testing.F) {
@@ -169,12 +224,16 @@ func FuzzConjunctionsAgree(f *testing.F) {
 		// The reference binds every variable the query names outside
 		// a negation.
 		refDB := NewDB()
-		var ref *Result
+		var refs []reference
 		if err := refDB.Load(refProg.Program); err == nil {
-			ref, err = refDB.Query(refQuery.Goals, Options{Strategy: StrategySeminaive})
-			if err != nil {
-				ref = nil
+			for _, strat := range []Strategy{StrategySeminaive, StrategyTopDown} {
+				if ref, err := refDB.Query(refQuery.Goals, Options{Strategy: strat}); err == nil {
+					refs = append(refs, reference{strat.String() + " reference", ref})
+				}
 			}
+		}
+		if ref, ok := filterOracle(t, db, q.Goals); ok {
+			refs = append(refs, reference{"filter oracle", ref})
 		}
 
 		var first *Result
@@ -199,11 +258,10 @@ func FuzzConjunctionsAgree(f *testing.F) {
 			if !sameVarSet(res.Vars, vars) {
 				t.Errorf("%v on %s reports Vars %v, but the reference rule's head is over %v", strat, query, res.Vars, vars)
 			}
-			if ref == nil {
-				continue
-			}
-			if want := bindingSet(ref, res.Vars); got != want {
-				t.Errorf("%v on %s: %s, but the reference gives %s", strat, query, got, want)
+			for _, ref := range refs {
+				if want := bindingSet(ref.res, res.Vars); got != want {
+					t.Errorf("%v on %s: %s, but the %s gives %s", strat, query, got, ref.name, want)
+				}
 			}
 		}
 	})
