@@ -126,7 +126,7 @@ loc:
 # allocations per derived tuple, and the allocations of a warm bound sg
 # query.
 shapes:
-	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN|TestWarmBoundQueryAllocs)$$' ./internal/core
+	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN|TestWarmBoundQueryAllocs|TestWriteCostSublinear)$$' ./internal/core
 	$(GO) test -count=1 -v -run '^TestTopDownBytesPerStep$$' ./internal/topdown
 	$(GO) test -count=1 -v -run '^TestEvalAllocsPerDerivedTuple$$' ./internal/seminaive
 	$(GO) test -count=1 -v -run '^TestGroundOpsConstantTime$$' ./internal/term

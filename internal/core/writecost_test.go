@@ -1,0 +1,189 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"chainsplit/internal/lang"
+	"chainsplit/internal/term"
+	"chainsplit/internal/wal"
+)
+
+// writeCostSizes are the database sizes, in parent tuples, a write's
+// cost is measured at; writeCostWrites writes of writeCostBatch tuples
+// are measured at each.
+var writeCostSizes = []int{10_000, 40_000, 160_000}
+
+const (
+	writeCostWrites = 256
+	writeCostBatch  = 16
+	// maxWriteCostGrowth bounds bytes per write at the largest size over
+	// bytes per write at the smallest: 16 times the tuples may cost at
+	// most 5 times the bytes. A write that copies the relation it
+	// touches grows about 16 times.
+	maxWriteCostGrowth = 5.0
+)
+
+// writeCostParents returns n parent tuples (child, parent), child i
+// under parent i/2, in one batch.
+func writeCostParents(n int) [][]term.Term {
+	out := make([][]term.Term, n)
+	for i := range out {
+		out[i] = []term.Term{term.NewSym("c" + strconv.Itoa(i)), term.NewSym("c" + strconv.Itoa(i/2))}
+	}
+	return out
+}
+
+// writeCostBatchAt returns the w-th batch of new parent tuples written
+// over a database of n, and the child of its last tuple.
+func writeCostBatchAt(n, w int) ([][]term.Term, string) {
+	out := make([][]term.Term, writeCostBatch)
+	var kid string
+	for i := range out {
+		kid = "w" + strconv.Itoa(w*writeCostBatch+i)
+		out[i] = []term.Term{term.NewSym(kid), term.NewSym("c" + strconv.Itoa((w*7919+i)%n))}
+	}
+	return out, kid
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// TestWriteCostSublinear: what a write allocates grows sublinearly in
+// the size of the database it writes to. Each row measures bytes per
+// write at 10k, 40k and 160k parent tuples:
+//
+//   - load: writeCostWrites LoadTuples of writeCostBatch tuples;
+//   - load+lookup: the same, each followed by a point lookup of the
+//     tuple just written, which reads the written relation's index;
+//   - replay: reopening a durable store holding writeCostWrites such
+//     records past its snapshot, less reopening it at the snapshot.
+//
+// Batches, like the database, are built before the measurement.
+func TestWriteCostSublinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	rows := []struct {
+		name string
+		// perWrite returns the bytes one write allocates over a
+		// database of n parent tuples.
+		perWrite func(t *testing.T, n int) float64
+	}{
+		{"load", func(t *testing.T, n int) float64 { return memWriteCost(t, n, false) }},
+		{"load+lookup", func(t *testing.T, n int) float64 { return memWriteCost(t, n, true) }},
+		{"replay", replayWriteCost},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			series := make([]float64, len(writeCostSizes))
+			for i, n := range writeCostSizes {
+				series[i] = row.perWrite(t, n)
+			}
+			report := ""
+			for i, n := range writeCostSizes {
+				report += fmt.Sprintf(" n=%d: %.0f B/write;", n, series[i])
+			}
+			growth := series[len(series)-1] / series[0]
+			t.Logf("%s%s growth %.2fx", row.name, report, growth)
+			if growth > maxWriteCostGrowth {
+				t.Errorf("bytes per write grow %.2fx from n=%d to n=%d, want <= %.0fx:%s",
+					growth, writeCostSizes[0], writeCostSizes[len(writeCostSizes)-1], maxWriteCostGrowth, report)
+			}
+		})
+	}
+}
+
+// memWriteCost loads n parent tuples into an in-memory database and
+// returns the bytes per write of writeCostWrites batches, each followed
+// by a point lookup if lookup is set. One write (and lookup) before the
+// measurement pays what the first read of the loaded database builds
+// once.
+func memWriteCost(t *testing.T, n int, lookup bool) float64 {
+	db := NewDB()
+	if err := db.LoadTuples("parent", writeCostParents(n)); err != nil {
+		t.Fatal(err)
+	}
+	batches := make([][][]term.Term, writeCostWrites+1)
+	queries := make([]string, writeCostWrites+1)
+	for w := range batches {
+		var kid string
+		batches[w], kid = writeCostBatchAt(n, w)
+		queries[w] = "?- parent(" + kid + ", P)."
+	}
+	write := func(w int) {
+		if err := db.LoadTuples("parent", batches[w]); err != nil {
+			t.Fatal(err)
+		}
+		if !lookup {
+			return
+		}
+		q, err := lang.ParseQuery(queries[w])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query(q.Goals, Options{})
+		if err != nil || len(res.Answers) != 1 {
+			t.Fatalf("lookup after write %d: %v answers, error %v", w, res, err)
+		}
+	}
+	write(0)
+	bytes := allocatedBy(func() {
+		for w := 1; w <= writeCostWrites; w++ {
+			write(w)
+		}
+	})
+	return float64(bytes) / writeCostWrites
+}
+
+// replayWriteCost returns the bytes per replayed record of reopening a
+// durable store of n parent tuples, snapshotted, with writeCostWrites
+// records past the snapshot: the reopen's bytes less those of reopening
+// the same store before the records were written.
+func replayWriteCost(t *testing.T, n int) float64 {
+	dir := t.TempDir()
+	opts := wal.Options{SnapshotEvery: -1, NoSync: true}
+	db, err := OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadTuples("parent", writeCostParents(n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() uint64 {
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return allocatedBy(func() {
+			if db, err = OpenDir(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	atSnapshot := reopen()
+	for w := range writeCostWrites {
+		batch, _ := writeCostBatchAt(n, w)
+		if err := db.LoadTuples("parent", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayed := reopen()
+	defer db.Close()
+	if got, want := db.Generation(), uint64(1+writeCostWrites); got != want {
+		t.Fatalf("reopened at generation %d, want %d", got, want)
+	}
+	return (float64(replayed) - float64(atSnapshot)) / writeCostWrites
+}

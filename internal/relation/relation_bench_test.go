@@ -65,3 +65,47 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 	}
 }
+
+// cloneWrites is how many generations BenchmarkCloneInsert writes
+// before it starts again from the loaded relation, so the relation's
+// size stays near n however large b.N is.
+const cloneWrites = 256
+
+// BenchmarkCloneInsert is a write's storage step: clone the frozen
+// relation of the current generation and insert a batch of 16 tuples,
+// then freeze the clone as the next generation. An op is one write, at
+// a relation of n tuples loaded in one batch; merges of the tail into
+// a new base fall where the writes put them.
+func BenchmarkCloneInsert(b *testing.B) {
+	for _, n := range []int{10_000, 160_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			loaded := New("e", 2)
+			for i := range n {
+				loaded.Insert(Tuple{term.NewInt(int64(i)), term.NewInt(int64(i / 2))})
+			}
+			loaded.Freeze()
+			batches := make([][]Tuple, cloneWrites)
+			for w := range batches {
+				for i := range 16 {
+					k := n + w*16 + i
+					batches[w] = append(batches[w], Tuple{term.NewInt(int64(k)), term.NewInt(int64(k % n))})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			r := loaded
+			for i := range b.N {
+				w := i % cloneWrites
+				if w == 0 {
+					r = loaded
+				}
+				c := r.Clone()
+				for _, t := range batches[w] {
+					c.Insert(t)
+				}
+				c.Freeze()
+				r = c
+			}
+		})
+	}
+}
