@@ -91,12 +91,13 @@ bench:
 
 # The micro-benchmarks docs/performance.md tabulates: the term and
 # relation layers, the builtin registry lookup, top-down and buffered
-# solves of the list programs, and a warm bound sg query. BENCHTIME=1x runs each
+# solves of the list programs, a warm bound sg query and a streamed
+# snapshot file at 10k and 160k facts. BENCHTIME=1x runs each
 # benchmark once (CI does, so none of them rots).
 BENCHTIME ?= 1s
 
 microbench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./internal/term ./internal/relation ./internal/builtin ./internal/topdown ./internal/counting ./internal/core
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./internal/term ./internal/relation ./internal/builtin ./internal/topdown ./internal/counting ./internal/core ./internal/wal
 
 # Regenerate every golden file from the current code: the executor
 # outcome table, the experiments' generated EXPERIMENTS.md sections,
@@ -123,17 +124,19 @@ loc:
 # 65,536 list cells, the heap bytes per stored tuple and the
 # allocations of a copy-on-write relation clone, the bytes per top-down
 # resolution step of qsort, isort and append, semi-naive's
-# allocations per derived tuple, and the allocations of a warm bound sg
-# query.
+# allocations per derived tuple, the allocations of a warm bound sg
+# query, a write's bytes against database size and a Checkpoint's
+# bytes per stored fact.
 shapes:
-	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN|TestWarmBoundQueryAllocs|TestWriteCostSublinear)$$' ./internal/core
+	$(GO) test -count=1 -v -run '^(TestAppendLinear|TestTopDownQsortNLogN|TestWarmBoundQueryAllocs|TestWriteCostSublinear|TestSnapshotBytesPerFact)$$' ./internal/core
 	$(GO) test -count=1 -v -run '^TestTopDownBytesPerStep$$' ./internal/topdown
 	$(GO) test -count=1 -v -run '^TestEvalAllocsPerDerivedTuple$$' ./internal/seminaive
 	$(GO) test -count=1 -v -run '^TestGroundOpsConstantTime$$' ./internal/term
 	$(GO) test -count=1 -v -run '^TestRelationStorageCost$$' ./internal/relation
 
 # Short continuous-fuzz pass over the parser entry points, the WAL
-# frame walker, the epoch-file parser and the conjunction oracle (every
+# frame walker, the snapshot decoder, the epoch-file parser and the
+# conjunction oracle (every
 # strategy agrees on queries of several goals; their seed corpora run in every ordinary `go test`;
 # this actually mutates for 30s each). New crashers land in
 # testdata/fuzz — commit them as regression seeds.
@@ -141,5 +144,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/lang/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTerm$$' -fuzztime=30s ./internal/lang/
 	$(GO) test -run='^$$' -fuzz='^FuzzScanSegment$$' -fuzztime=30s ./internal/wal/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=30s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEpochState$$' -fuzztime=30s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz='^FuzzConjunctionsAgree$$' -fuzztime=30s ./internal/core/

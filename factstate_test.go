@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"chainsplit/internal/core"
+	"chainsplit/internal/relation"
 	"chainsplit/internal/wal"
 )
 
@@ -71,9 +72,10 @@ func renderFactState(inner *core.DB, dump string) string {
 	b.WriteString("-- snapshot rules\n")
 	b.WriteString(snap.Rules)
 	b.WriteString("-- snapshot facts\n")
-	for _, fr := range snap.Facts {
-		fmt.Fprintf(&b, "%s%s\n", fr.Pred, fr.Tuple)
-	}
+	snap.Stream.Each(func(pred string, tup relation.Tuple) error {
+		fmt.Fprintf(&b, "%s%s\n", pred, tup)
+		return nil
+	})
 	b.WriteString("-- dump\n")
 	b.WriteString(dump)
 	return b.String()

@@ -98,11 +98,18 @@ func genFromSnapshot(snap *wal.Snapshot) (*generation, error) {
 		}
 		next.addRules(res.Program)
 	}
+	if snap.Stream == nil {
+		return next, nil
+	}
 	var scratch []byte
-	for _, fr := range snap.Facts {
-		if err := next.addFact(fr.Pred, fr.Tuple, &scratch); err != nil {
-			return nil, fmt.Errorf("%w: snapshot fact rejected: %v", wal.ErrCorrupt, err)
+	err := snap.Stream.Each(func(pred string, tup relation.Tuple) error {
+		if err := next.addFact(pred, tup, &scratch); err != nil {
+			return fmt.Errorf("%w: snapshot fact rejected: %v", wal.ErrCorrupt, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return next, nil
 }
@@ -154,19 +161,30 @@ func (db *DB) applyRecord(r wal.Record) error {
 }
 
 // snapshotOf renders a generation as a compacted snapshot: the
-// accumulated rules and pragmas as parseable source, and the fact
-// stream walked from the catalog along the order record, preserving
-// global order.
+// accumulated rules and pragmas as parseable source, and a view of the
+// fact stream that walks the catalog along the order record,
+// preserving global order. Nothing is copied: the generation is
+// immutable once published, and the encoder reads the facts in place.
 func snapshotOf(g *generation) *wal.Snapshot {
-	n := 0
-	for _, run := range g.order {
-		n += run.n
+	return &wal.Snapshot{Seq: g.seq, Rules: g.source.String(), Stream: genFacts{g}}
+}
+
+// genFacts is a generation's fact stream (wal.FactStream).
+type genFacts struct{ g *generation }
+
+func (s genFacts) Runs(fn func(pred string, arity, n int)) {
+	for _, run := range s.g.order {
+		fn(run.pred, s.g.cat.Get(run.pred).Arity(), run.n)
 	}
-	facts := make([]wal.FactRow, 0, n)
-	g.eachFact(func(pred string, tup relation.Tuple) {
-		facts = append(facts, wal.FactRow{Pred: pred, Tuple: tup})
+}
+
+func (s genFacts) Each(fn func(pred string, tup relation.Tuple) error) (err error) {
+	s.g.eachFact(func(pred string, tup relation.Tuple) {
+		if err == nil {
+			err = fn(pred, tup)
+		}
 	})
-	return &wal.Snapshot{Seq: g.seq, Rules: g.source.String(), Facts: facts}
+	return err
 }
 
 // maybeSnapshotLocked compacts if the store's cadence says one is due.

@@ -187,3 +187,57 @@ func replayWriteCost(t *testing.T, n int) float64 {
 	}
 	return (float64(replayed) - float64(atSnapshot)) / writeCostWrites
 }
+
+// snapshotSizes are the database sizes, in parent tuples, a snapshot's
+// cost is measured at.
+var snapshotSizes = []int{10_000, 40_000, 160_000}
+
+// maxSnapshotBytesPerFact bounds what a Checkpoint allocates per stored
+// fact at the largest size: a quarter of the 350 B per fact this test
+// measured for the encoder that copied the fact stream into a list and
+// built the whole image in memory.
+const maxSnapshotBytesPerFact = 350.0 / 4
+
+// TestSnapshotBytesPerFact: a Checkpoint allocates the snapshot's
+// dictionary and one exact-size row buffer, not a copy of the fact
+// stream and the whole image. Each size loads n parent tuples and then
+// a few small batches, so the relation is a base plus a tail, and
+// measures one Checkpoint of the durable store.
+func TestSnapshotBytesPerFact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	report := ""
+	var last float64
+	for _, n := range snapshotSizes {
+		db, err := OpenDir(t.TempDir(), wal.Options{SnapshotEvery: -1, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.LoadTuples("parent", writeCostParents(n)); err != nil {
+			t.Fatal(err)
+		}
+		for w := range 4 {
+			batch, _ := writeCostBatchAt(n, w)
+			if err := db.LoadTuples("parent", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		facts := n + 4*writeCostBatch
+		var cerr error
+		bytes := allocatedBy(func() { cerr = db.Checkpoint() })
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		last = float64(bytes) / float64(facts)
+		report += fmt.Sprintf(" n=%d: %.1f B/fact;", n, last)
+	}
+	t.Logf("Checkpoint:%s", report)
+	if last > maxSnapshotBytesPerFact {
+		t.Errorf("Checkpoint allocates %.1f B per fact at n=%d, want <= %.1f:%s",
+			last, snapshotSizes[len(snapshotSizes)-1], maxSnapshotBytesPerFact, report)
+	}
+}

@@ -38,7 +38,7 @@ const (
 	SiteWALAppend     = "wal.append"     // bytes of one framed record, pre-write
 	SiteWALRead       = "wal.read"       // bytes of one segment, post-read
 	SiteWALSync       = "wal.sync"       // before fsync of the log file
-	SiteSnapshotWrite = "wal.snapshot"   // bytes of one snapshot file, pre-write
+	SiteSnapshotWrite = "wal.snapshot"   // streamed bytes of one snapshot file, pre-write
 	SiteStoreOpen     = "wal.store.open" // on Store open, before recovery
 )
 

@@ -33,15 +33,24 @@ type generation struct {
 
 // TestLayersMatchSingleLayer runs random histories of insert, freeze,
 // clone (of frozen and unfrozen relations, so merges land at varied
-// points) and checks every generation, including the frozen ones later
-// generations were cloned from, against a single-layer relation built
-// by the same inserts.
+// points, and now and then a second clone of one relation written
+// differently) and checks every generation, including the frozen ones
+// later generations were cloned from, against a single-layer relation
+// built by the same inserts. A clone carries the tail's built indexes;
+// inserts into it must leave the parent's buckets as they were.
 func TestLayersMatchSingleLayer(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var gens []generation
 		r, oracle := New("p", 3), New("p", 3)
-		var merges, shared int
+		var merges, shared, carried int
+		// held records, for each index a clone carried, its buckets as
+		// they were at the clone.
+		type heldIndex struct {
+			ix      *Index
+			buckets [][]int
+		}
+		var held []heldIndex
 		for step := 0; step < 40; step++ {
 			for range rng.Intn(24) {
 				tp := layerTuple(rng)
@@ -61,21 +70,55 @@ func TestLayersMatchSingleLayer(t *testing.T) {
 				r.Freeze()
 			}
 			gens = append(gens, generation{r, oracle})
-			prevBase := r.base
+			prev, prevOracle := r, oracle
 			r, oracle = r.Clone(), oracle.Clone()
+			if rng.Intn(3) == 0 {
+				// A sibling clone of the same relation, written
+				// differently: clones that carry one index must not
+				// share its buckets' spare capacity.
+				sib, sibOracle := prev.Clone(), prevOracle.Clone()
+				for range 1 + rng.Intn(24) {
+					tp := layerTuple(rng)
+					sib.Insert(tp)
+					sibOracle.Insert(tp)
+				}
+				gens = append(gens, generation{sib, sibOracle})
+			}
 			switch {
-			case r.base != nil && r.base == prevBase:
+			case r.base != nil && r.base == prev.base:
 				shared++
-			case r.base != nil && prevBase != nil:
+			case r.base != nil && prev.base != nil:
 				merges++
+			}
+			if r.base == prev.base {
+				// The tail was copied, and with it every index built on
+				// it: the clone's next inserts file into the copies, and
+				// the final checks probe them.
+				if len(r.indexes) != len(prev.indexes) {
+					t.Fatalf("seed %d step %d: clone carries %d of %d tail indexes", seed, step, len(r.indexes), len(prev.indexes))
+				}
+				if len(prev.indexes) > 0 {
+					carried++
+				}
+				for _, ix := range prev.indexes {
+					held = append(held, heldIndex{ix, slices.Clone(ix.buckets)})
+					for i, bk := range held[len(held)-1].buckets {
+						held[len(held)-1].buckets[i] = slices.Clone(bk)
+					}
+				}
 			}
 		}
 		gens = append(gens, generation{r, oracle})
-		if merges == 0 || shared == 0 {
-			t.Fatalf("seed %d: %d merges and %d shared-base clones, want both", seed, merges, shared)
+		if merges == 0 || shared == 0 || carried == 0 {
+			t.Fatalf("seed %d: %d merges, %d shared-base clones and %d clones carrying an index, want each", seed, merges, shared, carried)
 		}
 		for i, g := range gens {
 			checkSameRelation(t, fmt.Sprintf("seed %d generation %d", seed, i), g.r, g.oracle, seed <= 2 && i == len(gens)-1)
+		}
+		for _, h := range held {
+			if !slices.EqualFunc(h.ix.buckets, h.buckets, slices.Equal) {
+				t.Fatalf("seed %d: a clone's inserts changed the buckets of the index it carried", seed)
+			}
 		}
 	}
 }
@@ -227,6 +270,10 @@ func TestLayeredClonesConcurrent(t *testing.T) {
 	for i := range 40 {
 		shared.Insert(tup(i%50, 5000+i, i%7))
 	}
+	// A built tail index, which every clone of shared carries.
+	if m := shared.Index([]int{0}).Probe(tup(0)); m.Len() != 41 {
+		t.Fatalf("shared: %d matches under 0, want 41", m.Len())
+	}
 	shared.Freeze()
 	var wg sync.WaitGroup
 	for w := range 2 {
@@ -234,6 +281,12 @@ func TestLayeredClonesConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := shared.Clone()
+			// Readers may build shared's index on (0, 2) at any moment;
+			// the one on 0 was built before shared was frozen.
+			if len(c.indexes) == 0 || !slices.Equal(c.indexes[0].cols, []int{0}) {
+				t.Errorf("writer %d: clone does not carry the tail index on 0", w)
+				return
+			}
 			for i := range 300 {
 				c.Insert(tup(i%50, 10000*(w+1)+i, i%7))
 				if m := c.Index([]int{0}).Probe(tup(i % 50)); m.Len() < 40 {
@@ -270,6 +323,11 @@ func TestLayeredClonesConcurrent(t *testing.T) {
 	if shared.Len() != 2040 || base.Len() != 2000 {
 		t.Fatalf("clones wrote into the shared relations: %d and %d tuples", shared.Len(), base.Len())
 	}
+	for k := range 50 {
+		if m, want := shared.Index([]int{0}).Probe(tup(k)), 40+btoi(k < 40); m.Len() != want {
+			t.Fatalf("clones wrote into the shared tail index: %d matches under %d, want %d", m.Len(), k, want)
+		}
+	}
 	var got []int
 	shared.Each(func(tp Tuple) bool {
 		got = append(got, int(tp[1].(term.Int).V))
@@ -278,4 +336,11 @@ func TestLayeredClonesConcurrent(t *testing.T) {
 	if len(got) != 2040 || got[1999] != 1999 || got[2000] != 5000 {
 		t.Fatalf("shared relation's order changed: %d tuples", len(got))
 	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

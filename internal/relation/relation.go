@@ -711,8 +711,9 @@ func tailBound(n int) int {
 // base, with no copy. Once r's tail holds more than tailBound of its
 // base's size, the clone starts instead from a new base that merges
 // the two, one O(n) copy per tailBound(n)/b writes of b tuples. The
-// tail's indexes are not copied — the clone rebuilds them lazily on
-// first lookup — while the base's indexes and distinct counts are
+// tail's built indexes are copied as merge copies the base's — table
+// copied, each bucket capped — so the clone's first lookup does not
+// re-file its tail, while the base's indexes and distinct counts are
 // shared by every relation over it. A clone is made to be written
 // (Catalog.Ensure), so its tail gets the headroom append would add at
 // the first insert, without a second copy.
@@ -732,6 +733,23 @@ func (r *Relation) Clone() *Relation {
 	default:
 		c.tuples = append(make([]Tuple, 0, len(r.tuples)+len(r.tuples)/4+1), r.tuples...)
 		c.present = slices.Clone(r.present)
+		r.idxMu.RLock()
+		for _, ix := range r.indexes {
+			c.indexes = append(c.indexes, ix.copyTo(c, ix.base))
+		}
+		r.idxMu.RUnlock()
+	}
+	return c
+}
+
+// copyTo returns a copy of ix as an index of r over base (the base's
+// index on the same columns, or nil). The table is copied and each
+// bucket capped at its length, so filing a position into the copy
+// reallocates the bucket instead of writing into ix's array.
+func (ix *Index) copyTo(r *Relation, base *Index) *Index {
+	c := &Index{r: r, cols: ix.cols, base: base, table: slices.Clone(ix.table), buckets: make([][]int, len(ix.buckets))}
+	for i, bk := range ix.buckets {
+		c.buckets[i] = bk[:len(bk):len(bk)]
 	}
 	return c
 }
@@ -752,11 +770,7 @@ func (r *Relation) merge() *Relation {
 	}
 	b.idxMu.RLock()
 	for _, bx := range b.indexes {
-		mx := &Index{r: m, cols: bx.cols, table: slices.Clone(bx.table), buckets: make([][]int, len(bx.buckets))}
-		for i, bk := range bx.buckets {
-			mx.buckets[i] = bk[:len(bk):len(bk)]
-		}
-		m.indexes = append(m.indexes, mx)
+		m.indexes = append(m.indexes, bx.copyTo(m, nil))
 	}
 	b.idxMu.RUnlock()
 	var ib [idBufLen]term.ID

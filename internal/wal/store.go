@@ -398,7 +398,8 @@ func (s *Store) SnapshotDue() bool {
 
 // WriteSnapshot writes a compacted snapshot of the current generation
 // (snap.Seq must equal LastSeq), rotates to a fresh log segment, and
-// prunes the history the snapshot supersedes. The write is atomic:
+// prunes the history the snapshot supersedes. The image is streamed
+// from snap's fact stream into a temp file; the write is atomic:
 // temp file, fsync, rename, directory fsync — a crash at any point
 // leaves either the old history or the new snapshot, never a hybrid.
 // Failures are not sticky: the log remains authoritative and
@@ -413,25 +414,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	if snap.Seq != s.lastSeq {
 		return fmt.Errorf("wal: snapshot seq %d, store at %d", snap.Seq, s.lastSeq)
 	}
-	data, err := EncodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	data, err = faultinject.FireData(faultinject.SiteSnapshotWrite, data)
-	if err != nil {
-		return err
-	}
-	final := filepath.Join(s.dir, snapName(snap.Seq))
-	tmp := final + tmpSuffix
-	if err := writeFileSync(tmp, data); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := writeSnapshotFile(s.dir, snap); err != nil {
 		return err
 	}
 	obsv.WALSnapshots.Inc()

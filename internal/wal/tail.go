@@ -225,21 +225,7 @@ func Bootstrap(dir string, snap *Snapshot, opts Options) (*Store, error) {
 	for _, name := range tmps {
 		os.Remove(filepath.Join(dir, name))
 	}
-	data, err := EncodeSnapshot(snap)
-	if err != nil {
-		return nil, err
-	}
-	final := filepath.Join(dir, snapName(snap.Seq))
-	tmp := final + tmpSuffix
-	if err := writeFileSync(tmp, data); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := syncDir(dir); err != nil {
+	if err := writeSnapshotFile(dir, snap); err != nil {
 		return nil, err
 	}
 	s, _, err := Open(dir, opts)

@@ -246,6 +246,22 @@ func (d *DecDict) readRow(b []byte, tup relation.Tuple) error {
 	return nil
 }
 
+// checkRow checks that every row word at the front of b (a whole
+// number of words) is a small integer or a file reference d defines.
+func (d *DecDict) checkRow(b []byte) error {
+	for c := 0; c+8 <= len(b); c += 8 {
+		w := binary.BigEndian.Uint64(b[c:])
+		if w&fileRefBit != 0 {
+			if fid := w &^ fileRefBit; fid >= uint64(len(d.terms)) {
+				return corruptf("dangling interned-term ID %d (dictionary has %d entries)", fid, len(d.terms))
+			}
+		} else if _, ok := term.ID(w).SmallInt(); !ok {
+			return corruptf("row word %#x is neither a file reference nor a small integer", w)
+		}
+	}
+	return nil
+}
+
 func readUvarint(b []byte, what string) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {

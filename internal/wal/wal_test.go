@@ -116,15 +116,11 @@ func TestSnapshotCompactionAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := &Snapshot{
-		Seq:   3,
-		Rules: "p(X) :- edge(X, _).\n",
-		Facts: []FactRow{
-			{Pred: "edge", Tuple: tup(term.NewInt(1), term.NewSym("n"))},
-			{Pred: "edge", Tuple: tup(term.NewInt(2), term.NewSym("n"))},
-			{Pred: "edge", Tuple: tup(term.NewInt(3), term.NewSym("n"))},
-		},
-	}
+	snap := snapOf(3, "p(X) :- edge(X, _).\n",
+		factRow{"edge", tup(term.NewInt(1), term.NewSym("n"))},
+		factRow{"edge", tup(term.NewInt(2), term.NewSym("n"))},
+		factRow{"edge", tup(term.NewInt(3), term.NewSym("n"))},
+	)
 	if err := s.WriteSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +142,7 @@ func TestSnapshotCompactionAndRecovery(t *testing.T) {
 	if rec.Snapshot == nil || rec.Snapshot.Seq != 3 {
 		t.Fatalf("recovered snapshot %+v", rec.Snapshot)
 	}
-	if rec.Snapshot.Rules != snap.Rules || len(rec.Snapshot.Facts) != 3 {
+	if rec.Snapshot.Rules != snap.Rules || len(collect(t, rec.Snapshot.Stream)) != 3 {
 		t.Fatalf("snapshot content mangled: %+v", rec.Snapshot)
 	}
 	if len(rec.Records) != 1 || rec.Records[0].Seq != 4 || rec.LastSeq != 4 {
@@ -303,7 +299,7 @@ func TestCorruptSnapshotDetected(t *testing.T) {
 	if err := s.Append(factsRec(1, "e", tup(term.NewSym("a")))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteSnapshot(&Snapshot{Seq: 1, Rules: "", Facts: []FactRow{{Pred: "e", Tuple: tup(term.NewSym("a"))}}}); err != nil {
+	if err := s.WriteSnapshot(snapOf(1, "", factRow{"e", tup(term.NewSym("a"))})); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -354,11 +350,11 @@ func TestFsckCleanStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.WriteSnapshot(&Snapshot{Seq: 5, Rules: "p(X) :- e(X).\n", Facts: []FactRow{
-		{Pred: "e", Tuple: tup(term.NewInt(1))}, {Pred: "e", Tuple: tup(term.NewInt(2))},
-		{Pred: "e", Tuple: tup(term.NewInt(3))}, {Pred: "e", Tuple: tup(term.NewInt(4))},
-		{Pred: "e", Tuple: tup(term.NewInt(5))},
-	}}); err != nil {
+	if err := s.WriteSnapshot(snapOf(5, "p(X) :- e(X).\n",
+		factRow{"e", tup(term.NewInt(1))}, factRow{"e", tup(term.NewInt(2))},
+		factRow{"e", tup(term.NewInt(3))}, factRow{"e", tup(term.NewInt(4))},
+		factRow{"e", tup(term.NewInt(5))},
+	)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(factsRec(6, "e", tup(term.NewInt(6)))); err != nil {
@@ -468,7 +464,7 @@ func TestSnapshotWriteInjection(t *testing.T) {
 	if err := s.Append(factsRec(1, "e", tup(term.NewInt(1)))); err != nil {
 		t.Fatal(err)
 	}
-	snap := &Snapshot{Seq: 1, Rules: "", Facts: []FactRow{{Pred: "e", Tuple: tup(term.NewInt(1))}}}
+	snap := snapOf(1, "", factRow{"e", tup(term.NewInt(1))})
 	injected := errors.New("snapshot device gone")
 	restore := faultinject.SetData(faultinject.SiteSnapshotWrite, func(b []byte) ([]byte, error) {
 		return nil, injected
