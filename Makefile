@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check fmt vet staticcheck govulncheck race bench microbench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden shapes
+.PHONY: build test check fmt vet staticcheck govulncheck race relation-race bench microbench fuzz-smoke soak replica-soak cluster-soak cluster-seeds scrub-soak loc golden shapes
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ govulncheck:
 # set — surface instead of hiding behind a fixed order.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The relation prefix oracle (every generation of a random history
+# reads exactly its prefix while a writer extends the shared log) and
+# the concurrent writer/query/reader test, twenty times each under the
+# race detector: the log's readers take no lock, so a missing atomic or
+# ordering shows up only as an occasional race report.
+relation-race:
+	$(GO) test -race -count=20 -run '^(TestLayersMatchSingleLayer|TestLayeredClonesConcurrent)$$' ./internal/relation
 
 # `race` (and therefore `check`) already executes every chaos soak —
 # live, durable, and replicated — at their ~2s in-tree defaults; the

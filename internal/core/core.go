@@ -307,8 +307,9 @@ func (r *Result) Row(i int) map[string]term.Term {
 // Writers (Load, LoadTuples) are serialized by writeMu: each build a
 // new generation copy-on-write from the current one — rule slices are
 // copied with capped capacity so appends never alias, the catalog is
-// Snapshot-shared with only the touched relations cloned, and the
-// fact-order record is appended past the parent's prefix — and publish
+// shared with the touched relations appending to the logs the parent's
+// relations read a prefix of, and the fact-order record is appended
+// past the parent's prefix — and publish
 // it with one atomic pointer swap. Readers (Query,
 // Explain, …) pin the current generation with one atomic load and then
 // run entirely against that immutable state, so any number of queries
@@ -411,14 +412,17 @@ func (db *DB) Generation() uint64 { return db.current().seq }
 // evolve starts the next generation from g: rule and pragma slices are
 // copied with capped capacity (appends allocate fresh arrays, so g's
 // slices are never aliased by the new generation's writes), the
-// catalog is snapshot-shared copy-on-write, the order record is shared
-// up to g's length, and the rule set is shared until rules are added.
+// catalog is shared copy-on-write as the writer lineage's next one (a
+// relation it writes appends to g's relation's log, so the write costs
+// its batch), the order record is shared up to g's length, and the rule
+// set is shared until rules are added. Only the writer, under writeMu,
+// evolves a generation; a build it abandons leaves g reading as before.
 func (g *generation) evolve() *generation {
 	return &generation{
 		seq:       g.seq + 1,
 		source:    cappedProgram(g.source),
 		prog:      cappedProgram(g.prog),
-		cat:       g.cat.Snapshot(),
+		cat:       g.cat.Next(),
 		order:     g.order,
 		orderBase: len(g.order),
 		digest:    g.digest,

@@ -1,8 +1,8 @@
 package relation
 
-// Tests of the base/tail layout: a relation cloned across generations
-// must read exactly as one built by plain inserts, whatever the
-// clone, freeze and merge history behind it.
+// Tests of the prefix layout: a relation reads exactly its prefix of the
+// log it shares, whatever the clone, abandon and query-time write
+// history behind it, and while a writer extends the log.
 
 import (
 	"fmt"
@@ -25,112 +25,150 @@ func layerTuple(rng *rand.Rand) Tuple {
 	return tup(rng.Intn(16), fmt.Sprintf("s%d", rng.Intn(6)), rng.Intn(3))
 }
 
-// generation is one state of the layered relation under test and the
-// single-layer relation built from the same inserts.
+// generation is one frozen relation of a history and the tuples it
+// must hold, in order.
 type generation struct {
-	r, oracle *Relation
+	r      *Relation
+	tuples []Tuple
 }
 
-// TestLayersMatchSingleLayer runs random histories of insert, freeze,
-// clone (of frozen and unfrozen relations, so merges land at varied
-// points, and now and then a second clone of one relation written
-// differently) and checks every generation, including the frozen ones
-// later generations were cloned from, against a single-layer relation
-// built by the same inserts. A clone carries the tail's built indexes;
-// inserts into it must leave the parent's buckets as they were.
-func TestLayersMatchSingleLayer(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var gens []generation
-		r, oracle := New("p", 3), New("p", 3)
-		var merges, shared, carried int
-		// held records, for each index a clone carried, its buckets as
-		// they were at the clone.
-		type heldIndex struct {
-			ix      *Index
-			buckets [][]int
+// history writes a random history over one log: each step inserts a
+// batch into the writer's relation, sometimes builds an index or takes
+// a count mid-history, freezes it as a generation and clones it as the
+// next. Now and then it also writes, and records, a relation off the
+// lineage: an abandoned build (a clone written and dropped, which
+// leaves positions in the log past its generation), a sibling clone
+// written differently, or a query-time write over the generation.
+type history struct {
+	t      *testing.T
+	rng    *rand.Rand
+	r      *Relation
+	tuples []Tuple
+	gens   []generation
+	// abandoned, siblings and over count the off-lineage writes, and
+	// detached the lineage's clones that had to copy their prefix.
+	abandoned, siblings, over, detached int
+}
+
+// write inserts up to n random tuples into r, whose tuples are held,
+// checking each insert's verdict, and returns what r then holds.
+func (h *history) write(r *Relation, held []Tuple, n int) []Tuple {
+	held = slices.Clone(held)
+	for range n {
+		tp := layerTuple(h.rng)
+		want := !slices.ContainsFunc(held, func(u Tuple) bool { return sameTuple(u, tp) })
+		if got := r.Insert(tp); got != want {
+			h.t.Fatalf("Insert(%v) = %v, want %v", tp, got, want)
 		}
-		var held []heldIndex
-		for step := 0; step < 40; step++ {
-			for range rng.Intn(24) {
-				tp := layerTuple(rng)
-				if got, want := r.Insert(tp), oracle.Insert(tp); got != want {
-					t.Fatalf("seed %d step %d: Insert(%v) = %v, single layer %v", seed, step, tp, got, want)
-				}
-			}
-			if rng.Intn(4) == 0 {
-				// Probe mid-history, so indexes exist before later inserts
-				// and clones.
-				r.Index(layerCols[rng.Intn(len(layerCols))])
-			}
-			if rng.Intn(5) == 0 {
-				r.DistinctOn(layerCols[rng.Intn(len(layerCols))])
-			}
-			if rng.Intn(6) != 0 {
-				r.Freeze()
-			}
-			gens = append(gens, generation{r, oracle})
-			prev, prevOracle := r, oracle
-			r, oracle = r.Clone(), oracle.Clone()
-			if rng.Intn(3) == 0 {
-				// A sibling clone of the same relation, written
-				// differently: clones that carry one index must not
-				// share its buckets' spare capacity.
-				sib, sibOracle := prev.Clone(), prevOracle.Clone()
-				for range 1 + rng.Intn(24) {
-					tp := layerTuple(rng)
-					sib.Insert(tp)
-					sibOracle.Insert(tp)
-				}
-				gens = append(gens, generation{sib, sibOracle})
-			}
-			switch {
-			case r.base != nil && r.base == prev.base:
-				shared++
-			case r.base != nil && prev.base != nil:
-				merges++
-			}
-			if r.base == prev.base {
-				// The tail was copied, and with it every index built on
-				// it: the clone's next inserts file into the copies, and
-				// the final checks probe them.
-				if len(r.indexes) != len(prev.indexes) {
-					t.Fatalf("seed %d step %d: clone carries %d of %d tail indexes", seed, step, len(r.indexes), len(prev.indexes))
-				}
-				if len(prev.indexes) > 0 {
-					carried++
-				}
-				for _, ix := range prev.indexes {
-					held = append(held, heldIndex{ix, slices.Clone(ix.buckets)})
-					for i, bk := range held[len(held)-1].buckets {
-						held[len(held)-1].buckets[i] = slices.Clone(bk)
+		if want {
+			held = append(held, tp)
+		}
+	}
+	return held
+}
+
+func (h *history) step() {
+	rng := h.rng
+	l := h.r.l
+	h.tuples = h.write(h.r, h.tuples, rng.Intn(24))
+	if h.r.l != l {
+		h.detached++
+	}
+	if rng.Intn(4) == 0 {
+		h.r.Index(layerCols[rng.Intn(len(layerCols))])
+	}
+	if rng.Intn(5) == 0 {
+		h.r.DistinctOn(layerCols[rng.Intn(len(layerCols))])
+	}
+	h.r.Freeze()
+	prev := h.r
+	h.gens = append(h.gens, generation{prev, h.tuples})
+	switch rng.Intn(6) {
+	case 0:
+		a := prev.Clone()
+		held := h.write(a, h.tuples, 1+rng.Intn(8))
+		a.Freeze()
+		h.gens = append(h.gens, generation{a, held})
+		h.abandoned++
+	case 1:
+		sib := prev.Clone()
+		held := h.write(sib, h.tuples, 1+rng.Intn(24))
+		sib.Freeze()
+		h.gens = append(h.gens, generation{sib, held})
+		h.siblings++
+	case 2:
+		q := prev.over()
+		held := h.write(q, h.tuples, 1+rng.Intn(24))
+		q.Freeze()
+		h.gens = append(h.gens, generation{q, held})
+		h.over++
+	}
+	h.r = prev.Clone()
+}
+
+// TestLayersMatchSingleLayer is the prefix oracle: every relation of a
+// random history (see history) reads exactly what a relation built by
+// plain inserts of its tuples reads — Len, At, Each, Contains, Probe,
+// ProbeWindow and DistinctOn. Half of each history's generations are
+// checked by readers running while the writer goes on extending the
+// log, building indexes and keys-only tables in it as they go; run
+// under -race.
+func TestLayersMatchSingleLayer(t *testing.T) {
+	seeds := int64(8)
+	if raceEnabled {
+		seeds = 3 // relation-race repeats the test instead
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		h := &history{t: t, rng: rand.New(rand.NewSource(seed)), r: New("p", 3)}
+		for range 20 {
+			h.step()
+		}
+		early := h.gens
+		var wg sync.WaitGroup
+		for g := range 2 {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(early); i += 2 {
+					if err := checkPrefix(early[i].r, early[i].tuples, false); err != nil {
+						t.Errorf("seed %d generation %d, read while the writer extends the log: %v", seed, i, err)
+						return
 					}
 				}
-			}
+			}(g)
 		}
-		gens = append(gens, generation{r, oracle})
-		if merges == 0 || shared == 0 || carried == 0 {
-			t.Fatalf("seed %d: %d merges, %d shared-base clones and %d clones carrying an index, want each", seed, merges, shared, carried)
+		for range 20 {
+			h.step()
 		}
-		for i, g := range gens {
-			checkSameRelation(t, fmt.Sprintf("seed %d generation %d", seed, i), g.r, g.oracle, seed <= 2 && i == len(gens)-1)
+		wg.Wait()
+		h.gens = append(h.gens, generation{h.r, h.tuples})
+		if h.abandoned == 0 || h.siblings == 0 || h.over == 0 || h.detached == 0 {
+			t.Fatalf("seed %d: %d abandoned builds, %d siblings, %d query-time writes, %d detached clones, want each",
+				seed, h.abandoned, h.siblings, h.over, h.detached)
 		}
-		for _, h := range held {
-			if !slices.EqualFunc(h.ix.buckets, h.buckets, slices.Equal) {
-				t.Fatalf("seed %d: a clone's inserts changed the buckets of the index it carried", seed)
+		for i, g := range h.gens {
+			// Every window of the last generation, outside the race
+			// detector, under which that alone takes most of a minute.
+			allWindows := !raceEnabled && seed <= 2 && i == len(h.gens)-1
+			if err := checkPrefix(g.r, g.tuples, allWindows); err != nil {
+				t.Fatalf("seed %d generation %d: %v", seed, i, err)
 			}
 		}
 	}
 }
 
-// checkSameRelation compares every read of r with oracle's. Windowed
-// probes are compared at every [lo, hi) if allWindows is set, else at
-// bounds around the base's end and at strided points.
-func checkSameRelation(t *testing.T, where string, r, oracle *Relation, allWindows bool) {
-	t.Helper()
+// checkPrefix compares every read of r with those of a relation built
+// by plain inserts of tuples. Windowed probes are compared at every
+// [lo, hi) if allWindows is set, else at bounds around the base's end
+// and at strided points, fewer under the race detector.
+func checkPrefix(r *Relation, tuples []Tuple, allWindows bool) error {
+	oracle := New("p", 3)
+	for _, tp := range tuples {
+		oracle.Insert(tp)
+	}
 	n := oracle.Len()
 	if r.Len() != n {
-		t.Fatalf("%s: Len %d, want %d", where, r.Len(), n)
+		return fmt.Errorf("Len %d, want %d", r.Len(), n)
 	}
 	var each []Tuple
 	r.Each(func(tp Tuple) bool {
@@ -138,25 +176,29 @@ func checkSameRelation(t *testing.T, where string, r, oracle *Relation, allWindo
 		return true
 	})
 	if len(each) != n {
-		t.Fatalf("%s: Each visits %d tuples, want %d", where, len(each), n)
+		return fmt.Errorf("Each visits %d tuples, want %d", len(each), n)
 	}
 	for i := range n {
 		if !sameTuple(r.At(i), oracle.At(i)) || !sameTuple(each[i], oracle.At(i)) {
-			t.Fatalf("%s: position %d holds %v (Each %v), want %v", where, i, r.At(i), each[i], oracle.At(i))
+			return fmt.Errorf("position %d holds %v (Each %v), want %v", i, r.At(i), each[i], oracle.At(i))
 		}
 	}
 	rng := rand.New(rand.NewSource(int64(n)))
 	for range 64 {
 		tp := layerTuple(rng)
 		if r.Contains(tp) != oracle.Contains(tp) {
-			t.Fatalf("%s: Contains(%v) = %v, want %v", where, tp, r.Contains(tp), oracle.Contains(tp))
+			return fmt.Errorf("Contains(%v) = %v, want %v", tp, r.Contains(tp), oracle.Contains(tp))
 		}
 	}
 	points := []int{0, n - 1, n, n + 1}
 	for d := -2; d <= 2; d++ {
 		points = append(points, r.baseLen()+d)
 	}
-	for p := 0; p < n; p += 1 + n/11 {
+	stride := 1 + n/11
+	if raceEnabled {
+		stride = 1 + n/3 // the race detector slows each probe tenfold
+	}
+	for p := 0; p < n; p += stride {
 		points = append(points, p)
 	}
 	if allWindows {
@@ -165,9 +207,11 @@ func checkSameRelation(t *testing.T, where string, r, oracle *Relation, allWindo
 			points = append(points, p)
 		}
 	}
+	slices.Sort(points)
+	points = slices.Compact(points)
 	for _, cols := range layerCols {
 		if got, want := r.DistinctOn(cols), oracle.DistinctOn(cols); got != want {
-			t.Fatalf("%s: DistinctOn(%v) = %d, want %d", where, cols, got, want)
+			return fmt.Errorf("DistinctOn(%v) = %d, want %d", cols, got, want)
 		}
 		ix, ox := r.Index(cols), oracle.Index(cols)
 		// The first few keys in insertion order, and one no tuple holds.
@@ -186,17 +230,18 @@ func checkSameRelation(t *testing.T, where string, r, oracle *Relation, allWindo
 		}
 		for _, key := range keys {
 			if !samePositions(ix.Probe(key), ox.Probe(key)) {
-				t.Fatalf("%s: Probe%v on %v differs from a single layer's", where, key, cols)
+				return fmt.Errorf("Probe%v on %v differs from a single layer's", key, cols)
 			}
 			for _, lo := range points {
 				for _, hi := range points {
 					if !samePositions(ix.ProbeWindow(key, lo, hi), ox.ProbeWindow(key, lo, hi)) {
-						t.Fatalf("%s: ProbeWindow%v [%d, %d) on %v differs from a single layer's", where, key, lo, hi, cols)
+						return fmt.Errorf("ProbeWindow%v [%d, %d) on %v differs from a single layer's", key, lo, hi, cols)
 					}
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // samePositions reports whether two views hold the same tuples in the
@@ -213,94 +258,113 @@ func samePositions(a, b Matches) bool {
 	return true
 }
 
-// TestCloneSharesBase: a frozen relation without a base becomes its
-// clone's base; a clone of that clone shares the same base and copies
-// only the tail, until the tail outgrows tailBound, when the clone
-// merges the two into a new base. No insert into a clone reaches the
-// relation it was cloned from.
-func TestCloneSharesBase(t *testing.T) {
-	r := New("p", 2)
-	for i := range 1000 {
+// TestCloneSharesLog: a lineage of writes — clone the frozen relation,
+// insert a batch, freeze — stays on one log and shares its chunks, so
+// no write copies a stored tuple. A second clone of one generation,
+// written after the lineage moved on, copies its prefix into a log of
+// its own, once. No insert into a clone reaches the relation it was
+// cloned from, and a query-time write (Ensure on a Snapshot) never
+// extends the lineage's log.
+func TestCloneSharesLog(t *testing.T) {
+	cat := NewCatalog()
+	r := cat.Ensure("p", 2)
+	for i := range 5000 {
 		r.Insert(tup(i, i%10))
 	}
-	r.Freeze()
-	c := r.Clone()
-	if c.base != r || len(c.tuples) != 0 {
-		t.Fatalf("clone of a frozen relation: base %p (want %p), tail %d", c.base, r, len(c.tuples))
-	}
-	bound := tailBound(r.Len())
-	next := 1000
-	for c.base == r {
+	r.Index([]int{1})
+	cat.Freeze()
+	l := r.l
+	gens := []*Relation{r}
+	next := 5000
+	for w := range 100 {
+		if w%10 == 0 {
+			// A query writes over the current generation.
+			q := cat.Snapshot()
+			q.Ensure("p", 2).Insert(tup(-1-w, 0))
+			if q.Get("p").base != r || l.n.Load() != int64(r.Len()) {
+				t.Fatalf("write %d: a query-time write extended the log to %d past its generation's %d", w, l.n.Load(), r.Len())
+			}
+		}
+		cat = cat.Next()
+		c := cat.Ensure("p", 2)
 		for range 16 {
 			c.Insert(tup(next, next%10))
 			next++
 		}
-		c.Freeze()
-		prev := c
-		c = c.Clone()
-		if c.base == r && len(c.tuples) != len(prev.tuples) {
-			t.Fatalf("shared-base clone copied %d tail tuples of %d", len(c.tuples), len(prev.tuples))
+		if c.l != l || &c.chunks[0][0] != &r.chunks[0][0] {
+			t.Fatalf("write %d moved the lineage off its log", w)
 		}
-		if c.base != r && (len(prev.tuples) <= bound || c.Len() != prev.Len() || len(c.tuples) != 0) {
-			t.Fatalf("merged a tail of %d (bound %d) into a base of %d tuples, %d in total", len(prev.tuples), bound, c.base.Len(), prev.Len())
-		}
+		cat.Freeze()
+		gens = append(gens, c)
+		r = c
 	}
-	if r.Len() != 1000 || !c.base.Frozen() || c.Frozen() {
-		t.Fatalf("after the merge: original holds %d tuples, new base frozen %v, clone frozen %v", r.Len(), c.base.Frozen(), c.Frozen())
+	old := gens[50]
+	sib := old.Clone()
+	sib.Insert(tup(-1, 0))
+	moved := sib.l
+	sib.Insert(tup(-2, 0))
+	if moved == l || sib.l != moved || sib.Len() != old.Len()+2 || !sib.Contains(tup(999, 9)) || sib.Contains(tup(5800, 0)) {
+		t.Fatalf("second clone: log shared %v, copied again %v, %d tuples (want %d)", moved == l, sib.l != moved, sib.Len(), old.Len()+2)
+	}
+	if m := sib.Index([]int{1}).Probe(tup(0)); m.Len() != (old.Len()+9)/10+2 {
+		t.Fatalf("second clone's index finds %d tuples under 0, want %d", m.Len(), (old.Len()+9)/10+2)
+	}
+	for i, g := range gens {
+		if g.Len() != 5000+16*i || g.Contains(tup(-1, 0)) || g.Index([]int{1}).Probe(tup(0)).Len() != (g.Len()+9)/10 {
+			t.Fatalf("generation %d reads past its prefix: %d tuples, want %d", i, g.Len(), 5000+16*i)
+		}
 	}
 	u := New("p", 2)
 	u.Insert(tup(1, 2))
-	if uc := u.Clone(); uc.base != nil || uc.Len() != 1 {
-		t.Fatal("an unfrozen relation without a base must be copied, not shared")
+	uc := u.Clone()
+	uc.Insert(tup(3, 4))
+	u.Insert(tup(5, 6))
+	if uc.l != &u.own || u.l == &u.own || u.Len() != 2 || uc.Len() != 2 || u.Contains(tup(3, 4)) || uc.Contains(tup(5, 6)) {
+		t.Fatal("an unfrozen relation and its clone: the one that writes second must copy")
 	}
 }
 
-// TestLayeredClonesConcurrent: a writer and a query-time Ensure each
-// clone one frozen relation with a base, then write and probe their
-// clones while readers probe and count the shared original — building
-// the shared base's indexes and memos from several goroutines at once.
-// Run under -race.
+// TestLayeredClonesConcurrent: the writer lineage (Ensure on a catalog
+// from Next, which appends to the frozen relation's log) and a query
+// (Ensure on a Snapshot, which writes a log of its own over it) each
+// write over one frozen relation and probe what they wrote, while
+// readers probe and count the frozen relation — building an index and
+// keys-only tables in the shared log from several goroutines while the
+// writer files into them. Run under -race.
 func TestLayeredClonesConcurrent(t *testing.T) {
-	base := New("p", 3)
+	cat := NewCatalog()
+	base := cat.Ensure("p", 3)
 	for i := range 2000 {
 		base.Insert(tup(i%50, i, i%7))
 	}
-	base.Freeze()
-	shared := base.Clone()
-	for i := range 40 {
-		shared.Insert(tup(i%50, 5000+i, i%7))
+	// An index built before the freeze, which the writer files into.
+	if m := base.Index([]int{0}).Probe(tup(0)); m.Len() != 40 {
+		t.Fatalf("base: %d matches under 0, want 40", m.Len())
 	}
-	// A built tail index, which every clone of shared carries.
-	if m := shared.Index([]int{0}).Probe(tup(0)); m.Len() != 41 {
-		t.Fatalf("shared: %d matches under 0, want 41", m.Len())
-	}
-	shared.Freeze()
+	cat.Freeze()
 	var wg sync.WaitGroup
-	for w := range 2 {
+	for w, c := range []*Catalog{cat.Next(), cat.Snapshot()} {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, c *Catalog) {
 			defer wg.Done()
-			c := shared.Clone()
-			// Readers may build shared's index on (0, 2) at any moment;
-			// the one on 0 was built before shared was frozen.
-			if len(c.indexes) == 0 || !slices.Equal(c.indexes[0].cols, []int{0}) {
-				t.Errorf("writer %d: clone does not carry the tail index on 0", w)
-				return
-			}
+			rel := c.Ensure("p", 3)
 			for i := range 300 {
-				c.Insert(tup(i%50, 10000*(w+1)+i, i%7))
-				if m := c.Index([]int{0}).Probe(tup(i % 50)); m.Len() < 40 {
+				rel.Insert(tup(i%50, 10000*(w+1)+i, i%7))
+				if m := rel.Index([]int{0}).Probe(tup(i % 50)); m.Len() < 40 {
 					t.Errorf("writer %d: %d matches under %d", w, m.Len(), i%50)
 					return
 				}
 				if i%50 == 0 {
-					c.DistinctOn([]int{0, 2})
+					rel.DistinctOn([]int{0, 2})
 				}
 			}
-			if c.Len() != 2340 || c.DistinctOn([]int{1}) != 2340 {
-				t.Errorf("writer %d: clone holds %d tuples", w, c.Len())
+			if rel.Len() != 2300 || rel.DistinctOn([]int{1}) != 2300 {
+				t.Errorf("writer %d: relation holds %d tuples", w, rel.Len())
 			}
-		}(w)
+			if shared := rel.l == base.l; shared != (w == 0) || (rel.base == base) == (w == 0) {
+				t.Errorf("writer %d: shares the log %v, reads over it %v", w, shared, rel.base == base)
+			}
+		}(w, c)
 	}
 	for g := range 4 {
 		wg.Add(1)
@@ -308,11 +372,11 @@ func TestLayeredClonesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range 100 {
 				cols := layerCols[(g+i)%3]
-				if n := shared.DistinctOn(cols); n != []int{50, 2040, 7}[cols[0]] {
+				if n := base.DistinctOn(cols); n != []int{50, 2000, 7}[cols[0]] {
 					t.Errorf("reader %d: DistinctOn(%v) = %d", g, cols, n)
 					return
 				}
-				if m := shared.Index([]int{0, 2}).ProbeWindow(tup(i%50, i%7), 0, shared.Len()); m.Len() == 0 {
+				if m := base.Index([]int{0, 2}).ProbeWindow(tup(i%50, i%7), 0, base.Len()); m.Len() == 0 {
 					t.Errorf("reader %d: no match for (%d, _, %d)", g, i%50, i%7)
 					return
 				}
@@ -320,27 +384,20 @@ func TestLayeredClonesConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if shared.Len() != 2040 || base.Len() != 2000 {
-		t.Fatalf("clones wrote into the shared relations: %d and %d tuples", shared.Len(), base.Len())
+	if base.Len() != 2000 {
+		t.Fatalf("writes reached the frozen relation: %d tuples", base.Len())
 	}
 	for k := range 50 {
-		if m, want := shared.Index([]int{0}).Probe(tup(k)), 40+btoi(k < 40); m.Len() != want {
-			t.Fatalf("clones wrote into the shared tail index: %d matches under %d, want %d", m.Len(), k, want)
+		if m := base.Index([]int{0}).Probe(tup(k)); m.Len() != 40 {
+			t.Fatalf("writes reached the frozen relation's index: %d matches under %d, want 40", m.Len(), k)
 		}
 	}
 	var got []int
-	shared.Each(func(tp Tuple) bool {
+	base.Each(func(tp Tuple) bool {
 		got = append(got, int(tp[1].(term.Int).V))
 		return true
 	})
-	if len(got) != 2040 || got[1999] != 1999 || got[2000] != 5000 {
-		t.Fatalf("shared relation's order changed: %d tuples", len(got))
+	if len(got) != 2000 || got[1999] != 1999 {
+		t.Fatalf("frozen relation's order changed: %d tuples", len(got))
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

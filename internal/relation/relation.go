@@ -18,22 +18,33 @@
 // never interned short-circuits to "no match" without touching the
 // dictionary.
 //
-// A relation is a frozen, shared base plus a private tail, the layout
-// of a log-structured merge tree with two runs. Positions are global,
-// base first, so insertion order, At, Each and windowed probes read as
-// one run. Clone, the copy-on-write step that makes a database
-// generation writable, shares the base by pointer and copies only the
-// tail: a frozen relation without a base becomes the clone's base with
-// no copy, and once the tail outgrows tailBound of the base's size the
-// clone merges the two into a new base instead. A write therefore
-// copies O(tail) and, amortized, O(n·batch/tailBound(n)); the base's
-// lazily built indexes and distinct counts are shared by every
-// generation that holds it. A relation never cloned has no base.
+// A relation is a prefix of an append-only log: positions [0, Len) of
+// the tuples, the presence table and the index postings the log holds.
+// Every generation of one writer lineage shares the log, so Clone — the
+// copy-on-write step that makes a database generation writable — copies
+// nothing: the clone reads the same log at the same length and appends
+// to it. A relation reads no position at or past its length, so what
+// later generations append (and what an abandoned build appended) never
+// shows in it. Readers take no lock: table slots and posting counts are
+// written atomically, and a table or posting array that fills up is
+// replaced by a larger one while readers keep the one they hold.
+//
+// Only one relation may append to a log at a time, and which one is
+// decided by a compare-and-swap on the log's length, the way append
+// decides by capacity whether two slices share an array: an insert at
+// position n claims n only while the log is n long. A relation whose
+// claim fails (a second clone of one relation, or a clone of a
+// generation whose successor's build was abandoned) first copies its
+// prefix into a log of its own, once.
+//
+// A query that writes into a stored relation (Catalog.Ensure on a
+// Snapshot) keeps its writes in a private log over the stored
+// relation's prefix — its base — and never appends to the shared one,
+// so the writer lineage keeps its claim.
 package relation
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -109,55 +120,12 @@ func hashIDs(ids []term.ID) uint64 {
 	return h ^ h>>33
 }
 
-// entries names, for each entry of an idTable, the stored tuple whose
-// projection is that entry's key.
-type entries interface{ tuple(e int) Tuple }
-
-// idTable is an open-addressing hash table over the entries 0..n-1 of
-// a dense array: a relation's tuple positions, or an index's buckets.
-// A slot holds entry+1, and 0 marks it empty. No key is stored: a
-// probe compares its codes with those of the tuple the entry names.
-// Probing is linear, and the table doubles before it is 3/4 full.
-type idTable []int32
-
-// find returns the entry whose key, the projection of es.tuple(e) onto
-// cols, has the codes ids (hashed to h); or -1 and the empty slot where
-// that key belongs (-1 too while the table has no slots).
-func (t idTable) find(h uint64, ids []term.ID, cols []int, es entries) (e, slot int) {
-	if len(t) == 0 {
-		return -1, -1
+func (t Tuple) String() string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = v.String()
 	}
-	mask := uint64(len(t) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		if t[i] == 0 {
-			return -1, int(i)
-		}
-		if e := int(t[i] - 1); sameIDs(es.tuple(e), cols, ids) {
-			return e, int(i)
-		}
-	}
-}
-
-// add files entry n-1 in slot, the empty slot find returned for its
-// key. If n entries would fill more than 3/4 of the table it instead
-// rebuilds the table twice as large, rehashing every entry's key.
-func (t *idTable) add(slot, n int, cols []int, es entries) {
-	if 4*n <= 3*len(*t) {
-		(*t)[slot] = int32(n)
-		return
-	}
-	nt := make(idTable, max(8, 2*len(*t)))
-	mask := uint64(len(nt) - 1)
-	var ib [idBufLen]term.ID
-	for e := range n {
-		ids, _ := appendIDs(ib[:0], es.tuple(e), cols, false)
-		i := hashIDs(ids) & mask
-		for nt[i] != 0 {
-			i = (i + 1) & mask
-		}
-		nt[i] = int32(e + 1)
-	}
-	*t = nt
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // sameIDs reports whether t's columns cols (every column if nil) have
@@ -175,12 +143,340 @@ func sameIDs(t Tuple, cols []int, ids []term.ID) bool {
 	return true
 }
 
-func (t Tuple) String() string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = v.String()
+// A relation's tuples are a head, the positions below chunkSize, and
+// chunks of chunkSize after it, a whole number of pages each. The head
+// about doubles from firstChunk to chunkSize tuples, each time into a
+// new array. A head's or chunk's length never changes and a stored
+// tuple never moves, so the relations of one log share them and the
+// chunk list's array, and a write costs its batch however many tuples
+// the log holds.
+const (
+	chunkBits  = 11
+	chunkSize  = 1 << chunkBits
+	chunkMask  = chunkSize - 1
+	firstChunk = 4
+)
+
+// put stores t at position p, which r's head or chunks have room for
+// once grown to it.
+func (r *Relation) put(p int, t Tuple) {
+	if p < chunkSize {
+		if p == len(r.head) {
+			// Grow rounds the capacity up to what the allocation holds.
+			h := slices.Grow(r.head[:p:p], min(chunkSize, max(firstChunk, 2*p))-p)
+			r.head = h[:min(cap(h), chunkSize)]
+		}
+		r.head[p] = t
+		return
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	if p>>chunkBits-1 == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Tuple, chunkSize))
+	}
+	r.chunks[p>>chunkBits-1][p&chunkMask] = t
+}
+
+// log is what the relations of one writer lineage share: how many
+// positions are claimed, the presence table and the indexes on them.
+// Each relation holds its own view of the tuple chunks. An index that a
+// reader builds is filed into by the writer's next insert.
+type log struct {
+	n atomic.Int64 // positions claimed, by Insert's compare-and-swap
+	// present is a keys-only index on every column. Tuples are
+	// distinct, so key k is position k and it keeps no firsts. Only the
+	// log's owner files it.
+	present logIndex
+	// mu serializes filing into the indexes and building them.
+	mu      sync.Mutex
+	indexes atomic.Pointer[[]*logIndex]
+}
+
+// noKeys is the state of an index that holds no key yet.
+var noKeys = &ixState{}
+
+// init makes l an empty log and returns it.
+func (l *log) init() *log {
+	l.present.ident = true
+	l.present.st.Store(noKeys)
+	return l
+}
+
+// lookup returns the log's index on cols — a full one if full is set,
+// else either kind — or nil.
+func (l *log) lookup(cols []int, full bool) *logIndex {
+	if p := l.indexes.Load(); p != nil {
+		for _, li := range *p {
+			if (li.full || !full) && slices.Equal(li.cols, cols) {
+				return li
+			}
+		}
+	}
+	return nil
+}
+
+// index returns the log's index on cols (see lookup), building it over
+// r's positions if there is none. The writer files later positions.
+func (l *log) index(r *Relation, cols []int, full bool) *logIndex {
+	if li := l.lookup(cols, full); li != nil {
+		return li
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if li := l.lookup(cols, full); li != nil {
+		return li // another reader won the build race
+	}
+	li := newLogIndex(cols, full)
+	li.fileTo(r)
+	var list []*logIndex
+	if p := l.indexes.Load(); p != nil {
+		list = append(list, *p...)
+	}
+	list = append(list, li)
+	l.indexes.Store(&list)
+	return li
+}
+
+// ready files r's positions that li does not yet hold: a reader whose
+// prefix reaches past what the writer has filed (an index built by a
+// shorter generation) files the rest itself.
+func (l *log) ready(li *logIndex, r *Relation) {
+	if int(li.filed.Load()) < r.n {
+		l.mu.Lock()
+		li.fileTo(r)
+		l.mu.Unlock()
+	}
+}
+
+// logIndex is a hash index on cols over a log's positions, shared by
+// every relation over the log. Its table holds key numbers: key k was
+// first filed at position firsts[k], and a key filed more than once
+// lists its positions in more[k]. A keys-only index, which a distinct
+// count keeps, has no more. Keys are numbered in the order of their
+// first position, so the keys a relation of length n reads are those
+// whose first position is below n, a prefix of firsts.
+//
+// Positions [0, filed) are filed. Only the holder of the log's mu files
+// or changes the arrays; readers take no lock (see ixState).
+type logIndex struct {
+	cols  []int
+	full  bool
+	ident bool // key k is position k, and firsts stays nil
+	filed atomic.Int32
+	keys  atomic.Int32 // firsts[0, keys) are set
+	st    atomic.Pointer[ixState]
+}
+
+func newLogIndex(cols []int, full bool) *logIndex {
+	li := &logIndex{cols: slices.Clone(cols), full: full}
+	li.st.Store(noKeys)
+	return li
+}
+
+// ixState is the arrays of a logIndex. A state is replaced, never
+// resized in place, and each state has a table of its own, so a slot
+// only ever names a key whose first position the state's firsts holds.
+// firsts and more have room past keys, written only by the mu holder
+// before it publishes the key.
+type ixState struct {
+	table  []int32 // key+1 per occupied slot; read and written atomically
+	firsts []int32
+	more   []atomic.Pointer[postings] // nil for a keys-only index
+}
+
+// postings are the positions of a key filed more than once, ascending:
+// pos[0, n). pos is never resized: a full one is replaced by a copy
+// twice as long.
+type postings struct {
+	n   atomic.Int32
+	pos []int32
+}
+
+// find returns the key with codes ids (hashed to h) among those r can
+// read, or -1 and the empty slot where it belongs (-1 while the table
+// has no slots).
+func (s *ixState) find(r *Relation, h uint64, ids []term.ID, cols []int) (k, slot int) {
+	if len(s.table) == 0 {
+		return -1, -1
+	}
+	mask := uint64(len(s.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		v := atomic.LoadInt32(&s.table[i])
+		if v == 0 {
+			return -1, int(i)
+		}
+		f := int(v - 1)
+		if s.firsts != nil {
+			f = int(s.firsts[f])
+		}
+		if f < r.n && sameIDs(r.tuple(f), cols, ids) {
+			return int(v - 1), int(i)
+		}
+	}
+}
+
+// fileTo files r's positions from filed on. The caller holds the log's
+// mu, or owns li outright.
+func (li *logIndex) fileTo(r *Relation) {
+	filed := int(li.filed.Load())
+	for p := filed; p < r.n; p++ {
+		li.file(r, p)
+	}
+	if r.n > filed {
+		li.filed.Store(int32(r.n))
+	}
+}
+
+// file files r's position p under its projection.
+func (li *logIndex) file(r *Relation, p int) {
+	var ib [idBufLen]term.ID
+	ids, _ := appendIDs(ib[:0], r.tuple(p), li.cols, false)
+	li.fileKey(r, p, hashIDs(ids), ids)
+}
+
+// fileKey files r's position p, whose projection has the codes ids
+// (hashed to h).
+func (li *logIndex) fileKey(r *Relation, p int, h uint64, ids []term.ID) {
+	s := li.st.Load()
+	k, slot := s.find(r, h, ids, li.cols)
+	if k < 0 {
+		li.newKey(r, s, slot, p, h, ids)
+	} else if s.more != nil {
+		s.add(k, p)
+	}
+}
+
+// newKey files r's position p under a new key with codes ids (hashed to
+// h), whose slot in s, the current state, find returned.
+func (li *logIndex) newKey(r *Relation, s *ixState, slot, p int, h uint64, ids []term.ID) {
+	k := int(li.keys.Load())
+	if !li.ident && k == len(s.firsts) || 4*(k+1) > 3*len(s.table) {
+		s = li.grow(r, s, k)
+		_, slot = s.find(r, h, ids, li.cols)
+	}
+	if !li.ident {
+		s.firsts[k] = int32(p)
+	}
+	li.keys.Store(int32(k + 1))
+	atomic.StoreInt32(&s.table[slot], int32(k+1))
+}
+
+// add files position p under key k, which already has positions.
+func (s *ixState) add(k, p int) {
+	pp := s.more[k].Load()
+	if pp == nil {
+		pp = &postings{pos: make([]int32, 4)}
+		pp.pos[0], pp.pos[1] = s.firsts[k], int32(p)
+		pp.n.Store(2)
+		s.more[k].Store(pp)
+		return
+	}
+	n := int(pp.n.Load())
+	if n == len(pp.pos) {
+		np := &postings{pos: make([]int32, 2*n)}
+		copy(np.pos, pp.pos)
+		np.pos[n] = int32(p)
+		np.n.Store(int32(n + 1))
+		s.more[k].Store(np)
+		return
+	}
+	pp.pos[n] = int32(p)
+	pp.n.Store(int32(n + 1))
+}
+
+// grow publishes and returns a state with room for key k: a new table,
+// twice as large if k+1 keys would fill more than 3/4 of the old one,
+// with keys [0, k) refiled, and firsts and more twice as long if k is
+// their length.
+func (li *logIndex) grow(r *Relation, s *ixState, k int) *ixState {
+	ns := &ixState{firsts: s.firsts, more: s.more}
+	if !li.ident && k == len(s.firsts) {
+		ns.firsts = make([]int32, max(8, 2*k))
+		copy(ns.firsts, s.firsts)
+		if li.full {
+			ns.more = make([]atomic.Pointer[postings], len(ns.firsts))
+			for i := range k {
+				ns.more[i].Store(s.more[i].Load())
+			}
+		}
+	}
+	size := max(8, len(s.table))
+	for 4*(k+1) > 3*size {
+		size *= 2
+	}
+	ns.table = make([]int32, size)
+	mask := uint64(size - 1)
+	var ib [idBufLen]term.ID
+	for j := range k {
+		f := j
+		if ns.firsts != nil {
+			f = int(ns.firsts[j])
+		}
+		ids, _ := appendIDs(ib[:0], r.tuple(f), li.cols, false)
+		i := hashIDs(ids) & mask
+		for ns.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		ns.table[i] = int32(j + 1)
+	}
+	li.st.Store(ns)
+	return ns
+}
+
+// bucket returns, ascending, the positions filed under the key with
+// codes ids (hashed to h), or nil: every one r can read, and perhaps
+// later ones past r's length.
+func (li *logIndex) bucket(r *Relation, h uint64, ids []term.ID) []int32 {
+	r.l.ready(li, r)
+	s := li.st.Load()
+	k, _ := s.find(r, h, ids, li.cols)
+	switch {
+	case k < 0:
+		return nil
+	case s.more != nil:
+		if pp := s.more[k].Load(); pp != nil {
+			return pp.pos[:pp.n.Load()]
+		}
+	}
+	return s.firsts[k : k+1]
+}
+
+// count returns the number of keys among r's positions.
+func (li *logIndex) count(r *Relation) int {
+	r.l.ready(li, r)
+	k := int(li.keys.Load())
+	return search(li.st.Load().firsts[:k], r.n)
+}
+
+// has reports whether r holds the key with codes ids (hashed to h). The
+// caller has made li ready for r (count does; the presence table always
+// is).
+func (li *logIndex) has(r *Relation, h uint64, ids []term.ID) bool {
+	k, _ := li.st.Load().find(r, h, ids, li.cols)
+	return k >= 0
+}
+
+// search returns the number of ascending positions below x.
+func search(pos []int32, x int) int {
+	i, j := 0, len(pos)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if int(pos[m]) < x {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
+// window trims ascending positions to those in [lo, hi).
+func window(pos []int32, lo, hi int) []int32 {
+	if n := len(pos); n > 0 && int(pos[n-1]) >= hi {
+		pos = pos[:search(pos, hi)]
+	}
+	if len(pos) > 0 && int(pos[0]) < lo {
+		pos = pos[search(pos, lo):]
+	}
+	return pos
 }
 
 // Index is a relation's hash index on a fixed column list. A caller
@@ -188,42 +484,14 @@ func (t Tuple) String() string {
 // Relation.Index): it stays valid, and sees later inserts, for the
 // relation's lifetime.
 //
-// The table holds bucket numbers, and a bucket's key is the projection
-// of its first tuple, so adding a position to an existing bucket
-// stores nothing but the position. Positions within a bucket ascend
-// (tuples are only appended). An index files the relation's tail; on a
-// relation with a base it also holds the base's own (shared) index on
-// the same columns, and a probe reads one bucket of each.
+// It reads the index its relation's log keeps on the columns, bounded
+// by the relation's length; on a relation with a base, also the base's
+// log's index, and a probe reads one bucket of each.
 type Index struct {
-	r       *Relation
-	cols    []int
-	base    *Index  // the base's index on cols; nil without a base
-	table   idTable // bucket numbers, hashed on the projection's codes
-	buckets [][]int // tail positions, ascending
-}
-
-func (ix *Index) tuple(b int) Tuple { return ix.r.tuples[ix.buckets[b][0]] }
-
-// bucket returns the tail positions filed under the key with codes ids
-// (hashed to h), or nil.
-func (ix *Index) bucket(h uint64, ids []term.ID) []int {
-	if b, _ := ix.table.find(h, ids, ix.cols, ix); b >= 0 {
-		return ix.buckets[b]
-	}
-	return nil
-}
-
-// add files the tuple t, stored at pos, under its projection.
-func (ix *Index) add(t Tuple, pos int) {
-	var ib [idBufLen]term.ID
-	ids, _ := appendIDs(ib[:0], t, ix.cols, false)
-	b, slot := ix.table.find(hashIDs(ids), ids, ix.cols, ix)
-	if b >= 0 {
-		ix.buckets[b] = append(ix.buckets[b], pos)
-		return
-	}
-	ix.buckets = append(ix.buckets, []int{pos})
-	ix.table.add(slot, len(ix.buckets), ix.cols, ix)
+	r    *Relation
+	cols []int
+	li   *logIndex // r's log's index on cols
+	base *logIndex // r.base's log's index on cols; nil without a base
 }
 
 // Relation is a set of ground tuples of fixed arity with insertion
@@ -232,51 +500,51 @@ func (ix *Index) add(t Tuple, pos int) {
 // A relation has two lifecycle phases. While unfrozen it is owned by a
 // single goroutine (a loader or an evaluation engine) and may be
 // mutated freely. Freeze marks it immutable: from then on any number
-// of goroutines may read it concurrently — the only remaining internal
-// mutations are lazy index construction and memoized distinct counts,
-// which idxMu serializes — and Insert panics. Catalog.Snapshot freezes every relation it shares,
-// which is what makes copy-on-write database generations safe.
+// of goroutines may read it concurrently — lazy index builds are the
+// one remaining mutation, serialized by the log — and Insert panics.
+// Catalog.Snapshot freezes every relation it shares, which is what
+// makes copy-on-write database generations safe.
 //
 // Concurrent reads are also safe on an unfrozen relation during any
 // window in which no goroutine mutates it; the parallel semi-naive
 // rounds rely on this (workers only read shared relations mid-round
 // and write to worker-private staging relations).
-//
-// base, when set, is a frozen relation without a base of its own that
-// holds positions 0..base.Len()-1; tuples, present and indexes hold
-// the tail, at positions base.Len() on, and name them tail-locally.
 type Relation struct {
-	name    string
-	arity   int
-	base    *Relation
-	tuples  []Tuple
-	present idTable // tail positions, hashed on every column's code
+	name  string
+	arity int
+	// base, when set, is a frozen relation without a base of its own
+	// that holds positions [0, base.Len()); the log holds the positions
+	// after them, numbered from 0. Only a query's write into a stored
+	// relation makes one (Catalog.Ensure on a Snapshot).
+	base   *Relation
+	l      *log
+	n      int       // the log's positions [0, n) are this relation's
+	head   []Tuple   // the log's tuples below chunkSize, as of n
+	chunks [][]Tuple // and from chunkSize on
 
 	// frozen marks the relation immutable (shared between snapshots).
 	frozen atomic.Bool
-	// idxMu guards indexes and distinct: frozen relations still build
-	// indexes lazily on first lookup, possibly from several readers at
-	// once, and memoize distinct counts.
-	idxMu   sync.RWMutex
+	// idxMu guards indexes, which frozen relations still add to lazily.
+	idxMu   sync.Mutex
 	indexes []*Index
-	// distinct memoizes DistinctOn per column list, on frozen relations
-	// only.
-	distinct []distinctCount
-}
-
-type distinctCount struct {
-	cols []int
-	n    int
-	// set is the scan's table of distinct projections, kept only on a
-	// base whose layered relations asked for it: they count the tail
-	// projections it does not hold.
-	set *distinctSet
+	// own is the log of a relation made by New, allocated with it.
+	own log
 }
 
 // New returns an empty relation with the given name and arity.
-func New(name string, arity int) *Relation { return &Relation{name: name, arity: arity} }
+func New(name string, arity int) *Relation {
+	r := &Relation{name: name, arity: arity}
+	r.l = r.own.init()
+	return r
+}
 
-func (r *Relation) tuple(pos int) Tuple { return r.tuples[pos] }
+// tuple returns the tuple at the log's position p.
+func (r *Relation) tuple(p int) Tuple {
+	if p < chunkSize {
+		return r.head[p]
+	}
+	return r.chunks[p>>chunkBits-1][p&chunkMask]
+}
 
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
@@ -285,14 +553,14 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.baseLen() + len(r.tuples) }
+func (r *Relation) Len() int { return r.baseLen() + r.n }
 
 // baseLen returns the number of positions the base holds (0: none).
 func (r *Relation) baseLen() int {
 	if r.base == nil {
 		return 0
 	}
-	return len(r.base.tuples)
+	return r.base.n
 }
 
 // Freeze marks the relation immutable: Insert panics from now on, and
@@ -331,22 +599,64 @@ func (r *Relation) insert(t Tuple, other *Relation, copyT bool) bool {
 	if other != nil && other.arity == r.arity && other.has(h, ids) {
 		return false
 	}
-	if r.base != nil && r.base.has(h, ids) {
+	if b := r.base; b != nil && b.l.present.has(b, h, ids) {
 		return false
 	}
-	pos, slot := r.present.find(h, ids, nil, r)
-	if pos >= 0 {
+	s := r.l.present.st.Load()
+	k, slot := s.find(r, h, ids, nil)
+	if k >= 0 {
 		return false
 	}
 	if copyT {
 		t = append(Tuple(nil), t...)
 	}
-	r.tuples = append(r.tuples, t)
-	r.present.add(slot, len(r.tuples), nil, r)
-	for _, idx := range r.indexes {
-		idx.add(t, len(r.tuples)-1)
+	if !r.l.n.CompareAndSwap(int64(r.n), int64(r.n)+1) {
+		// Another relation has appended past r's prefix.
+		r.detach()
+		r.l.n.Store(int64(r.n) + 1)
+		s = r.l.present.st.Load()
+		_, slot = s.find(r, h, ids, nil)
+	}
+	p := r.n
+	r.put(p, t)
+	r.n++
+	r.l.present.newKey(r, s, slot, p, h, ids)
+	if ixs := r.l.indexes.Load(); ixs != nil {
+		r.l.mu.Lock()
+		for _, li := range *ixs {
+			li.fileTo(r)
+		}
+		r.l.mu.Unlock()
 	}
 	return true
+}
+
+// detach moves r onto a log of its own holding a copy of its prefix,
+// refiled in a new presence table and in new indexes on the column
+// lists the shared log indexes. A relation pays this one O(n) copy when
+// another relation has appended past its prefix.
+func (r *Relation) detach() {
+	old := r.l
+	r.l = new(log).init()
+	r.l.n.Store(int64(r.n))
+	c := &Relation{}
+	for p := range r.n {
+		c.put(p, r.tuple(p))
+	}
+	r.head, r.chunks = c.head, c.chunks
+	for p := range r.n {
+		r.l.present.file(r, p)
+	}
+	if ixs := old.indexes.Load(); ixs != nil {
+		for _, li := range *ixs {
+			r.l.index(r, li.cols, li.full)
+		}
+	}
+	r.idxMu.Lock()
+	for _, ix := range r.indexes {
+		ix.li = r.l.index(r, ix.cols, true)
+	}
+	r.idxMu.Unlock()
 }
 
 // InsertAll inserts every tuple of o (which must have equal arity) and
@@ -363,15 +673,12 @@ func (r *Relation) InsertAll(o *Relation) int {
 }
 
 // has reports whether r holds the tuple whose codes are ids, hashed to
-// h: in its base or in its tail.
+// h: in its base or in its log.
 func (r *Relation) has(h uint64, ids []term.ID) bool {
-	if b := r.base; b != nil {
-		if pos, _ := b.present.find(h, ids, nil, b); pos >= 0 {
-			return true
-		}
+	if b := r.base; b != nil && b.l.present.has(b, h, ids) {
+		return true
 	}
-	pos, _ := r.present.find(h, ids, nil, r)
-	return pos >= 0
+	return r.l.present.has(r, h, ids)
 }
 
 // Contains reports whether the tuple is present. It is allocation-free.
@@ -388,29 +695,39 @@ func (r *Relation) Contains(t Tuple) bool {
 // tuple slice; it stops early when f returns false. The relation must
 // not be mutated during the iteration.
 func (r *Relation) Each(f func(Tuple) bool) {
-	if r.base != nil {
-		for _, t := range r.base.tuples {
+	if b := r.base; b != nil && !b.each(f) {
+		return
+	}
+	r.each(f)
+}
+
+// each calls f on the tuples of r's log, and reports whether f asked
+// for them all.
+func (r *Relation) each(f func(Tuple) bool) bool {
+	for _, t := range r.head[:min(len(r.head), r.n)] {
+		if !f(t) {
+			return false
+		}
+	}
+	for c, p := 0, chunkSize; p < r.n; c, p = c+1, p+chunkSize {
+		for _, t := range r.chunks[c][:min(chunkSize, r.n-p)] {
 			if !f(t) {
-				return
+				return false
 			}
 		}
 	}
-	for _, t := range r.tuples {
-		if !f(t) {
-			return
-		}
-	}
+	return true
 }
 
-// At returns the i-th tuple in insertion order.
+// At returns the i-th tuple in insertion order, for i below Len.
 func (r *Relation) At(i int) Tuple {
 	if b := r.base; b != nil {
-		if i < len(b.tuples) {
-			return b.tuples[i]
+		if i < b.n {
+			return b.tuple(i)
 		}
-		i -= len(b.tuples)
+		i -= b.n
 	}
-	return r.tuples[i]
+	return r.tuple(i)
 }
 
 // indexOn returns the index on cols, or nil. The caller holds idxMu.
@@ -423,28 +740,23 @@ func (r *Relation) indexOn(cols []int) *Index {
 	return nil
 }
 
-// Index returns (building if needed) the index on cols. Lazy builds
-// are the one mutation frozen relations still perform, so the index
-// list is read and published under idxMu; the build itself runs outside
-// the critical section (tuples are stable: append-only for the single
-// owner, immutable once frozen) and the first publication wins.
+// Index returns the index on cols, building the log's if needed. Lazy
+// builds are the one mutation frozen relations still perform: the log
+// serializes them, and the first publication wins.
 func (r *Relation) Index(cols []int) *Index {
-	r.idxMu.RLock()
+	r.idxMu.Lock()
 	idx := r.indexOn(cols)
-	r.idxMu.RUnlock()
+	r.idxMu.Unlock()
 	if idx != nil {
 		return idx
 	}
-	idx = &Index{r: r, cols: append([]int(nil), cols...)}
-	if r.base != nil {
-		idx.base = r.base.Index(cols)
-	}
-	for pos, t := range r.tuples {
-		idx.add(t, pos)
+	idx = &Index{r: r, cols: slices.Clone(cols), li: r.l.index(r, cols, true)}
+	if b := r.base; b != nil {
+		idx.base = b.l.index(b, cols, true)
 	}
 	r.idxMu.Lock()
 	if existing := r.indexOn(cols); existing != nil {
-		idx = existing // another reader won the build race
+		idx = existing // another reader won the race
 	} else {
 		r.indexes = append(r.indexes, idx)
 	}
@@ -453,39 +765,40 @@ func (r *Relation) Index(cols []int) *Index {
 }
 
 // Matches is a view of the tuples one Probe found, in insertion order.
-// It copies nothing: it reads index buckets and tuple slices in place,
-// and later inserts into the relation do not show up in it. pos names
-// tuples of r; on a relation with a base, r is the base when the base
-// matched, and the tail's matches follow as tpos, tuples of t.
+// It copies nothing: it reads index postings and tuple chunks in place,
+// and later inserts into the relation do not show up in it. apos are
+// positions of a's log; on a relation with a base, a is the base when
+// the base matched, and the relation's own matches follow as bpos, of
+// b's log.
 type Matches struct {
-	r    *Relation
-	pos  []int
-	t    *Relation
-	tpos []int
+	a    *Relation
+	apos []int32
+	b    *Relation
+	bpos []int32
 }
 
 // Len returns the number of matching tuples.
-func (m Matches) Len() int { return len(m.pos) + len(m.tpos) }
+func (m Matches) Len() int { return len(m.apos) + len(m.bpos) }
 
 // At returns the i-th matching tuple.
 func (m Matches) At(i int) Tuple {
-	if i < len(m.pos) {
-		return m.r.tuples[m.pos[i]]
+	if i < len(m.apos) {
+		return m.a.tuple(int(m.apos[i]))
 	}
-	return m.t.tuples[m.tpos[i-len(m.pos)]]
+	return m.b.tuple(int(m.bpos[i-len(m.apos)]))
 }
 
 // Probe finds the tuples whose projection onto the index columns
 // equals values. It allocates nothing.
 func (ix *Index) Probe(values Tuple) Matches {
-	return ix.ProbeWindow(values, 0, math.MaxInt)
+	return ix.ProbeWindow(values, 0, ix.r.Len())
 }
 
 // ProbeWindow is Probe restricted to the tuples at insertion positions
 // [lo, hi): a semi-naive round reads its delta, and every relation of
-// its own recursion, as such a window of one relation. Bucket positions
-// ascend, so trimming is two binary searches, and a bucket already
-// inside the window costs two comparisons. It allocates nothing.
+// its own recursion, as such a window of one relation. Postings ascend,
+// so trimming is two binary searches, and a bucket already inside the
+// window costs two comparisons. It allocates nothing.
 func (ix *Index) ProbeWindow(values Tuple, lo, hi int) Matches {
 	var ib [idBufLen]term.ID
 	ids, ok := appendIDs(ib[:0], values, nil, true)
@@ -493,28 +806,16 @@ func (ix *Index) ProbeWindow(values Tuple, lo, hi int) Matches {
 		return Matches{} // a never-interned constant matches nothing
 	}
 	h := hashIDs(ids)
-	if ix.base == nil {
-		return Matches{r: ix.r, pos: window(ix.bucket(h, ids), lo, hi)}
+	r := ix.r
+	b := r.base
+	if b == nil {
+		return Matches{a: r, apos: window(ix.li.bucket(r, h, ids), lo, min(hi, r.n))}
 	}
-	nb := len(ix.base.r.tuples)
-	tail := window(ix.bucket(h, ids), lo-nb, hi-nb)
-	if pos := window(ix.base.bucket(h, ids), lo, hi); len(pos) > 0 {
-		return Matches{r: ix.base.r, pos: pos, t: ix.r, tpos: tail}
+	own := window(ix.li.bucket(r, h, ids), lo-b.n, min(hi-b.n, r.n))
+	if pos := window(ix.base.bucket(b, h, ids), lo, min(hi, b.n)); len(pos) > 0 {
+		return Matches{a: b, apos: pos, b: r, bpos: own}
 	}
-	return Matches{r: ix.r, pos: tail}
-}
-
-// window trims ascending positions to those in [lo, hi).
-func window(pos []int, lo, hi int) []int {
-	if n := len(pos); n > 0 && pos[n-1] >= hi {
-		i, _ := slices.BinarySearch(pos, hi)
-		pos = pos[:i]
-	}
-	if len(pos) > 0 && pos[0] < lo {
-		i, _ := slices.BinarySearch(pos, lo)
-		pos = pos[i:]
-	}
-	return pos
+	return Matches{a: r, apos: own}
 }
 
 // LookupOn returns the tuples whose projection onto cols equals the
@@ -537,139 +838,34 @@ func (r *Relation) LookupOn(cols []int, values Tuple) []Tuple {
 // count is exact.
 //
 // Projecting onto every column, in any order, is the relation itself
-// (a relation is a set), so that count is Len. Any other count comes
-// from an index already built on cols, or else from one scan through a
-// transient table; the scan builds no index, since retaining a full
-// hash index for a one-shot aggregate would cost more than the count.
-// On a frozen relation the count is memoized per column list: the
-// relation can no longer change, so the count cannot go stale. An
-// unfrozen relation recounts on every call.
+// (a relation is a set), so that count is Len. Any other count reads
+// the log's index on cols: a built one, or else a keys-only index — a
+// table of the distinct projections and the position each first
+// appears at, with no postings — that the count builds once for the
+// log. The writer keeps either up to date, so every generation counts
+// by one binary search over the keys' first positions.
 //
-// A relation with a base scans only its tail: its count is the base's
-// plus the tail projections the base does not hold. The base answers
-// both from its index on cols, if built, or else from a table of its
-// distinct projections that it memoizes for the purpose, once for
-// every generation that shares it.
+// A relation with a base counts the base's keys that way, plus the
+// projections of its own positions the base does not hold, scanned.
 func (r *Relation) DistinctOn(cols []int) int {
 	if r.allColumns(cols) {
 		return r.Len()
 	}
-	r.idxMu.RLock()
-	idx, memo := r.indexOn(cols), r.memo(cols)
-	r.idxMu.RUnlock()
-	switch {
-	case memo != nil:
-		return memo.n
-	case idx != nil && r.base == nil:
-		return len(idx.buckets)
+	b := r.base
+	if b == nil {
+		return r.l.index(r, cols, false).count(r)
 	}
-	// Read before the count: only a count of an immutable relation may
-	// be memoized.
-	frozen := r.frozen.Load()
-	var n int
-	if r.base != nil {
-		held := r.base.projections(cols)
-		n = held.size() + r.scanDistinct(cols, held).size()
-	} else {
-		n = r.scanDistinct(cols, nil).size()
-	}
-	if frozen {
-		r.idxMu.Lock()
-		if r.memo(cols) == nil {
-			r.distinct = append(r.distinct, distinctCount{cols: slices.Clone(cols), n: n})
-		}
-		r.idxMu.Unlock()
-	}
-	return n
-}
-
-// memo returns the memoized distinct count on cols, or nil. The caller
-// holds idxMu.
-func (r *Relation) memo(cols []int) *distinctCount {
-	for i := range r.distinct {
-		if slices.Equal(r.distinct[i].cols, cols) {
-			return &r.distinct[i]
-		}
-	}
-	return nil
-}
-
-// projectionSet is the set of a base's distinct projections onto a
-// column list: the base's index on it, or a distinctSet.
-type projectionSet interface {
-	has(h uint64, ids []term.ID) bool
-	size() int
-}
-
-func (ix *Index) has(h uint64, ids []term.ID) bool { return ix.bucket(h, ids) != nil }
-func (ix *Index) size() int                        { return len(ix.buckets) }
-
-// projections returns the distinct projections onto cols of r, a base:
-// its index on cols if one is built, or else a table of them, scanned
-// once and memoized with the count.
-func (r *Relation) projections(cols []int) projectionSet {
-	r.idxMu.RLock()
-	idx, d := r.indexOn(cols), r.memo(cols)
-	var set *distinctSet
-	if d != nil {
-		set = d.set
-	}
-	r.idxMu.RUnlock()
-	switch {
-	case idx != nil:
-		return idx
-	case set != nil:
-		return set
-	}
-	set = r.scanDistinct(slices.Clone(cols), nil)
-	r.idxMu.Lock()
-	switch d := r.memo(cols); {
-	case d == nil:
-		r.distinct = append(r.distinct, distinctCount{cols: set.cols, n: set.size(), set: set})
-	case d.set == nil:
-		d.set = set
-	default:
-		set = d.set // another reader won the scan race
-	}
-	r.idxMu.Unlock()
-	return set
-}
-
-// distinctSet is a table of the distinct projections onto cols of a
-// relation's tail: its entries are the first position of each.
-type distinctSet struct {
-	r     *Relation
-	cols  []int
-	reps  []int
-	table idTable
-}
-
-func (d *distinctSet) tuple(e int) Tuple { return d.r.tuples[d.reps[e]] }
-
-func (d *distinctSet) has(h uint64, ids []term.ID) bool {
-	e, _ := d.table.find(h, ids, d.cols, d)
-	return e >= 0
-}
-
-func (d *distinctSet) size() int { return len(d.reps) }
-
-// scanDistinct collects the distinct projections onto cols of r's tail
-// that held (nil: none) does not hold.
-func (r *Relation) scanDistinct(cols []int, held projectionSet) *distinctSet {
-	d := &distinctSet{r: r, cols: cols}
+	held := b.l.index(b, cols, false)
+	n := held.count(b)
+	own := newLogIndex(cols, false)
 	var ib [idBufLen]term.ID
-	for pos, t := range r.tuples {
-		ids, _ := appendIDs(ib[:0], t, cols, false)
-		h := hashIDs(ids)
-		if held != nil && held.has(h, ids) {
-			continue
-		}
-		if e, slot := d.table.find(h, ids, cols, d); e < 0 {
-			d.reps = append(d.reps, pos)
-			d.table.add(slot, len(d.reps), cols, d)
+	for p := range r.n {
+		ids, _ := appendIDs(ib[:0], r.tuple(p), cols, false)
+		if !held.has(b, hashIDs(ids), ids) {
+			own.file(r, p)
 		}
 	}
-	return d
+	return n + int(own.keys.Load())
 }
 
 // allColumns reports whether cols lists every column exactly once.
@@ -687,36 +883,14 @@ func (r *Relation) allColumns(cols []int) bool {
 	return true
 }
 
-// tailScale and minTail set tailBound.
-const (
-	tailScale = 4
-	minTail   = 64
-)
-
-// tailBound is the most tuples a tail over a base of n tuples holds
-// before the next Clone merges the two. A write of b tuples then copies
-// a tail of at most tailBound(n) + b, and a merge's O(n) copy comes
-// once per tailBound(n)/b writes, so with a bound of c·√n both costs
-// are O(√n) per write at a fixed batch size.
-func tailBound(n int) int {
-	return max(minTail, int(tailScale*math.Sqrt(float64(n))))
-}
-
 // Clone returns an unfrozen relation holding r's tuples in r's order,
-// which the caller may mutate freely without r seeing it.
-//
-// The clone shares r's base and copies only r's tail: its tuple slice
-// and presence table, whose slots name tail positions and are copied
-// as they are. A frozen relation without a base becomes the clone's
-// base, with no copy. Once r's tail holds more than tailBound of its
-// base's size, the clone starts instead from a new base that merges
-// the two, one O(n) copy per tailBound(n)/b writes of b tuples. The
-// tail's built indexes are copied as merge copies the base's — table
-// copied, each bucket capped — so the clone's first lookup does not
-// re-file its tail, while the base's indexes and distinct counts are
-// shared by every relation over it. A clone is made to be written
-// (Catalog.Ensure), so its tail gets the headroom append would add at
-// the first insert, without a second copy.
+// which the caller may mutate freely without r seeing it. It copies
+// nothing: the clone reads r's log at r's length, and its first insert
+// claims the log's next position. If another relation has claimed it
+// first — r is not the longest relation over its log, or a second clone
+// of r wrote first — that insert copies the clone's prefix into a log
+// of its own (O(n), once). So a writer lineage, which clones each
+// generation once, writes in O(batch) however large the relation.
 //
 // Tuple-sharing contract: the clone shares the Tuple values (and the
 // terms inside them) with the original. This aliasing is safe because
@@ -724,67 +898,22 @@ func tailBound(n int) int {
 // anywhere in the system; no caller may mutate a Tuple obtained from a
 // relation, cloned or not.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{name: r.name, arity: r.arity, base: r.base}
-	switch {
-	case r.base == nil && r.Frozen():
+	return &Relation{name: r.name, arity: r.arity, base: r.base, l: r.l, n: r.n, head: r.head, chunks: r.chunks}
+}
+
+// over returns a writable relation holding the tuples of r, which is
+// frozen, whose inserts go to a log of its own: r becomes its base,
+// with nothing copied, or if r has a base, it shares that and copies
+// r's own positions.
+func (r *Relation) over() *Relation {
+	if r.base == nil {
+		c := New(r.name, r.arity)
 		c.base = r
-	case r.base != nil && len(r.tuples) > tailBound(len(r.base.tuples)):
-		c.base = r.merge()
-	default:
-		c.tuples = append(make([]Tuple, 0, len(r.tuples)+len(r.tuples)/4+1), r.tuples...)
-		c.present = slices.Clone(r.present)
-		r.idxMu.RLock()
-		for _, ix := range r.indexes {
-			c.indexes = append(c.indexes, ix.copyTo(c, ix.base))
-		}
-		r.idxMu.RUnlock()
+		return c
 	}
+	c := r.Clone()
+	c.detach()
 	return c
-}
-
-// copyTo returns a copy of ix as an index of r over base (the base's
-// index on the same columns, or nil). The table is copied and each
-// bucket capped at its length, so filing a position into the copy
-// reallocates the bucket instead of writing into ix's array.
-func (ix *Index) copyTo(r *Relation, base *Index) *Index {
-	c := &Index{r: r, cols: ix.cols, base: base, table: slices.Clone(ix.table), buckets: make([][]int, len(ix.buckets))}
-	for i, bk := range ix.buckets {
-		c.buckets[i] = bk[:len(bk):len(bk)]
-	}
-	return c
-}
-
-// merge returns a new frozen base holding r's base and then its tail.
-// Base positions do not move, so the base's presence table and the
-// indexes built on it are copied as they are — each bucket capped at
-// its length, so filing a tail position reallocates the bucket instead
-// of writing into the old base's array — and the tail's tuples are
-// filed into them.
-func (r *Relation) merge() *Relation {
-	b := r.base
-	m := &Relation{
-		name:    r.name,
-		arity:   r.arity,
-		tuples:  append(append(make([]Tuple, 0, len(b.tuples)+len(r.tuples)), b.tuples...), r.tuples...),
-		present: slices.Clone(b.present),
-	}
-	b.idxMu.RLock()
-	for _, bx := range b.indexes {
-		m.indexes = append(m.indexes, bx.copyTo(m, nil))
-	}
-	b.idxMu.RUnlock()
-	var ib [idBufLen]term.ID
-	for pos := len(b.tuples); pos < len(m.tuples); pos++ {
-		t := m.tuples[pos]
-		ids, _ := appendIDs(ib[:0], t, nil, false)
-		_, slot := m.present.find(hashIDs(ids), ids, nil, m)
-		m.present.add(slot, pos+1, nil, m)
-		for _, mx := range m.indexes {
-			mx.add(t, pos)
-		}
-	}
-	m.Freeze()
-	return m
 }
 
 // Select returns the tuples satisfying all constraints, where a
@@ -838,10 +967,10 @@ func (r *Relation) Join(name string, o *Relation, leftCols, rightCols []int) *Re
 // Sorted returns the tuples sorted by term order, for stable output.
 func (r *Relation) Sorted() []Tuple {
 	out := make([]Tuple, 0, r.Len())
-	if r.base != nil {
-		out = append(out, r.base.tuples...)
-	}
-	out = append(out, r.tuples...)
+	r.Each(func(t Tuple) bool {
+		out = append(out, t)
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		for k := range a {
@@ -871,15 +1000,18 @@ func (r *Relation) String() string {
 // Catalog is a named collection of relations (the EDB plus any derived
 // relations an engine materializes).
 //
-// Catalogs support copy-on-write snapshots: Snapshot returns a new
-// catalog sharing every relation with the original after freezing them
-// all, and Ensure transparently replaces a frozen relation with a
-// private clone the first time this catalog needs to write it. A
+// Catalogs support copy-on-write snapshots: Snapshot and Next return a
+// new catalog sharing every relation with the original after freezing
+// them all, and Ensure transparently replaces a frozen relation with a
+// writable one the first time this catalog needs to write it. A
 // catalog is single-owner while being written; once published (shared
 // between goroutines) it must only be read — Freeze/Snapshot enforce
 // this at the relation level.
 type Catalog struct {
 	rels map[string]*Relation
+	// next marks a catalog of the writer lineage (see Next): Ensure
+	// clones a frozen relation onto its log rather than over it.
+	next bool
 }
 
 // NewCatalog returns an empty catalog.
@@ -891,16 +1023,24 @@ func (c *Catalog) Get(name string) *Relation { return c.rels[name] }
 // Ensure returns a writable relation with the given name, creating it
 // (with the given arity) if absent. It panics if an existing relation
 // has a different arity. When the existing relation is frozen (shared
-// with a snapshot), Ensure replaces it with a private clone — the
-// copy-on-write step — so callers may always Insert into the result.
-// Use Get for read-only access: it never copies.
+// with a snapshot), Ensure replaces it with a writable one — the
+// copy-on-write step — so callers may always Insert into the result:
+// on a catalog from Next, its Clone, which appends to the shared log;
+// on any other catalog, a relation whose writes go to a private log
+// over the frozen one's prefix, so a query's writes never take the log
+// from the writer lineage. Neither copies the stored tuples. Use Get
+// for read-only access.
 func (c *Catalog) Ensure(name string, arity int) *Relation {
 	if r, ok := c.rels[name]; ok {
 		if r.arity != arity {
 			panic(fmt.Sprintf("catalog: %s exists with arity %d, requested %d", name, r.arity, arity))
 		}
 		if r.Frozen() {
-			r = r.Clone()
+			if c.next {
+				r = r.Clone()
+			} else {
+				r = r.over()
+			}
 			c.rels[name] = r
 		}
 		return r
@@ -922,16 +1062,28 @@ func (c *Catalog) Names() []string {
 
 // Snapshot returns a catalog sharing every relation with c, after
 // freezing them all. The snapshot (and c itself) may then be read by
-// any number of goroutines; the first write through either catalog's
-// Ensure replaces the touched relation with a private clone, leaving
-// the shared one untouched. Snapshot is safe to call concurrently on a
-// published (frozen) catalog.
+// any number of goroutines; the first write through the snapshot's
+// Ensure replaces the touched relation with a writable one over a
+// private log (see Ensure), leaving the shared one and its log
+// untouched. Snapshot is safe to call concurrently on a published
+// (frozen) catalog.
 func (c *Catalog) Snapshot() *Catalog {
 	out := &Catalog{rels: make(map[string]*Relation, len(c.rels))}
 	for n, r := range c.rels {
 		r.Freeze()
 		out.rels[n] = r
 	}
+	return out
+}
+
+// Next is Snapshot for the next generation of a writer lineage: its
+// Ensure clones a frozen relation onto the relation's log (see Clone),
+// so the generation it builds costs the tuples written. Only the
+// writer — the one goroutine that builds each generation from the last
+// — may call it.
+func (c *Catalog) Next() *Catalog {
+	out := c.Snapshot()
+	out.next = true
 	return out
 }
 

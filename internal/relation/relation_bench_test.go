@@ -74,8 +74,9 @@ const cloneWrites = 256
 // BenchmarkCloneInsert is a write's storage step: clone the frozen
 // relation of the current generation and insert a batch of 16 tuples,
 // then freeze the clone as the next generation. An op is one write, at
-// a relation of n tuples loaded in one batch; merges of the tail into
-// a new base fall where the writes put them.
+// a relation of n tuples loaded in one batch. Every cloneWrites writes
+// the lineage starts again from a copy of the loaded relation, made
+// with the timer stopped: the loaded relation's own log has moved on.
 func BenchmarkCloneInsert(b *testing.B) {
 	for _, n := range []int{10_000, 160_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -93,11 +94,15 @@ func BenchmarkCloneInsert(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			r := loaded
+			var r *Relation
 			for i := range b.N {
 				w := i % cloneWrites
 				if w == 0 {
-					r = loaded
+					b.StopTimer()
+					r = loaded.Clone()
+					r.detach()
+					r.Freeze()
+					b.StartTimer()
 				}
 				c := r.Clone()
 				for _, t := range batches[w] {

@@ -67,8 +67,8 @@ func TestInsertionOrderPreserved(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Insert(tup(i))
 	}
-	for i, tu := range r.tuples {
-		if !term.Equal(tu[0], term.NewInt(int64(i))) {
+	for i := range r.Len() {
+		if tu := r.At(i); !term.Equal(tu[0], term.NewInt(int64(i))) {
 			t.Fatalf("order broken at %d: %v", i, tu)
 		}
 	}
@@ -271,8 +271,8 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 		j := a.Join("j", b, []int{1}, []int{0})
 		// Reference: nested loop join.
 		want := 0
-		for _, at := range a.tuples {
-			for _, bt := range b.tuples {
+		for _, at := range a.Sorted() {
+			for _, bt := range b.Sorted() {
 				if term.Equal(at[1], bt[0]) {
 					want++
 					joined := append(append(Tuple{}, at...), bt...)

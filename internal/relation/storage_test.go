@@ -1,8 +1,8 @@
 package relation
 
 // Regression tests for the dictionary-encoded storage layer:
-// DistinctOn's one-shot index retention and its memoization on frozen
-// relations.
+// DistinctOn's keys-only tables, probe views, storage cost and table
+// growth.
 
 import (
 	"fmt"
@@ -19,9 +19,10 @@ func tup2(a, b string) Tuple {
 }
 
 // TestDistinctOnNoIndexRetention: counting distinct projections on a
-// relation with no prebuilt index must not build (and retain) one —
-// neither on the relation nor, for a clone, on the base it shares,
-// which keeps a table of distinct projections instead.
+// relation with no prebuilt index must not build (and retain) one with
+// postings — neither on the relation nor, for a clone, on the log it
+// shares, which keeps a keys-only table of distinct projections
+// instead.
 func TestDistinctOnNoIndexRetention(t *testing.T) {
 	r := New("p", 2)
 	r.Insert(tup2("a", "b"))
@@ -34,7 +35,7 @@ func TestDistinctOnNoIndexRetention(t *testing.T) {
 	if n := r.DistinctOn([]int{1}); n != 2 {
 		t.Fatalf("DistinctOn(1) = %d, want 2", n)
 	}
-	if len(r.indexes) != 0 {
+	if len(r.indexes) != 0 || r.l.lookup([]int{0}, true) != nil || r.l.lookup([]int{1}, true) != nil {
 		t.Fatalf("DistinctOn retained %d indexes, want 0", len(r.indexes))
 	}
 
@@ -59,8 +60,11 @@ func TestDistinctOnNoIndexRetention(t *testing.T) {
 	if n := c.DistinctOn([]int{1}); n != 2 {
 		t.Fatalf("clone DistinctOn(1) = %d, want 2", n)
 	}
-	if len(b.indexes) != 0 || len(c.indexes) != 0 {
+	if len(b.indexes) != 0 || len(c.indexes) != 0 || c.l.lookup([]int{1}, true) != nil {
 		t.Fatalf("DistinctOn on a clone retained %d base and %d clone indexes, want 0", len(b.indexes), len(c.indexes))
+	}
+	if n := b.DistinctOn([]int{0}); n != 2 {
+		t.Fatalf("the clone's insert shows in the original's count: DistinctOn(0) = %d, want 2", n)
 	}
 }
 
@@ -89,7 +93,7 @@ func TestContainsNeverInterned(t *testing.T) {
 
 // TestDistinctOnAllColumnsIsLen: projecting onto every column, in any
 // order, is the relation itself — a set — so the count is Len, with no
-// scan and nothing memoized.
+// scan and no table kept.
 func TestDistinctOnAllColumnsIsLen(t *testing.T) {
 	r := New("p", 3)
 	for i, s := range []string{"a", "b", "c", "d"} {
@@ -105,14 +109,17 @@ func TestDistinctOnAllColumnsIsLen(t *testing.T) {
 		t.Errorf("DistinctOn(1,1,2) = %d, want 2", n)
 	}
 	r.Freeze()
+	r = r.Clone()
 	r.DistinctOn([]int{2, 1, 0})
-	if len(r.distinct) != 0 || len(r.indexes) != 0 {
-		t.Fatalf("all-columns count memoized %d / indexed %d, want neither", len(r.distinct), len(r.indexes))
+	if r.l.lookup([]int{2, 1, 0}, false) != nil || len(r.indexes) != 0 {
+		t.Fatalf("all-columns count kept a table (%d indexes), want none", len(r.indexes))
 	}
 }
 
 // TestDistinctOnUnfrozenNotMemoized: a live relation may still grow, so
-// a count taken before an insert must not answer after it.
+// a count taken before an insert must not answer after it; and a count
+// of a frozen relation must not see what its clone inserts into the log
+// they share.
 func TestDistinctOnUnfrozenNotMemoized(t *testing.T) {
 	r := New("p", 2)
 	r.Insert(tup2("a", "b"))
@@ -123,26 +130,25 @@ func TestDistinctOnUnfrozenNotMemoized(t *testing.T) {
 	if n := r.DistinctOn([]int{0}); n != 2 {
 		t.Fatalf("DistinctOn(0) after insert = %d, want 2 (stale count)", n)
 	}
-	if r.distinct != nil {
-		t.Fatalf("unfrozen relation memoized %v", r.distinct)
-	}
 
-	// Frozen, the count is memoized; the clone a writer makes of it
-	// starts without the memo.
 	r.Freeze()
-	if n := r.DistinctOn([]int{1}); n != 1 || r.memo([]int{1}) == nil || r.memo([]int{1}).n != 1 {
-		t.Fatalf("frozen DistinctOn(1) = %d, memo %v", n, r.distinct)
+	if n := r.DistinctOn([]int{1}); n != 1 {
+		t.Fatalf("frozen DistinctOn(1) = %d, want 1", n)
 	}
 	c := r.Clone()
 	c.Insert(tup2("e", "f"))
 	if n := c.DistinctOn([]int{1}); n != 2 {
 		t.Fatalf("clone DistinctOn(1) = %d, want 2", n)
 	}
+	if n := r.DistinctOn([]int{1}); n != 1 {
+		t.Fatalf("frozen DistinctOn(1) after the clone's insert = %d, want 1", n)
+	}
 }
 
 // TestDistinctOnFrozenConcurrent: readers of a published (frozen)
-// relation count concurrently — the memo is written under idxMu while
-// other readers probe it and build indexes. Run under -race.
+// relation count concurrently — keys-only tables are built in the log
+// while other readers count with them and build indexes. Run under
+// -race.
 func TestDistinctOnFrozenConcurrent(t *testing.T) {
 	r := New("p", 3)
 	for i := 0; i < 200; i++ {
@@ -203,15 +209,15 @@ func TestProbeViewAllocationFree(t *testing.T) {
 		t.Fatalf("DistinctOn on an indexed column list allocates %.1f objects, want 0", n)
 	}
 
-	// Two layers: a clone of the frozen relation reads a base bucket and
-	// a tail bucket, still allocating nothing.
+	// Two layers: a query-time write over the frozen relation reads a
+	// base bucket and a bucket of its own log, still allocating nothing.
 	r.Freeze()
-	c := r.Clone()
+	c := r.over()
 	for i := 0; i < 5; i++ {
 		c.Insert(tup(3, 200+i, "x"))
 	}
 	if c.base != r {
-		t.Fatal("the clone does not share the frozen relation as its base")
+		t.Fatal("the query-time relation does not read the frozen relation as its base")
 	}
 	ix := c.Index(cols)
 	if m := ix.Probe(key); m.Len() != 16 || int(m.At(10)[1].(term.Int).V) != 100 || int(m.At(11)[1].(term.Int).V) != 200 {
@@ -334,9 +340,10 @@ func TestIndexInsertExistingBucketAllocatesNoKey(t *testing.T) {
 // TestRelationStorageCost bounds what a stored tuple costs: 100,000
 // arity-2 tuples with one single-column index take at most
 // maxBytesPerTuple of heap after a collection (tuple, terms, presence
-// table and index together), and making the frozen relation writable
-// — Clone, which shares it as the clone's base, plus one insert — makes
-// at most maxCloneAllocs allocations, however many tuples it holds.
+// table and index together), and a write of the next generation —
+// Clone of the frozen relation, which shares its log, plus one insert,
+// then Freeze — makes at most maxCloneAllocs allocations, however many
+// tuples it holds.
 func TestRelationStorageCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap and allocation counts are not repeatable under the race detector")
@@ -360,8 +367,17 @@ func TestRelationStorageCost(t *testing.T) {
 	perTuple := float64(ms.HeapAlloc-before) / n
 	runtime.KeepAlive(r)
 	r.Freeze()
-	extra := Tuple{term.NewInt(-1), term.NewInt(-1)}
-	allocs := testing.AllocsPerRun(5, func() { r.Clone().Insert(extra) })
+	extras := make([]Tuple, 6) // AllocsPerRun adds a warm-up call
+	for i := range extras {
+		extras[i] = Tuple{term.NewInt(int64(-1 - i)), term.NewInt(-1)}
+	}
+	w := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		c := r.Clone()
+		c.Insert(extras[w])
+		c.Freeze()
+		r, w = c, w+1
+	})
 	t.Logf("%d tuples: %.1f B of heap per tuple; Clone plus one insert: %.0f allocations", n, perTuple, allocs)
 	if perTuple > maxBytesPerTuple {
 		t.Errorf("%.1f B of heap per tuple, want <= %d", perTuple, maxBytesPerTuple)
@@ -384,7 +400,7 @@ func TestTablesGrow(t *testing.T) {
 		if r.Insert(tup(i/2, (i/2)%7, fmt.Sprintf("s%d", (i/2)%13))) {
 			t.Fatalf("re-insert of tuple %d grew the relation", i/2)
 		}
-		if n := len(r.present); n&(n-1) != 0 || 4*r.Len() > 3*n {
+		if n := len(r.l.present.st.Load().table); n&(n-1) != 0 || 4*r.Len() > 3*n {
 			t.Fatalf("%d tuples in a presence table of %d slots", r.Len(), n)
 		}
 	}
@@ -410,9 +426,9 @@ func TestTablesGrow(t *testing.T) {
 	}
 }
 
-// TestCloneDiverges: a clone of an unfrozen relation copies the
-// presence table, and two clones of a frozen one share it as their base
-// and each get a tail of their own; either way inserts into the two
+// TestCloneDiverges: a relation and its clone, or two clones of one
+// frozen relation, share one log, and whichever inserts second copies
+// its prefix into a log of its own; either way inserts into the two
 // land in two tables, each seeing only its own.
 func TestCloneDiverges(t *testing.T) {
 	shared := func() *Relation {
@@ -457,8 +473,8 @@ func TestCloneDiverges(t *testing.T) {
 	}
 }
 
-// TestDistinctOnMatchesIndex: the transient scan counts what an index
-// on the same columns holds as buckets, and what a map of the
+// TestDistinctOnMatchesIndex: the keys-only table counts what an index
+// on the same columns holds as keys, and what a map of the
 // projections' strings counts.
 func TestDistinctOnMatchesIndex(t *testing.T) {
 	for _, cols := range [][]int{{0}, {1}, {2}, {0, 1}, {2, 0}, {1, 1}} {
@@ -473,9 +489,9 @@ func TestDistinctOnMatchesIndex(t *testing.T) {
 			}
 			seen[key] = true
 		}
-		scanned := r.DistinctOn(cols)
-		if ix := r.Index(cols); scanned != len(seen) || len(ix.buckets) != scanned || r.DistinctOn(cols) != scanned {
-			t.Errorf("DistinctOn(%v) scanned %d, index holds %d buckets, want %d", cols, scanned, len(ix.buckets), len(seen))
+		counted := r.DistinctOn(cols)
+		if ix := r.Index(cols); counted != len(seen) || int(ix.li.keys.Load()) != counted || r.DistinctOn(cols) != counted {
+			t.Errorf("DistinctOn(%v) counted %d, index holds %d keys, want %d", cols, counted, ix.li.keys.Load(), len(seen))
 		}
 	}
 }

@@ -342,6 +342,10 @@ func (l *Leader) serveConn(conn net.Conn) {
 	enc := wal.NewEncDict()
 	lastBeat := time.Now()
 	lastDigest := time.Now()
+	// idle paces the idle polls: one drained timer, re-armed on each
+	// idle pass (time.After would allocate a timer per pass).
+	idle := time.NewTimer(0)
+	<-idle.C
 	for {
 		select {
 		case <-l.stop:
@@ -410,10 +414,11 @@ func (l *Leader) serveConn(conn net.Conn) {
 				}
 				lastBeat = time.Now()
 			}
+			idle.Reset(pollEvery)
 			select {
 			case <-l.stop:
 				return
-			case <-time.After(pollEvery):
+			case <-idle.C:
 			}
 		}
 	}

@@ -322,7 +322,7 @@ func (c *Compiled) Eval(facts []program.Atom, cat *relation.Catalog, opts Option
 		tup := relation.Tuple(f.Args)
 		// Skip facts already present: on a copy-on-write snapshot of a
 		// live database the EDB is pre-loaded, and going through Ensure
-		// would pointlessly clone every shared fact relation.
+		// would put a private log over every shared fact relation.
 		if rel := cat.Get(f.Pred); rel != nil && rel.Arity() == f.Arity() && rel.Contains(tup) {
 			continue
 		}
@@ -419,7 +419,8 @@ func (e *engine) run() error {
 	}
 	// Pre-create IDB relations (arity from rule heads). Relations that
 	// already exist are left alone — Ensure on a snapshot-shared
-	// relation would clone it, and mere existence needs no write.
+	// relation would put a private log over it, and mere existence
+	// needs no write.
 	for _, k := range e.c.rels {
 		if rel := e.cat.Get(k.pred); rel == nil || rel.Arity() != k.arity {
 			e.cat.Ensure(k.pred, k.arity)

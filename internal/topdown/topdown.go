@@ -222,8 +222,8 @@ func New(prog *program.Program, cat *relation.Catalog, opts Options) *Engine {
 	for _, f := range prog.Facts {
 		tup := relation.Tuple(f.Args)
 		// Facts already present (the usual case on a copy-on-write
-		// snapshot of a live database) need no write; Ensure would
-		// clone the shared relation.
+		// snapshot of a live database) need no write; Ensure would put
+		// a private log over the shared relation.
 		if rel := cat.Get(f.Pred); rel != nil && rel.Arity() == f.Arity() && rel.Contains(tup) {
 			continue
 		}

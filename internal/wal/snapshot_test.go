@@ -199,8 +199,8 @@ func TestStreamedSnapshotMatchesListEncoder(t *testing.T) {
 	}
 }
 
-// layeredStream streams relations that are each a frozen base plus a
-// tail, interleaved in runs the way a generation's order record
+// layeredStream streams relations that each span many generations of
+// one log, interleaved in runs the way a generation's order record
 // interleaves its writes.
 type layeredStream struct {
 	rels  map[string]*relation.Relation
@@ -239,7 +239,7 @@ func TestStreamedSnapshotOfLayeredRelations(t *testing.T) {
 			pred = "p"
 		}
 		// Each write clones the relation it touches, as a generation
-		// does: the first clone of a frozen relation makes it the base.
+		// does, and appends to the log the clone shares with it.
 		r := s.rels[pred].Clone()
 		added := 0
 		for k := 0; k < 1+rng.Intn(20); k++ {

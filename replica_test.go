@@ -14,23 +14,41 @@ import (
 	"time"
 
 	"chainsplit/internal/faultinject"
+	"chainsplit/internal/obsv"
 	"chainsplit/internal/replica"
 )
 
 // waitCaughtUp polls until the follower's generation reaches the
 // leader's generation at entry. On timeout it reports what the
-// follower believes about itself and where the leader has got to.
+// follower believes about itself, where the leader has got to, how
+// often followers reconnected during the wait (process-wide counters),
+// and the state of the follower's replication session.
 func waitCaughtUp(t *testing.T, f, leader *DB) {
 	t.Helper()
 	want := leader.Generation()
+	reconnects, events := obsv.ReplicaReconnects.Value(), obsv.ReconnectEvents.Value()
 	deadline := time.Now().Add(10 * time.Second)
 	for f.Generation() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at generation %d, want %d (follower: staleness %v, follower %v, fenced %v; leader now at generation %d)",
-				f.Generation(), want, f.Staleness(), f.IsFollower(), f.Fenced(), leader.Generation())
+			t.Fatalf("follower stuck at generation %d, want %d (follower: staleness %v, follower %v, fenced %v; leader now at generation %d; "+
+				"during the wait: %d reconnect attempts, %d reconnect events; %s)",
+				f.Generation(), want, f.Staleness(), f.IsFollower(), f.Fenced(), leader.Generation(),
+				obsv.ReplicaReconnects.Value()-reconnects, obsv.ReconnectEvents.Value()-events, sessionState(f))
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// sessionState describes db's follower session: whether its stream is
+// up, and the error that ended it (nil while it still runs).
+func sessionState(db *DB) string {
+	db.replMu.Lock()
+	s := db.repl
+	db.replMu.Unlock()
+	if s == nil {
+		return "no replication session"
+	}
+	return fmt.Sprintf("session connected %v, ended by %v", s.Connected(), s.Err())
 }
 
 // answers renders a result's tuples in order, for bit-identity
